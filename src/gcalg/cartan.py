@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, contract_vector, wedge
+from .forms import Form, basis_masks, contract_vector, form_to_vec, vec_to_form, wedge
 from .gcmaps import GCMap
 from .models import (
     BettiPair,
@@ -27,7 +27,7 @@ from .models import (
     split_operators,
     twisted_cohomology,
 )
-from .scalars import ONE, QONE, QZERO, Scalar, ZERO, scalar
+from .scalars import ONE, QONE, QZERO, Scalar, scalar
 
 Expo = Tuple[int, ...]
 
@@ -408,29 +408,24 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     if not res.is_zero():
         raise ValueError("twisting form is not equivariantly closed: %s" % res)
 
-    basis: List[Tuple[Expo, int]] = []
-    for deg in range(trunc + 1):
-        for e in monomials_of_degree(act.k, deg):
-            for mask in sorted(range(1 << model.n), key=lambda m: (m.bit_count(), m)):
-                basis.append((e, mask))
+    masks = basis_masks(model.n)
+    basis: List[Tuple[Expo, int]] = [
+        (e, mask)
+        for deg in range(trunc + 1)
+        for e in monomials_of_degree(act.k, deg)
+        for mask in masks
+    ]
     even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
     odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
-    index_even = {b: i for i, b in enumerate(even_basis)}
-    index_odd = {b: i for i, b in enumerate(odd_basis)}
 
-    def image_vec(e: Expo, mask: int, target_index) -> linalg.Vec:
+    def image(key: Tuple[Expo, int]) -> dict:
+        e, mask = key
         src = EqForm(act.k, model.n, trunc, {e: Form(model.n, {mask: ONE})})
         img = _d_eq_twisted_unchecked(act, h_g, src)
-        vec = [QZERO] * len(target_index)
-        for ee, f in img.terms.items():
-            for mk, c in f.terms.items():
-                vec[target_index[(ee, mk)]] = c.as_q()
-        return vec
+        return {(ee, mk): c for ee, f in img.terms.items() for mk, c in f.terms.items()}
 
-    cols_eo = [image_vec(e, mk, index_odd) for e, mk in even_basis]
-    cols_oe = [image_vec(e, mk, index_even) for e, mk in odd_basis]
-    mat_eo = [[cols_eo[c][r] for c in range(len(cols_eo))] for r in range(len(odd_basis))]
-    mat_oe = [[cols_oe[c][r] for c in range(len(cols_oe))] for r in range(len(even_basis))]
+    mat_eo = linalg.operator_matrix(image, even_basis, odd_basis)
+    mat_oe = linalg.operator_matrix(image, odd_basis, even_basis)
 
     # Graded pieces of the x-degree filtration on kernel/image: the piece at
     # degree p is dim((ker & F_p) + im) - dim((ker & F_p+1) + im), where F_p
@@ -851,14 +846,8 @@ def canonical_extension(
     lo_up = linalg.mat_mul(lo, up)
     sections = _moment_sections(act)
 
-    def to_vec(f: Form) -> linalg.Vec:
-        return [f.terms.get(mk, ZERO).as_q() for mk in masks]
-
-    def to_form(v: linalg.Vec) -> Form:
-        return Form(model.n, {mk: Scalar.from_q(c) for mk, c in zip(masks, v)})
-
     for comp in comps.values():
-        vec = to_vec(comp)
+        vec = form_to_vec(comp, masks)
         if any(not x.is_zero() for x in linalg.mat_vec(lo, vec)):
             raise ValueError("component is not closed for the lower half")
         if any(not x.is_zero() for x in linalg.mat_vec(up, vec)):
@@ -880,7 +869,7 @@ def canonical_extension(
         if not residuals:
             break
         for e, r in residuals.items():
-            rhs = [-x for x in to_vec(r)]
+            rhs = [-x for x in form_to_vec(r, masks)]
             sol = linalg.solve(lo_up, rhs)
             if sol is None:
                 raise ExtensionError(
@@ -888,7 +877,7 @@ def canonical_extension(
                     "law violation witness %s" % r.to_text(model.names),
                     r,
                 )
-            corr = to_form(linalg.mat_vec(up, sol))
+            corr = vec_to_form(linalg.mat_vec(up, sol), masks, model.n)
             if not corr.is_zero():
                 terms[e] = terms.get(e, Form.zero(model.n)) + corr
     out = EqForm(act.k, model.n, trunc, terms)

@@ -8,9 +8,9 @@ construction and safe to share.
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
-from .scalars import ONE, Scalar, ZERO, scalar
+from .scalars import ONE, Q, Scalar, ZERO, scalar
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -215,6 +215,29 @@ def _atomic(s: str) -> bool:
     return True
 
 
+# -- basis ordering and coordinates ---------------------------------------------
+
+
+def mask_key(mask: int) -> tuple:
+    """Sort key of the basis ordering: degree first, then mask."""
+    return (mask.bit_count(), mask)
+
+
+def basis_masks(n: int) -> List[int]:
+    """All 2^n basis masks in the basis ordering."""
+    return sorted(range(1 << n), key=mask_key)
+
+
+def form_to_vec(f: Form, masks: Sequence[int]) -> List[Q]:
+    """Coordinates of a parameter-free form on the given basis masks."""
+    return [f.terms.get(m, ZERO).as_q() for m in masks]
+
+
+def vec_to_form(v: Sequence[Q], masks: Sequence[int], n: int) -> Form:
+    """The form with coordinates v on the given basis masks."""
+    return Form(n, {m: Scalar.from_q(c) for m, c in zip(masks, v)})
+
+
 # -- exterior operations -------------------------------------------------------
 
 
@@ -232,15 +255,6 @@ def wedge(a: Form, b: Form) -> Form:
                 c = -c
             terms[m] = terms.get(m, ZERO) + c
     return Form(a.n, terms)
-
-
-def wedge_all(forms: Sequence[Form]) -> Form:
-    if not forms:
-        raise ValueError("empty wedge")
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
 
 
 def contract(i: int, a: Form) -> Form:

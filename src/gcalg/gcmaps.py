@@ -13,8 +13,17 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, clifford, contract, mukai
-from .scalars import ONE, Q, QI, QONE, QZERO, Scalar, ZERO
+from .forms import (
+    Form,
+    basis_masks,
+    clifford,
+    contract,
+    form_to_vec,
+    mask_key,
+    mukai,
+    vec_to_form,
+)
+from .scalars import ONE, Q, QI, QZERO, Scalar, ZERO
 
 
 def _pairing_matrix(dim: int) -> linalg.Mat:
@@ -142,25 +151,15 @@ def type_of(j: GCMap) -> int:
     return j.dim - linalg.rank(proj)
 
 
-def _vec_of_form(f: Form, masks: Sequence[int]) -> linalg.Vec:
-    return [f.terms.get(m, ZERO).as_q() for m in masks]
-
-
-def _form_of_vec(v: linalg.Vec, masks: Sequence[int], n: int) -> Form:
-    return Form(n, {m: Scalar.from_q(c) for m, c in zip(masks, v)})
-
-
-def _all_masks(n: int) -> List[int]:
-    return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+def _unit_vectors(size: int) -> List[List[Scalar]]:
+    return [[ONE if i == k else ZERO for i in range(size)] for k in range(size)]
 
 
 def _clifford_matrix(v: Sequence[Q], n: int, masks: Sequence[int]) -> linalg.Mat:
-    def act(f: Form) -> Form:
-        return clifford([Scalar.from_q(x) for x in v], f)
-
-    basis = [_form_of_vec([QONE if i == k else QZERO for i in range(len(masks))], masks, n)
-             for k in range(len(masks))]
-    return linalg.operator_matrix(act, basis, lambda f: _vec_of_form(f, masks))
+    coords = [Scalar.from_q(x) for x in v]
+    return linalg.operator_matrix(
+        lambda m: clifford(coords, Form(n, {m: ONE})).terms, masks, masks
+    )
 
 
 def pure_spinor(space: IsotropicSubspace) -> Form:
@@ -175,7 +174,7 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
             "subspace has dimension %d, maximal isotropic needs %d"
             % (space.dimension, n)
         )
-    masks = _all_masks(n)
+    masks = basis_masks(n)
     rows: linalg.Mat = []
     for v in space.basis:
         rows.extend(_clifford_matrix(v, n, masks))
@@ -184,11 +183,11 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
         raise ValueError(
             "annihilator line has dimension %d, expected 1" % len(kernel)
         )
-    return _normalize_spinor(_form_of_vec(kernel[0], masks, n))
+    return _normalize_spinor(vec_to_form(kernel[0], masks, n))
 
 
 def _normalize_spinor(f: Form) -> Form:
-    lead = min(f.terms, key=lambda m: (m.bit_count(), m))
+    lead = min(f.terms, key=mask_key)
     return f.scale(ONE / f.terms[lead])
 
 
@@ -205,15 +204,7 @@ def annihilator(phi: Form) -> AnnihilatorReport:
     if phi.is_zero():
         raise ValueError("annihilator of the zero form")
     n = phi.n
-    masks = _all_masks(n)
-    target = _vec_of_form(phi, masks)
-    cols = []
-    for k in range(2 * n):
-        v = [QONE if i == k else QZERO for i in range(2 * n)]
-        mat = _clifford_matrix(v, n, masks)
-        cols.append(linalg.mat_vec(mat, target))
-    system = [[cols[k][r] for k in range(2 * n)] for r in range(len(masks))]
-    basis = linalg.kernel_basis(system, ncols=2 * n)
+    basis = linalg.kernel_basis(_annihilator_system(phi), ncols=2 * n)
     space = IsotropicSubspace(n, tuple(tuple(v) for v in basis))
     pairing = mukai(phi, phi.conjugate())
     transverse = False
@@ -227,6 +218,14 @@ def annihilator(phi: Form) -> AnnihilatorReport:
         maximal_isotropic=space.dimension == n,
         nondegenerate=not pairing.is_zero(),
         transverse=transverse,
+    )
+
+
+def _annihilator_system(phi: Form) -> linalg.Mat:
+    """Column k: the Clifford action of the k-th unit vector of V + V* on phi."""
+    units = _unit_vectors(2 * phi.n)
+    return linalg.operator_matrix(
+        lambda k: clifford(units[k], phi).terms, range(2 * phi.n), basis_masks(phi.n)
     )
 
 
@@ -312,8 +311,7 @@ class UGrading:
             raise ValueError("form does not live on this frame")
         if f.parameters():
             raise ValueError("decomposition needs parameter-free coefficients")
-        vec = _vec_of_form(f, self._masks)
-        coeffs = linalg.mat_vec([list(r) for r in self._inverse], vec)
+        coeffs = linalg.mat_vec(self._inverse, form_to_vec(f, self._masks))
         out = {}
         pos = 0
         for k in self.levels:
@@ -342,38 +340,38 @@ def lifted_action_matrix(j: GCMap) -> linalg.Mat:
     the canonical line at eigenvalue -n*i.
     """
     n = j.dim
-    masks = _all_masks(n)
-    dim = len(masks)
-    p = _pairing_matrix(n)
-    coeff = linalg.mat_scale(linalg.mat_mul(j.matrix, p), Q(-1))
-    total = linalg.zeros(dim, dim)
-    cliff = []
-    for a in range(2 * n):
-        v = [QONE if i == a else QZERO for i in range(2 * n)]
-        cliff.append(_clifford_matrix(v, n, masks))
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            w = coeff[a][b]
-            if w.is_zero():
-                continue
-            comm = linalg.mat_sub(
-                linalg.mat_mul(cliff[a], cliff[b]),
-                linalg.mat_mul(cliff[b], cliff[a]),
-            )
-            total = linalg.mat_add(total, linalg.mat_scale(comm, w))
-    return total
+    coeff = linalg.mat_mul(j.matrix, _pairing_matrix(n))
+    pairs = [
+        (a, b, -Scalar.from_q(coeff[a][b]))
+        for a in range(2 * n)
+        for b in range(a + 1, 2 * n)
+        if not coeff[a][b].is_zero()
+    ]
+    units = _unit_vectors(2 * n)
+
+    def image(mask: int) -> dict:
+        f = Form(n, {mask: ONE})
+        once = [clifford(u, f) for u in units]
+        out = Form.zero(n)
+        for a, b, w in pairs:
+            comm = clifford(units[a], once[b]) - clifford(units[b], once[a])
+            out = out + comm.scale(w)
+        return out.terms
+
+    masks = basis_masks(n)
+    return linalg.operator_matrix(image, masks, masks)
 
 
 def uk_grading(j: GCMap) -> UGrading:
     """Decompose forms into integer levels -n..n; level n is the spinor line."""
     n = j.dim
     half = n // 2
-    masks = _all_masks(n)
+    masks = basis_masks(n)
     dim = len(masks)
     op = lifted_action_matrix(j)
 
     spinor = pure_spinor(i_eigenspace(j))
-    svec = _vec_of_form(spinor, masks)
+    svec = form_to_vec(spinor, masks)
     image = linalg.mat_vec(op, svec)
     lead = next(i for i, x in enumerate(svec) if not x.is_zero())
     eigen = image[lead] / svec[lead]
@@ -384,25 +382,20 @@ def uk_grading(j: GCMap) -> UGrading:
         op = linalg.mat_add(op, linalg.mat_scale(linalg.identity(dim), shift))
 
     bases = {}
-    columns = []
     levels = list(range(half, -half - 1, -1))
     count = 0
     for k in levels:
         target = linalg.mat_add(op, linalg.mat_scale(linalg.identity(dim), Q(0, k)))
         kernel = linalg.kernel_basis(target)
-        forms = []
-        for v in kernel:
-            form = _normalize_spinor(_form_of_vec(v, masks, n))
-            columns.append(_vec_of_form(form, masks))
-            forms.append(form)
-        bases[k] = tuple(forms)
+        bases[k] = tuple(_normalize_spinor(vec_to_form(v, masks, n)) for v in kernel)
         count += len(kernel)
     if count != dim:
         raise ValueError(
             "eigenvalue spectrum escapes the expected levels "
             "(%d of %d dimensions found): lift convention bug" % (count, dim)
         )
-    change = [[columns[c][r] for c in range(dim)] for r in range(dim)]
+    level_forms = [f for k in levels for f in bases[k]]
+    change = linalg.operator_matrix(lambda f: f.terms, level_forms, masks)
     inverse = linalg.invert(change)
     return UGrading(
         dim_v=n,

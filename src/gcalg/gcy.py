@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, integrate, mukai, reversal, wedge
+from .forms import Form, basis_masks, integrate, mukai, reversal, vec_to_form, wedge
 from .gcmaps import AnnihilatorReport, annihilator
 from .models import Model, d_twisted
 from .scalars import ONE, Scalar
@@ -238,21 +238,13 @@ def lefschetz_check(model: Model, omega: Form) -> LefschetzReport:
     for _ in range(n - 1):
         mid = wedge(mid, omega)
     masks_in = [1 << i for i in range(model.n)]
-    masks_out = sorted(
-        (m for m in range(1 << model.n) if m.bit_count() == 2 * n - 1),
-        key=lambda m: (m.bit_count(), m),
+    masks_out = [m for m in basis_masks(model.n) if m.bit_count() == 2 * n - 1]
+    mat = linalg.operator_matrix(
+        lambda mk: wedge(mid, Form(model.n, {mk: ONE})).terms, masks_in, masks_out
     )
-    cols = []
-    for mk in masks_in:
-        img = wedge(mid, Form(model.n, {mk: ONE}))
-        cols.append([img.terms.get(mo, Scalar()).as_q() for mo in masks_out])
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(masks_out))]
     kernel = linalg.kernel_basis(mat, ncols=len(masks_in))
     if kernel:
-        witness = Form(
-            model.n,
-            {mk: Scalar.from_q(c) for mk, c in zip(masks_in, kernel[0])},
-        )
+        witness = vec_to_form(kernel[0], masks_in, model.n)
         return LefschetzReport(
             ok=False, witness=witness,
             detail="kernel witness %s" % witness.to_text(model.names),

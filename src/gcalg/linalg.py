@@ -7,7 +7,7 @@ in column order), so every result is reproducible and exact.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from .scalars import Q, QONE, QZERO
 
@@ -60,10 +60,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 def mat_scale(a: Mat, c: Q) -> Mat:
     return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
 
 
 def transpose(a: Mat) -> Mat:
@@ -211,22 +207,15 @@ def intersect_spans(rows_a: Mat, rows_b: Mat, ncols: int) -> Mat:
     return row_space(out) if out else []
 
 
-def span_dim(rows: Mat) -> int:
-    return rank(rows)
+def operator_matrix(op: Callable, src: Sequence, dst: Sequence) -> Mat:
+    """Matrix of a linear operator: column j holds op(src[j]) in dst order.
 
-
-def spans_equal(rows_a: Mat, rows_b: Mat) -> bool:
-    ra = row_space(rows_a)
-    rb = row_space(rows_b)
-    return ra == rb
-
-
-def column_space_contains(mat: Mat, v: Vec) -> bool:
-    return solve(mat, v) is not None
-
-
-def operator_matrix(op: Callable, basis, to_vec: Callable) -> Mat:
-    """Matrix of a linear operator: column j is op(basis[j]) in coordinates."""
-    cols = [to_vec(op(b)) for b in basis]
-    nrows = len(cols[0]) if cols else 0
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
+    op(key) returns the sparse image {dst key: Scalar}; an image key outside
+    dst raises KeyError.
+    """
+    row_of = {key: i for i, key in enumerate(dst)}
+    out = zeros(len(dst), len(src))
+    for j, key in enumerate(src):
+        for k, c in op(key).items():
+            out[row_of[k]][j] = c.as_q()
+    return out

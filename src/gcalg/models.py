@@ -9,12 +9,21 @@ complexes are Z2-graded because the twisted differential mixes form degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, clifford, contract_vector, reversal, wedge
+from .forms import (
+    Form,
+    basis_masks,
+    clifford,
+    contract_vector,
+    form_to_vec,
+    reversal,
+    vec_to_form,
+    wedge,
+)
 from .gcmaps import GCMap, UGrading, uk_grading
-from .scalars import ONE, Q, QZERO, Scalar, ZERO
+from .scalars import ONE, Q, Scalar
 
 
 class Model:
@@ -140,39 +149,24 @@ class BettiPair:
 
 
 def parity_masks(n: int) -> Tuple[List[int], List[int]]:
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    masks = basis_masks(n)
     return (
         [m for m in masks if m.bit_count() % 2 == 0],
         [m for m in masks if m.bit_count() % 2 == 1],
     )
 
 
-def _operator_parity_matrices(m: Model, op) -> Tuple[linalg.Mat, linalg.Mat]:
-    """Matrices of a parity-reversing operator (even->odd, odd->even)."""
-    even, odd = parity_masks(m.n)
-
-    def columns(basis, target):
-        tgt_index = {mask: i for i, mask in enumerate(target)}
-        cols = []
-        for mask in basis:
-            img = op(Form(m.n, {mask: ONE}))
-            vec = [QZERO] * len(target)
-            for mk, c in img.terms.items():
-                vec[tgt_index[mk]] = c.as_q()
-            cols.append(vec)
-        return [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-
-    return columns(even, odd), columns(odd, even)
-
-
 def twisted_cohomology(m: Model) -> BettiPair:
     """Exact Z2-graded Betti ranks of the twisted complex."""
     if m.n == 0:
         return BettiPair(1, 0)
-    d_eo, d_oe = _operator_parity_matrices(m, lambda a: d_twisted(m, a))
     even, odd = parity_masks(m.n)
-    rank_eo = linalg.rank(d_eo)
-    rank_oe = linalg.rank(d_oe)
+
+    def image(mask: int) -> dict:
+        return d_twisted(m, Form(m.n, {mask: ONE})).terms
+
+    rank_eo = linalg.rank(linalg.operator_matrix(image, even, odd))
+    rank_oe = linalg.rank(linalg.operator_matrix(image, odd, even))
     return BettiPair(len(even) - rank_eo - rank_oe, len(odd) - rank_oe - rank_eo)
 
 
@@ -180,35 +174,17 @@ def betti_numbers(m: Model) -> List[int]:
     """Integer-graded Betti numbers; only meaningful when the twist is zero."""
     if not m.H.is_zero():
         raise ValueError("integer grading needs a zero twisting form")
-    masks = sorted(range(1 << m.n), key=lambda mk: (mk.bit_count(), mk))
-    by_degree: Dict[int, List[int]] = {}
-    for mask in masks:
-        by_degree.setdefault(mask.bit_count(), []).append(mask)
-    out = []
-    for q in range(m.n + 1):
-        basis = by_degree.get(q, [])
-        nxt = by_degree.get(q + 1, [])
-        prv = by_degree.get(q - 1, [])
-        out.append(
-            len(basis)
-            - _rank_of_restriction(m, basis, nxt)
-            - _rank_of_restriction(m, prv, basis)
-        )
-    return out
+    by_degree = [[mk for mk in basis_masks(m.n) if mk.bit_count() == q] for q in range(m.n + 1)]
 
+    def image(mask: int) -> dict:
+        return d(m, Form(m.n, {mask: ONE})).terms
 
-def _rank_of_restriction(m: Model, basis, target) -> int:
-    if not basis or not target:
-        return 0
-    tgt = {mask: i for i, mask in enumerate(target)}
-    rows = []
-    for mask in basis:
-        img = d(m, Form(m.n, {mask: ONE}))
-        vec = [QZERO] * len(target)
-        for mk, c in img.terms.items():
-            vec[tgt[mk]] = c.as_q()
-        rows.append(vec)
-    return linalg.rank(rows)
+    # ranks[q]: rank of d from degree q to degree q + 1 (none out of the top degree)
+    ranks = [
+        linalg.rank(linalg.operator_matrix(image, by_degree[q], by_degree[q + 1]))
+        for q in range(m.n)
+    ] + [0]
+    return [len(by_degree[q]) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
 
 
 def exp_lambda_transport(m: Model, lam: Form, a: Form) -> Form:
@@ -320,21 +296,14 @@ class SplitOperators:
 
 def split_operators(m: Model, j: GCMap) -> SplitOperators:
     g = uk_grading(j)
-    masks = list(g._masks)
-    dim = len(masks)
-    low_cols = []
-    up_cols = []
-    for mask in masks:
-        f = Form(m.n, {mask: ONE})
-        lo, up = del_delbar_split(m, j, f, grading=g)
-        low_cols.append([lo.terms.get(mk, ZERO).as_q() for mk in masks])
-        up_cols.append([up.terms.get(mk, ZERO).as_q() for mk in masks])
-    lower = [[low_cols[c][r] for c in range(dim)] for r in range(dim)]
-    upper = [[up_cols[c][r] for c in range(dim)] for r in range(dim)]
+    masks = g._masks
+    halves = {mask: del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g) for mask in masks}
+    lower = linalg.operator_matrix(lambda mask: halves[mask][0].terms, masks, masks)
+    upper = linalg.operator_matrix(lambda mask: halves[mask][1].terms, masks, masks)
     return SplitOperators(
         model=m,
         grading=g,
-        masks=tuple(masks),
+        masks=masks,
         lower=tuple(tuple(r) for r in lower),
         upper=tuple(tuple(r) for r in upper),
     )
@@ -370,7 +339,7 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
             if not linalg.in_span(row, im_uplo):
-                witness = _vec_form(row, sp.masks, m.n)
+                witness = vec_to_form(row, sp.masks, m.n)
                 return DdbarReport(
                     ok=False,
                     witness=witness,
@@ -383,10 +352,6 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     return DdbarReport(ok=True)
 
 
-def _vec_form(vec, masks, n) -> Form:
-    return Form(n, {mk: Scalar.from_q(c) for mk, c in zip(masks, vec)})
-
-
 def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     """Twisted Betti ranks of the subcomplex of upper-half-closed forms."""
     sp = split_operators(m, j)
@@ -395,14 +360,13 @@ def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     if not kernel:
         return BettiPair(0, 0)
     masks = sp.masks
-    basis_forms = [_vec_form(v, masks, m.n) for v in kernel]
+    basis_forms = [vec_to_form(v, masks, m.n) for v in kernel]
     even_idx = [i for i, f in enumerate(basis_forms) if _pure_parity(f) == 0]
     odd_idx = [i for i, f in enumerate(basis_forms) if _pure_parity(f) == 1]
     span = linalg.row_space([list(v) for v in kernel])
 
     def coords(f: Form):
-        vec = [f.terms.get(mk, ZERO).as_q() for mk in masks]
-        sol = linalg.solve(linalg.transpose([list(r) for r in span]), vec)
+        sol = linalg.solve(linalg.transpose([list(r) for r in span]), form_to_vec(f, masks))
         if sol is None:
             raise AssertionError("twisted differential left the subcomplex")
         return sol

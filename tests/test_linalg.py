@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_q
 from gcalg import linalg
-from gcalg.scalars import Q, QONE, QZERO
+from gcalg.scalars import Q, QONE, QZERO, Scalar
 from oracles import rank_oracle
 
 
@@ -92,3 +92,30 @@ def test_in_span_and_row_space():
     assert len(basis) == 1
     assert linalg.in_span([Q(3), Q(6)], basis)
     assert not linalg.in_span([QONE, QZERO], basis)
+
+
+def test_operator_matrix_columns_in_dst_order(rng):
+    src = ["a", "b", "c", "d"]
+    dst = [5, 2, 9]
+    images = {}
+    for key in src:
+        images[key] = {
+            k: Scalar.from_q(random_q(rng)) for k in dst if rng.random() < 0.6
+        }
+    mat = linalg.operator_matrix(lambda key: images[key], src, dst)
+    assert len(mat) == len(dst) and all(len(row) == len(src) for row in mat)
+    for j, key in enumerate(src):
+        column = [row[j] for row in mat]
+        assert column == [images[key].get(k, Scalar()).as_q() for k in dst]
+
+
+def test_operator_matrix_example():
+    images = {0: {1: Scalar.rational(2)}, 1: {0: Scalar.imaginary(1), 1: Scalar.rational(-1)}}
+    mat = linalg.operator_matrix(lambda key: images[key], [0, 1], [1, 0])
+    assert mat == [[Q(2), Q(-1)], [QZERO, Q(0, 1)]]
+
+
+def test_operator_matrix_rejects_key_outside_dst():
+    with pytest.raises(KeyError):
+        linalg.operator_matrix(lambda key: {7: Scalar.rational(1)}, [0], [0, 1])
+
