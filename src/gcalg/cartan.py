@@ -10,6 +10,7 @@ reported ranks across consecutive truncations is the completion criterion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -428,24 +429,17 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     mat_oe = linalg.operator_matrix(image, odd_basis, even_basis)
 
     # Graded pieces of the x-degree filtration on kernel/image: the piece at
-    # degree p is dim((ker & F_p) + im) - dim((ker & F_p+1) + im), where F_p
-    # is the coordinate subspace of basis elements of x-degree >= p.
+    # degree p is dim((ker & F_p) + im) - dim((ker & F_p+1) + im), F_p spanning
+    # the trailing coordinates, of x-degree >= p.  As im lies in ker, that is
+    # |F_p| - rank(mat_out on F_p) + rank(im off F_p): pivots of one RREF each.
     def graded(mat_out, mat_in, basis_list):
-        image = linalg.row_space(linalg.transpose(mat_in))
+        size = len(basis_list)
+        out_pivots = linalg.rref([row[::-1] for row in mat_out])[1]  # F_p first
+        im_pivots = linalg.rref(linalg.transpose(mat_in))[1]
         degs = [sum(e) for e, _ in basis_list]
-        dims = []
-        for p in range(trunc + 2):
-            keep = [i for i, dg in enumerate(degs) if dg >= p]
-            sub = [[row[i] for i in keep] for row in mat_out]
-            kern = linalg.kernel_basis(sub, ncols=len(keep))
-            rows = []
-            for v in kern:
-                full = [QZERO] * len(basis_list)
-                for pos, i in enumerate(keep):
-                    full[i] = v[pos]
-                rows.append(full)
-            stacked = rows + [list(r) for r in image]
-            dims.append(linalg.rank(stacked) if stacked else 0)
+        heads = [bisect_left(degs, p) for p in range(trunc + 2)]  # coordinates off F_p
+        dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
+                for h in heads]
         return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
 
     even_ranks = graded(mat_eo, mat_oe, even_basis)

@@ -122,7 +122,7 @@ def cmd_gclinear(args) -> dict:
     out.update(
         {
             "eigenspace_dim": space.dimension,
-            "type": gcmaps.type_of(j),
+            "type": space.type,
             "spinor": _form_str(spinor, mf),
             "flags": {
                 "maximal_isotropic": ann.maximal_isotropic,

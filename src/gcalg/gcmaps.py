@@ -104,6 +104,11 @@ class IsotropicSubspace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @property
+    def type(self) -> int:
+        """Corank of the projection to the complexified V."""
+        return self.dim_v - linalg.rank([list(v[: self.dim_v]) for v in self.basis])
+
     def conjugate_basis(self) -> Tuple[Tuple[Q, ...], ...]:
         return tuple(tuple(x.conjugate() for x in v) for v in self.basis)
 
@@ -146,9 +151,7 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
 
 def type_of(j: GCMap) -> int:
     """Corank of the projection of the i-eigenspace to the complexified V."""
-    space = i_eigenspace(j)
-    proj = [list(v[: j.dim]) for v in space.basis]
-    return j.dim - linalg.rank(proj)
+    return i_eigenspace(j).type
 
 
 def _unit_vectors(size: int) -> List[List[Scalar]]:
@@ -426,13 +429,9 @@ def kahler_check(j1: GCMap, j2: GCMap) -> KahlerReport:
     b = linalg.mat_mul(j2.matrix, j1.matrix)
     if a != b:
         return KahlerReport(False, False, False, "structures do not commute")
-    n2 = 2 * j1.dim
     p = _pairing_matrix(j1.dim)
     g = linalg.mat_mul(p, linalg.mat_scale(a, Q(-1)))
-    gram = [[g[r][c] for c in range(n2)] for r in range(n2)]
-    for size in range(1, n2 + 1):
-        minor = [row[:size] for row in gram[:size]]
-        d = linalg.det(minor)
+    for size, d in enumerate(linalg.leading_minors(g), start=1):
         if not (d.is_real() and d.re > 0):
             return KahlerReport(
                 False, True, False,

@@ -7,7 +7,7 @@ in column order), so every result is reproducible and exact.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .scalars import Q, QONE, QZERO
 
@@ -108,10 +108,6 @@ def row_space(rows: Mat) -> Mat:
 
 def in_span(v: Vec, basis_rref: Mat) -> bool:
     """Membership test against an RREF basis."""
-    return not any(x for x in reduce_against(v, basis_rref) if not x.is_zero())
-
-
-def reduce_against(v: Vec, basis_rref: Mat) -> Vec:
     out = list(v)
     for row in basis_rref:
         lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
@@ -120,7 +116,7 @@ def reduce_against(v: Vec, basis_rref: Mat) -> Vec:
         f = out[lead]
         if not f.is_zero():
             out = [x - f * y for x, y in zip(out, row)]
-    return out
+    return all(x.is_zero() for x in out)
 
 
 def kernel_basis(mat: Mat, ncols: Optional[int] = None) -> List[Vec]:
@@ -165,28 +161,22 @@ def invert(mat: Mat) -> Mat:
     return [row[n:] for row in m]
 
 
-def det(mat: Mat) -> Q:
-    n = len(mat)
+def leading_minors(mat: Mat) -> Iterator[Q]:
+    """Leading principal minors D_1, D_2, ... up to the first zero one: one
+    elimination without row swaps, D_k = product of the first k pivots."""
     m = [list(r) for r in mat]
-    out = QONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return QZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = QONE / m[c][c]
-        for i in range(c + 1, n):
+    minor = QONE
+    for c in range(len(m)):
+        pivot = m[c][c]
+        minor = minor * pivot
+        yield minor
+        if pivot.is_zero():
+            return
+        inv = QONE / pivot
+        for i in range(c + 1, len(m)):
             if not m[i][c].is_zero():
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
 
 
 def intersect_spans(rows_a: Mat, rows_b: Mat, ncols: int) -> Mat:

@@ -22,6 +22,8 @@ from .scalars import ONE, Q, Scalar
 Value = Union[Scalar, Form, EqForm]
 
 EQFORM_TRUNC = 12
+MAX_NESTING = 100  # levels of parentheses, call arguments and unary signs
+MAX_EXPONENT = 32  # largest |k| of an integer exponent literal
 
 
 class ParseError(Exception):
@@ -93,6 +95,7 @@ class ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -109,6 +112,15 @@ class ExprParser:
         if tok.kind != "OP" or tok.text != op:
             raise ParseError("expected %r, found %r" % (op, tok.text), tok.line, tok.col)
         return tok
+
+    def nested(self, tok: Token, parse) -> Node:
+        """Run parse() one nesting level deeper, within MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nested deeper than %d levels" % MAX_NESTING, tok.line, tok.col)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
@@ -143,7 +155,7 @@ class ExprParser:
         tok = self.peek()
         if tok and tok.kind == "OP" and tok.text in "+-":
             self.next()
-            return Node("unary", tok, tok.text, (self.unary(),))
+            return Node("unary", tok, tok.text, (self.nested(tok, self.unary),))
         return self.power()
 
     def power(self) -> Node:
@@ -159,6 +171,10 @@ class ExprParser:
                     rhs = Node("unary", neg, "-", (base,))
                 else:
                     rhs = self.atom()
+                literal = _int_literal(rhs)
+                if literal is not None and abs(literal) > MAX_EXPONENT:
+                    at = rhs.token
+                    raise ParseError("exponent beyond +-%d" % MAX_EXPONENT, at.line, at.col)
                 node = Node("binary", tok, "^", (node, rhs))
             else:
                 return node
@@ -173,15 +189,15 @@ class ExprParser:
                 self.next()
                 args = []
                 if not (self.peek() and self.peek().kind == "OP" and self.peek().text == ")"):
-                    args.append(self.expr())
+                    args.append(self.nested(tok, self.expr))
                     while self.peek() and self.peek().kind == "OP" and self.peek().text == ",":
                         self.next()
-                        args.append(self.expr())
+                        args.append(self.nested(tok, self.expr))
                 self.expect_op(")")
                 return Node("call", tok, tok.text, tuple(args))
             return Node("name", tok, tok.text)
         if tok.kind == "OP" and tok.text == "(":
-            node = self.expr()
+            node = self.nested(tok, self.expr)
             self.expect_op(")")
             return Node("paren", tok, "", (node,))
         raise ParseError("unexpected token %r" % tok.text, tok.line, tok.col)
@@ -272,9 +288,17 @@ class Evaluator:
         raise ParseError("unknown function %r" % name, tok.line, tok.col)
 
     def _eval_binary(self, node: Node) -> Value:
+        spine = [node]  # operator chains parse left-deep: walk the spine without recursion
+        while spine[-1].children[0].kind == "binary":
+            spine.append(spine[-1].children[0])
+        value = self.eval(spine[-1].children[0])
+        for b in reversed(spine):
+            value = self._apply_binary(b, value)
+        return value
+
+    def _apply_binary(self, node: Node, left: Value) -> Value:
         op = node.value
         tok = node.token
-        left = self.eval(node.children[0])
         if op == "^":
             literal = _int_literal(node.children[1])
             if literal is not None:

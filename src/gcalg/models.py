@@ -327,14 +327,11 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     up = sp.upper_mat()
     dim = len(sp.masks)
 
-    ker_lo = linalg.row_space(linalg.kernel_basis(lo))
-    ker_up = linalg.row_space(linalg.kernel_basis(up))
-    im_lo = linalg.row_space(linalg.transpose(lo))
-    im_up = linalg.row_space(linalg.transpose(up))
+    # intersect_spans returns canonical bases from any spanning rows;
+    # in_span needs im_uplo in RREF
     im_uplo = linalg.row_space(linalg.transpose(linalg.mat_mul(up, lo)))
-
-    a = linalg.intersect_spans(ker_lo, im_up, dim)
-    b = linalg.intersect_spans(im_lo, ker_up, dim)
+    a = linalg.intersect_spans(linalg.kernel_basis(lo), linalg.transpose(up), dim)
+    b = linalg.intersect_spans(linalg.transpose(lo), linalg.kernel_basis(up), dim)
 
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
@@ -359,23 +356,17 @@ def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     kernel = linalg.kernel_basis(up)
     if not kernel:
         return BettiPair(0, 0)
-    masks = sp.masks
-    basis_forms = [vec_to_form(v, masks, m.n) for v in kernel]
-    even_idx = [i for i, f in enumerate(basis_forms) if _pure_parity(f) == 0]
-    odd_idx = [i for i, f in enumerate(basis_forms) if _pure_parity(f) == 1]
-    span = linalg.row_space([list(v) for v in kernel])
-
-    def coords(f: Form):
-        sol = linalg.solve(linalg.transpose([list(r) for r in span]), form_to_vec(f, masks))
-        if sol is None:
+    span = linalg.row_space(kernel)
+    images = ([], [])  # even, odd; ranks in mask coordinates equal ranks in the kernel
+    for v in kernel:
+        f = vec_to_form(v, sp.masks, m.n)
+        img = form_to_vec(d_twisted(m, f), sp.masks)
+        if not linalg.in_span(img, span):
             raise AssertionError("twisted differential left the subcomplex")
-        return sol
-
-    d_e = [coords(d_twisted(m, basis_forms[i])) for i in even_idx]
-    d_o = [coords(d_twisted(m, basis_forms[i])) for i in odd_idx]
-    rank_e = linalg.rank(d_e)
-    rank_o = linalg.rank(d_o)
-    return BettiPair(len(even_idx) - rank_e - rank_o, len(odd_idx) - rank_o - rank_e)
+        images[_pure_parity(f)].append(img)
+    even, odd = images
+    rank_e, rank_o = linalg.rank(even), linalg.rank(odd)
+    return BettiPair(len(even) - rank_e - rank_o, len(odd) - rank_o - rank_e)
 
 
 def _pure_parity(f: Form) -> int:

@@ -66,6 +66,20 @@ def rank_oracle(rows):
     return rank
 
 
+def det_oracle(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return GQ_ONE
+    out = GQ_ZERO
+    for j, x in enumerate(rows[0]):
+        if gq_is_zero(x):
+            continue
+        minor = det_oracle([row[:j] + row[j + 1:] for row in rows[1:]])
+        term = gq_mul(x, minor)
+        out = gq_sub(out, term) if j % 2 else gq_add(out, term)
+    return out
+
+
 # Dense exterior algebra on sorted index tuples.
 
 def sign_of_merge(a, b):

@@ -1,7 +1,13 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import gcalg
 from gcalg import Form, Model, Scalar, torus
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
 def test_public_names_resolve():
@@ -29,3 +35,16 @@ def test_values_are_immutable():
 
 def test_version_string():
     assert gcalg.__version__
+
+
+def test_benchmark_layer_names_resolve():
+    # the benchmark traces these functions by name; deleting or moving one
+    # must fail here rather than first in a benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for module in layers.MODULES:
+        importlib.import_module("gcalg." + module)
+    assert layers.LISTED
+    for name in layers.LISTED:
+        assert callable(layers._resolve(name)[2]), name

@@ -74,6 +74,26 @@ def test_gclinear_and_grading_golden(capsys):
     }
 
 
+def test_gclinear_solves_the_eigenspace_once(capsys, monkeypatch):
+    from gcalg import gcmaps
+
+    calls = {"validate": 0, "i_eigenspace": 0}
+    for name in calls:
+        original = getattr(gcmaps, name)
+
+        def counted(j, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(j)
+
+        monkeypatch.setattr(gcmaps, name, counted)
+    code, payload = run_cli(
+        capsys, "gclinear", str(MODELS_DIR / "t2_symplectic.model"), "--structure", "Jw"
+    )
+    assert code == 0 and payload["type"] == 0
+    # once in the command, once inside the single eigenspace solve
+    assert calls == {"validate": 2, "i_eigenspace": 1}
+
+
 def test_equivariant_golden(capsys):
     code, payload = run_cli(
         capsys, "equivariant", str(MODELS_DIR / "t4_twisted_circle.model"),

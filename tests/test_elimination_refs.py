@@ -1,0 +1,256 @@
+"""Differential tests: rank questions against the eliminations they replaced.
+
+The references are the constructions the package first used: one kernel per
+step of the x-degree filtration, lifted to full coordinates and stacked on
+the image for a rank; ddbar intersections of re-canonicalised spans; and
+subcomplex coordinates from one solve per basis vector.  The package reads
+the same answers off one RREF per matrix; the two must agree exactly.
+"""
+
+import random
+
+import pytest
+
+from conftest import MODELS_DIR, random_q
+from gcalg import linalg
+from gcalg.cartan import (
+    EqForm,
+    TorusAction,
+    _d_eq_twisted_unchecked,
+    d_equivariant,
+    equivariant_cohomology,
+    monomials_of_degree,
+)
+from gcalg.forms import Form, basis_masks, form_to_vec, vec_to_form
+from gcalg.gcmaps import b_transform, complex_structure, symplectic_map
+from gcalg.modelfile import parse_model
+from gcalg.models import (
+    BettiPair,
+    DdbarReport,
+    _pure_parity,
+    d,
+    d_twisted,
+    ddbar_lemma_check,
+    delbar_closed_subcomplex_betti,
+    kodaira_thurston,
+    split_operators,
+    torus,
+)
+from gcalg.scalars import ONE, QZERO, Scalar
+
+
+def ref_by_degree(act, h_g, trunc):
+    model = act.model
+    basis = [
+        (e, mask)
+        for deg in range(trunc + 1)
+        for e in monomials_of_degree(act.k, deg)
+        for mask in basis_masks(model.n)
+    ]
+    even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
+    odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
+
+    def image(key):
+        e, mask = key
+        src = EqForm(act.k, model.n, trunc, {e: Form(model.n, {mask: ONE})})
+        img = _d_eq_twisted_unchecked(act, h_g, src)
+        return {(ee, mk): c for ee, f in img.terms.items() for mk, c in f.terms.items()}
+
+    mat_eo = linalg.operator_matrix(image, even_basis, odd_basis)
+    mat_oe = linalg.operator_matrix(image, odd_basis, even_basis)
+
+    def graded(mat_out, mat_in, basis_list):
+        im = linalg.row_space(linalg.transpose(mat_in))
+        degs = [sum(e) for e, _ in basis_list]
+        dims = []
+        for p in range(trunc + 2):
+            keep = [i for i, dg in enumerate(degs) if dg >= p]
+            sub = [[row[i] for i in keep] for row in mat_out]
+            rows = []
+            for v in linalg.kernel_basis(sub, ncols=len(keep)):
+                full = [QZERO] * len(basis_list)
+                for pos, i in enumerate(keep):
+                    full[i] = v[pos]
+                rows.append(full)
+            stacked = rows + [list(r) for r in im]
+            dims.append(linalg.rank(stacked) if stacked else 0)
+        return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
+
+    even = graded(mat_eo, mat_oe, even_basis)
+    odd = graded(mat_oe, mat_eo, odd_basis)
+    return tuple(zip(even, odd))
+
+
+def ref_ddbar(sp):
+    lo, up = sp.lower_mat(), sp.upper_mat()
+    dim, n, names = len(sp.masks), sp.model.n, sp.model.names
+    ker_lo = linalg.row_space(linalg.kernel_basis(lo))
+    ker_up = linalg.row_space(linalg.kernel_basis(up))
+    im_lo = linalg.row_space(linalg.transpose(lo))
+    im_up = linalg.row_space(linalg.transpose(up))
+    im_uplo = linalg.row_space(linalg.transpose(linalg.mat_mul(up, lo)))
+    a = linalg.intersect_spans(ker_lo, im_up, dim)
+    b = linalg.intersect_spans(im_lo, ker_up, dim)
+    for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
+        for row in space:
+            if not linalg.in_span(row, im_uplo):
+                witness = vec_to_form(row, sp.masks, n)
+                return DdbarReport(
+                    ok=False,
+                    witness=witness,
+                    detail="%s is larger than im(delbar del); witness %s"
+                    % (name, witness.to_text(names)),
+                )
+    if len(a) != len(im_uplo) or len(b) != len(im_uplo):
+        return DdbarReport(ok=False, detail="rank bookkeeping mismatch")
+    return DdbarReport(ok=True)
+
+
+def ref_delbar_closed_betti(m, j):
+    sp = split_operators(m, j)
+    kernel = linalg.kernel_basis(sp.upper_mat())
+    if not kernel:
+        return BettiPair(0, 0)
+    forms = [vec_to_form(v, sp.masks, m.n) for v in kernel]
+    span = linalg.row_space(kernel)
+
+    def coords(f):
+        sol = linalg.solve(linalg.transpose(span), form_to_vec(f, sp.masks))
+        assert sol is not None
+        return sol
+
+    even = [coords(d_twisted(m, f)) for f in forms if _pure_parity(f) == 0]
+    odd = [coords(d_twisted(m, f)) for f in forms if _pure_parity(f) == 1]
+    n_even = sum(1 for f in forms if _pure_parity(f) == 0)
+    rank_e, rank_o = linalg.rank(even), linalg.rank(odd)
+    return BettiPair(n_even - rank_e - rank_o, len(forms) - n_even - rank_o - rank_e)
+
+
+def assert_same_ranks(act, h_g, trunc):
+    assert d_equivariant(act, h_g).is_zero()
+    got = equivariant_cohomology(act, h_g, trunc).by_degree
+    assert got == ref_by_degree(act, h_g, trunc)
+
+
+SHIPPED_ACTIONS = [
+    (path.name, name)
+    for path in sorted(MODELS_DIR.glob("*.model"))
+    for name in parse_model(path.read_text()).actions
+]
+
+
+@pytest.mark.parametrize("model_file, action", SHIPPED_ACTIONS)
+def test_shipped_actions_match_stacked_kernels(model_file, action):
+    act = parse_model((MODELS_DIR / model_file).read_text()).actions[action]
+    assert act.k == 1
+    for trunc in range(1, 6):
+        assert_same_ranks(act, act.h_equivariant(trunc), trunc)
+
+
+def _q(rng):
+    return Scalar.from_q(random_q(rng, complex_ok=False))
+
+
+def test_rank_two_action_matches_stacked_kernels():
+    # T^3 rotated along e1, e2; i_1 alpha_2 + i_2 alpha_1 = 0 keeps h_G closed
+    rng = random.Random(7)
+    c = _q(rng)
+    a1 = Form(3, {0b100: _q(rng), 0b010: c})
+    a2 = Form(3, {0b100: _q(rng), 0b001: -c})
+    act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
+    for trunc in range(1, 4):
+        assert_same_ranks(act, act.h_equivariant(trunc), trunc)
+
+
+def _random_closed_twist(rng, family):
+    """(action, h_G) with h_G = H + x alpha, d alpha = i_xi H, i_xi alpha = 0."""
+    if family == "KT":
+        # d(e3) = e1^e2; xi = e4 and i_4 (b e1^e2^e4) = b d(e3)
+        b = _q(rng)
+        model = kodaira_thurston(Form(4, {0b0111: _q(rng), 0b1011: b}))
+        alpha = Form(4, {0b0100: b, 0b0001: _q(rng)})
+        act = TorusAction(model, [[0, 0, 0, 1]], alpha=[alpha])
+    else:
+        n = int(family[1])
+        rest = range(1, n)  # bits of e2 .. en
+        h = Form(n, {0b1110: _q(rng)}) if n == 4 else Form.zero(n)
+        alpha = Form(n, {1 << i: _q(rng) for i in rest if rng.random() < 0.7})
+        act = TorusAction(torus(n, h), [[1] + [0] * (n - 1)], alpha=[alpha])
+    return act
+
+
+@pytest.mark.parametrize("family", ["T3", "T4", "KT"])
+def test_random_closed_twists_match_stacked_kernels(family):
+    rng = random.Random("twist-" + family)
+    for trunc in (1, 2, 3, 2):
+        act = _random_closed_twist(rng, family)
+        assert_same_ranks(act, act.h_equivariant(trunc), trunc)
+
+
+def _shipped_structures():
+    out = []
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        mf = parse_model(path.read_text())
+        out += [(mf.model, j) for j in mf.structures.values()]
+    return out
+
+
+def _shears(model, j, rng):
+    """The structure and a B-shear of it by a closed constant 2-form."""
+    n = model.n
+    closed = [
+        m for m in basis_masks(n) if m.bit_count() == 2 and d(model, Form(n, {m: ONE})).is_zero()
+    ]
+    b = Form(n, {m: _q(rng) for m in rng.sample(closed, min(2, len(closed)))})
+    return [j, b_transform(j, b)]
+
+
+def test_ddbar_reports_match_spans_of_canonical_rows():
+    rng = random.Random(11)
+    cases = _shipped_structures() + [
+        (torus(4), complex_structure(2, sign=-1)),
+        (torus(4), symplectic_map(Form(4, {0b0011: ONE, 0b1100: ONE}))),
+    ]
+    verdicts = set()
+    for model, j in cases:
+        for jj in _shears(model, j, rng):
+            sp = split_operators(model, jj)
+            got = ddbar_lemma_check(model, jj, ops=sp)
+            assert got == ref_ddbar(sp)
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_delbar_closed_betti_matches_solved_coordinates():
+    for model, j in _shipped_structures():
+        assert delbar_closed_subcomplex_betti(model, j) == ref_delbar_closed_betti(model, j)
+
+
+def test_one_rref_per_matrix(monkeypatch):
+    calls = {"rref": 0, "solve": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+
+    def count(fn, *args, **kwargs):
+        calls.update(rref=0, solve=0)
+        fn(*args, **kwargs)
+        return dict(calls)
+
+    act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
+    for trunc in (2, 4, 6):
+        # two per parity plus the two twisted Betti ranks, whatever trunc is
+        got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
+        assert got == {"rref": 6, "solve": 0}
+    mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
+    j = mf.structures["Jc"]
+    sp = split_operators(mf.model, j)
+    assert count(ddbar_lemma_check, mf.model, j, ops=sp) == {"rref": 7, "solve": 0}
+    split = count(split_operators, mf.model, j)["rref"]
+    got = count(delbar_closed_subcomplex_betti, mf.model, j)
+    assert got == {"rref": split + 4, "solve": 0}

@@ -218,6 +218,20 @@ def test_kahler_four_dim():
     assert kahler_check(j1, j2).ok
 
 
+def test_kahler_reports_first_failing_minor_past_size_one():
+    # flipping the orientation of the (3,4) pair in both halves keeps J2
+    # commuting with J1 but makes the pairing indefinite on that pair
+    j1 = symplectic_map(omega4())
+    m = [list(row) for row in complex_structure(2, sign=-1).matrix]
+    for r, c in ((2, 3), (3, 2), (6, 7), (7, 6)):
+        m[r][c] = -m[r][c]
+    rep = kahler_check(j1, GCMap(4, m))
+    assert rep.commute and not rep.positive and not rep.ok
+    assert rep.detail == "leading principal minor 3 is -1/8, not positive"
+    rep1 = kahler_check(j1, complex_structure(2, sign=1))
+    assert rep1.detail == "leading principal minor 1 is -1/2, not positive"
+
+
 def test_uk_grading_of_sheared_structures():
     # shears move the grading; dimensions stay binomial and the canonical
     # line is the sheared spinor line

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_q
 from gcalg import linalg
 from gcalg.scalars import Q, QONE, QZERO, Scalar
-from oracles import rank_oracle
+from oracles import det_oracle, rank_oracle
 
 
 def random_matrix(rng, rows, cols, span=3):
@@ -67,12 +67,39 @@ def test_invert_singular():
         linalg.invert([[QONE, QONE], [QONE, QONE]])
 
 
-def test_det_multiplicative(rng):
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n, n)
-        b = random_matrix(rng, n, n)
-        assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
+def _leading_minors_oracle(m):
+    """Every leading principal minor up to and including the first zero."""
+    out = []
+    for k in range(1, len(m) + 1):
+        re, im = det_oracle([[(x.re, x.im) for x in row[:k]] for row in m[:k]])
+        out.append(Q(re, im))
+        if out[-1].is_zero():
+            break
+    return out
+
+
+def test_leading_minors_against_laplace_oracle(rng):
+    seen_zero = seen_negative = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n, span=2)
+        if rng.random() < 0.3:
+            # make D_k zero: row k of the leading block repeats row 1 (k = 1: zero corner)
+            k = rng.randint(1, n)
+            m[k - 1][:k] = [x * Q(2) for x in m[0][:k]] if k > 1 else [QZERO]
+        want = _leading_minors_oracle(m)
+        assert list(linalg.leading_minors(m)) == want
+        seen_zero += want[-1].is_zero()
+        seen_negative += any(d.is_real() and d.re < 0 for d in want)
+    assert seen_zero and seen_negative
+
+
+def test_leading_minors_examples():
+    assert list(linalg.leading_minors([])) == []
+    assert list(linalg.leading_minors([[Q(2), QONE], [QONE, Q(3)]])) == [Q(2), Q(5)]
+    # a zero pivot ends the sequence even when a later minor is nonzero
+    assert list(linalg.leading_minors([[QZERO, QONE], [QONE, QZERO]])) == [QZERO]
+    assert list(linalg.leading_minors([[QONE, QONE], [QONE, QONE]])) == [QONE, QZERO]
 
 
 def test_intersect_spans(rng):
@@ -84,6 +111,23 @@ def test_intersect_spans(rng):
     inter = linalg.intersect_spans(a, b, 3)
     assert len(inter) == 1
     assert linalg.in_span(e2, linalg.row_space(inter))
+
+
+def test_intersect_spans_ignores_spanning_rows(rng):
+    # the result is the canonical basis of the intersection: dependent or zero
+    # input rows give the same rows as their row_space
+    for _ in range(30):
+        cols = rng.randint(2, 5)
+        a = random_matrix(rng, rng.randint(1, 4), cols, span=2)
+        b = random_matrix(rng, rng.randint(1, 4), cols, span=2)
+        a_dirty = a + [[x * Q(3) - y for x, y in zip(a[0], a[-1])], [QZERO] * cols] + a[:1]
+        b_dirty = [[QZERO] * cols] + b + [[x + y for x, y in zip(b[0], b[-1])]]
+        want = linalg.intersect_spans(linalg.row_space(a), linalg.row_space(b), cols)
+        assert linalg.intersect_spans(a_dirty, b_dirty, cols) == want
+        assert linalg.intersect_spans(a, b, cols) == want
+        # shared rows force a nonempty intersection
+        shared = linalg.intersect_spans(a + b[:1], b, cols)
+        assert shared == linalg.row_space(shared) and len(shared) >= 1
 
 
 def test_in_span_and_row_space():

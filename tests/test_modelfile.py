@@ -1,8 +1,11 @@
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from gcalg.cartan import EqForm
+from gcalg.cli import main
 from gcalg.forms import Form, exp_two_form, wedge
 from gcalg.modelfile import (
     ModelFileError,
@@ -200,3 +203,60 @@ def test_power_and_division_semantics():
         parse_form_text("1/t", model, params=["t"])
     with pytest.raises(ParseError):
         parse_form_text("exp(e1)", model)
+
+
+HEADER = "model hostile\ngenerators e1 e2\nparams t s\n"
+
+
+def _validate_file(tmp_path, capsys, body):
+    path = tmp_path / "hostile.model"
+    path.write_text(HEADER + body)
+    start = time.perf_counter()
+    code = main(["validate", str(path)])
+    seconds = time.perf_counter() - start
+    return code, json.loads(capsys.readouterr().out), seconds
+
+
+@pytest.mark.parametrize(
+    "body, col, reason",
+    [
+        ("let a = t^2000000\n", 11, "exponent beyond +-32"),
+        ("let a = " + "(" * 5000 + "e1" + ")" * 5000 + "\n", 109, "nested deeper than 100 levels"),
+    ],
+    ids=["huge-exponent", "deep-parentheses"],
+)
+def test_hostile_input_is_a_quick_located_parse_error(tmp_path, capsys, body, col, reason):
+    code, payload, seconds = _validate_file(tmp_path, capsys, body)
+    assert code == 2 and payload["kind"] == "parse"
+    assert payload["error"] == "line 4, col %d: %s" % (col, reason)
+    assert seconds < 1.0
+
+
+def test_input_limits_count_every_kind_of_nesting():
+    for text in (
+        "-" * 101 + "e1",  # unary signs
+        "exp(" * 101 + "e1^e2" + ")" * 101,  # call arguments
+        "(" * 50 + "-(" * 26 + "e1" + ")" * 76,  # mixed
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_form_text(text, torus(2))
+        assert err.value.reason == "nested deeper than 100 levels"
+    for exponent in ("33", "-33", "(40)", "(-(40))"):
+        with pytest.raises(ParseError) as err:
+            parse_scalar_text("t^" + exponent, ["t"])
+        assert err.value.reason == "exponent beyond +-32"
+
+
+def test_input_just_under_the_limits(tmp_path, capsys):
+    body = (
+        "let a = " + "(" * 100 + "e1" + ")" * 100 + "\n"
+        + "let b = " + "-" * 100 + "e1\n"
+        + "let c = (t+1)^32 * 2^-32 * e1\n"
+        + "let d = " + "+".join(["e2"] * 3000) + "\n"
+    )
+    code, payload, _ = _validate_file(tmp_path, capsys, body)
+    assert code == 0 and payload["ok"]
+    mf = parse_model(HEADER + body)
+    assert mf.values["a"] == Form.generator(2, 1)
+    assert mf.values["b"] == Form.generator(2, 1)
+    assert mf.values["d"] == Form.generator(2, 2).scale(Scalar.rational(3000))
