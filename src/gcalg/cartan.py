@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .forms import Form, basis_masks, contract_vector, form_to_vec, vec_to_form, wedge
-from .gcmaps import GCMap
+from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
     Model,
@@ -96,9 +96,6 @@ class EqForm:
 
     def component(self, expo: Expo) -> Form:
         return self.terms.get(tuple(expo), Form.zero(self.n))
-
-    def poly_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def __add__(self, other: "EqForm") -> "EqForm":
         self._check(other)
@@ -832,20 +829,23 @@ def canonical_extension(
     for jj in range(act.k):
         if not lie_derivative(model, act.xi[jj], phi).is_zero():
             raise ValueError("form is not invariant under the action")
-    grading = ops.grading
-    comps = grading.decompose(phi)
-    lo = ops.lower_mat()
-    up = ops.upper_mat()
-    masks = list(ops.masks)
+    if phi.parameters():
+        raise ValueError("decomposition needs parameter-free coefficients")
+    lo, up = ops.lower, ops.upper
     lo_up = linalg.mat_mul(lo, up)
     sections = _moment_sections(act)
 
-    for comp in comps.values():
-        vec = form_to_vec(comp, masks)
-        if any(not x.is_zero() for x in linalg.mat_vec(lo, vec)):
-            raise ValueError("component is not closed for the lower half")
-        if any(not x.is_zero() for x in linalg.mat_vec(up, vec)):
-            raise ValueError("component is not closed for the upper half")
+    def kills(half, f: Form) -> bool:
+        return all(x.is_zero() for x in linalg.mat_vec(half, form_to_vec(f, ops.masks)))
+
+    # a half moves every level by one step, so it kills phi iff it kills each
+    # level component; the components, top level first, name the failing half
+    if not (kills(lo, phi) and kills(up, phi)):
+        for comp in uk_grading(j).decompose(phi).values():
+            if not kills(lo, comp):
+                raise ValueError("component is not closed for the lower half")
+            if not kills(up, comp):
+                raise ValueError("component is not closed for the upper half")
 
     terms: Dict[Expo, Form] = {tuple([0] * act.k): phi}
     for degree in range(1, trunc + 1):
@@ -863,7 +863,7 @@ def canonical_extension(
         if not residuals:
             break
         for e, r in residuals.items():
-            rhs = [-x for x in form_to_vec(r, masks)]
+            rhs = [-x for x in form_to_vec(r, ops.masks)]
             sol = linalg.solve(lo_up, rhs)
             if sol is None:
                 raise ExtensionError(
@@ -871,7 +871,7 @@ def canonical_extension(
                     "law violation witness %s" % r.to_text(model.names),
                     r,
                 )
-            corr = vec_to_form(linalg.mat_vec(up, sol), masks, model.n)
+            corr = vec_to_form(linalg.mat_vec(up, sol), ops.masks, model.n)
             if not corr.is_zero():
                 terms[e] = terms.get(e, Form.zero(model.n)) + corr
     out = EqForm(act.k, model.n, trunc, terms)
@@ -900,14 +900,16 @@ def moment_conjugation_residual(act: TorusAction, gamma: Form, trunc: int):
     k = act.k
     i_unit = Scalar.imaginary(1)
 
-    series: Dict[Tuple[Expo, Expo], Form] = {}
+    # exp(-i mu): coefficient prod_j (-i)^p_j / p_j! of each monomial
+    exp_coeff: Dict[Expo, Scalar] = {}
     for degree in range(trunc + 1):
         for e in monomials_of_degree(k, degree):
             coeff = ONE
             for p in e:
                 for s in range(1, p + 1):
                     coeff = coeff * Scalar.imaginary(-1) / Scalar.rational(s)
-            series[(e, e)] = gamma.scale(coeff)
+            exp_coeff[e] = coeff
+    series = {(e, e): gamma.scale(coeff) for e, coeff in exp_coeff.items()}
 
     def dh_moment(src: Dict[Tuple[Expo, Expo], Form]):
         out: Dict[Tuple[Expo, Expo], Form] = {}
@@ -944,18 +946,13 @@ def moment_conjugation_residual(act: TorusAction, gamma: Form, trunc: int):
         act, h_g, EqForm.of_form(gamma, k, trunc + 1)
     )
     rhs: Dict[Tuple[Expo, Expo], Form] = {}
-    for degree in range(trunc + 1):
-        for e in monomials_of_degree(k, degree):
-            coeff = ONE
-            for p in e:
-                for s in range(1, p + 1):
-                    coeff = coeff * Scalar.imaginary(-1) / Scalar.rational(s)
-            for ew, f in w.terms.items():
-                key = (_expo_sum(e, ew), e)
-                if sum(key[0]) > trunc:
-                    continue
-                piece = f.scale(coeff)
-                rhs[key] = rhs.get(key, Form.zero(model.n)) + piece
+    for e, coeff in exp_coeff.items():
+        for ew, f in w.terms.items():
+            key = (_expo_sum(e, ew), e)
+            if sum(key[0]) > trunc:
+                continue
+            piece = f.scale(coeff)
+            rhs[key] = rhs.get(key, Form.zero(model.n)) + piece
     rhs = {key: f for key, f in rhs.items() if not f.is_zero()}
 
     residual: Dict[Tuple[Expo, Expo], Form] = {}

@@ -307,6 +307,9 @@ def main(argv=None) -> int:
             gcy.GCYError, ValueError) as e:
         _emit({"error": str(e), "kind": "domain"}, args.pretty)
         return 1
+    except (AssertionError, RecursionError) as e:
+        _emit({"error": "internal check failed: %s" % e, "kind": "domain"}, args.pretty)
+        return 1
     _emit(payload, args.pretty)
     return 0
 

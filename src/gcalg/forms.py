@@ -114,9 +114,6 @@ class Form:
     def degree_part(self, degree: int) -> "Form":
         return Form(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == degree})
 
-    def parity_part(self, parity: int) -> "Form":
-        return Form(self.n, {m: c for m, c in self.terms.items() if m.bit_count() % 2 == parity})
-
     def coefficient(self, indices: Sequence[int]) -> Scalar:
         return self.terms.get(_indices_mask(indices), ZERO)
 

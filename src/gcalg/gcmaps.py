@@ -127,11 +127,16 @@ def validate(j: GCMap) -> ValidationReport:
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
-def i_eigenspace(j: GCMap) -> IsotropicSubspace:
-    """Kernel of J - i over the Gaussian rationals; must have dimension dim V."""
+def require_valid(j: GCMap) -> None:
+    """Raise ValueError naming the failed checks of an invalid structure."""
     report = validate(j)
     if not report.ok:
         raise ValueError("invalid structure: %s" % "; ".join(report.failures))
+
+
+def i_eigenspace(j: GCMap) -> IsotropicSubspace:
+    """Kernel of J - i over the Gaussian rationals; must have dimension dim V."""
+    require_valid(j)
     n2 = 2 * j.dim
     m = [
         [Q(j.matrix[r][c].re) - (QI if r == c else QZERO) for c in range(n2)]
@@ -328,9 +333,6 @@ class UGrading:
                 out[k] = part
         return out
 
-    def project(self, f: Form, k: int) -> Form:
-        return self.decompose(f).get(k, Form.zero(self.dim_v))
-
 
 def lifted_action_matrix(j: GCMap) -> linalg.Mat:
     """Matrix on forms of the quadratic Clifford lift of the structure.
@@ -419,10 +421,8 @@ class KahlerReport:
 
 def kahler_check(j1: GCMap, j2: GCMap) -> KahlerReport:
     """Commutation plus exact positivity of the induced symmetric pairing."""
-    for j in (j1, j2):
-        rep = validate(j)
-        if not rep.ok:
-            raise ValueError("invalid structure: %s" % "; ".join(rep.failures))
+    require_valid(j1)
+    require_valid(j2)
     if j1.dim != j2.dim:
         raise ValueError("structures live on different spaces")
     a = linalg.mat_mul(j1.matrix, j2.matrix)

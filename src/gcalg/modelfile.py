@@ -24,6 +24,7 @@ Value = Union[Scalar, Form, EqForm]
 EQFORM_TRUNC = 12
 MAX_NESTING = 100  # levels of parentheses, call arguments and unary signs
 MAX_EXPONENT = 32  # largest |k| of an integer exponent literal
+MAX_DEGREE = 32  # largest parameter degree a product, power or exp may build
 
 
 class ParseError(Exception):
@@ -275,6 +276,7 @@ class Evaluator:
                 raise ParseError(
                     "exp takes one 2-form argument", tok.line, tok.col
                 )
+            _check_degree(_poly_degree(args[0]) * (self.n // 2), tok)  # top power w^(n/2)
             try:
                 return exp_two_form(args[0])
             except ValueError as e:
@@ -302,6 +304,7 @@ class Evaluator:
         if op == "^":
             literal = _int_literal(node.children[1])
             if literal is not None:
+                _check_degree(_poly_degree(left) * abs(literal), tok)
                 try:
                     return self._power(left, literal)
                 except (ValueError, ZeroDivisionError) as e:
@@ -313,6 +316,7 @@ class Evaluator:
             if op == "-":
                 return self._add(left, -right)
             if op in ("*", "^"):
+                _check_degree(_poly_degree(left) + _poly_degree(right), tok)
                 return self._mul(left, right)
             if op == "/":
                 return self._div(left, right)
@@ -379,6 +383,25 @@ class Evaluator:
         for _ in range(exponent):
             out = self._mul(out, base)
         return out
+
+
+def _poly_degree(v: Value) -> int:
+    """Largest parameter degree over the scalar coefficients of a value."""
+    if isinstance(v, Scalar):
+        coeffs = [v]
+    elif isinstance(v, Form):
+        coeffs = list(v.terms.values())
+    else:
+        coeffs = [c for f in v.terms.values() for c in f.terms.values()]
+    return max([0] + [c.degree() for c in coeffs])
+
+
+def _check_degree(degree: int, tok: Token) -> None:
+    """Reject a product, power or exp before computing it when it would be too large."""
+    if degree > MAX_DEGREE:
+        raise ParseError(
+            "polynomial degree %d beyond %d" % (degree, MAX_DEGREE), tok.line, tok.col
+        )
 
 
 def _int_literal(node: Node) -> Optional[int]:

@@ -22,8 +22,8 @@ from .forms import (
     vec_to_form,
     wedge,
 )
-from .gcmaps import GCMap, UGrading, uk_grading
-from .scalars import ONE, Q, Scalar
+from .gcmaps import GCMap, UGrading, lifted_action_matrix, require_valid, uk_grading
+from .scalars import ONE, Q, QONE, Scalar
 
 
 class Model:
@@ -67,12 +67,11 @@ class Model:
         object.__setattr__(self, "volume", volume)
         object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "names", tuple(names))
-        for i in range(1, n + 1):
-            dd = d(self, d_table_entry(self, i))
+        for name, di in zip(self.names, self.d_table):
+            dd = d(self, di)
             if not dd.is_zero():
                 raise ValueError(
-                    "d is not a differential: d(d(%s)) = %s"
-                    % (self.names[i - 1], dd.to_text(self.names))
+                    "d is not a differential: d(d(%s)) = %s" % (name, dd.to_text(self.names))
                 )
         dh = d(self, h)
         if not dh.is_zero():
@@ -94,10 +93,6 @@ class Model:
 
     def __repr__(self):
         return "Model(n=%d, H=%s)" % (self.n, self.H.to_text(self.names))
-
-
-def d_table_entry(m: Model, i: int) -> Form:
-    return m.d_table[i - 1]
 
 
 def d(m: Model, a: Form) -> Form:
@@ -282,31 +277,42 @@ class SplitOperators:
     """Matrices of the two halves of the twisted differential, level-split."""
 
     model: Model
-    grading: UGrading
     masks: Tuple[int, ...]
     lower: tuple  # rows of the level -1 half
     upper: tuple  # rows of the level +1 half
 
-    def lower_mat(self) -> linalg.Mat:
-        return [list(r) for r in self.lower]
-
-    def upper_mat(self) -> linalg.Mat:
-        return [list(r) for r in self.upper]
-
 
 def split_operators(m: Model, j: GCMap) -> SplitOperators:
+    """Halves of D = d_H that move the level of uk_grading(j) by -1 and +1.
+
+    The part D_s of D moving levels by s has [L, D_s] = -s*i*D_s for the lift
+    L, so [L, [L, D]] + D = sum (1 - s^2) D_s; when that is zero the halves
+    are (D -+ i[L, D]) / 2, else the per-form split raises on a stray part.
+    """
+    require_valid(j)
+    if j.dim != m.n:
+        raise ValueError("structure frame does not match the model")
+    masks = tuple(basis_masks(m.n))
+    try:  # parameter or pi coefficients fail here; the per-form split names them
+        dmat = linalg.operator_matrix(
+            lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
+        )
+    except ValueError:
+        dmat = None
+    if dmat is not None:
+        lift = lifted_action_matrix(j)
+        comm = linalg.mat_sub(linalg.mat_mul(lift, dmat), linalg.mat_mul(dmat, lift))
+        twice = linalg.mat_sub(linalg.mat_mul(lift, comm), linalg.mat_mul(comm, lift))
+        if all(x.is_zero() for row in linalg.mat_add(twice, dmat) for x in row):
+            half_d = linalg.mat_scale(dmat, QONE / Q(2))
+            i_half_comm = linalg.mat_scale(comm, Q(0, 1) / Q(2))
+            lower = tuple(map(tuple, linalg.mat_sub(half_d, i_half_comm)))
+            upper = tuple(map(tuple, linalg.mat_add(half_d, i_half_comm)))
+            return SplitOperators(m, masks, lower, upper)
     g = uk_grading(j)
-    masks = g._masks
-    halves = {mask: del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g) for mask in masks}
-    lower = linalg.operator_matrix(lambda mask: halves[mask][0].terms, masks, masks)
-    upper = linalg.operator_matrix(lambda mask: halves[mask][1].terms, masks, masks)
-    return SplitOperators(
-        model=m,
-        grading=g,
-        masks=masks,
-        lower=tuple(tuple(r) for r in lower),
-        upper=tuple(tuple(r) for r in upper),
-    )
+    for mask in masks:
+        del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
+    raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
 
 
 @dataclass(frozen=True)
@@ -323,8 +329,7 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     by rank comparisons; on failure returns the first offending basis vector.
     """
     sp = ops if ops is not None else split_operators(m, j)
-    lo = sp.lower_mat()
-    up = sp.upper_mat()
+    lo, up = sp.lower, sp.upper
     dim = len(sp.masks)
 
     # intersect_spans returns canonical bases from any spanning rows;
@@ -352,8 +357,7 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
 def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     """Twisted Betti ranks of the subcomplex of upper-half-closed forms."""
     sp = split_operators(m, j)
-    up = sp.upper_mat()
-    kernel = linalg.kernel_basis(up)
+    kernel = linalg.kernel_basis(sp.upper)
     if not kernel:
         return BettiPair(0, 0)
     span = linalg.row_space(kernel)

@@ -207,3 +207,28 @@ def test_unknown_names_are_domain_errors(capsys):
         capsys, "cartanmap", str(MODELS_DIR / "t4_h124.model"), "--eqform", "rho"
     )
     assert code == 1  # no connections declared
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (AssertionError("twisted differential left the subcomplex"),
+         "internal check failed: twisted differential left the subcomplex"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "internal check failed: maximum recursion depth exceeded"),
+    ],
+    ids=["assertion", "recursion"],
+)
+def test_internal_check_failure_is_a_domain_error(monkeypatch, capsys, error, message):
+    from gcalg import cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_cohomology", failing)
+    code = main(["cohomology", str(MODELS_DIR / "t3_twisted.model")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {"error": message, "kind": "domain"}
+    assert "Traceback" not in captured.err

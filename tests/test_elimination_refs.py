@@ -17,26 +17,37 @@ from gcalg.cartan import (
     EqForm,
     TorusAction,
     _d_eq_twisted_unchecked,
+    canonical_extension,
     d_equivariant,
     equivariant_cohomology,
     monomials_of_degree,
 )
 from gcalg.forms import Form, basis_masks, form_to_vec, vec_to_form
-from gcalg.gcmaps import b_transform, complex_structure, symplectic_map
+from gcalg.gcmaps import (
+    b_transform,
+    complex_structure,
+    lifted_action_matrix,
+    symplectic_map,
+    uk_grading,
+)
 from gcalg.modelfile import parse_model
 from gcalg.models import (
     BettiPair,
     DdbarReport,
+    IntegrabilityError,
+    Model,
+    SplitOperators,
     _pure_parity,
     d,
     d_twisted,
     ddbar_lemma_check,
+    del_delbar_split,
     delbar_closed_subcomplex_betti,
     kodaira_thurston,
     split_operators,
     torus,
 )
-from gcalg.scalars import ONE, QZERO, Scalar
+from gcalg.scalars import ONE, QZERO, Q, Scalar
 
 
 def ref_by_degree(act, h_g, trunc):
@@ -82,7 +93,7 @@ def ref_by_degree(act, h_g, trunc):
 
 
 def ref_ddbar(sp):
-    lo, up = sp.lower_mat(), sp.upper_mat()
+    lo, up = sp.lower, sp.upper
     dim, n, names = len(sp.masks), sp.model.n, sp.model.names
     ker_lo = linalg.row_space(linalg.kernel_basis(lo))
     ker_up = linalg.row_space(linalg.kernel_basis(up))
@@ -108,7 +119,7 @@ def ref_ddbar(sp):
 
 def ref_delbar_closed_betti(m, j):
     sp = split_operators(m, j)
-    kernel = linalg.kernel_basis(sp.upper_mat())
+    kernel = linalg.kernel_basis(sp.upper)
     if not kernel:
         return BettiPair(0, 0)
     forms = [vec_to_form(v, sp.masks, m.n) for v in kernel]
@@ -254,3 +265,188 @@ def test_one_rref_per_matrix(monkeypatch):
     split = count(split_operators, mf.model, j)["rref"]
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
     assert got == {"rref": split + 4, "solve": 0}
+
+
+# -- the level split of d_H ---------------------------------------------------
+# The reference is the per-mask split the package first used: the level
+# grading, then one del_delbar_split per basis form.  The package reads the
+# halves off two commutators with the lift instead; the two must agree.
+
+
+def ref_split_operators(m, j):
+    g = uk_grading(j)
+    masks = g._masks
+    halves = {mk: del_delbar_split(m, j, Form(m.n, {mk: ONE}), grading=g) for mk in masks}
+    lower = linalg.operator_matrix(lambda mk: halves[mk][0].terms, masks, masks)
+    upper = linalg.operator_matrix(lambda mk: halves[mk][1].terms, masks, masks)
+    return masks, tuple(map(tuple, lower)), tuple(map(tuple, upper))
+
+
+def _split_or_error(fn, m, j):
+    try:
+        return fn(m, j)
+    except IntegrabilityError as err:
+        return str(err), err.residual
+
+
+def _random_three_form(rng, n):
+    masks = [m for m in basis_masks(n) if m.bit_count() == 3]
+    return Form(n, {m: _q(rng) for m in rng.sample(masks, 2)})
+
+
+def test_split_matches_per_mask_split():
+    rng = random.Random(13)
+    cases = []
+    for model, j in _shipped_structures():
+        cases += [(model, jj) for jj in _shears(model, j, rng) + _shears(model, j, rng)[1:]]
+    w4 = symplectic_map(Form(4, {0b0011: ONE, 0b1100: ONE}))
+    for j in (complex_structure(2), complex_structure(2, sign=-1), w4):
+        cases += [(torus(4, _random_three_form(rng, 4)), j) for _ in range(2)]
+    outcomes = set()
+    for model, j in cases:
+        ref = _split_or_error(ref_split_operators, model, j)
+        got = _split_or_error(split_operators, model, j)
+        if isinstance(got, SplitOperators):
+            assert got.model is model
+            got = (got.masks, got.lower, got.upper)
+        assert got == ref
+        outcomes.add(isinstance(ref[0], str))
+    assert outcomes == {True, False}  # both integrable and non-integrable pairs
+
+
+def test_split_of_parametric_twist_fails_as_the_per_mask_split():
+    model = torus(4, Form(4, {0b0111: Scalar.parameter("t")}))
+    with pytest.raises(ValueError) as ref:
+        ref_split_operators(model, complex_structure(2))
+    with pytest.raises(ValueError) as got:
+        split_operators(model, complex_structure(2))
+    assert str(got.value) == str(ref.value) == "decomposition needs parameter-free coefficients"
+
+
+def test_split_on_twisted_t6_moves_levels_by_one():
+    # the per-mask reference takes about half a minute here
+    model = torus(6, Form(6, {0b100011: ONE}))
+    j = complex_structure(3)
+    sp = split_operators(model, j)
+    masks = basis_masks(6)
+    dmat = linalg.operator_matrix(
+        lambda mk: d_twisted(model, Form(6, {mk: ONE})).terms, masks, masks
+    )
+    lift = lifted_action_matrix(j)
+    assert tuple(sp.masks) == tuple(masks)
+    assert linalg.mat_add(sp.lower, sp.upper) == dmat
+    for half, eigen in ((sp.lower, Q(0, 1)), (sp.upper, Q(0, -1))):
+        assert any(not x.is_zero() for row in half for x in row)
+        comm = linalg.mat_sub(linalg.mat_mul(lift, half), linalg.mat_mul(half, lift))
+        assert comm == linalg.mat_scale(half, eigen)
+
+
+def _solvable_symplectic():
+    """d(e1) = e1^e2, d(e3) = e2^e3 with w = e1^e3 + e2^e4: the interchange
+    law holds and both halves are nonzero, so closedness is really tested."""
+    z = Form.zero(4)
+    model = Model(4, [Form.monomial(4, (1, 2)), z, Form.monomial(4, (2, 3)), z])
+    j = symplectic_map(Form.monomial(4, (1, 3)) + Form.monomial(4, (2, 4)))
+    act = TorusAction(model, [[0, 0, 0, 0]], mu_diff=[z], alpha=[z])
+    return model, j, act
+
+
+def ref_extension_check(grading, phi, lo, up):
+    """The component-by-component closedness check the extension first ran."""
+    masks = basis_masks(phi.n)
+    for comp in grading.decompose(phi).values():
+        vec = form_to_vec(comp, masks)
+        if any(not x.is_zero() for x in linalg.mat_vec(lo, vec)):
+            return "component is not closed for the lower half"
+        if any(not x.is_zero() for x in linalg.mat_vec(up, vec)):
+            return "component is not closed for the upper half"
+    return None
+
+
+def test_extension_closedness_errors_match_component_check():
+    model, j, act = _solvable_symplectic()
+    sp = split_operators(model, j)
+    assert ddbar_lemma_check(model, j, ops=sp).ok
+    rng = random.Random(17)
+    grading = uk_grading(j)
+    phis = [Form(4, {mk: _q(rng) for mk in rng.sample(range(16), 2)}) for _ in range(8)]
+    # lower-exact forms, and level -1 and +1 forms closed for one half only
+    phis += [vec_to_form(linalg.mat_vec(sp.lower, form_to_vec(f, sp.masks)), sp.masks, 4)
+             for f in phis[:4]]
+    e1, e124 = Form.monomial(4, (1,), Scalar.imaginary(1)), Form.monomial(4, (1, 2, 4))
+    phis += [e1 + e124, -e1 + e124]
+    messages = set()
+    for phi in phis:
+        want = ref_extension_check(grading, phi, sp.lower, sp.upper)
+        try:
+            canonical_extension(act, j, phi)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+        messages.add(want)
+    assert messages == {
+        None,
+        "component is not closed for the lower half",
+        "component is not closed for the upper half",
+    }
+    with pytest.raises(ValueError) as err:
+        canonical_extension(act, j, Form(4, {0b0101: Scalar.parameter("t")}))
+    assert str(err.value) == "decomposition needs parameter-free coefficients"
+
+
+def test_extension_names_the_half_failing_on_the_top_level():
+    # on the solvable model times T^2, a sits at level 0 and fails only the
+    # upper half, b sits at level -1 and fails the lower half: the component
+    # check names the upper half although the lower half fails on a + b
+    z = Form.zero(6)
+    model = Model(6, [Form.monomial(6, (1, 2)), z, Form.monomial(6, (2, 3)), z, z, z])
+    j = symplectic_map(
+        Form.monomial(6, (1, 3)) + Form.monomial(6, (2, 4)) + Form.monomial(6, (5, 6))
+    )
+    act = TorusAction(model, [[0] * 6], mu_diff=[z], alpha=[z])
+    i = Scalar.imaginary(1)
+    a = (Form.monomial(6, (1,)) - Form.monomial(6, (1, 2, 4), i)
+         + Form.monomial(6, (1, 5, 6), i) + Form.monomial(6, (1, 2, 4, 5, 6)))
+    b = Form.monomial(6, (1, 4)) - Form.monomial(6, (1, 4, 5, 6), i)
+    sp = split_operators(model, j)
+    assert any(not x.is_zero() for x in linalg.mat_vec(sp.lower, form_to_vec(a + b, sp.masks)))
+    with pytest.raises(ValueError) as err:
+        canonical_extension(act, j, a + b)
+    assert str(err.value) == "component is not closed for the upper half"
+
+
+def test_split_builds_no_grading(monkeypatch):
+    import gcalg.cartan
+    import gcalg.models
+
+    calls = {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
+
+    def counting(name, owner):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting("rref", linalg)
+    counting("uk_grading", gcalg.models)
+    counting("del_delbar_split", gcalg.models)
+    monkeypatch.setattr(gcalg.cartan, "uk_grading", gcalg.models.uk_grading)
+
+    def count(fn, *args):
+        calls.update(rref=0, uk_grading=0, del_delbar_split=0)
+        fn(*args)
+        return dict(calls)
+
+    mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
+    model, j = mf.model, mf.structures["Jc"]
+    assert count(split_operators, model, j) == {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
+    assert count(ddbar_lemma_check, model, j)["rref"] == 7
+    t2 = parse_model((MODELS_DIR / "t2_symplectic.model").read_text())
+    got = count(canonical_extension, t2.actions["rot"], t2.structures["Jw"], Form.generator(2, 2))
+    assert got["uk_grading"] == 0
+    solv, jw, act = _solvable_symplectic()
+    assert count(canonical_extension, act, jw, Form.generator(4, 4))["uk_grading"] == 0

@@ -1,0 +1,92 @@
+"""Fuzz the command line with hostile model files.
+
+Random token streams and shipped models with tokens deleted, duplicated or
+swapped must end with exit 0, 1 or 2 and exactly one JSON object on stdout;
+no exception may escape `main`.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import MODELS_DIR
+from gcalg.cli import main
+
+SHIPPED = {p.name: p.read_text() for p in sorted(MODELS_DIR.glob("*.model"))}
+
+KEYWORDS = (
+    "model generators params let d H volume orientation structure action xi mu "
+    "alpha connection theta end eqform dh base twist param n k type samples"
+).split()
+# statement heads that reach the expression parser and the evaluator
+HEADS = [
+    "let a =", "let c =", "d e3 =", "H =", "volume =", "structure J symplectic",
+    "xi 1 =", "mu 1 =", "alpha 1 =", "eqform q for r =", "samples t =",
+]
+TOKENS = (
+    "e1 e2 e3 e4 t s a b x1 x2 i pi exp conj symplectic complex matrix for = "
+    "0 1 2 3 16 32 33 99999999999 + - * / ^ ( ) ,"
+).split()
+HEADER = "model fuzz\ngenerators e1 e2 e3 e4\nparams t s\nlet b = e1^e2\n"
+
+# whitespace runs are tokens too, so a mutation can join or split lines
+_PIECE_RE = re.compile(r"\s+|\w+|.")
+
+
+def _pieces(text):
+    return _PIECE_RE.findall(text)
+
+
+random_lines = st.builds(
+    lambda head, toks: " ".join([head] + toks),
+    st.sampled_from(KEYWORDS + HEADS),
+    st.lists(st.sampled_from(TOKENS), max_size=10),
+)
+random_streams = st.builds(
+    lambda header, lines: header + "\n".join(lines),
+    st.sampled_from(["", HEADER]),
+    st.lists(random_lines, max_size=6),
+)
+
+
+@st.composite
+def mutated_models(draw):
+    pieces = _pieces(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for _ in range(draw(st.integers(1, 4))):
+        if not pieces:
+            break
+        at = draw(st.integers(0, len(pieces) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if edit == "delete":
+            del pieces[at]
+        elif edit == "duplicate":
+            pieces.insert(at, pieces[at])
+        else:
+            other = draw(st.integers(0, len(pieces) - 1))
+            pieces[at], pieces[other] = pieces[other], pieces[at]
+    return "".join(pieces)
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.model"
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(text=st.one_of(random_streams, mutated_models()))
+def test_cli_survives_hostile_model_files(model_path, text):
+    model_path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", str(model_path)])
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert isinstance(payload, dict)
+    assert ("error" in payload) == (code != 0)

@@ -260,3 +260,48 @@ def test_input_just_under_the_limits(tmp_path, capsys):
     assert mf.values["a"] == Form.generator(2, 1)
     assert mf.values["b"] == Form.generator(2, 1)
     assert mf.values["d"] == Form.generator(2, 2).scale(Scalar.rational(3000))
+
+
+@pytest.mark.parametrize(
+    "body, where, reason",
+    [
+        ("let a = (t+s+1)^16^4\n", "line 4, col 19", "polynomial degree 64 beyond 32"),
+        ("let b = (t+s+1)^32\nlet a = b^8\n", "line 5, col 10", "polynomial degree 256 beyond 32"),
+    ],
+    ids=["chained-power", "power-of-a-let"],
+)
+def test_degree_budget_is_a_quick_located_parse_error(tmp_path, capsys, body, where, reason):
+    code, payload, seconds = _validate_file(tmp_path, capsys, body)
+    assert code == 2 and payload["kind"] == "parse"
+    assert payload["error"] == "%s: %s" % (where, reason)
+    assert seconds < 1.0
+
+
+def test_degree_budget_counts_every_coefficient():
+    model = torus(2)
+    for text, degree in (
+        ("(t^20*e1) * (t^13*e2)", 33),  # form times form
+        ("(t^20*e1 + s) * t^13", 33),  # form times scalar
+        ("(e1 + t^11*s^6*e2)^2", 34),  # power of a form
+        ("t^16 * t^16 * t", 33),  # a chain of products
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_form_text(text, model, params=["t", "s"])
+        assert err.value.reason == "polynomial degree %d beyond 32" % degree
+    # exp(w) reaches w^(n/2)
+    t6 = torus(6)
+    with pytest.raises(ParseError) as err:
+        parse_form_text("exp((t+s+1)^11*(e1^e2+e3^e4+e5^e6))", t6, params=["t", "s"])
+    assert err.value.reason == "polynomial degree 33 beyond 32"
+    top = parse_form_text("exp(t^16*(e1^e2+e3^e4))", torus(4), params=["t"]).top_coefficient()
+    assert top == Scalar.parameter("t") ** 32
+
+
+def test_polynomial_degree_just_under_the_budget(tmp_path, capsys):
+    body = "let b = (t+s)^16\nlet a = b*b*e1\nlet c = ((t+s)^2)^16 - t^32\n"
+    code, payload, seconds = _validate_file(tmp_path, capsys, body)
+    assert code == 0 and payload["ok"]
+    assert seconds < 1.0
+    values = parse_model(HEADER + body).values
+    assert values["a"].terms[0b01].degree() == 32
+    assert values["c"].degree() == 32 and values["c"].degree("t") == 31
