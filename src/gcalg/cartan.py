@@ -16,7 +16,9 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, basis_masks, contract_vector, form_to_vec, vec_to_form, wedge
+from .forms import (
+    Form, basis_masks, clifford, contract_vector, form_to_vec, vec_to_form, wedge,
+)
 from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
@@ -275,19 +277,33 @@ class TorusAction:
         return EqForm(self.k, self.model.n, trunc, terms)
 
 
+def _x_weighted(eta: EqForm, op) -> EqForm:
+    """Sum over torus factors j of x^j op(j, f), over the components f of eta.
+
+    The result is flagged as dropped only for terms pushed past the
+    truncation here, not for eta's own flag.
+    """
+    terms: Dict[Expo, Form] = {}
+    dropped = False
+    for e, f in eta.terms.items():
+        for j in range(eta.k):
+            piece = op(j, f)
+            if piece.is_zero():
+                continue
+            key = _expo_add(e, j)
+            if sum(key) > eta.trunc:
+                dropped = True
+                continue
+            terms[key] = terms.get(key, Form.zero(eta.n)) + piece
+    return EqForm(eta.k, eta.n, eta.trunc, terms, dropped)
+
+
 def d_equivariant(act: TorusAction, eta: EqForm) -> EqForm:
     """Equivariant differential: vertical d minus x^j-weighted contractions."""
     _check_action_form(act, eta)
-    out = eta.map_forms(lambda f: d(act.model, f))
-    for e, f in eta.terms.items():
-        for j in range(act.k):
-            piece = act.contract_j(j, f)
-            if piece.is_zero():
-                continue
-            out = out + EqForm(
-                eta.k, eta.n, eta.trunc, {_expo_add(e, j): -piece}
-            )
-    return out
+    return eta.map_forms(lambda f: d(act.model, f)) + _x_weighted(
+        eta, lambda j, f: -act.contract_j(j, f)
+    )
 
 
 def d_equivariant_twisted(act: TorusAction, h_g: EqForm, eta: EqForm) -> EqForm:
@@ -304,21 +320,26 @@ def _d_eq_twisted_unchecked(act: TorusAction, h_g: EqForm, eta: EqForm) -> EqFor
     return d_equivariant(act, eta) - wedge_eq(h_g, eta)
 
 
+def _moment_sections(act: TorusAction) -> List[List[Scalar]]:
+    """Coefficient vectors of -xi_j + i(m^j + i a^j) in V + V* coordinates."""
+    if act.mu_diff is None or act.alpha is None:
+        raise ValueError("action carries no moment data")
+    n = act.model.n
+    out = []
+    for j in range(act.k):
+        vec = [-c for c in act.xi[j]] + [Scalar()] * n
+        cov = act.mu_diff[j].scale(Scalar.imaginary(1)) - act.alpha[j]
+        for mask, coeff in cov.terms.items():
+            vec[n + mask.bit_length() - 1] = coeff
+        out.append(vec)
+    return out
+
+
 def moment_operator(act: TorusAction, eta: EqForm) -> EqForm:
     """Moment contribution: per factor, -i_j + i(m^j + i a^j) wedge, x-weighted."""
     _check_action_form(act, eta)
-    if act.mu_diff is None or act.alpha is None:
-        raise ValueError("action carries no moment data")
-    out = EqForm(eta.k, eta.n, eta.trunc)
-    i_unit = Scalar.imaginary(1)
-    for e, f in eta.terms.items():
-        for j in range(act.k):
-            piece = -act.contract_j(j, f)
-            cov = act.mu_diff[j].scale(i_unit) - act.alpha[j]
-            piece = piece + wedge(cov, f)
-            if not piece.is_zero():
-                out = out + EqForm(eta.k, eta.n, eta.trunc, {_expo_add(e, j): piece})
-    return out
+    sections = _moment_sections(act)
+    return _x_weighted(eta, lambda j, f: clifford(sections[j], f))
 
 
 def generalized_d(act: TorusAction, eta: EqForm) -> EqForm:
@@ -338,10 +359,6 @@ class HamiltonianReport:
     closure_residual: Optional[EqForm]
 
     @property
-    def spinor_ok(self) -> bool:
-        return all(r.is_zero() for r in self.spinor_residuals)
-
-    @property
     def closure_ok(self) -> bool:
         return self.closure_residual is None or self.closure_residual.is_zero()
 
@@ -355,14 +372,7 @@ def hamiltonian_check(act: TorusAction, rho: Form) -> HamiltonianReport:
     exp(i mu) rho is equivariantly closed for the twisted differential,
     with the moment map formal.
     """
-    if act.mu_diff is None or act.alpha is None:
-        raise ValueError("action carries no moment data")
-    model = act.model
-    residuals = []
-    for j in range(act.k):
-        cov = act.mu_diff[j].scale(Scalar.imaginary(1)) - act.alpha[j]
-        res = contract_vector([-c for c in act.xi[j]], rho) + wedge(cov, rho)
-        residuals.append(res)
+    residuals = [clifford(s, rho) for s in _moment_sections(act)]
     h_g = act.h_equivariant(trunc=3)
     closure = d_equivariant(act, h_g)
     ok = all(r.is_zero() for r in residuals) and closure.is_zero()
@@ -478,14 +488,10 @@ class StableRanks:
         return even, odd
 
 
-def stable_equivariant_ranks(
-    act: TorusAction, trunc: int, h_g_of=None
-) -> StableRanks:
+def stable_equivariant_ranks(act: TorusAction, trunc: int) -> StableRanks:
     """Run two consecutive truncations and keep the agreeing degree prefix."""
-    if h_g_of is None:
-        h_g_of = act.h_equivariant
-    low = equivariant_cohomology(act, h_g_of(trunc), trunc)
-    high = equivariant_cohomology(act, h_g_of(trunc + 1), trunc + 1)
+    low = equivariant_cohomology(act, act.h_equivariant(trunc), trunc)
+    high = equivariant_cohomology(act, act.h_equivariant(trunc + 1), trunc + 1)
     agreed = []
     for deg in range(trunc + 1):
         if low.by_degree[deg] != high.by_degree[deg]:
@@ -505,18 +511,12 @@ class Connection:
     """Connection elements for a free model action, with curvature.
 
     theta^j are 1-forms dual to the fundamental fields; the curvature is
-    d(theta^j) plus the structure-constant term, kept general although torus
-    structure constants vanish.
+    d(theta^j), as torus structure constants vanish.
     """
 
     __slots__ = ("action", "theta", "curvature")
 
-    def __init__(
-        self,
-        action: TorusAction,
-        theta: Sequence[Form],
-        structure_constants=None,
-    ):
+    def __init__(self, action: TorusAction, theta: Sequence[Form]):
         model = action.model
         th = list(theta)
         if len(th) != action.k:
@@ -532,17 +532,7 @@ class Connection:
                     raise ValueError(
                         "duality fails: i_%d theta^%d = %s" % (i + 1, j + 1, val)
                     )
-        curv = []
-        for j in range(action.k):
-            c = d(model, th[j])
-            if structure_constants is not None:
-                half = Scalar.rational(1, 2)
-                for a in range(action.k):
-                    for b in range(action.k):
-                        coeff = scalar(structure_constants[j][a][b])
-                        if not coeff.is_zero():
-                            c = c + wedge(th[a], th[b]).scale(coeff * half)
-            curv.append(c)
+        curv = [d(model, t) for t in th]
         for j, c in enumerate(curv, start=1):
             for i in range(action.k):
                 if not contract_vector(action.xi[i], c).is_zero():
@@ -787,21 +777,6 @@ class ExtensionError(ValueError):
         self.witness = witness
 
 
-def _moment_sections(act: TorusAction) -> List[List[Scalar]]:
-    """Coefficient vectors of -xi_j + i(m^j + i a^j) in V + V* coordinates."""
-    if act.mu_diff is None or act.alpha is None:
-        raise ValueError("action carries no moment data")
-    n = act.model.n
-    out = []
-    for j in range(act.k):
-        vec = [-c for c in act.xi[j]] + [Scalar()] * n
-        cov = act.mu_diff[j].scale(Scalar.imaginary(1)) - act.alpha[j]
-        for mask, coeff in cov.terms.items():
-            vec[n + mask.bit_length() - 1] = coeff
-        out.append(vec)
-    return out
-
-
 def canonical_extension(
     act: TorusAction, j: GCMap, phi: Form, trunc: Optional[int] = None
 ) -> EqForm:
@@ -813,8 +788,6 @@ def canonical_extension(
     by the level filtration.  The result is closed for the generalized
     differential, verified exactly.
     """
-    from .forms import clifford as _clifford
-
     model = act.model
     half = model.n // 2
     if trunc is None:
@@ -833,7 +806,7 @@ def canonical_extension(
         raise ValueError("decomposition needs parameter-free coefficients")
     lo, up = ops.lower, ops.upper
     lo_up = linalg.mat_mul(lo, up)
-    sections = _moment_sections(act)
+    _moment_sections(act)  # missing moment data wins over a closedness error
 
     def kills(half, f: Form) -> bool:
         return all(x.is_zero() for x in linalg.mat_vec(half, form_to_vec(f, ops.masks)))
@@ -849,17 +822,8 @@ def canonical_extension(
 
     terms: Dict[Expo, Form] = {tuple([0] * act.k): phi}
     for degree in range(1, trunc + 1):
-        residuals: Dict[Expo, Form] = {}
-        for e, f in terms.items():
-            if sum(e) != degree - 1:
-                continue
-            for jj in range(act.k):
-                piece = _clifford(sections[jj], f)
-                if piece.is_zero():
-                    continue
-                key = _expo_add(e, jj)
-                residuals[key] = residuals.get(key, Form.zero(model.n)) + piece
-        residuals = {e: f for e, f in residuals.items() if not f.is_zero()}
+        top = {e: f for e, f in terms.items() if sum(e) == degree - 1}
+        residuals = moment_operator(act, EqForm(act.k, model.n, trunc, top)).terms
         if not residuals:
             break
         for e, r in residuals.items():
@@ -894,11 +858,10 @@ def moment_conjugation_residual(act: TorusAction, gamma: Form, trunc: int):
     exp(-i mu) carries matching x- and mu-exponents.  Returns the dict of
     nonzero residual components (empty when the identity holds).
     """
-    if act.mu_diff is None or act.alpha is None:
-        raise ValueError("action carries no moment data")
+    _moment_sections(act)  # missing moment data wins over a frame error
     model = act.model
     k = act.k
-    i_unit = Scalar.imaginary(1)
+    zero = Form.zero(model.n)
 
     # exp(-i mu): coefficient prod_j (-i)^p_j / p_j! of each monomial
     exp_coeff: Dict[Expo, Scalar] = {}
@@ -909,37 +872,21 @@ def moment_conjugation_residual(act: TorusAction, gamma: Form, trunc: int):
                 for s in range(1, p + 1):
                     coeff = coeff * Scalar.imaginary(-1) / Scalar.rational(s)
             exp_coeff[e] = coeff
-    series = {(e, e): gamma.scale(coeff) for e, coeff in exp_coeff.items()}
 
-    def dh_moment(src: Dict[Tuple[Expo, Expo], Form]):
-        out: Dict[Tuple[Expo, Expo], Form] = {}
-
-        def add(key, f):
-            if f.is_zero():
-                return
-            if sum(key[0]) > trunc:
-                return
-            out[key] = out.get(key, Form.zero(model.n)) + f
-
-        for (ex, em), f in src.items():
-            add((ex, em), d_twisted(model, f))
-            for jj in range(k):
-                if em[jj]:
-                    lowered = tuple(
-                        p - 1 if idx == jj else p for idx, p in enumerate(em)
-                    )
-                    add(
-                        (ex, lowered),
-                        wedge(act.mu_diff[jj], f).scale(
-                            Scalar.rational(em[jj])
-                        ),
-                    )
-                cov = act.mu_diff[jj].scale(i_unit) - act.alpha[jj]
-                piece = -act.contract_j(jj, f) + wedge(cov, f)
-                add((_expo_add(ex, jj), em), piece)
-        return {key: f for key, f in out.items() if not f.is_zero()}
-
-    lhs = dh_moment(series)
+    # (d_H + A) on the mu^e slice of the series, and d(mu^j) = m^j lowering
+    # its mu-exponent; keys are (x-exponent, mu-exponent)
+    lhs: Dict[Tuple[Expo, Expo], Form] = {}
+    for e, coeff in exp_coeff.items():
+        f = gamma.scale(coeff)
+        slice_d = generalized_d(act, EqForm(k, model.n, trunc, {e: f}))
+        pieces = [((ex, e), g) for ex, g in slice_d.terms.items()]
+        for jj in range(k):
+            if e[jj]:
+                lowered = tuple(p - 1 if idx == jj else p for idx, p in enumerate(e))
+                dmu = wedge(act.mu_diff[jj], f).scale(Scalar.rational(e[jj]))
+                pieces.append(((e, lowered), dmu))
+        for key, g in pieces:
+            lhs[key] = lhs.get(key, zero) + g
 
     h_g = act.h_equivariant(trunc + 1)
     w = _d_eq_twisted_unchecked(
@@ -951,13 +898,11 @@ def moment_conjugation_residual(act: TorusAction, gamma: Form, trunc: int):
             key = (_expo_sum(e, ew), e)
             if sum(key[0]) > trunc:
                 continue
-            piece = f.scale(coeff)
-            rhs[key] = rhs.get(key, Form.zero(model.n)) + piece
-    rhs = {key: f for key, f in rhs.items() if not f.is_zero()}
+            rhs[key] = rhs.get(key, zero) + f.scale(coeff)
 
     residual: Dict[Tuple[Expo, Expo], Form] = {}
     for key in set(lhs) | set(rhs):
-        diff = lhs.get(key, Form.zero(model.n)) - rhs.get(key, Form.zero(model.n))
+        diff = lhs.get(key, zero) - rhs.get(key, zero)
         if not diff.is_zero():
             residual[key] = diff
     return residual

@@ -62,9 +62,6 @@ class GCMap:
     def half_dim(self) -> int:
         return self.dim // 2
 
-    def column(self, j: int) -> linalg.Vec:
-        return [self.matrix[i][j] for i in range(2 * self.dim)]
-
     def __eq__(self, other):
         if not isinstance(other, GCMap):
             return NotImplemented

@@ -8,6 +8,7 @@ power on scalars).  Every error carries a source location.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ EQFORM_TRUNC = 12
 MAX_NESTING = 100  # levels of parentheses, call arguments and unary signs
 MAX_EXPONENT = 32  # largest |k| of an integer exponent literal
 MAX_DEGREE = 32  # largest parameter degree a product, power or exp may build
+MAX_MONOMIALS = 1000  # most monomials one coefficient of a product, power or exp may hold
 
 
 class ParseError(Exception):
@@ -276,7 +278,7 @@ class Evaluator:
                 raise ParseError(
                     "exp takes one 2-form argument", tok.line, tok.col
                 )
-            _check_degree(_poly_degree(args[0]) * (self.n // 2), tok)  # top power w^(n/2)
+            _check_size(tok, [args[0]], self.n // 2)  # top power w^(n/2)
             try:
                 return exp_two_form(args[0])
             except ValueError as e:
@@ -304,7 +306,7 @@ class Evaluator:
         if op == "^":
             literal = _int_literal(node.children[1])
             if literal is not None:
-                _check_degree(_poly_degree(left) * abs(literal), tok)
+                _check_size(tok, [left], abs(literal))
                 try:
                     return self._power(left, literal)
                 except (ValueError, ZeroDivisionError) as e:
@@ -316,7 +318,7 @@ class Evaluator:
             if op == "-":
                 return self._add(left, -right)
             if op in ("*", "^"):
-                _check_degree(_poly_degree(left) + _poly_degree(right), tok)
+                _check_size(tok, [left, right])
                 return self._mul(left, right)
             if op == "/":
                 return self._div(left, right)
@@ -385,22 +387,37 @@ class Evaluator:
         return out
 
 
-def _poly_degree(v: Value) -> int:
-    """Largest parameter degree over the scalar coefficients of a value."""
+def _coefficients(v: Value) -> List[Scalar]:
     if isinstance(v, Scalar):
-        coeffs = [v]
-    elif isinstance(v, Form):
-        coeffs = list(v.terms.values())
-    else:
-        coeffs = [c for f in v.terms.values() for c in f.terms.values()]
-    return max([0] + [c.degree() for c in coeffs])
+        return [v]
+    if isinstance(v, Form):
+        return list(v.terms.values())
+    return [c for f in v.terms.values() for c in f.terms.values()]
 
 
-def _check_degree(degree: int, tok: Token) -> None:
-    """Reject a product, power or exp before computing it when it would be too large."""
+def _check_size(tok: Token, factors: Sequence[Value], power: int = 1) -> None:
+    """Reject a product, power or exp before computing it when it would be too large.
+
+    Each coefficient of the result sums products of `power` coefficients of
+    every factor, so its parameter degree is at most D = power * (sum of the
+    factors' degrees), and it holds at most min(prod T^power, C(D + p, p))
+    monomials, T the total monomial count of a factor and p the number of
+    parameters the factors use.
+    """
+    coeffs = [_coefficients(f) for f in factors]
+    degree = power * sum(max([0] + [c.degree() for c in cs]) for cs in coeffs)
     if degree > MAX_DEGREE:
         raise ParseError(
             "polynomial degree %d beyond %d" % (degree, MAX_DEGREE), tok.line, tok.col
+        )
+    count = math.prod(sum(len(c.terms) for c in cs) ** power for cs in coeffs)
+    if count > MAX_MONOMIALS:
+        params = len(set().union(*(c.parameters() for cs in coeffs for c in cs)))
+        count = min(count, math.comb(degree + params, params))
+    if count > MAX_MONOMIALS:
+        raise ParseError(
+            "up to %d monomials in a coefficient, beyond %d" % (count, MAX_MONOMIALS),
+            tok.line, tok.col,
         )
 
 

@@ -239,6 +239,14 @@ class IntegrabilityError(ValueError):
         self.residual = residual
 
 
+def _stray_component(m: Model, residual: Form) -> IntegrabilityError:
+    return IntegrabilityError(
+        "structure is not integrable on this model; stray component %s"
+        % residual.to_text(m.names),
+        residual,
+    )
+
+
 def del_delbar_split(
     m: Model, j: GCMap, a: Form, grading: Optional[UGrading] = None
 ) -> Tuple[Form, Form]:
@@ -264,11 +272,7 @@ def del_delbar_split(
             else:
                 residual = residual + piece
     if not residual.is_zero():
-        raise IntegrabilityError(
-            "structure is not integrable on this model; stray component %s"
-            % residual.to_text(m.names),
-            residual,
-        )
+        raise _stray_component(m, residual)
     return lower, upper
 
 
@@ -286,33 +290,43 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     """Halves of D = d_H that move the level of uk_grading(j) by -1 and +1.
 
     The part D_s of D moving levels by s has [L, D_s] = -s*i*D_s for the lift
-    L, so [L, [L, D]] + D = sum (1 - s^2) D_s; when that is zero the halves
-    are (D -+ i[L, D]) / 2, else the per-form split raises on a stray part.
+    L.  D is a derivation plus a wedge with H, so s is one of -3, -1, 1, 3
+    and [L, [L, D]] + D = -8 S for the stray part S = D_-3 + D_3.  When S is
+    zero the halves are (D -+ i[L, D]) / 2; else the first nonzero column of
+    S is the stray component of the first basis form, as the per-form split
+    reports it.
     """
     require_valid(j)
     if j.dim != m.n:
         raise ValueError("structure frame does not match the model")
     masks = tuple(basis_masks(m.n))
-    try:  # parameter or pi coefficients fail here; the per-form split names them
+    try:
         dmat = linalg.operator_matrix(
             lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
         )
-    except ValueError:
-        dmat = None
-    if dmat is not None:
-        lift = lifted_action_matrix(j)
-        comm = linalg.mat_sub(linalg.mat_mul(lift, dmat), linalg.mat_mul(dmat, lift))
-        twice = linalg.mat_sub(linalg.mat_mul(lift, comm), linalg.mat_mul(comm, lift))
-        if all(x.is_zero() for row in linalg.mat_add(twice, dmat) for x in row):
-            half_d = linalg.mat_scale(dmat, QONE / Q(2))
-            i_half_comm = linalg.mat_scale(comm, Q(0, 1) / Q(2))
-            lower = tuple(map(tuple, linalg.mat_sub(half_d, i_half_comm)))
-            upper = tuple(map(tuple, linalg.mat_add(half_d, i_half_comm)))
-            return SplitOperators(m, masks, lower, upper)
-    g = uk_grading(j)
-    for mask in masks:
-        del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
-    raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
+    except ValueError:  # parameter or pi coefficients: the per-form split names them
+        g = uk_grading(j)
+        for mask in masks:
+            del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
+        raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
+    lift = lifted_action_matrix(j)
+
+    def comm(a):
+        return linalg.mat_sub(linalg.mat_mul(lift, a), linalg.mat_mul(a, lift))
+
+    d_comm = comm(dmat)
+    stray8 = linalg.mat_add(comm(d_comm), dmat)  # -8 S
+    if all(x.is_zero() for row in stray8 for x in row):
+        half_d = linalg.mat_scale(dmat, QONE / Q(2))
+        i_half_comm = linalg.mat_scale(d_comm, Q(0, 1) / Q(2))
+        lower = tuple(map(tuple, linalg.mat_sub(half_d, i_half_comm)))
+        upper = tuple(map(tuple, linalg.mat_add(half_d, i_half_comm)))
+        return SplitOperators(m, masks, lower, upper)
+    if comm(comm(stray8)) != linalg.mat_scale(stray8, -Q(9)):
+        raise AssertionError("d_H moves levels by steps other than 1 and 3")
+    col = next(c for c in range(len(masks)) if any(not row[c].is_zero() for row in stray8))
+    scale = -QONE / Q(8)
+    raise _stray_component(m, vec_to_form([scale * row[col] for row in stray8], masks, m.n))
 
 
 @dataclass(frozen=True)

@@ -450,3 +450,25 @@ def test_split_builds_no_grading(monkeypatch):
     assert got["uk_grading"] == 0
     solv, jw, act = _solvable_symplectic()
     assert count(canonical_extension, act, jw, Form.generator(4, 4))["uk_grading"] == 0
+    # a non-integrable rational split reads its stray part off the commutators
+    # too (the per-mask split takes about 6 s here)
+    t6 = torus(6, Form.monomial(6, (1, 4, 6), Scalar.rational(2)))
+    calls.update(rref=0, uk_grading=0, del_delbar_split=0)
+    with pytest.raises(IntegrabilityError) as err:
+        split_operators(t6, complex_structure(3))
+    assert calls == {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
+    assert str(err.value) == (
+        "structure is not integrable on this model; stray component "
+        "1/2*e1^e3^e5-1/2*e1^e4^e6-1/2*e2^e3^e6-1/2*e2^e4^e5"
+    )
+
+
+def test_split_rejects_level_steps_other_than_one_and_three(monkeypatch):
+    # d_H is a derivation plus a wedge with H, so it moves levels by 1 or 3;
+    # an operator with a level-0 part must trip the self-check, not be split
+    import gcalg.models
+
+    original = gcalg.models.d_twisted
+    monkeypatch.setattr(gcalg.models, "d_twisted", lambda m, f: original(m, f) + f)
+    with pytest.raises(AssertionError, match="steps other than 1 and 3"):
+        split_operators(torus(4), complex_structure(2))

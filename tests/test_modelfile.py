@@ -205,7 +205,7 @@ def test_power_and_division_semantics():
         parse_form_text("exp(e1)", model)
 
 
-HEADER = "model hostile\ngenerators e1 e2\nparams t s\n"
+HEADER = "model hostile\ngenerators e1 e2\nparams t s u\n"
 
 
 def _validate_file(tmp_path, capsys, body):
@@ -267,8 +267,10 @@ def test_input_just_under_the_limits(tmp_path, capsys):
     [
         ("let a = (t+s+1)^16^4\n", "line 4, col 19", "polynomial degree 64 beyond 32"),
         ("let b = (t+s+1)^32\nlet a = b^8\n", "line 5, col 10", "polynomial degree 256 beyond 32"),
+        ("let a = (t+s+u+1)^32\n", "line 4, col 18",
+         "up to 6545 monomials in a coefficient, beyond 1000"),
     ],
-    ids=["chained-power", "power-of-a-let"],
+    ids=["chained-power", "power-of-a-let", "monomials"],
 )
 def test_degree_budget_is_a_quick_located_parse_error(tmp_path, capsys, body, where, reason):
     code, payload, seconds = _validate_file(tmp_path, capsys, body)
@@ -295,6 +297,26 @@ def test_degree_budget_counts_every_coefficient():
     assert err.value.reason == "polynomial degree 33 beyond 32"
     top = parse_form_text("exp(t^16*(e1^e2+e3^e4))", torus(4), params=["t"]).top_coefficient()
     assert top == Scalar.parameter("t") ** 32
+
+
+def test_monomial_budget_bounds_one_coefficient():
+    model = torus(6)
+    ps = ["t", "s", "u"]
+    # the largest powers under the budget: C(34, 2) = 561 and C(19, 3) = 969
+    assert len(parse_scalar_text("(t+s+1)^32", ["t", "s"]).terms) == 561
+    assert len(parse_scalar_text("(t+s+u+1)^16", ps).terms) == 969
+    for text, count in (
+        ("(t+s+u+1)^17", 1140),  # a power
+        ("(t+s+u+1)^16 * (t+s+u+1)", 1140),  # a product
+        ("exp((t+s+u+1)^10*(e1^e2+e3^e4+e5^e6))", 5456),  # exp reaches w^3
+        ("(t+s+u+1)^16 * ((t+s+u+1)*e1)", 1140),  # a scalar times a form
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_form_text(text, model, params=ps)
+        assert err.value.reason == "up to %d monomials in a coefficient, beyond 1000" % count
+    # sparse factors stay cheap at any degree: 2 * 2 monomials, not C(35, 3)
+    prod = parse_scalar_text("(t^8*s^8*u^8 + t^8) * (t^4*s^4 + u^8)", ps)
+    assert len(prod.terms) == 4 and prod.degree() == 32
 
 
 def test_polynomial_degree_just_under_the_budget(tmp_path, capsys):

@@ -4,13 +4,32 @@ The references build every Clifford generator as a dense matrix and combine
 them with dense products and sums, the way the matrices were first assembled.
 The package builds the same matrices column by column from sparse images;
 the two must agree entry for entry.
+
+The torus-layer references sum the x^j-weighted pieces of the moment
+operator, the equivariant differential, the Hamiltonian residuals and the
+extension's residual step one piece at a time, each building its own
+section -xi_j + i(m^j + i a^j); the package builds the sections once and
+sums through one helper.
 """
 
 import pytest
 
 from conftest import random_form
 from gcalg import linalg
-from gcalg.forms import Form, basis_masks, clifford, form_to_vec, vec_to_form
+from gcalg.cartan import (
+    EqForm,
+    TorusAction,
+    _expo_add,
+    canonical_extension,
+    d_equivariant,
+    hamiltonian_check,
+    moment_conjugation_residual,
+    moment_operator,
+    monomials_of_degree,
+)
+from gcalg.forms import (
+    Form, basis_masks, clifford, contract_vector, form_to_vec, vec_to_form, wedge,
+)
 from gcalg.gcmaps import (
     _annihilator_system,
     _pairing_matrix,
@@ -22,6 +41,7 @@ from gcalg.gcmaps import (
     pure_spinor,
     symplectic_map,
 )
+from gcalg.models import Model, d, kodaira_thurston, torus
 from gcalg.scalars import Q, QONE, QZERO, Scalar
 
 
@@ -105,3 +125,182 @@ def test_annihilator_system_matches_dense_products(rng, n):
         assert _annihilator_system(phi) == ref
         want = linalg.kernel_basis(ref, ncols=2 * n)
         assert annihilator(phi).space.basis == tuple(tuple(v) for v in want)
+
+
+# -- the torus layer: moment sections and x-weighted sums ----------------------
+
+
+def ref_d_equivariant(act, eta):
+    out = eta.map_forms(lambda f: d(act.model, f))
+    for e, f in eta.terms.items():
+        for j in range(act.k):
+            piece = act.contract_j(j, f)
+            if piece.is_zero():
+                continue
+            out = out + EqForm(eta.k, eta.n, eta.trunc, {_expo_add(e, j): -piece})
+    return out
+
+
+def ref_moment_operator(act, eta):
+    out = EqForm(eta.k, eta.n, eta.trunc)
+    i_unit = Scalar.imaginary(1)
+    for e, f in eta.terms.items():
+        for j in range(act.k):
+            piece = -act.contract_j(j, f)
+            cov = act.mu_diff[j].scale(i_unit) - act.alpha[j]
+            piece = piece + wedge(cov, f)
+            if not piece.is_zero():
+                out = out + EqForm(eta.k, eta.n, eta.trunc, {_expo_add(e, j): piece})
+    return out
+
+
+def ref_spinor_residuals(act, rho):
+    residuals = []
+    for j in range(act.k):
+        cov = act.mu_diff[j].scale(Scalar.imaginary(1)) - act.alpha[j]
+        residuals.append(contract_vector([-c for c in act.xi[j]], rho) + wedge(cov, rho))
+    return tuple(residuals)
+
+
+def ref_sections(act):
+    n = act.model.n
+    out = []
+    for j in range(act.k):
+        vec = [-c for c in act.xi[j]] + [Scalar()] * n
+        cov = act.mu_diff[j].scale(Scalar.imaginary(1)) - act.alpha[j]
+        for mask, coeff in cov.terms.items():
+            vec[n + mask.bit_length() - 1] = coeff
+        out.append(vec)
+    return out
+
+
+def ref_extension_residuals(act, terms, degree):
+    """One step of the extension recursion, as a hand loop over the terms."""
+    sections = ref_sections(act)
+    residuals = {}
+    for e, f in terms.items():
+        if sum(e) != degree - 1:
+            continue
+        for jj in range(act.k):
+            piece = clifford(sections[jj], f)
+            if piece.is_zero():
+                continue
+            key = _expo_add(e, jj)
+            residuals[key] = residuals.get(key, Form.zero(act.model.n)) + piece
+    return {e: f for e, f in residuals.items() if not f.is_zero()}
+
+
+def random_action(rng, n, k):
+    """A rank-k action with moment data on a flat torus with a random twist,
+    or on Kodaira-Thurston (n = 4) along e3 and e4 with closed moment forms."""
+
+    def one_form(gens):
+        return Form(n, {1 << (g - 1): Scalar.from_q(Q(rng.randint(-2, 2), rng.randint(-1, 1)))
+                        for g in rng.sample(gens, 2)})
+
+    if n == 4 and rng.random() < 0.5:
+        model = kodaira_thurston()
+        xi = [[0, 0, rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(k)]
+        closed = [1, 2, 4]
+    else:
+        h = random_form(rng, n, degrees=[3], max_terms=2) if n >= 3 else None
+        model = torus(n, h)
+        xi = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        closed = list(range(1, n + 1))
+    return TorusAction(
+        model, xi,
+        mu_diff=[one_form(closed) for _ in range(k)],
+        alpha=[one_form(list(range(1, n + 1))) for _ in range(k)],
+    )
+
+
+def random_eqform(rng, act, trunc, edge, dropped):
+    """Components below the truncation degree, plus one on it when edge."""
+    degrees = [rng.randrange(trunc) for _ in range(2)] + ([trunc] if edge else [])
+    terms = {}
+    for deg in degrees:
+        e = rng.choice(monomials_of_degree(act.k, deg))
+        terms[e] = random_form(rng, act.model.n, max_terms=3)
+    return EqForm(act.k, act.model.n, trunc, terms, dropped=dropped)
+
+
+def _same(got, want):
+    return (got.k, got.n, got.trunc, got.terms, got.dropped) == (
+        want.k, want.n, want.trunc, want.terms, want.dropped)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_operators_match_per_piece_sums(rng, n, k):
+    flags = set()
+    for trunc in (1, 2, 3, 4):
+        for edge in (True, False):
+            act = random_action(rng, n, k)
+            eta = random_eqform(rng, act, trunc, edge, dropped=not edge)
+            got = moment_operator(act, eta)
+            assert _same(got, ref_moment_operator(act, eta))
+            flags.add((eta.dropped, got.dropped))
+            assert _same(d_equivariant(act, eta), ref_d_equivariant(act, eta))
+            rho = random_form(rng, n, max_terms=4)
+            assert hamiltonian_check(act, rho).spinor_residuals == ref_spinor_residuals(act, rho)
+            for degree in range(1, trunc + 1):
+                top = {e: f for e, f in eta.terms.items() if sum(e) == degree - 1}
+                step = moment_operator(act, EqForm(k, n, trunc, top)).terms
+                # the order decides which residual the extension reports first
+                want = ref_extension_residuals(act, eta.terms, degree)
+                assert list(step.items()) == list(want.items())
+    # the moment operator flags only the terms it drops itself
+    assert (True, False) in flags and (False, True) in flags
+
+
+def _solvable_symplectic(mu):
+    z = Form.zero(4)
+    model = Model(4, [Form.monomial(4, (1, 2)), z, Form.monomial(4, (2, 3)), z])
+    j = symplectic_map(Form.monomial(4, (1, 3)) + Form.monomial(4, (2, 4)))
+    data = {"mu_diff": [z], "alpha": [z]} if mu else {}
+    return TorusAction(model, [[0, 0, 0, 0]], **data), j
+
+
+def test_missing_moment_data_is_reported_first():
+    act, j = _solvable_symplectic(mu=False)
+    phi = Form.generator(4, 1)  # closed for neither half of d
+    for trunc in (0, 2, None):
+        with pytest.raises(ValueError, match="^action carries no moment data$"):
+            canonical_extension(act, j, phi, trunc=trunc)
+    eta = EqForm.of_form(phi, 1, 2)
+    for call in (
+        lambda: moment_operator(act, eta),
+        lambda: hamiltonian_check(act, phi),
+        lambda: moment_conjugation_residual(act, phi, 2),
+    ):
+        with pytest.raises(ValueError, match="^action carries no moment data$"):
+            call()
+    # with moment data the same phi fails its closedness check instead
+    act_mu, _ = _solvable_symplectic(mu=True)
+    for trunc in (0, None):
+        with pytest.raises(ValueError, match="^component is not closed for the lower half$"):
+            canonical_extension(act_mu, j, phi, trunc=trunc)
+
+
+def test_extension_recursion_goldens():
+    # d(e1) = e1^e2, d(e3) = e2^e3 with a field along e4: the recursion runs
+    # to the truncation degree; the texts were recorded before the residual
+    # step went through moment_operator
+    act0, j = _solvable_symplectic(mu=False)
+    e1, e2 = Form.generator(4, 1), Form.generator(4, 2)
+    act1 = TorusAction(act0.model, [[0, 0, 0, 1]], mu_diff=[e2], alpha=[e1])
+    assert str(canonical_extension(act1, j, e2)) == (
+        "(e2) + x1*(e1+i*e1^e2^e4) + x1^2*(2*i*e1-2*e1^e2^e4)"
+        " + x1^3*(-4*e1-4*i*e1^e2^e4)"
+    )
+    act2 = TorusAction(
+        act0.model, [[0, 0, 0, 1], [0, 0, 0, 0]],
+        mu_diff=[e2, e2], alpha=[Form.zero(4), e1],
+    )
+    assert str(canonical_extension(act2, j, e2, trunc=4)) == (
+        "(e2) + x2*(e1+i*e1^e2^e4) + x2^2*(i*e1-e1^e2^e4) + x1*x2*(2*i*e1-2*e1^e2^e4)"
+        " + x2^3*(-e1-i*e1^e2^e4) + x1*x2^2*(-4*e1-4*i*e1^e2^e4)"
+        " + x1^2*x2*(-4*e1-4*i*e1^e2^e4) + x2^4*(-i*e1+e1^e2^e4)"
+        " + x1*x2^3*(-6*i*e1+6*e1^e2^e4) + x1^2*x2^2*(-12*i*e1+12*e1^e2^e4)"
+        " + x1^3*x2*(-8*i*e1+8*e1^e2^e4)"
+    )
