@@ -426,11 +426,19 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
     odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
 
+    # d, the contractions and h_g^ commute with the even x^e, so the column of
+    # (e, mask) is that of (0, mask) shifted by e, cut at the image truncation
+    units: Dict[int, Tuple[int, list]] = {}
+
     def image(key: Tuple[Expo, int]) -> dict:
         e, mask = key
-        src = EqForm(act.k, model.n, trunc, {e: Form(model.n, {mask: ONE})})
-        img = _d_eq_twisted_unchecked(act, h_g, src)
-        return {(ee, mk): c for ee, f in img.terms.items() for mk, c in f.terms.items()}
+        if mask not in units:
+            unit = Form(model.n, {mask: ONE})
+            img = _d_eq_twisted_unchecked(act, h_g, EqForm.of_form(unit, act.k, trunc))
+            units[mask] = (img.trunc, [(ee, mk, c) for ee, f in img.terms.items()
+                                       for mk, c in f.terms.items()])
+        bound, terms = units[mask]
+        return {(_expo_sum(e, ee), mk): c for ee, mk, c in terms if sum(e) + sum(ee) <= bound}
 
     mat_eo = linalg.operator_matrix(image, even_basis, odd_basis)
     mat_oe = linalg.operator_matrix(image, odd_basis, even_basis)

@@ -1,8 +1,8 @@
 """Exact linear algebra over Gaussian rationals.
 
-Plain dense matrices as lists of Q rows.  Elimination uses exact division in
-the Gaussian-rational field with deterministic pivoting (first nonzero entry
-in column order), so every result is reproducible and exact.
+Matrices are dense lists of Q rows; `rref` eliminates on sparse copies of
+them with exact division in the Gaussian-rational field.  Every rank question
+reads its answer off that one RREF, which is unique, so results are exact.
 """
 
 from __future__ import annotations
@@ -67,33 +67,52 @@ def transpose(a: Mat) -> Mat:
 
 
 def rref(rows: Mat):
-    """Reduced row echelon form; returns (new rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
+    """Reduced row echelon form; returns (new rows, pivot column list).
+
+    Gauss-Jordan on sparse rows {col: Q} with a column -> rows index, so an
+    update touches stored entries only.  The pivot is the candidate row with
+    the fewest nonzeros (ties: lowest index); the RREF is unique, so that
+    rule moves only the fill-in.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
+    for i, row in enumerate(sparse):
+        for c in row:
+            holders[c].add(i)
+    free = set(range(len(sparse)))  # rows not yet a pivot row
+    pivots, order = [], []
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
+        cands = [i for i in holders[c] if i in free]
+        if not cands:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = QONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p = min(cands, key=lambda i: (len(sparse[i]), i))
+        free.discard(p)
+        prow = sparse[p]
+        inv = QONE / prow[c]
+        for col in prow:
+            prow[col] = prow[col] * inv
+        for i in holders[c] - {p}:
+            row = sparse[i]
+            f = row[c]
+            for col, y in prow.items():
+                x = row.get(col)
+                v = -(f * y) if x is None else x - f * y
+                if not v.is_zero():
+                    row[col] = v
+                    holders[col].add(i)
+                elif x is not None:
+                    del row[col]
+                    holders[col].discard(i)
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        order.append(p)
+    out = [[QZERO] * ncols for _ in rows]
+    for dense, p in zip(out, order):
+        for c, x in sparse[p].items():
+            dense[c] = x
+    return out, pivots
 
 
 def rank(mat: Mat) -> int:

@@ -27,6 +27,7 @@ MAX_NESTING = 100  # levels of parentheses, call arguments and unary signs
 MAX_EXPONENT = 32  # largest |k| of an integer exponent literal
 MAX_DEGREE = 32  # largest parameter degree a product, power or exp may build
 MAX_MONOMIALS = 1000  # most monomials one coefficient of a product, power or exp may hold
+MAX_FILE_PRODUCTS = 20000  # most term products (that bound x the power) one file may spend
 
 
 class ParseError(Exception):
@@ -219,7 +220,9 @@ class Evaluator:
         params: Sequence[str],
         values: Dict[str, Value],
         k_context: Optional[int] = None,
+        spent: Optional[List[int]] = None,
     ):
+        self.spent = [0] if spent is None else spent  # shared by one file's statements
         self.n = n_generators
         self.gen_index = {nm: i + 1 for i, nm in enumerate(generator_names)}
         self.params = set(params)
@@ -278,7 +281,7 @@ class Evaluator:
                 raise ParseError(
                     "exp takes one 2-form argument", tok.line, tok.col
                 )
-            _check_size(tok, [args[0]], self.n // 2)  # top power w^(n/2)
+            _check_size(tok, [args[0]], self.spent, self.n // 2)  # top power w^(n/2)
             try:
                 return exp_two_form(args[0])
             except ValueError as e:
@@ -306,7 +309,7 @@ class Evaluator:
         if op == "^":
             literal = _int_literal(node.children[1])
             if literal is not None:
-                _check_size(tok, [left], abs(literal))
+                _check_size(tok, [left], self.spent, abs(literal))
                 try:
                     return self._power(left, literal)
                 except (ValueError, ZeroDivisionError) as e:
@@ -318,7 +321,7 @@ class Evaluator:
             if op == "-":
                 return self._add(left, -right)
             if op in ("*", "^"):
-                _check_size(tok, [left, right])
+                _check_size(tok, [left, right], self.spent)
                 return self._mul(left, right)
             if op == "/":
                 return self._div(left, right)
@@ -395,14 +398,16 @@ def _coefficients(v: Value) -> List[Scalar]:
     return [c for f in v.terms.values() for c in f.terms.values()]
 
 
-def _check_size(tok: Token, factors: Sequence[Value], power: int = 1) -> None:
+def _check_size(tok: Token, factors: Sequence[Value], spent: List[int], power: int = 1) -> None:
     """Reject a product, power or exp before computing it when it would be too large.
 
     Each coefficient of the result sums products of `power` coefficients of
     every factor, so its parameter degree is at most D = power * (sum of the
     factors' degrees), and it holds at most min(prod T^power, C(D + p, p))
     monomials, T the total monomial count of a factor and p the number of
-    parameters the factors use.
+    parameters the factors use.  That bound times `power` estimates the term
+    products it costs; they add to `spent`, the file's running total, which
+    may not pass MAX_FILE_PRODUCTS.
     """
     coeffs = [_coefficients(f) for f in factors]
     degree = power * sum(max([0] + [c.degree() for c in cs]) for cs in coeffs)
@@ -419,6 +424,10 @@ def _check_size(tok: Token, factors: Sequence[Value], power: int = 1) -> None:
             "up to %d monomials in a coefficient, beyond %d" % (count, MAX_MONOMIALS),
             tok.line, tok.col,
         )
+    spent[0] += count * power
+    if spent[0] > MAX_FILE_PRODUCTS:
+        raise ParseError("term products in this file add up to %d, beyond %d"
+                         % (spent[0], MAX_FILE_PRODUCTS), tok.line, tok.col)
 
 
 def _int_literal(node: Node) -> Optional[int]:
@@ -684,9 +693,10 @@ def parse_model(text: str) -> ModelFile:
 
     n = len(gen_names)
     values: Dict[str, Value] = {}
+    spent = [0]
 
     def evaluator(k_context: Optional[int] = None) -> Evaluator:
-        return Evaluator(n, gen_names, params, values, k_context)
+        return Evaluator(n, gen_names, params, values, k_context, spent)
 
     def eval_form(ast: Node, line: int, what: str) -> Form:
         val = evaluator().eval(ast)

@@ -3,8 +3,9 @@
 Each entry of tests/data/cli_sweep.json holds an argument vector, the exit
 code and the exact stdout.  The vectors cover every subcommand on every
 shipped model, over each structure, action, connection, named form and dh
-block (both orientations), with `equivariant` at trunc 1..3.  The test
-replays them and compares exit code and stdout byte for byte.
+block (both orientations), with `equivariant` at trunc 1..8 (4..8 reach the
+truncation edge, where shifted columns drop terms).  The test replays them
+and compares exit code and stdout byte for byte.
 
 Re-record (only when an output change is intended):
     PYTHONPATH=src python tests/test_cli_sweep.py
@@ -44,7 +45,7 @@ def invocations():
             for cmd in ("gclinear", "grading", "ddbar"):
                 out.append([cmd, rel, "--structure", s])
         for a in sorted(mf.actions):
-            for trunc in (1, 2, 3):
+            for trunc in range(1, 9):
                 out.append(["equivariant", rel, "--action", a, "--trunc", str(trunc)])
             for s in sorted(mf.structures):
                 for name in sorted(mf.values):

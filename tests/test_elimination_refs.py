@@ -4,7 +4,8 @@ The references are the constructions the package first used: one kernel per
 step of the x-degree filtration, lifted to full coordinates and stacked on
 the image for a rank; ddbar intersections of re-canonicalised spans; and
 subcomplex coordinates from one solve per basis vector.  The package reads
-the same answers off one RREF per matrix; the two must agree exactly.
+the same answers off one RREF per matrix; the two must agree exactly.  That
+RREF itself is checked against the dense elimination it replaced.
 """
 
 import random
@@ -472,3 +473,169 @@ def test_split_rejects_level_steps_other_than_one_and_three(monkeypatch):
     monkeypatch.setattr(gcalg.models, "d_twisted", lambda m, f: original(m, f) + f)
     with pytest.raises(AssertionError, match="steps other than 1 and 3"):
         split_operators(torus(4), complex_structure(2))
+
+
+# -- the elimination kernel ----------------------------------------------------
+# The reference is the dense Gauss-Jordan `rref` the package first used: first
+# nonzero row as the pivot, every entry of the pivot row multiplied.  The
+# package eliminates on sparse rows with a fewest-nonzeros pivot; the RREF is
+# unique, so rows and pivots must agree exactly.
+
+
+def ref_rref(rows):
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if not m[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Q(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def sparse_matrix(rng, rows, cols, density):
+    return [[random_q(rng) if rng.random() < density else QZERO for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def assert_same_rref(mat):
+    want = ref_rref(mat)
+    assert linalg.rref(mat) == want
+    return want
+
+
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5])
+def test_rref_matches_dense_on_random_sparse_matrices(density):
+    rng = random.Random("rref-%s" % density)
+    size = 24 if density < 0.1 else 14  # dense Gaussian rationals grow fast
+    for _ in range(40):
+        rows, cols = rng.randint(1, size), rng.randint(1, size)
+        mat = sparse_matrix(rng, rows, cols, density)
+        if rows > 1 and rng.random() < 0.3:
+            mat[rng.randrange(rows)] = list(mat[0])  # a duplicate row
+        assert_same_rref(mat)
+
+
+def test_rref_edge_shapes():
+    rng = random.Random("rref-edges")
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], []]) == ([[], []], [])
+    row = sparse_matrix(rng, 1, 9, 0.5)
+    col = sparse_matrix(rng, 9, 1, 0.5)
+    cases = [
+        row, col, sparse_matrix(rng, 1, 9, 0.0), sparse_matrix(rng, 9, 1, 0.0),
+        sparse_matrix(rng, 20, 3, 0.4), sparse_matrix(rng, 3, 20, 0.4),  # tall, wide
+        [[QZERO] * 5 for _ in range(4)],  # all zero
+        [list(row[0]) for _ in range(5)],  # duplicate rows
+    ]
+    for mat in cases:
+        m, pivots = assert_same_rref(mat)
+        assert len(m) == len(mat) and all(len(r) == len(mat[0]) for r in m)
+
+
+def _captured_rref_inputs(monkeypatch, fn, *args):
+    seen = []
+    original = linalg.rref
+
+    def capture(rows):
+        seen.append([list(r) for r in rows])
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "rref", capture)
+    fn(*args)
+    monkeypatch.setattr(linalg, "rref", original)
+    return seen
+
+
+def test_rref_matches_dense_on_captured_matrices(monkeypatch):
+    mats = []
+    for model_file, name in SHIPPED_ACTIONS:
+        act = parse_model((MODELS_DIR / model_file).read_text()).actions[name]
+        for trunc in range(1, 7):
+            mats += _captured_rref_inputs(
+                monkeypatch, equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
+    rng = random.Random(7)  # the rank-two action of the test above
+    c = _q(rng)
+    a1 = Form(3, {0b100: _q(rng), 0b010: c})
+    a2 = Form(3, {0b100: _q(rng), 0b001: -c})
+    act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
+    mats += _captured_rref_inputs(monkeypatch, equivariant_cohomology, act,
+                                  act.h_equivariant(3), 3)
+    grading = _captured_rref_inputs(monkeypatch, uk_grading, complex_structure(3))
+    assert len(mats) == 6 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
+    for mat in mats + grading:
+        assert_same_rref(mat)
+
+
+def test_rank_questions_match_dense_rref(monkeypatch):
+    rng = random.Random("rank-questions")
+    cases = []
+    for _ in range(25):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        density = rng.choice([0.1, 0.3, 0.6])
+        a = sparse_matrix(rng, rows, cols, density)
+        b = sparse_matrix(rng, rng.randint(1, 8), cols, density)
+        rhs = [random_q(rng) if rng.random() < 0.5 else QZERO for _ in range(rows)]
+        sq = sparse_matrix(rng, cols, cols, rng.choice([0.3, 0.8]))
+        cases.append((a, b, rhs, sq, cols))
+
+    def answers():
+        out = []
+        for a, b, rhs, sq, cols in cases:
+            out.append(linalg.kernel_basis(a, ncols=cols))
+            out.append(linalg.solve(a, rhs))
+            out.append(linalg.intersect_spans(a, b, cols))
+            out.append(linalg.row_space(a))
+            try:
+                out.append(linalg.invert(sq))
+            except ValueError as e:
+                out.append(str(e))
+        return out
+
+    got = answers()
+    monkeypatch.setattr(linalg, "rref", ref_rref)
+    assert got == answers()
+    # the draw reaches both outcomes of solve and invert
+    assert None in got[1::5] and any(s is not None for s in got[1::5])
+    assert "matrix is singular" in got[4::5] and any(isinstance(m, list) for m in got[4::5])
+
+
+def test_rref_pivots_on_the_sparsest_candidate_row(monkeypatch):
+    # an arrow matrix: row 0 is full, row i > 0 holds columns 0 and i.  The
+    # full row as the first pivot fills every row (2132 multiplications, or
+    # 794 taking the densest candidate each time); the sparsest candidate
+    # keeps each update to about two entries (494)
+    size = 16
+    arrow = [[Q(1)] * size] + [
+        [Q(1) if c in (0, i) else QZERO for c in range(size)] for i in range(1, size)
+    ]
+    muls = [0]
+    original = Q.__mul__
+
+    def counted(a, b):
+        muls[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(Q, "__mul__", counted)
+    m, pivots = linalg.rref(arrow)
+    monkeypatch.undo()
+    assert (m, pivots) == ref_rref(arrow)
+    assert muls[0] <= 2 * size * size

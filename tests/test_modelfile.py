@@ -319,6 +319,24 @@ def test_monomial_budget_bounds_one_coefficient():
     assert len(prod.terms) == 4 and prod.degree() == 32
 
 
+def test_file_budget_stops_at_the_statement_that_crosses_it(tmp_path, capsys):
+    # each power is in budget (969 monomials, 969 * 16 term products, about
+    # 0.5 s); ten of them took seconds, now the second crosses 20000
+    body = "".join("let a%d = (t+s+u+%d)^16\n" % (k, k) for k in range(1, 11))
+    code, payload, seconds = _validate_file(tmp_path, capsys, body)
+    assert code == 2 and payload["kind"] == "parse"
+    assert payload["error"] == "line 5, col 19: term products in this file add up to 31008, beyond 20000"
+    assert seconds < 1.0
+    # the total is per file: one such power per file still parses
+    code, payload, _ = _validate_file(tmp_path, capsys, "let a = (t+s+u+1)^16 * e1\n")
+    assert code == 0 and payload["ok"]
+    # statements of every kind add to the same total
+    act = "action r\nxi 1 = 1 0\nalpha 1 = (t+s+u+1)^16*e2\nend\n"
+    code, payload, _ = _validate_file(tmp_path, capsys, "let a = (t+s+u+2)^16\n" + act)
+    assert (code, payload["kind"]) == (2, "parse")
+    assert payload["error"].startswith("line 7, col 20: term products in this file")
+
+
 def test_polynomial_degree_just_under_the_budget(tmp_path, capsys):
     body = "let b = (t+s)^16\nlet a = b*b*e1\nlet c = ((t+s)^2)^16 - t^32\n"
     code, payload, seconds = _validate_file(tmp_path, capsys, body)

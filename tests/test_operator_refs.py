@@ -10,18 +10,28 @@ operator, the equivariant differential, the Hamiltonian residuals and the
 extension's residual step one piece at a time, each building its own
 section -xi_j + i(m^j + i a^j); the package builds the sections once and
 sums through one helper.
+
+The Cartan-complex reference builds each column of the truncated complex's
+matrices from its own image, one twisted equivariant differential per (x
+monomial, basis mask); the package builds the 2^n images of the masks and
+shifts them by the monomial.
 """
+
+import random
 
 import pytest
 
-from conftest import random_form
+from conftest import MODELS_DIR, random_form, random_q
 from gcalg import linalg
+import gcalg.cartan
 from gcalg.cartan import (
     EqForm,
     TorusAction,
+    _d_eq_twisted_unchecked,
     _expo_add,
     canonical_extension,
     d_equivariant,
+    equivariant_cohomology,
     hamiltonian_check,
     moment_conjugation_residual,
     moment_operator,
@@ -41,6 +51,7 @@ from gcalg.gcmaps import (
     pure_spinor,
     symplectic_map,
 )
+from gcalg.modelfile import parse_model
 from gcalg.models import Model, d, kodaira_thurston, torus
 from gcalg.scalars import Q, QONE, QZERO, Scalar
 
@@ -304,3 +315,130 @@ def test_extension_recursion_goldens():
         " + x1*x2^3*(-6*i*e1+6*e1^e2^e4) + x1^2*x2^2*(-12*i*e1+12*e1^e2^e4)"
         " + x1^3*x2*(-8*i*e1+8*e1^e2^e4)"
     )
+
+
+# -- the truncated Cartan complex: columns from the 2^n unit images -------------
+
+OPERATOR_MATRIX = linalg.operator_matrix
+
+
+def ref_cartan_matrices(act, h_g, trunc):
+    """mat_eo and mat_oe with one twisted differential per column."""
+    n = act.model.n
+    basis = [
+        (e, mask)
+        for deg in range(trunc + 1)
+        for e in monomials_of_degree(act.k, deg)
+        for mask in basis_masks(n)
+    ]
+    even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
+    odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
+
+    def image(key):
+        e, mask = key
+        src = EqForm(act.k, n, trunc, {e: Form(n, {mask: Scalar.rational(1)})})
+        img = _d_eq_twisted_unchecked(act, h_g, src)
+        return {(ee, mk): c for ee, f in img.terms.items() for mk, c in f.terms.items()}
+
+    return [OPERATOR_MATRIX(image, even_basis, odd_basis),
+            OPERATOR_MATRIX(image, odd_basis, even_basis)]
+
+
+class _Assembled(Exception):
+    pass
+
+
+def cartan_matrices(monkeypatch, act, h_g, trunc):
+    """The two matrices equivariant_cohomology assembles; stops it there."""
+    mats = []
+
+    def capture(op, src, dst):
+        mats.append(OPERATOR_MATRIX(op, src, dst))
+        if len(mats) == 2:
+            raise _Assembled
+        return mats[-1]
+
+    monkeypatch.setattr(linalg, "operator_matrix", capture)
+    with pytest.raises(_Assembled):
+        equivariant_cohomology(act, h_g, trunc)
+    monkeypatch.setattr(linalg, "operator_matrix", OPERATOR_MATRIX)
+    return mats
+
+
+def closed_action(rng, n, k, with_alpha, twisted):
+    """An action whose h_G = H + x^j alpha_j is equivariantly closed.
+
+    Flat T^n rotated along s_j e_j for j <= k: H and the alpha_j live on the
+    other generators, so i_xi H = 0, and the e_1, e_2 parts of alpha_2,
+    alpha_1 cancel in i_1 alpha_2 + i_2 alpha_1.  Kodaira-Thurston (n = 4,
+    k = 1) along e4: d alpha = b e1^e2 = i_4 H, so b = 0 without alpha.
+    """
+
+    def q():
+        return Scalar.from_q(random_q(rng))
+
+    if n == 4 and k == 1 and rng.random() < 0.5:
+        b = q() if twisted and with_alpha else Scalar()
+        model = kodaira_thurston(Form(4, {0b0111: q(), 0b1011: b}) if twisted else None)
+        alpha = Form(4, {0b0100: b, 0b0001: q()})
+        return TorusAction(model, [[0, 0, 0, 1]], alpha=[alpha] if with_alpha else None)
+    s = [rng.choice([-2, -1, 1, 3]) for _ in range(k)]
+    rest = [1 << i for i in range(k, n)]
+    h = None
+    if twisted:
+        triples = [a | b | c for a in rest for b in rest for c in rest if a < b < c]
+        h = Form(n, {m: q() for m in rng.sample(triples, min(2, len(triples)))})
+    model = torus(n, h)
+    xi = [[s[j] if i == j else 0 for i in range(n)] for j in range(k)]
+    if not with_alpha:
+        return TorusAction(model, xi)
+    alphas = [{m: q() for m in rest if rng.random() < 0.7} for _ in range(k)]
+    if k == 2:
+        c = q()
+        alphas[0][0b10] = c * Scalar.rational(s[0])
+        alphas[1][0b01] = -c * Scalar.rational(s[1])
+    return TorusAction(model, xi, alpha=[Form(n, a) for a in alphas])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cartan_columns_match_per_column_images(monkeypatch, n, k):
+    rng = random.Random("cartan-%d-%d" % (n, k))
+    kinds = [(a, t) for a in (False, True) for t in (False, True) if not t or n - k >= 3]
+    for trunc in range(6):
+        for with_alpha, twisted in kinds:
+            act = closed_action(rng, n, k, with_alpha, twisted)
+            h_g = act.h_equivariant(trunc)
+            assert d_equivariant(act, h_g).is_zero()
+            got = cartan_matrices(monkeypatch, act, h_g, trunc)
+            assert got == ref_cartan_matrices(act, h_g, trunc)
+
+
+def test_cartan_columns_cut_at_a_lower_twist_truncation(monkeypatch):
+    # h_G truncated below the complex cuts every image at its own degree
+    rng = random.Random("cartan-cut")
+    act = closed_action(rng, 5, 1, True, True)
+    for trunc in (2, 4):
+        h_g = act.h_equivariant(trunc - 1)
+        assert cartan_matrices(monkeypatch, act, h_g, trunc) == ref_cartan_matrices(
+            act, h_g, trunc)
+
+
+def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _d_eq_twisted_unchecked(*args)
+
+    monkeypatch.setattr(gcalg.cartan, "_d_eq_twisted_unchecked", counted)
+    act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
+    for trunc in (0, 3, 6):
+        calls[0] = 0
+        equivariant_cohomology(act, act.h_equivariant(trunc), trunc)
+        assert calls[0] == 2 ** act.model.n
+    rng = random.Random("cartan-count")
+    act = closed_action(rng, 3, 2, True, False)
+    calls[0] = 0
+    equivariant_cohomology(act, act.h_equivariant(4), 4)
+    assert calls[0] == 2 ** 3
