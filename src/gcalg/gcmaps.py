@@ -23,7 +23,7 @@ from .forms import (
     mukai,
     vec_to_form,
 )
-from .scalars import ONE, Q, QI, QZERO, Scalar, ZERO
+from .scalars import ONE, Q, QI, QONE, QZERO, Scalar, ZERO
 
 
 def _pairing_matrix(dim: int) -> linalg.Mat:
@@ -111,15 +111,19 @@ class IsotropicSubspace:
 
 
 def validate(j: GCMap) -> ValidationReport:
-    """Check J^2 = -1 and orthogonality for the canonical pairing."""
+    """Check J^2 = -1 and orthogonality for the canonical pairing.
+
+    2P swaps the halves of V + V*, so J^T P J = P reads J^T (2PJ) = 2P with
+    2PJ the rows of J, halves swapped.
+    """
     failures = []
     n2 = 2 * j.dim
-    sq = linalg.mat_mul(j.matrix, j.matrix)
-    if sq != linalg.mat_scale(linalg.identity(n2), Q(-1)):
+    rows = linalg.to_sparse(j.matrix)
+    if linalg.sparse_mul(rows, rows) != [{r: -QONE} for r in range(n2)]:
         failures.append("J^2 != -1")
-    p = _pairing_matrix(j.dim)
-    jt = linalg.transpose(j.matrix)
-    if linalg.mat_mul(jt, linalg.mat_mul(p, j.matrix)) != p:
+    swap = [(r + j.dim) % n2 for r in range(n2)]
+    jt = linalg.to_sparse(linalg.transpose(j.matrix))
+    if linalg.sparse_mul(jt, [rows[s] for s in swap]) != [{s: QONE} for s in swap]:
         failures.append("J does not preserve the canonical pairing")
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
@@ -331,6 +335,16 @@ class UGrading:
         return out
 
 
+def _unit_clifford(a: int, n: int, mask: int):
+    """(sign, mask) of c_a e_mask, or None when it vanishes: contraction by
+    e_{a+1} for a < n, wedge with e^{a-n+1} for a >= n; the sign is -1 to the
+    number of set bits of mask below that generator."""
+    bit = 1 << (a % n)
+    if bool(mask & bit) != (a < n):
+        return None
+    return (-1) ** (mask & (bit - 1)).bit_count(), mask ^ bit
+
+
 def lifted_action_matrix(j: GCMap) -> linalg.Mat:
     """Matrix on forms of the quadratic Clifford lift of the structure.
 
@@ -340,28 +354,32 @@ def lifted_action_matrix(j: GCMap) -> linalg.Mat:
     [L, v.] = -(Jv). for every v, including structures that do not commute
     with P (for example B-field shears).  An additive scalar then anchors
     the canonical line at eigenvalue -n*i.
+
+    Each unit vector c_a of V + V* maps a unit form e_mask to a signed unit
+    form (`_unit_clifford`), so a term w (c_a c_b - c_b c_a) adds at most two
+    signed entries to a column; no Form is built.
     """
     n = j.dim
-    coeff = linalg.mat_mul(j.matrix, _pairing_matrix(n))
-    pairs = [
-        (a, b, -Scalar.from_q(coeff[a][b]))
-        for a in range(2 * n)
-        for b in range(a + 1, 2 * n)
-        if not coeff[a][b].is_zero()
-    ]
-    units = _unit_vectors(2 * n)
-
-    def image(mask: int) -> dict:
-        f = Form(n, {mask: ONE})
-        once = [clifford(u, f) for u in units]
-        out = Form.zero(n)
-        for a, b, w in pairs:
-            comm = clifford(units[a], once[b]) - clifford(units[b], once[a])
-            out = out + comm.scale(w)
-        return out.terms
-
+    half = QONE / Q(2)
+    pairs = []
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            jp = j.matrix[a][(b + n) % (2 * n)] * half  # (JP)[a][b]
+            if not jp.is_zero():
+                pairs.append((a, b, -jp))
     masks = basis_masks(n)
-    return linalg.operator_matrix(image, masks, masks)
+    row_of = {m: i for i, m in enumerate(masks)}
+    out = linalg.zeros(len(masks), len(masks))
+    for col, mask in enumerate(masks):
+        for a, b, w in pairs:
+            for first, second, sign in ((b, a, 1), (a, b, -1)):
+                one = _unit_clifford(first, n, mask)
+                two = one and _unit_clifford(second, n, one[1])
+                if two:
+                    r = row_of[two[1]]
+                    x = out[r][col]
+                    out[r][col] = x + w if one[0] * two[0] == sign else x - w
+    return out
 
 
 def uk_grading(j: GCMap) -> UGrading:
@@ -380,14 +398,16 @@ def uk_grading(j: GCMap) -> UGrading:
     if [x * eigen for x in svec] != image:
         raise ValueError("canonical line is not an eigenvector of the lift")
     shift = Q(0, -half) - eigen
-    if not shift.is_zero():
-        op = linalg.mat_add(op, linalg.mat_scale(linalg.identity(dim), shift))
 
     bases = {}
     levels = list(range(half, -half - 1, -1))
     count = 0
     for k in levels:
-        target = linalg.mat_add(op, linalg.mat_scale(linalg.identity(dim), Q(0, k)))
+        # level k: kernel of L + shift + k*i, both added on the diagonal
+        diag = shift + Q(0, k)
+        target = [list(row) for row in op]
+        for r, row in enumerate(target):
+            row[r] = row[r] + diag
         kernel = linalg.kernel_basis(target)
         bases[k] = tuple(_normalize_spinor(vec_to_form(v, masks, n)) for v in kernel)
         count += len(kernel)
@@ -427,7 +447,7 @@ def kahler_check(j1: GCMap, j2: GCMap) -> KahlerReport:
     if a != b:
         return KahlerReport(False, False, False, "structures do not commute")
     p = _pairing_matrix(j1.dim)
-    g = linalg.mat_mul(p, linalg.mat_scale(a, Q(-1)))
+    g = [[-x for x in row] for row in linalg.mat_mul(p, a)]
     for size, d in enumerate(linalg.leading_minors(g), start=1):
         if not (d.is_real() and d.re > 0):
             return KahlerReport(

@@ -1,18 +1,22 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are dense lists of Q rows; `rref` eliminates on sparse copies of
-them with exact division in the Gaussian-rational field.  Every rank question
-reads its answer off that one RREF, which is unique, so results are exact.
+Matrices are dense lists of Q rows at the interfaces.  Inside, the kernels
+work on sparse rows {col: Q} with no stored zeros: `rref` eliminates on
+sparse copies with exact division in the Gaussian-rational field, and
+`sparse_mul` is the one matrix product (`mat_mul` is its dense wrapper).
+Every rank question reads its answer off one RREF, which is unique, so
+results are exact.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .scalars import Q, QONE, QZERO
 
 Vec = List[Q]
 Mat = List[List[Q]]
+Rows = List[Dict[int, Q]]  # sparse rows {col: Q}, no stored zeros
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -23,20 +27,44 @@ def identity(n: int) -> Mat:
     return [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
 
 
+def to_sparse(mat: Mat) -> Rows:
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in mat]
+
+
+def to_dense(rows: Rows, ncols: int) -> Mat:
+    out = zeros(len(rows), ncols)
+    for dense, row in zip(out, rows):
+        for c, x in row.items():
+            dense[c] = x
+    return out
+
+
+def sparse_mul(a: Rows, b: Rows) -> Rows:
+    """Product of sparse rows: row i of a times b, over stored entries only."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if not v.is_zero()})
+    return out
+
+
+def sparse_comb(*terms) -> Rows:
+    """Sum of c * m over (c, m) pairs of sparse matrices of one shape."""
+    out = [{} for _ in terms[0][1]]
+    for c, m in terms:
+        for acc, row in zip(out, m):
+            for j, x in row.items():
+                acc[j] = acc[j] + c * x if j in acc else c * x
+    return [{j: v for j, v in acc.items() if not v.is_zero()} for acc in out]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    out = zeros(len(a), len(b[0]) if b else 0)
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if x.is_zero():
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j, y in enumerate(brow):
-                if not y.is_zero():
-                    orow[j] = orow[j] + x * y
-    return out
+    return to_dense(sparse_mul(to_sparse(a), to_sparse(b)), len(b[0]) if b else 0)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -48,18 +76,6 @@ def sum_q(items) -> Q:
     for x in items:
         out = out + x
     return out
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c: Q) -> Mat:
-    return [[c * x for x in row] for row in a]
 
 
 def transpose(a: Mat) -> Mat:
@@ -77,7 +93,7 @@ def rref(rows: Mat):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    sparse = to_sparse(rows)
     holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
     for i, row in enumerate(sparse):
         for c in row:
@@ -108,11 +124,8 @@ def rref(rows: Mat):
                     holders[col].discard(i)
         pivots.append(c)
         order.append(p)
-    out = [[QZERO] * ncols for _ in rows]
-    for dense, p in zip(out, order):
-        for c, x in sparse[p].items():
-            dense[c] = x
-    return out, pivots
+    pivot_rows = [sparse[p] for p in order]
+    return to_dense(pivot_rows + [{}] * (len(rows) - len(order)), ncols), pivots
 
 
 def rank(mat: Mat) -> int:

@@ -23,7 +23,7 @@ from .forms import (
     wedge,
 )
 from .gcmaps import GCMap, UGrading, lifted_action_matrix, require_valid, uk_grading
-from .scalars import ONE, Q, QONE, Scalar
+from .scalars import ONE, Q, QONE, QZERO, Scalar
 
 
 class Model:
@@ -294,7 +294,8 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     and [L, [L, D]] + D = -8 S for the stray part S = D_-3 + D_3.  When S is
     zero the halves are (D -+ i[L, D]) / 2; else the first nonzero column of
     S is the stray component of the first basis form, as the per-form split
-    reports it.
+    reports it.  The products run on sparse rows; only the halves are made
+    dense.
     """
     require_valid(j)
     if j.dim != m.n:
@@ -309,24 +310,28 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
         for mask in masks:
             del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
         raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
-    lift = lifted_action_matrix(j)
+    lift = linalg.to_sparse(lifted_action_matrix(j))
+    dmat = linalg.to_sparse(dmat)
 
     def comm(a):
-        return linalg.mat_sub(linalg.mat_mul(lift, a), linalg.mat_mul(a, lift))
+        return linalg.sparse_comb(
+            (QONE, linalg.sparse_mul(lift, a)), (-QONE, linalg.sparse_mul(a, lift))
+        )
 
     d_comm = comm(dmat)
-    stray8 = linalg.mat_add(comm(d_comm), dmat)  # -8 S
-    if all(x.is_zero() for row in stray8 for x in row):
-        half_d = linalg.mat_scale(dmat, QONE / Q(2))
-        i_half_comm = linalg.mat_scale(d_comm, Q(0, 1) / Q(2))
-        lower = tuple(map(tuple, linalg.mat_sub(half_d, i_half_comm)))
-        upper = tuple(map(tuple, linalg.mat_add(half_d, i_half_comm)))
-        return SplitOperators(m, masks, lower, upper)
-    if comm(comm(stray8)) != linalg.mat_scale(stray8, -Q(9)):
+    stray8 = linalg.sparse_comb((QONE, comm(d_comm)), (QONE, dmat))  # -8 S
+    if not any(stray8):
+        half, i_half = QONE / Q(2), Q(0, 1) / Q(2)
+        lower = linalg.sparse_comb((half, dmat), (-i_half, d_comm))
+        upper = linalg.sparse_comb((half, dmat), (i_half, d_comm))
+        dense = [tuple(map(tuple, linalg.to_dense(h, len(masks)))) for h in (lower, upper)]
+        return SplitOperators(m, masks, *dense)
+    if comm(comm(stray8)) != linalg.sparse_comb((-Q(9), stray8)):
         raise AssertionError("d_H moves levels by steps other than 1 and 3")
-    col = next(c for c in range(len(masks)) if any(not row[c].is_zero() for row in stray8))
+    col = min(c for row in stray8 for c in row)
     scale = -QONE / Q(8)
-    raise _stray_component(m, vec_to_form([scale * row[col] for row in stray8], masks, m.n))
+    residual = [scale * row.get(col, QZERO) for row in stray8]
+    raise _stray_component(m, vec_to_form(residual, masks, m.n))
 
 
 @dataclass(frozen=True)

@@ -44,3 +44,29 @@ def random_form(rng, n, degrees=None, max_terms=4, complex_ok=True):
 
 def random_vector(rng, length, span=3):
     return [Scalar.from_q(random_q(rng, span)) for _ in range(length)]
+
+
+# dense matrix products and sums for the reference constructions; the
+# package itself multiplies, adds and scales matrices on sparse rows only
+def dense_mul(a, b):
+    out = [[Q(0)] * (len(b[0]) if b else 0) for _ in a]
+    for orow, row in zip(out, a):
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[k]):
+                if not y.is_zero():
+                    orow[j] = orow[j] + x * y
+    return out
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]

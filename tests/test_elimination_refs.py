@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import MODELS_DIR, random_q
+from conftest import MODELS_DIR, dense_mul, mat_add, mat_scale, mat_sub, random_q
 from gcalg import linalg
 from gcalg.cartan import (
     EqForm,
@@ -48,7 +48,7 @@ from gcalg.models import (
     split_operators,
     torus,
 )
-from gcalg.scalars import ONE, QZERO, Q, Scalar
+from gcalg.scalars import ONE, QONE, QZERO, Q, Scalar
 
 
 def ref_by_degree(act, h_g, trunc):
@@ -269,9 +269,12 @@ def test_one_rref_per_matrix(monkeypatch):
 
 
 # -- the level split of d_H ---------------------------------------------------
-# The reference is the per-mask split the package first used: the level
+# The first reference is the per-mask split the package first used: the level
 # grading, then one del_delbar_split per basis form.  The package reads the
-# halves off two commutators with the lift instead; the two must agree.
+# halves off two commutators with the lift instead; the two must agree.  The
+# second reference takes the same commutators with dense products and sums,
+# as the package did before its products went sparse; it is the one used at
+# n = 6, where the per-mask split takes half a minute.
 
 
 def ref_split_operators(m, j):
@@ -281,6 +284,35 @@ def ref_split_operators(m, j):
     lower = linalg.operator_matrix(lambda mk: halves[mk][0].terms, masks, masks)
     upper = linalg.operator_matrix(lambda mk: halves[mk][1].terms, masks, masks)
     return masks, tuple(map(tuple, lower)), tuple(map(tuple, upper))
+
+
+def ref_dense_split(m, j):
+    masks = tuple(basis_masks(m.n))
+    dmat = linalg.operator_matrix(
+        lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
+    )
+    lift = lifted_action_matrix(j)
+
+    def comm(a):
+        return mat_sub(dense_mul(lift, a), dense_mul(a, lift))
+
+    d_comm = comm(dmat)
+    stray8 = mat_add(comm(d_comm), dmat)  # -8 S
+    if all(x.is_zero() for row in stray8 for x in row):
+        half_d = mat_scale(dmat, QONE / Q(2))
+        i_half_comm = mat_scale(d_comm, Q(0, 1) / Q(2))
+        lower = tuple(map(tuple, mat_sub(half_d, i_half_comm)))
+        upper = tuple(map(tuple, mat_add(half_d, i_half_comm)))
+        return masks, lower, upper
+    assert comm(comm(stray8)) == mat_scale(stray8, -Q(9))
+    col = next(c for c in range(len(masks)) if any(not row[c].is_zero() for row in stray8))
+    scale = -QONE / Q(8)
+    residual = vec_to_form([scale * row[col] for row in stray8], masks, m.n)
+    return (
+        "structure is not integrable on this model; stray component %s"
+        % residual.to_text(m.names),
+        residual,
+    )
 
 
 def _split_or_error(fn, m, j):
@@ -295,6 +327,35 @@ def _random_three_form(rng, n):
     return Form(n, {m: _q(rng) for m in rng.sample(masks, 2)})
 
 
+def _ddbar_workload_cases(rng):
+    """The twisted families of the ddbar benchmark at n = 4, each structure
+    sheared by a closed B in e1^e3, e1^e4: flat T^4 with H on every triple,
+    and an e1^e2^e4 twist, with J+, J- and a symplectic form;
+    Kodaira-Thurston twisted by e1^e2^e3 and e1^e2^e4 with J+ and J-.
+    Returns (family, structure kind, model, j)."""
+    def q():
+        return Scalar.rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+
+    out = []
+    triples = [m for m in basis_masks(4) if m.bit_count() == 3]
+    for family in ("flatH", "h124", "ktH"):
+        for kind in ("J+", "J-", "w"):
+            if family == "flatH":
+                model = torus(4, Form(4, {m: q() for m in triples}))
+            elif family == "h124":
+                model = torus(4, Form(4, {0b1011: q()}))
+            elif kind == "w":
+                continue
+            else:
+                model = kodaira_thurston(Form(4, {0b0111: q(), 0b1011: q()}))
+            if kind == "w":
+                j = symplectic_map(Form(4, {0b0011: q(), 0b1100: q()}))
+            else:
+                j = complex_structure(2, sign=1 if kind == "J+" else -1)
+            out.append((family, kind, model, b_transform(j, Form(4, {0b0101: q(), 0b1001: q()}))))
+    return out
+
+
 def test_split_matches_per_mask_split():
     rng = random.Random(13)
     cases = []
@@ -303,16 +364,28 @@ def test_split_matches_per_mask_split():
     w4 = symplectic_map(Form(4, {0b0011: ONE, 0b1100: ONE}))
     for j in (complex_structure(2), complex_structure(2, sign=-1), w4):
         cases += [(torus(4, _random_three_form(rng, 4)), j) for _ in range(2)]
-    outcomes = set()
+    workload = _ddbar_workload_cases(rng)
+    cases += [(model, j) for _, _, model, j in workload]
+    # twisted T^6: integrable for one twist, a stray component for the other
+    t6 = [(torus(6, Form(6, {h: ONE})), complex_structure(3)) for h in (0b100011, 0b101001)]
+    cases += t6
+    nonintegrable = []
     for model, j in cases:
-        ref = _split_or_error(ref_split_operators, model, j)
+        ref = _split_or_error(ref_dense_split, model, j)
+        if model.n <= 4:
+            assert _split_or_error(ref_split_operators, model, j) == ref
         got = _split_or_error(split_operators, model, j)
         if isinstance(got, SplitOperators):
             assert got.model is model
             got = (got.masks, got.lower, got.upper)
         assert got == ref
-        outcomes.add(isinstance(ref[0], str))
-    assert outcomes == {True, False}  # both integrable and non-integrable pairs
+        nonintegrable.append(isinstance(ref[0], str))
+    assert set(nonintegrable) == {True, False}
+    tail = nonintegrable[len(cases) - len(workload) - len(t6):]
+    assert tail[len(workload):] == [False, True]
+    # J+ and J- split under every twist; the twists break the symplectic forms
+    for (family, kind, _, _), stray in zip(workload, tail):
+        assert stray == (kind == "w")
 
 
 def test_split_of_parametric_twist_fails_as_the_per_mask_split():
@@ -335,11 +408,11 @@ def test_split_on_twisted_t6_moves_levels_by_one():
     )
     lift = lifted_action_matrix(j)
     assert tuple(sp.masks) == tuple(masks)
-    assert linalg.mat_add(sp.lower, sp.upper) == dmat
+    assert mat_add(sp.lower, sp.upper) == dmat
     for half, eigen in ((sp.lower, Q(0, 1)), (sp.upper, Q(0, -1))):
         assert any(not x.is_zero() for row in half for x in row)
-        comm = linalg.mat_sub(linalg.mat_mul(lift, half), linalg.mat_mul(half, lift))
-        assert comm == linalg.mat_scale(half, eigen)
+        comm = mat_sub(linalg.mat_mul(lift, half), linalg.mat_mul(half, lift))
+        assert comm == mat_scale(half, eigen)
 
 
 def _solvable_symplectic():

@@ -317,3 +317,22 @@ def test_del_delbar_split_nonzero_halves():
     lo, up = del_delbar_split(t4h, jc, Form.unit(4))
     assert not lo.is_zero() and not up.is_zero()
     assert lo + up == -Form.monomial(4, (1, 2, 4))
+
+
+def test_iwasawa_literature_goldens():
+    # the compact quotient of the complex Heisenberg group, dw3 = w1^w2 for
+    # w1 = e1 + i*e2, w2 = e3 + i*e4, w3 = e5 + i*e6
+    from conftest import MODELS_DIR
+    from gcalg.gcmaps import type_of
+    from gcalg.modelfile import parse_model
+
+    mf = parse_model((MODELS_DIR / "iwasawa.model").read_text())
+    model, j = mf.model, mf.structures["Jc"]
+    assert betti_numbers(model) == [1, 4, 8, 10, 8, 4, 1]  # Nomizu
+    assert type_of(j) == 3  # complex type
+    report = ddbar_lemma_check(model, j)
+    assert not report.ok
+    assert report.witness.to_text(model.names) == "e1^e3+i*e1^e4+i*e2^e3-e2^e4"
+    w = [Form.generator(6, 2 * k + 1) + Form.generator(6, 2 * k + 2).scale(I) for k in range(3)]
+    assert report.witness == wedge(w[0], w[1]) == d(model, w[2])  # the textbook obstruction
+    _verify_ddbar_witness(model, j, report.witness)

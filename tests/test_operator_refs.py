@@ -2,8 +2,11 @@
 
 The references build every Clifford generator as a dense matrix and combine
 them with dense products and sums, the way the matrices were first assembled.
-The package builds the same matrices column by column from sparse images;
-the two must agree entry for entry.
+The package builds the same matrices column by column from sparse images
+(the lift of J by mask arithmetic, with no Clifford call); the two must agree
+entry for entry.  The structure check is compared the same way: the dense
+products J J and J^T P J against the package's sparse ones, on valid
+structures, perturbed ones and random sparse integer matrices.
 
 The torus-layer references sum the x^j-weighted pieces of the moment
 operator, the equivariant differential, the Hamiltonian residuals and the
@@ -21,7 +24,9 @@ import random
 
 import pytest
 
-from conftest import MODELS_DIR, random_form, random_q
+from conftest import (
+    MODELS_DIR, dense_mul, mat_scale, mat_sub, random_form, random_q,
+)
 from gcalg import linalg
 import gcalg.cartan
 from gcalg.cartan import (
@@ -41,7 +46,9 @@ from gcalg.forms import (
     Form, basis_masks, clifford, contract_vector, form_to_vec, vec_to_form, wedge,
 )
 from gcalg.gcmaps import (
+    GCMap,
     _annihilator_system,
+    _b_matrix,
     _pairing_matrix,
     annihilator,
     b_transform,
@@ -50,6 +57,7 @@ from gcalg.gcmaps import (
     lifted_action_matrix,
     pure_spinor,
     symplectic_map,
+    validate,
 )
 from gcalg.modelfile import parse_model
 from gcalg.models import Model, d, kodaira_thurston, torus
@@ -69,7 +77,7 @@ def ref_clifford_matrix(v, n):
 def ref_lifted_action_matrix(j):
     n = j.dim
     dim = 1 << n
-    coeff = linalg.mat_scale(linalg.mat_mul(j.matrix, _pairing_matrix(n)), Q(-1))
+    coeff = mat_scale(dense_mul(j.matrix, _pairing_matrix(n)), Q(-1))
     cliff = [
         ref_clifford_matrix([QONE if i == a else QZERO for i in range(2 * n)], n)
         for a in range(2 * n)
@@ -80,10 +88,11 @@ def ref_lifted_action_matrix(j):
             w = coeff[a][b]
             if w.is_zero():
                 continue
-            comm = linalg.mat_sub(
-                linalg.mat_mul(cliff[a], cliff[b]), linalg.mat_mul(cliff[b], cliff[a])
-            )
-            total = linalg.mat_add(total, linalg.mat_scale(comm, w))
+            comm = mat_sub(dense_mul(cliff[a], cliff[b]), dense_mul(cliff[b], cliff[a]))
+            for trow, crow in zip(total, comm):
+                for c, x in enumerate(crow):
+                    if not x.is_zero():
+                        trow[c] = trow[c] + w * x
     return total
 
 
@@ -119,10 +128,104 @@ def structures(rng, n):
     return base + sheared
 
 
-@pytest.mark.parametrize("n", [2, 4])
+def random_symplectic(rng, n):
+    """A random nondegenerate rational 2-form's structure."""
+    while True:
+        w = random_form(rng, n, degrees=[2], max_terms=n, complex_ok=False)
+        try:
+            return symplectic_map(w)
+        except ValueError:  # zero or degenerate
+            continue
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
 def test_lifted_action_matches_dense_commutators(rng, n):
-    for j in structures(rng, n):
+    b = random_form(rng, n, degrees=[2], max_terms=3, complex_ok=False)
+    js = structures(rng, n) + [b_transform(random_symplectic(rng, n), b)]
+    for j in js:
         assert lifted_action_matrix(j) == ref_lifted_action_matrix(j)
+
+
+def test_lifted_action_calls_no_clifford(monkeypatch):
+    import gcalg.forms
+    import gcalg.gcmaps
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return clifford(*args)
+
+    monkeypatch.setattr(gcalg.forms, "clifford", counted)
+    monkeypatch.setattr(gcalg.gcmaps, "clifford", counted)
+    for j in structures(random.Random(3), 4):
+        lifted_action_matrix(j)
+    assert calls[0] == 0
+    pure_spinor(i_eigenspace(complex_structure(2)))  # the counter does count
+    assert calls[0] > 0
+
+
+# -- the structure checks ------------------------------------------------------
+
+
+def ref_validate(j):
+    """The dense check: J^2 against -1 and J^T P J against P."""
+    failures = []
+    n2 = 2 * j.dim
+    minus_one = [[Q(-1) if r == c else QZERO for c in range(n2)] for r in range(n2)]
+    if dense_mul(j.matrix, j.matrix) != minus_one:
+        failures.append("J^2 != -1")
+    p = _pairing_matrix(j.dim)
+    if dense_mul(linalg.transpose(j.matrix), dense_mul(p, j.matrix)) != p:
+        failures.append("J does not preserve the canonical pairing")
+    return not failures, tuple(failures)
+
+
+def validation_cases(rng, n):
+    """Valid structures; 1-2 entries of them moved by a rational; conjugates
+    A J A^-1 by an integer shear A (J^2 = -1 kept, the pairing broken);
+    the B-field shears e^B themselves (orthogonal, J^2 != -1); random
+    sparse integer matrices."""
+    n2 = 2 * n
+    valid = [j.matrix for j in structures(rng, n)] + [random_symplectic(rng, n).matrix]
+    out = list(valid)
+    for m in valid:
+        for count in (1, 2, 1, 2):
+            moved = [list(row) for row in m]
+            for _ in range(count):
+                r, c = rng.randrange(n2), rng.randrange(n2)
+                moved[r][c] = moved[r][c] + random_q(rng, complex_ok=False)
+            out.append(moved)
+        p, q = rng.sample(range(n2), 2)
+        c = Q(rng.choice([-2, -1, 1, 2]))
+        a = [[QONE if r == s else c if (r, s) == (p, q) else QZERO for s in range(n2)]
+             for r in range(n2)]
+        a_inv = [[-x if (r, s) == (p, q) else x for s, x in enumerate(row)]
+                 for r, row in enumerate(a)]
+        out.append(dense_mul(a, dense_mul(m, a_inv)))
+        bm = _b_matrix(random_form(rng, n, degrees=[2], max_terms=3, complex_ok=False))
+        out.append([[QONE if r == s else bm[r - n][s] if r >= n > s else QZERO
+                     for s in range(n2)] for r in range(n2)])
+    for _ in range(10):
+        out.append([[Q(rng.choice([-2, -1, 1, 2])) if rng.random() < 0.2 else QZERO
+                     for _ in range(n2)] for _ in range(n2)])
+    return [GCMap(n, m) for m in out]
+
+
+def test_validate_matches_dense_products():
+    rng = random.Random(8)
+    outcomes = set()
+    for n in (2, 4, 6):
+        for j in validation_cases(rng, n):
+            report = validate(j)
+            assert (report.ok, report.failures) == ref_validate(j)
+            outcomes.add(report.failures)
+    assert outcomes == {
+        (),
+        ("J^2 != -1",),
+        ("J does not preserve the canonical pairing",),
+        ("J^2 != -1", "J does not preserve the canonical pairing"),
+    }
 
 
 @pytest.mark.parametrize("n", [2, 4])
