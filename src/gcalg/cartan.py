@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -409,9 +410,16 @@ class EquivariantRanks:
         return even, odd
 
 
+MAX_COLUMNS = 4096  # most (x-monomial, mask) pairs a truncated complex may span
+
+
 def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> EquivariantRanks:
     """Exact graded ranks of the truncated twisted equivariant complex."""
     model = act.model
+    columns = comb(trunc + act.k, act.k) << model.n
+    if columns > MAX_COLUMNS:
+        raise ValueError("truncated complex has %d (x-monomial, mask) columns, beyond %d"
+                         % (columns, MAX_COLUMNS))
     res = d_equivariant(act, h_g)
     if not res.is_zero():
         raise ValueError("twisting form is not equivariantly closed: %s" % res)

@@ -1,22 +1,27 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are dense lists of Q rows at the interfaces.  Inside, the kernels
-work on sparse rows {col: Q} with no stored zeros: `rref` eliminates on
-sparse copies with exact division in the Gaussian-rational field, and
-`sparse_mul` is the one matrix product (`mat_mul` is its dense wrapper).
-Every rank question reads its answer off one RREF, which is unique, so
-results are exact.
+Matrices are dense lists of Q rows at the interfaces; `sparse_mul` and
+`sparse_comb` take and give sparse rows {col: Q} with no stored zeros.
+Inside `rref`, `sparse_mul` and `sparse_comb` each stored entry is a reduced
+Gaussian-integer triple (a, b, d), the value (a + b*i)/d with d > 0 and
+gcd(a, b, d) = 1, so zero is `not a and not b`: the loops run on int
+arithmetic and only the stored results go back to Q.  `sparse_mul` is the
+one matrix product (`mat_mul` is its dense wrapper).  Every rank question
+reads its answer off one RREF, which is unique, so results are exact.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from fractions import Fraction
+from math import gcd
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .scalars import Q, QONE, QZERO
 
 Vec = List[Q]
 Mat = List[List[Q]]
 Rows = List[Dict[int, Q]]  # sparse rows {col: Q}, no stored zeros
+Triple = Tuple[int, int, int]  # (a + b*i)/d, d > 0, gcd(a, b, d) = 1
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -28,7 +33,9 @@ def identity(n: int) -> Mat:
 
 
 def to_sparse(mat: Mat) -> Rows:
-    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in mat]
+    # the identity test skips the shared QZERO of `zeros` without a Fraction call
+    return [{c: x for c, x in enumerate(row) if x is not QZERO and not x.is_zero()}
+            for row in mat]
 
 
 def to_dense(rows: Rows, ncols: int) -> Mat:
@@ -39,26 +46,75 @@ def to_dense(rows: Rows, ncols: int) -> Mat:
     return out
 
 
+def _triple(x: Q) -> Triple:
+    re, im = x.re, x.im
+    dr, di = re.denominator, im.denominator
+    d = dr if dr == di else dr * di // gcd(dr, di)
+    return re.numerator * (d // dr), im.numerator * (d // di), d
+
+
+def _q(t: Triple) -> Q:
+    a, b, d = t
+    return Q(a, b) if d == 1 else Q(Fraction(a, d), Fraction(b, d))
+
+
+def _triples(rows) -> List[Dict[int, Triple]]:
+    return [{c: _triple(x) for c, x in row.items()} for row in rows]
+
+
+def _add_mul(x: Optional[Triple], f: Triple, y: Triple) -> Triple:
+    """x + f*y, reduced; x is None for zero, and zero comes back (0, 0, 1)."""
+    fa, fb, fd = f
+    ya, yb, yd = y
+    if fb or yb:
+        a, b = fa * ya - fb * yb, fa * yb + fb * ya
+    else:  # both real
+        a, b = fa * ya, 0
+    d = fd * yd
+    if x is not None:
+        xa, xb, xd = x
+        if xd == d:
+            a, b = a + xa, b + xb
+        else:
+            a, b, d = a * xd + xa * d, b * xd + xb * d, d * xd
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def _inverse(t: Triple) -> Triple:
+    """1/t = d (a - b*i) / (a^2 + b^2), reduced."""
+    a, b, d = t
+    a, b, n = d * a, -d * b, a * a + b * b
+    g = gcd(a, b, n)
+    return a // g, b // g, n // g
+
+
+def _to_rows(acc: List[Dict[int, Triple]]) -> Rows:
+    return [{j: _q(t) for j, t in row.items() if t[0] or t[1]} for row in acc]
+
+
 def sparse_mul(a: Rows, b: Rows) -> Rows:
     """Product of sparse rows: row i of a times b, over stored entries only."""
+    a, b = _triples(a), _triples(b)
     out = []
     for row in a:
         acc = {}
         for k, x in row.items():
             for j, y in b[k].items():
-                acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append({j: v for j, v in acc.items() if not v.is_zero()})
-    return out
+                acc[j] = _add_mul(acc.get(j), x, y)
+        out.append(acc)
+    return _to_rows(out)
 
 
 def sparse_comb(*terms) -> Rows:
     """Sum of c * m over (c, m) pairs of sparse matrices of one shape."""
     out = [{} for _ in terms[0][1]]
     for c, m in terms:
-        for acc, row in zip(out, m):
+        c = _triple(c)
+        for acc, row in zip(out, _triples(m)):
             for j, x in row.items():
-                acc[j] = acc[j] + c * x if j in acc else c * x
-    return [{j: v for j, v in acc.items() if not v.is_zero()} for acc in out]
+                acc[j] = _add_mul(acc.get(j), c, x)
+    return _to_rows(out)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -85,15 +141,15 @@ def transpose(a: Mat) -> Mat:
 def rref(rows: Mat):
     """Reduced row echelon form; returns (new rows, pivot column list).
 
-    Gauss-Jordan on sparse rows {col: Q} with a column -> rows index, so an
-    update touches stored entries only.  The pivot is the candidate row with
-    the fewest nonzeros (ties: lowest index); the RREF is unique, so that
+    Gauss-Jordan on sparse rows {col: Triple} with a column -> rows index, so
+    an update touches stored entries only.  The pivot is the candidate row
+    with the fewest nonzeros (ties: lowest index); the RREF is unique, so that
     rule moves only the fill-in.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    sparse = to_sparse(rows)
+    sparse = _triples(to_sparse(rows))
     holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
     for i, row in enumerate(sparse):
         for c in row:
@@ -107,16 +163,17 @@ def rref(rows: Mat):
         p = min(cands, key=lambda i: (len(sparse[i]), i))
         free.discard(p)
         prow = sparse[p]
-        inv = QONE / prow[c]
-        for col in prow:
-            prow[col] = prow[col] * inv
+        inv = _inverse(prow[c])
+        for col, y in prow.items():
+            prow[col] = _add_mul(None, inv, y)
         for i in holders[c] - {p}:
             row = sparse[i]
-            f = row[c]
+            fa, fb, fd = row[c]
+            f = (-fa, -fb, fd)
             for col, y in prow.items():
                 x = row.get(col)
-                v = -(f * y) if x is None else x - f * y
-                if not v.is_zero():
+                v = _add_mul(x, f, y)
+                if v[0] or v[1]:
                     row[col] = v
                     holders[col].add(i)
                 elif x is not None:
@@ -124,7 +181,7 @@ def rref(rows: Mat):
                     holders[col].discard(i)
         pivots.append(c)
         order.append(p)
-    pivot_rows = [sparse[p] for p in order]
+    pivot_rows = _to_rows(sparse[p] for p in order)
     return to_dense(pivot_rows + [{}] * (len(rows) - len(order)), ncols), pivots
 
 

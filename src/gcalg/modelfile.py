@@ -28,6 +28,7 @@ MAX_EXPONENT = 32  # largest |k| of an integer exponent literal
 MAX_DEGREE = 32  # largest parameter degree a product, power or exp may build
 MAX_MONOMIALS = 1000  # most monomials one coefficient of a product, power or exp may hold
 MAX_FILE_PRODUCTS = 20000  # most term products (that bound x the power) one file may spend
+MAX_GENERATORS = 8  # most generators a model may declare: every space has dimension 2^n
 
 
 class ParseError(Exception):
@@ -529,6 +530,8 @@ def parse_model(text: str) -> ModelFile:
                     fail("generator names must be identifiers", lineno, t.col)
                 if t.text in gen_names:
                     fail("repeated generator %r" % t.text, lineno, t.col)
+                if len(gen_names) == MAX_GENERATORS:
+                    fail("more than %d generators" % MAX_GENERATORS, lineno, t.col)
                 gen_names.append(t.text)
         elif key == "params":
             for t in toks[1:]:

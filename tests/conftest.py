@@ -26,6 +26,23 @@ def random_q(rng, span=4, complex_ok=True):
     return Q(re, im)
 
 
+def wide_q(rng, kind=None):
+    """A Gaussian rational with denominators up to 10^6, each part drawn on
+    its own: kind "real", "imag" or "both" (default: any of them)."""
+    kind = kind or rng.choice(["real", "imag", "both"])
+
+    def part():
+        den = rng.choice([1, 2, 3, 6, 7, 10 ** 6, 999983, rng.randint(1, 10 ** 6)])
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 3), den)
+
+    return Q(part() if kind != "imag" else 0, part() if kind != "real" else 0)
+
+
+def gaussian_matrix(rng, rows, cols, density, kind=None):
+    return [[wide_q(rng, kind) if rng.random() < density else Q(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
 def random_form(rng, n, degrees=None, max_terms=4, complex_ok=True):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):

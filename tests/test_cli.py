@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -103,6 +104,33 @@ def test_equivariant_golden(capsys):
     assert payload["by_degree"] == [[3, 3], [0, 0], [3, 3]]
     assert payload["totals_stable"] == [3, 3]
     assert payload["free_pattern"] is False
+
+
+def test_equivariant_refuses_a_complex_past_the_column_budget(capsys, monkeypatch):
+    from gcalg import cartan
+
+    model = str(MODELS_DIR / "t4_twisted_circle.model")
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, "equivariant", model, "--trunc", "1000")
+    assert code == 1 and time.perf_counter() - start < 1.0
+    # 1001 x-monomials times 2^4 masks
+    assert payload == {"error": "truncated complex has 16016 (x-monomial, mask) columns,"
+                                " beyond 4096", "kind": "domain"}
+    # the budget is checked before any matrix is built, and the limit itself passes
+    built = [0]
+    original = cartan.linalg.operator_matrix
+
+    def counted(*args):
+        built[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cartan.linalg, "operator_matrix", counted)
+    monkeypatch.setattr(cartan, "MAX_COLUMNS", 3 * 16)
+    code, payload = run_cli(capsys, "equivariant", model, "--trunc", "3")
+    assert (code, payload["error"], built[0]) == (
+        1, "truncated complex has 64 (x-monomial, mask) columns, beyond 48", 0)
+    code, payload = run_cli(capsys, "equivariant", model, "--trunc", "2")
+    assert (code, payload["by_degree"]) == (0, [[3, 3], [0, 0], [3, 3]]) and built[0] > 0
 
 
 def test_ddbar_golden(capsys):

@@ -5,14 +5,20 @@ step of the x-degree filtration, lifted to full coordinates and stacked on
 the image for a rank; ddbar intersections of re-canonicalised spans; and
 subcomplex coordinates from one solve per basis vector.  The package reads
 the same answers off one RREF per matrix; the two must agree exactly.  That
-RREF itself is checked against the dense elimination it replaced.
+RREF itself is checked against the dense elimination it replaced, also on
+Gaussian matrices with denominators up to 10^6, and its int-triple loop
+against any use of Q arithmetic.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import MODELS_DIR, dense_mul, mat_add, mat_scale, mat_sub, random_q
+from conftest import (
+    MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_q, wide_q,
+)
 from gcalg import linalg
 from gcalg.cartan import (
     EqForm,
@@ -624,6 +630,86 @@ def test_rref_edge_shapes():
         assert len(m) == len(mat) and all(len(r) == len(mat[0]) for r in m)
 
 
+# Gaussian matrices with denominators up to 10^6: real, pure-imaginary or
+# mixed entries, and rows that are Gaussian combinations of two others, so
+# that elimination cancels stored entries to exact zeros.
+
+
+def add_dependent_rows(rng, mat, count):
+    for _ in range(count):
+        a, b = rng.sample(range(len(mat)), 2)
+        c1, c2 = wide_q(rng), wide_q(rng)
+        mat.append([c1 * x + c2 * y for x, y in zip(mat[a], mat[b])])
+
+
+def test_triples_are_reduced_and_round_trip(monkeypatch):
+    rng = random.Random("triples")
+    for x in [wide_q(rng) for _ in range(200)] + [QZERO, QONE, Q(0, -1), Q(Fraction(1, 6), 3)]:
+        a, b, d = linalg._triple(x)
+        assert d > 0 and gcd(a, b, d) == 1 and linalg._q((a, b, d)) == x
+    # every entry rref, sparse_mul and sparse_comb store is a reduced triple
+    stored = []
+    original = linalg._q
+
+    def record(t):
+        stored.append(t)
+        return original(t)
+
+    monkeypatch.setattr(linalg, "_q", record)
+    for _ in range(10):
+        mat = gaussian_matrix(rng, 5, 6, 0.7)
+        add_dependent_rows(rng, mat, 2)
+        rows = linalg.to_sparse(mat)
+        linalg.rref(mat)
+        linalg.sparse_mul(rows, linalg.to_sparse(linalg.transpose(mat)))
+        linalg.sparse_comb((wide_q(rng), rows), (wide_q(rng), rows))
+    assert len(stored) > 500
+    assert all(d > 0 and gcd(a, b, d) == 1 for a, b, d in stored)
+
+
+@pytest.mark.parametrize("kind", ["real", "imag", "both", None])
+def test_rref_matches_dense_on_wide_gaussian_matrices(kind):
+    rng = random.Random("rref-wide-%s" % kind)
+    for _ in range(12):
+        rows, cols = rng.randint(2, 7), rng.randint(1, 9)
+        mat = gaussian_matrix(rng, rows, cols, rng.choice([0.3, 0.7, 1.0]), kind)
+        add_dependent_rows(rng, mat, rng.randint(1, 3))
+        rng.shuffle(mat)
+        m, pivots = assert_same_rref(mat)
+        assert len(pivots) <= rows  # the combinations add no rank
+
+
+def test_rref_on_pure_imaginary_pivots():
+    # upper triangular with a pure-imaginary diagonal: in column c only row c
+    # is a candidate, so every pivot is pure imaginary
+    rng = random.Random("rref-imaginary")
+    for size in (1, 2, 5, 9):
+        mat = [[wide_q(rng, "imag") if r == c else
+                wide_q(rng) if c > r and rng.random() < 0.6 else QZERO
+                for c in range(size)] for r in range(size)]
+        m, pivots = assert_same_rref(mat)
+        assert pivots == list(range(size)) and m == linalg.identity(size)
+
+
+def test_rref_runs_no_q_arithmetic(monkeypatch):
+    # a dense 16x16 Gaussian matrix: the loop runs on int triples, so no Q
+    # operation is called between the conversions in and out
+    rng = random.Random("rref-no-q")
+    mat = [[random_q(rng) for _ in range(16)] for _ in range(16)]
+    want = ref_rref(mat)
+    calls = {name: 0 for name in ("__mul__", "__add__", "__sub__", "__truediv__")}
+    for name in calls:
+        def counted(a, b, _name=name, _original=getattr(Q, name)):
+            calls[_name] += 1
+            return _original(a, b)
+        monkeypatch.setattr(Q, name, counted)
+    got = linalg.rref(mat)
+    QONE * QONE  # the counters do count
+    monkeypatch.undo()
+    assert calls == {"__mul__": 1, "__add__": 0, "__sub__": 0, "__truediv__": 0}
+    assert got == want and len(got[1]) == 16
+
+
 def _captured_rref_inputs(monkeypatch, fn, *args):
     seen = []
     original = linalg.rref
@@ -701,13 +787,13 @@ def test_rref_pivots_on_the_sparsest_candidate_row(monkeypatch):
         [Q(1) if c in (0, i) else QZERO for c in range(size)] for i in range(1, size)
     ]
     muls = [0]
-    original = Q.__mul__
+    original = linalg._add_mul  # one multiplication of stored entries per call
 
-    def counted(a, b):
+    def counted(*args):
         muls[0] += 1
-        return original(a, b)
+        return original(*args)
 
-    monkeypatch.setattr(Q, "__mul__", counted)
+    monkeypatch.setattr(linalg, "_add_mul", counted)
     m, pivots = linalg.rref(arrow)
     monkeypatch.undo()
     assert (m, pivots) == ref_rref(arrow)

@@ -8,6 +8,7 @@ from gcalg.cartan import EqForm
 from gcalg.cli import main
 from gcalg.forms import Form, exp_two_form, wedge
 from gcalg.modelfile import (
+    MAX_GENERATORS,
     ModelFileError,
     ParseError,
     parse_form_text,
@@ -230,6 +231,28 @@ def test_hostile_input_is_a_quick_located_parse_error(tmp_path, capsys, body, co
     assert code == 2 and payload["kind"] == "parse"
     assert payload["error"] == "line 4, col %d: %s" % (col, reason)
     assert seconds < 1.0
+
+
+def _names(first, last):
+    return " ".join("e%d" % i for i in range(first, last + 1))
+
+
+def test_generator_count_limit_is_a_quick_located_parse_error(tmp_path, capsys):
+    assert MAX_GENERATORS == 8
+    path = tmp_path / "wide.model"
+    path.write_text("model wide\ngenerators %s\n" % _names(1, 14))
+    start = time.perf_counter()
+    code = main(["cohomology", str(path)])
+    seconds = time.perf_counter() - start
+    assert code == 2 and seconds < 1.0
+    # the first name past the limit, e9, starts at col 36
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "line 2, col 36: more than 8 generators", "kind": "parse"}
+    # the count runs over every generators line of the file
+    with pytest.raises(ParseError) as err:
+        parse_model("model wide\ngenerators %s\ngenerators e7 e8 e9\n" % _names(1, 6))
+    assert (err.value.line, err.value.col, err.value.reason) == (3, 18, "more than 8 generators")
+    assert parse_model("model wide\ngenerators %s\n" % _names(1, 8)).model.n == 8
 
 
 def test_input_limits_count_every_kind_of_nesting():

@@ -6,7 +6,9 @@ The package builds the same matrices column by column from sparse images
 (the lift of J by mask arithmetic, with no Clifford call); the two must agree
 entry for entry.  The structure check is compared the same way: the dense
 products J J and J^T P J against the package's sparse ones, on valid
-structures, perturbed ones and random sparse integer matrices.
+structures, perturbed ones and random sparse integer matrices.  The sparse
+product and linear combination are checked against the dense product and
+sum on Gaussian matrices with large denominators.
 
 The torus-layer references sum the x^j-weighted pieces of the moment
 operator, the equivariant differential, the Hamiltonian residuals and the
@@ -25,7 +27,8 @@ import random
 import pytest
 
 from conftest import (
-    MODELS_DIR, dense_mul, mat_scale, mat_sub, random_form, random_q,
+    MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_form, random_q,
+    wide_q,
 )
 from gcalg import linalg
 import gcalg.cartan
@@ -163,6 +166,42 @@ def test_lifted_action_calls_no_clifford(monkeypatch):
     assert calls[0] == 0
     pure_spinor(i_eigenspace(complex_structure(2)))  # the counter does count
     assert calls[0] > 0
+
+
+# -- the sparse products ---------------------------------------------------------
+# sparse_mul and sparse_comb against the dense product and sum, on Gaussian
+# matrices with denominators up to 10^6, where a column of the right factor
+# in the left factor's kernel and a term taken back out cancel exactly.
+
+
+def _stores_no_zeros(rows):
+    return all(not x.is_zero() for row in rows for x in row.values())
+
+
+@pytest.mark.parametrize("kind", ["real", "imag", "both", None])
+def test_sparse_products_match_dense_products(kind):
+    rng = random.Random("sparse-products-%s" % kind)
+    cancelled = 0
+    for _ in range(15):
+        r, k, c = rng.randint(1, 5), rng.randint(2, 6), rng.randint(1, 6)
+        density = rng.choice([0.3, 0.7, 1.0])
+        a = gaussian_matrix(rng, r, k, density, kind)
+        b = gaussian_matrix(rng, k, c, density, kind)
+        kernel = linalg.kernel_basis(a, ncols=k)
+        if kernel:  # a times this column of b is zero
+            for row, x in zip(b, kernel[0]):
+                row[0] = x
+            cancelled += 1
+        got = linalg.sparse_mul(linalg.to_sparse(a), linalg.to_sparse(b))
+        assert linalg.to_dense(got, c) == dense_mul(a, b) and _stores_no_zeros(got)
+
+        a2 = gaussian_matrix(rng, r, k, density, kind)
+        c1, c2 = wide_q(rng), wide_q(rng, kind)
+        got = linalg.sparse_comb((c1, linalg.to_sparse(a)), (c2, linalg.to_sparse(a2)),
+                                 (-c1, linalg.to_sparse(a)))
+        want = mat_add(mat_add(mat_scale(a, c1), mat_scale(a2, c2)), mat_scale(a, -c1))
+        assert linalg.to_dense(got, k) == want and _stores_no_zeros(got)
+    assert cancelled >= 5
 
 
 # -- the structure checks ------------------------------------------------------

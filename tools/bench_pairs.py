@@ -11,7 +11,8 @@ keeps the `meta` and `metrics` objects of its
 `.perfbench_runs/<W>-seed<S>-trace0.json`, without the per-query lists.  The
 summary gives, per workload and end-to-end metric of BENCHMARK.json, the
 median and quartiles of each side and the number of pairs in which the
-change was better.  Standard library only.
+change was better, and per workload each side's `meta.rounds`, per run and
+as a median.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,7 +50,12 @@ def quartiles(values) -> dict:
 def summarize(runs, spec, workloads) -> dict:
     out = {}
     for w in workloads:
-        out[w] = {}
+        # a run's peak RSS grows with its round count, so each side's rounds
+        # sit beside the metrics they explain
+        out[w] = {"rounds": {}}
+        for s in ("parent", "change"):
+            rounds = [r["meta"]["rounds"] for r in runs if r["workload"] == w and r["side"] == s]
+            out[w]["rounds"][s] = {"median": statistics.median(rounds), "runs": rounds}
         for metric in spec["end_to_end"]:
             name = metric["name"]
 
