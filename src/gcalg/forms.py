@@ -3,6 +3,10 @@
 A Form maps index subsets (stored as bitmasks, bit i-1 for generator e_i) to
 Scalar coefficients.  All operations are pure; values are immutable after
 construction and safe to share.
+
+The Clifford action of V + V* has one generator, `_unit_clifford`, which
+`contract`, `contract_vector` and `clifford` sum over a form's terms; the
+pairing (eta(X) + xi(Y))/2 swaps the halves of V + V*.
 """
 
 from __future__ import annotations
@@ -254,30 +258,44 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.n, terms)
 
 
+def _unit_clifford(a: int, n: int, mask: int):
+    """(sign, mask) of c_a e_mask, or None when it vanishes: c_a is the
+    contraction by e_{a+1} for a < n and the wedge with e^{a-n+1} for a >= n;
+    the sign is -1 to the number of set bits of mask below that generator."""
+    bit = 1 << (a % n)
+    if bool(mask & bit) != (a < n):
+        return None
+    return (-1) ** (mask & (bit - 1)).bit_count(), mask ^ bit
+
+
+def _clifford_sum(v: Sequence, a: Form, first: int = 0) -> Form:
+    """Sum of v[k] * c_(first+k) a over nonzero v[k]; contractions and wedges
+    are summed apart (a Scalar sum's pi-power check depends on grouping)."""
+    halves = ({}, {})
+    for k, x in enumerate(map(scalar, v), start=first):
+        if x.is_zero():
+            continue
+        terms = halves[k >= a.n]
+        for m, c in a.terms.items():
+            hit = _unit_clifford(k, a.n, m)
+            if hit:
+                y = x * c
+                terms[hit[1]] = terms.get(hit[1], ZERO) + (y if hit[0] > 0 else -y)
+    return Form(a.n, halves[0]) + Form(a.n, halves[1])
+
+
 def contract(i: int, a: Form) -> Form:
     """Interior product with the i-th frame vector; graded derivation of degree -1."""
     if not 1 <= i <= a.n:
         raise ValueError("contraction index %d out of range 1..%d" % (i, a.n))
-    bit = 1 << (i - 1)
-    terms: dict = {}
-    for m, c in a.terms.items():
-        if not m & bit:
-            continue
-        below = (m & (bit - 1)).bit_count()
-        terms[m ^ bit] = c if below % 2 == 0 else -c
-    return Form(a.n, terms)
+    return _clifford_sum([ONE], a, i - 1)
 
 
 def contract_vector(coords: Sequence[Scalar], a: Form) -> Form:
     """Interior product with sum(coords[i] * frame vector i+1)."""
     if len(coords) != a.n:
         raise ValueError("vector length %d does not match %d generators" % (len(coords), a.n))
-    out = Form.zero(a.n)
-    for i, c in enumerate(coords, start=1):
-        c = scalar(c)
-        if not c.is_zero():
-            out = out + contract(i, a).scale(c)
-    return out
+    return _clifford_sum(coords, a)
 
 
 def reversal(a: Form) -> Form:
@@ -329,9 +347,7 @@ def clifford(v: Sequence, a: Form) -> Form:
         raise ValueError(
             "vector length %d does not match V+V* dimension %d" % (len(v), 2 * a.n)
         )
-    coords = [scalar(c) for c in v]
-    xi = Form(a.n, {1 << i: coords[a.n + i] for i in range(a.n)})
-    return contract_vector(coords[: a.n], a) + wedge(xi, a)
+    return _clifford_sum(v, a)
 
 
 def canonical_pairing(v: Sequence, w: Sequence, n: int) -> Scalar:

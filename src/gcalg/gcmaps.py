@@ -5,6 +5,10 @@ then the dual frame) with J^2 = -1 that preserves the split-signature
 pairing.  Everything downstream -- eigenspaces, pure spinors, the spectral
 decomposition of the induced action on forms -- is exact linear algebra over
 Gaussian rationals.
+
+The pairing P is the half swap (2P swaps the halves of V + V*), so a product
+with P is a row swap.  The Clifford action is the one generator
+`forms._unit_clifford`, summed by `clifford` or applied by the lift directly.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import List, Sequence, Tuple
 from . import linalg
 from .forms import (
     Form,
+    _unit_clifford,
     basis_masks,
     clifford,
     contract,
@@ -24,15 +29,6 @@ from .forms import (
     vec_to_form,
 )
 from .scalars import ONE, Q, QI, QONE, QZERO, Scalar, ZERO
-
-
-def _pairing_matrix(dim: int) -> linalg.Mat:
-    half = Q(1, 0) / Q(2)
-    p = linalg.zeros(2 * dim, 2 * dim)
-    for i in range(dim):
-        p[i][dim + i] = half
-        p[dim + i][i] = half
-    return p
 
 
 class GCMap:
@@ -85,16 +81,10 @@ class IsotropicSubspace:
         rows = [list(v) for v in self.basis]
         if rows and linalg.rank(rows) != len(rows):
             raise ValueError("basis vectors are linearly dependent")
-        p = _pairing_matrix(self.dim_v)
-        for a in rows:
-            for b in rows:
-                val = linalg.sum_q(
-                    a[i] * p[i][j] * b[j]
-                    for i in range(2 * self.dim_v)
-                    for j in range(2 * self.dim_v)
-                    if not p[i][j].is_zero()
-                )
-                if not val.is_zero():
+        n = self.dim_v
+        for x, a in enumerate(rows):
+            for b in rows[x:]:
+                if not linalg.sum_q(a[i] * b[n + i] + a[n + i] * b[i] for i in range(n)).is_zero():
                     raise ValueError("subspace is not isotropic")
 
     @property
@@ -149,26 +139,20 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
             "i-eigenspace has dimension %d, expected %d" % (len(basis), j.dim)
         )
     space = IsotropicSubspace(j.dim, tuple(tuple(v) for v in basis))
-    stacked = [list(v) for v in space.basis] + [list(v) for v in space.conjugate_basis()]
-    if linalg.rank(stacked) != n2:
+    if not _transverse(space):
         raise ValueError("eigenspace meets its conjugate; structure is not valid")
     return space
+
+
+def _transverse(space: IsotropicSubspace) -> bool:
+    """Whether a nonzero space meets its conjugate only in 0."""
+    rows = [list(v) for v in space.basis + space.conjugate_basis()]
+    return bool(rows) and linalg.rank(rows) == len(rows)
 
 
 def type_of(j: GCMap) -> int:
     """Corank of the projection of the i-eigenspace to the complexified V."""
     return i_eigenspace(j).type
-
-
-def _unit_vectors(size: int) -> List[List[Scalar]]:
-    return [[ONE if i == k else ZERO for i in range(size)] for k in range(size)]
-
-
-def _clifford_matrix(v: Sequence[Q], n: int, masks: Sequence[int]) -> linalg.Mat:
-    coords = [Scalar.from_q(x) for x in v]
-    return linalg.operator_matrix(
-        lambda m: clifford(coords, Form(n, {m: ONE})).terms, masks, masks
-    )
 
 
 def pure_spinor(space: IsotropicSubspace) -> Form:
@@ -186,7 +170,9 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
     masks = basis_masks(n)
     rows: linalg.Mat = []
     for v in space.basis:
-        rows.extend(_clifford_matrix(v, n, masks))
+        coords = [Scalar.from_q(x) for x in v]
+        rows.extend(linalg.operator_matrix(
+            lambda m: clifford(coords, Form(n, {m: ONE})).terms, masks, masks))
     kernel = linalg.kernel_basis(rows, ncols=len(masks))
     if len(kernel) != 1:
         raise ValueError(
@@ -216,25 +202,20 @@ def annihilator(phi: Form) -> AnnihilatorReport:
     basis = linalg.kernel_basis(_annihilator_system(phi), ncols=2 * n)
     space = IsotropicSubspace(n, tuple(tuple(v) for v in basis))
     pairing = mukai(phi, phi.conjugate())
-    transverse = False
-    if basis:
-        stacked = [list(v) for v in space.basis] + [
-            list(v) for v in space.conjugate_basis()
-        ]
-        transverse = linalg.rank(stacked) == 2 * len(basis)
     return AnnihilatorReport(
         space=space,
         maximal_isotropic=space.dimension == n,
         nondegenerate=not pairing.is_zero(),
-        transverse=transverse,
+        transverse=_transverse(space),
     )
 
 
 def _annihilator_system(phi: Form) -> linalg.Mat:
     """Column k: the Clifford action of the k-th unit vector of V + V* on phi."""
-    units = _unit_vectors(2 * phi.n)
+    size = 2 * phi.n
     return linalg.operator_matrix(
-        lambda k: clifford(units[k], phi).terms, range(2 * phi.n), basis_masks(phi.n)
+        lambda k: clifford([ONE if i == k else ZERO for i in range(size)], phi).terms,
+        range(size), basis_masks(phi.n),
     )
 
 
@@ -333,16 +314,6 @@ class UGrading:
             if not part.is_zero():
                 out[k] = part
         return out
-
-
-def _unit_clifford(a: int, n: int, mask: int):
-    """(sign, mask) of c_a e_mask, or None when it vanishes: contraction by
-    e_{a+1} for a < n, wedge with e^{a-n+1} for a >= n; the sign is -1 to the
-    number of set bits of mask below that generator."""
-    bit = 1 << (a % n)
-    if bool(mask & bit) != (a < n):
-        return None
-    return (-1) ** (mask & (bit - 1)).bit_count(), mask ^ bit
 
 
 def lifted_action_matrix(j: GCMap) -> linalg.Mat:
@@ -446,8 +417,9 @@ def kahler_check(j1: GCMap, j2: GCMap) -> KahlerReport:
     b = linalg.mat_mul(j2.matrix, j1.matrix)
     if a != b:
         return KahlerReport(False, False, False, "structures do not commute")
-    p = _pairing_matrix(j1.dim)
-    g = [[-x for x in row] for row in linalg.mat_mul(p, a)]
+    # -P J1J2: the rows of J1J2, halves swapped, times -1/2
+    n2, minus_half = 2 * j1.dim, -QONE / Q(2)
+    g = [[minus_half * x for x in a[(r + j1.dim) % n2]] for r in range(n2)]
     for size, d in enumerate(linalg.leading_minors(g), start=1):
         if not (d.is_real() and d.re > 0):
             return KahlerReport(

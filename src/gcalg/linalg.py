@@ -124,7 +124,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum_q(x * y for x, y in zip(row, v)) for row in a]
+    """a @ v over the nonzero entries of v."""
+    nonzero = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
+    return [sum_q(row[j] * y for j, y in nonzero) for row in a]
 
 
 def sum_q(items) -> Q:

@@ -7,8 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gcalg.forms import Form
-from gcalg.scalars import Q, Scalar
+from gcalg.forms import Form, wedge
+from gcalg.scalars import Q, Scalar, scalar
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -87,3 +87,42 @@ def mat_sub(a, b):
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
+
+
+# the Clifford action and the pairing as first written: a contraction with
+# its own sign loop, contract_vector as a sum of contractions, clifford as
+# contract_vector plus a wedge with the built 1-form, and the pairing as a
+# dense matrix; the package sums one generator and swaps halves instead
+def ref_contract(i, a):
+    bit = 1 << (i - 1)
+    terms = {}
+    for m, c in a.terms.items():
+        if not m & bit:
+            continue
+        below = (m & (bit - 1)).bit_count()
+        terms[m ^ bit] = c if below % 2 == 0 else -c
+    return Form(a.n, terms)
+
+
+def ref_contract_vector(coords, a):
+    out = Form.zero(a.n)
+    for i, c in enumerate(coords, start=1):
+        c = scalar(c)
+        if not c.is_zero():
+            out = out + ref_contract(i, a).scale(c)
+    return out
+
+
+def ref_clifford(v, a):
+    coords = [scalar(c) for c in v]
+    xi = Form(a.n, {1 << i: coords[a.n + i] for i in range(a.n)})
+    return ref_contract_vector(coords[: a.n], a) + wedge(xi, a)
+
+
+def ref_pairing_matrix(dim):
+    half = Q(1, 0) / Q(2)
+    p = [[Q(0)] * (2 * dim) for _ in range(2 * dim)]
+    for i in range(dim):
+        p[i][dim + i] = half
+        p[dim + i][i] = half
+    return p

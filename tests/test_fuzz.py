@@ -1,8 +1,11 @@
-"""Fuzz the command line with hostile model files.
+"""Fuzz the command line with hostile model files and input budgets.
 
 Random token streams and shipped models with tokens deleted, duplicated or
 swapped must end with exit 0, 1 or 2 and exactly one JSON object on stdout;
-no exception may escape `main`.
+no exception may escape `main`.  Generator counts 0..12 and truncations
+around the column budget must be answered or refused by the stated limits:
+more than 8 generators is a parse error, and a truncated complex past 4096
+(x-monomial, mask) columns is a domain error naming its column count.
 """
 
 import contextlib
@@ -77,16 +80,51 @@ def model_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.model"
 
 
-@settings(max_examples=150, deadline=2000, derandomize=True)
-@given(text=st.one_of(random_streams, mutated_models()))
-def test_cli_survives_hostile_model_files(model_path, text):
-    model_path.write_text(text)
+def run_main(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["validate", str(model_path)])
+        code = main(argv)
     assert code in (0, 1, 2)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert isinstance(payload, dict)
     assert ("error" in payload) == (code != 0)
+    return code, payload
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(text=st.one_of(random_streams, mutated_models()))
+def test_cli_survives_hostile_model_files(model_path, text):
+    model_path.write_text(text)
+    run_main(["validate", str(model_path)])
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(count=st.integers(0, 12), command=st.sampled_from(["validate", "cohomology"]),
+       twisted=st.booleans())
+def test_generator_counts_past_the_budget_are_parse_errors(model_path, count, command, twisted):
+    names = " ".join("e%d" % i for i in range(1, count + 1))
+    twist = "H = e1^e2^e3\n" if twisted and count >= 3 else ""
+    model_path.write_text("model fuzz\ngenerators %s\n%s" % (names, twist))
+    code, payload = run_main([command, str(model_path)])
+    if count > 8:
+        assert code == 2 and payload == {"error": "line 2, col 36: more than 8 generators",
+                                         "kind": "parse"}
+    else:
+        assert code == 0
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(trunc=st.one_of(st.integers(-3, 8), st.integers(256, 5000)))
+def test_truncations_past_the_column_budget_are_refused(trunc):
+    model = str(MODELS_DIR / "t4_twisted_circle.model")
+    code, payload = run_main(["equivariant", model, "--trunc", str(trunc)])
+    if trunc < 0:
+        assert code == 1 and payload["error"] == "rank and truncation degree must be nonnegative"
+    elif trunc >= 256:  # (trunc + 1) x-monomials times 2^4 masks
+        assert code == 1 and payload == {
+            "error": "truncated complex has %d (x-monomial, mask) columns, beyond 4096"
+                     % (16 * (trunc + 1)), "kind": "domain"}
+    else:
+        assert code == 0 and payload["trunc"] == trunc

@@ -1,7 +1,10 @@
 """Differential tests: operator matrices against dense reference constructions.
 
 The references build every Clifford generator as a dense matrix and combine
-them with dense products and sums, the way the matrices were first assembled.
+them with dense products and sums, the way the matrices were first assembled;
+the Clifford action, the contractions and the pairing matrix they use are the
+conftest copies of the first versions, so no reference runs the generator
+the package sums.
 The package builds the same matrices column by column from sparse images
 (the lift of J by mask arithmetic, with no Clifford call); the two must agree
 entry for entry.  The structure check is compared the same way: the dense
@@ -28,7 +31,7 @@ import pytest
 
 from conftest import (
     MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_form, random_q,
-    wide_q,
+    ref_clifford, ref_contract_vector, ref_pairing_matrix, wide_q,
 )
 from gcalg import linalg
 import gcalg.cartan
@@ -45,14 +48,11 @@ from gcalg.cartan import (
     moment_operator,
     monomials_of_degree,
 )
-from gcalg.forms import (
-    Form, basis_masks, clifford, contract_vector, form_to_vec, vec_to_form, wedge,
-)
+from gcalg.forms import Form, basis_masks, clifford, form_to_vec, vec_to_form, wedge
 from gcalg.gcmaps import (
     GCMap,
     _annihilator_system,
     _b_matrix,
-    _pairing_matrix,
     annihilator,
     b_transform,
     complex_structure,
@@ -73,14 +73,14 @@ def ref_clifford_matrix(v, n):
     cols = []
     for k in range(len(masks)):
         unit = vec_to_form([QONE if i == k else QZERO for i in range(len(masks))], masks, n)
-        cols.append(form_to_vec(clifford(coords, unit), masks))
+        cols.append(form_to_vec(ref_clifford(coords, unit), masks))
     return [[cols[j][i] for j in range(len(cols))] for i in range(len(masks))]
 
 
 def ref_lifted_action_matrix(j):
     n = j.dim
     dim = 1 << n
-    coeff = mat_scale(dense_mul(j.matrix, _pairing_matrix(n)), Q(-1))
+    coeff = mat_scale(dense_mul(j.matrix, ref_pairing_matrix(n)), Q(-1))
     cliff = [
         ref_clifford_matrix([QONE if i == a else QZERO for i in range(2 * n)], n)
         for a in range(2 * n)
@@ -101,11 +101,11 @@ def ref_lifted_action_matrix(j):
 
 def ref_annihilator_system(phi):
     n = phi.n
-    target = form_to_vec(phi, basis_masks(n))
+    target = [[x] for x in form_to_vec(phi, basis_masks(n))]
     cols = []
     for k in range(2 * n):
         mat = ref_clifford_matrix([QONE if i == k else QZERO for i in range(2 * n)], n)
-        cols.append(linalg.mat_vec(mat, target))
+        cols.append([row[0] for row in dense_mul(mat, target)])
     return [[cols[k][r] for k in range(2 * n)] for r in range(1 << n)]
 
 
@@ -214,7 +214,7 @@ def ref_validate(j):
     minus_one = [[Q(-1) if r == c else QZERO for c in range(n2)] for r in range(n2)]
     if dense_mul(j.matrix, j.matrix) != minus_one:
         failures.append("J^2 != -1")
-    p = _pairing_matrix(j.dim)
+    p = ref_pairing_matrix(j.dim)
     if dense_mul(linalg.transpose(j.matrix), dense_mul(p, j.matrix)) != p:
         failures.append("J does not preserve the canonical pairing")
     return not failures, tuple(failures)
@@ -287,7 +287,7 @@ def ref_d_equivariant(act, eta):
     out = eta.map_forms(lambda f: d(act.model, f))
     for e, f in eta.terms.items():
         for j in range(act.k):
-            piece = act.contract_j(j, f)
+            piece = ref_contract_vector(act.xi[j], f)
             if piece.is_zero():
                 continue
             out = out + EqForm(eta.k, eta.n, eta.trunc, {_expo_add(e, j): -piece})
@@ -299,7 +299,7 @@ def ref_moment_operator(act, eta):
     i_unit = Scalar.imaginary(1)
     for e, f in eta.terms.items():
         for j in range(act.k):
-            piece = -act.contract_j(j, f)
+            piece = -ref_contract_vector(act.xi[j], f)
             cov = act.mu_diff[j].scale(i_unit) - act.alpha[j]
             piece = piece + wedge(cov, f)
             if not piece.is_zero():
@@ -311,7 +311,7 @@ def ref_spinor_residuals(act, rho):
     residuals = []
     for j in range(act.k):
         cov = act.mu_diff[j].scale(Scalar.imaginary(1)) - act.alpha[j]
-        residuals.append(contract_vector([-c for c in act.xi[j]], rho) + wedge(cov, rho))
+        residuals.append(ref_contract_vector([-c for c in act.xi[j]], rho) + wedge(cov, rho))
     return tuple(residuals)
 
 
@@ -335,7 +335,7 @@ def ref_extension_residuals(act, terms, degree):
         if sum(e) != degree - 1:
             continue
         for jj in range(act.k):
-            piece = clifford(sections[jj], f)
+            piece = ref_clifford(sections[jj], f)
             if piece.is_zero():
                 continue
             key = _expo_add(e, jj)
