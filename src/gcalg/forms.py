@@ -175,7 +175,10 @@ class Form:
         return self.to_text()
 
     def __repr__(self):
-        return "Form(%d, %s)" % (self.n, self.to_text())
+        try:
+            return "Form(%d, %s)" % (self.n, self.to_text())
+        except ValueError:  # a coefficient mixes pi powers
+            return "Form(%d, %r)" % (self.n, self.terms)
 
     def to_text(self, names: Sequence[str] = None) -> str:
         if self.is_zero():
@@ -269,19 +272,17 @@ def _unit_clifford(a: int, n: int, mask: int):
 
 
 def _clifford_sum(v: Sequence, a: Form, first: int = 0) -> Form:
-    """Sum of v[k] * c_(first+k) a over nonzero v[k]; contractions and wedges
-    are summed apart (a Scalar sum's pi-power check depends on grouping)."""
-    halves = ({}, {})
+    """Sum of v[k] * c_(first+k) a over nonzero v[k]."""
+    terms: dict = {}
     for k, x in enumerate(map(scalar, v), start=first):
         if x.is_zero():
             continue
-        terms = halves[k >= a.n]
         for m, c in a.terms.items():
             hit = _unit_clifford(k, a.n, m)
             if hit:
                 y = x * c
                 terms[hit[1]] = terms.get(hit[1], ZERO) + (y if hit[0] > 0 else -y)
-    return Form(a.n, halves[0]) + Form(a.n, halves[1])
+    return Form(a.n, terms)
 
 
 def contract(i: int, a: Form) -> Form:

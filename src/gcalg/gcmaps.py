@@ -158,8 +158,8 @@ def type_of(j: GCMap) -> int:
 def pure_spinor(space: IsotropicSubspace) -> Form:
     """Generator of the annihilator line of a maximal isotropic subspace.
 
-    Normalized so the first coefficient (term order: degree, then index
-    order) of the lowest nonzero degree is 1.
+    Normalized so the first coefficient in `mask_key` order (degree, then
+    mask) is 1.
     """
     n = space.dim_v
     if space.dimension != n:

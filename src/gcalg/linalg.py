@@ -232,9 +232,6 @@ def solve(mat: Mat, rhs: Vec) -> Optional[Vec]:
     ncols = len(mat[0]) if mat else 0
     aug = [list(row) + [b] for row, b in zip(mat, rhs)]
     m, pivots = rref(aug)
-    for row in m[len(pivots):]:
-        if not row[-1].is_zero():
-            return None
     if pivots and pivots[-1] == ncols:
         return None
     x = [QZERO] * ncols

@@ -284,7 +284,7 @@ class Evaluator:
                 )
             _check_size(tok, [args[0]], self.spent, self.n // 2)  # top power w^(n/2)
             try:
-                return exp_two_form(args[0])
+                return _pi_checked(exp_two_form(args[0]))
             except ValueError as e:
                 raise ParseError(str(e), tok.line, tok.col)
         if name == "conj":
@@ -312,23 +312,23 @@ class Evaluator:
             if literal is not None:
                 _check_size(tok, [left], self.spent, abs(literal))
                 try:
-                    return self._power(left, literal)
+                    return _pi_checked(self._power(left, literal))
                 except (ValueError, ZeroDivisionError) as e:
                     raise ParseError(str(e), tok.line, tok.col)
         right = self.eval(node.children[1])
+        if op not in ("+", "-", "*", "^", "/"):
+            raise ParseError("unknown operator %r" % op, tok.line, tok.col)
         try:
-            if op == "+":
-                return self._add(left, right)
-            if op == "-":
-                return self._add(left, -right)
             if op in ("*", "^"):
                 _check_size(tok, [left, right], self.spent)
-                return self._mul(left, right)
-            if op == "/":
-                return self._div(left, right)
+                value = self._mul(left, right)
+            elif op == "/":
+                value = self._div(left, right)
+            else:
+                value = self._add(left, right if op == "+" else -right)
+            return _pi_checked(value)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(str(e), tok.line, tok.col)
-        raise ParseError("unknown operator %r" % op, tok.line, tok.col)
 
     def _promote_pair(self, a: Value, b: Value):
         order = {Scalar: 0, Form: 1, EqForm: 2}
@@ -397,6 +397,13 @@ def _coefficients(v: Value) -> List[Scalar]:
     if isinstance(v, Form):
         return list(v.terms.values())
     return [c for f in v.terms.values() for c in f.terms.values()]
+
+
+def _pi_checked(v: Value) -> Value:
+    """v, after each coefficient's `pi_power` has checked that it holds one pi power."""
+    for c in _coefficients(v):
+        c.pi_power
+    return v
 
 
 def _check_size(tok: Token, factors: Sequence[Value], spent: List[int], power: int = 1) -> None:

@@ -16,6 +16,7 @@ from .forms import (
     Form,
     basis_masks,
     clifford,
+    contract,
     contract_vector,
     form_to_vec,
     reversal,
@@ -96,25 +97,15 @@ class Model:
 
 
 def d(m: Model, a: Form) -> Form:
-    """Graded Leibniz extension of the generator differentials."""
+    """Graded Leibniz extension of the generator differentials: the sum over
+    generators g of d(e_g) ^ contract(g, a), since each d(e_g) is a 2-form
+    and moves past the generators before e_g with no sign."""
     if a.n != m.n:
         raise ValueError("form lives on %d generators, model has %d" % (a.n, m.n))
     out = Form.zero(m.n)
-    for mask, coeff in a.terms.items():
-        sign = 1
-        rest = mask
-        pos = 0
-        while rest:
-            low = rest & -rest
-            gen = low.bit_length()
-            di = m.d_table[gen - 1]
-            if not di.is_zero():
-                left = Form(m.n, {mask & (low - 1): ONE})
-                right = Form(m.n, {mask & ~((low << 1) - 1): ONE})
-                piece = wedge(left, wedge(di, right)).scale(coeff)
-                out = out + (piece if (pos % 2 == 0) else -piece)
-            rest ^= low
-            pos += 1
+    for g, dg in enumerate(m.d_table, start=1):
+        if not dg.is_zero():
+            out = out + wedge(dg, contract(g, a))
     return out
 
 

@@ -7,6 +7,7 @@ ever evaluated in floating point; ``pi`` is never given a numeric value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -130,21 +131,21 @@ def _mono_str(m: Monomial) -> str:
 
 
 class Scalar:
-    """Polynomial in parameters over Q, times pi**pi_power.
+    """Polynomial in parameters over Q, each term times a power of pi.
 
-    The representation is canonical: monomials sorted, no zero coefficients.
-    Sums require matching pi powers (zero is neutral); this keeps pi a formal
-    unit factored out of every value the package produces.
+    ``terms`` maps (pi power, monomial) to a nonzero coefficient; monomials
+    are sorted.  Sums apply no rule, so they are associative and commutative.
+    A finished value has one pi power, which keeps pi a formal unit factored
+    out of every value the package produces: `pi_power` checks it,
+    `__str__` and `__truediv__` read it, and `as_q` rejects a mix through
+    `__str__`.
     """
 
-    __slots__ = ("pi_power", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Q] = (), pi_power: int = 0):
-        clean = {m: c for m, c in dict(terms).items() if not c.is_zero()}
-        if not clean:
-            pi_power = 0
+    def __init__(self, terms: Mapping[tuple, Q] = ()):
+        clean = {k: c for k, c in dict(terms).items() if not c.is_zero()}
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "pi_power", pi_power)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -153,7 +154,7 @@ class Scalar:
 
     @staticmethod
     def from_q(q: Q, pi_power: int = 0) -> "Scalar":
-        return Scalar({(): q}, pi_power)
+        return Scalar({(pi_power, ()): q})
 
     @staticmethod
     def rational(num: RationalLike, den: RationalLike = 1) -> "Scalar":
@@ -165,13 +166,25 @@ class Scalar:
 
     @staticmethod
     def parameter(name: str) -> "Scalar":
-        return Scalar({((name, 1),): QONE})
+        return Scalar({(0, ((name, 1),)): QONE})
 
     @staticmethod
     def pi(power: int = 1) -> "Scalar":
-        return Scalar({(): QONE}, power)
+        return Scalar.from_q(QONE, power)
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def pi_power(self) -> int:
+        """The one pi power of the terms (0 for zero); a mix raises ValueError
+        naming the first two distinct powers in term order."""
+        power = None
+        for p, _ in self.terms:
+            if power is None:
+                power = p
+            elif p != power:
+                raise ValueError("cannot add scalars with pi powers %d and %d" % (power, p))
+        return power or 0
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -181,61 +194,49 @@ class Scalar:
 
     def is_constant(self) -> bool:
         """No parameters (a pi power is still allowed)."""
-        return all(m == () for m in self.terms)
+        return all(m == () for _, m in self.terms)
 
     def as_q(self) -> Q:
         """The value as a plain Gaussian rational; parameters and pi rejected."""
         if self.is_zero():
             return QZERO
-        if not self.is_constant() or self.pi_power != 0:
+        q = self.terms.get((0, ()))
+        if q is None or len(self.terms) > 1:  # printing a mix of pi powers raises that instead
             raise ValueError("scalar %s is not a plain Gaussian rational" % self)
-        return self.terms[()]
+        return q
 
     def parameters(self) -> set:
-        return {name for m in self.terms for name, _ in m}
+        return {name for _, m in self.terms for name, _ in m}
 
     def degree(self, name: str = None) -> int:
         """Total degree, or degree in one parameter; zero scalar has degree -1."""
         if self.is_zero():
             return -1
         if name is None:
-            return max(_mono_degree(m) for m in self.terms)
-        return max(sum(e for nm, e in m if nm == name) for m in self.terms)
+            return max(_mono_degree(m) for _, m in self.terms)
+        return max(sum(e for nm, e in m if nm == name) for _, m in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_pi(self, other: "Scalar") -> int:
-        if self.is_zero():
-            return other.pi_power
-        if other.is_zero():
-            return self.pi_power
-        if self.pi_power != other.pi_power:
-            raise ValueError(
-                "cannot add scalars with pi powers %d and %d"
-                % (self.pi_power, other.pi_power)
-            )
-        return self.pi_power
-
     def __add__(self, other: "Scalar") -> "Scalar":
-        power = self._check_pi(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, QZERO) + c
-        return Scalar(terms, power)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, QZERO) + c
+        return Scalar(terms)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: -c for m, c in self.terms.items()}, self.pi_power)
+        return Scalar({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, QZERO) + c1 * c2
-        return Scalar(terms, self.pi_power + other.pi_power)
+        for (p1, m1), c1 in self.terms.items():
+            for (p2, m2), c2 in other.terms.items():
+                k = (p1 + p2, _mono_mul(m1, m2))
+                terms[k] = terms.get(k, QZERO) + c1 * c2
+        return Scalar(terms)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         """Division by a parameter-free nonzero scalar (polynomial division is out of scope)."""
@@ -243,11 +244,9 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if not other.is_constant():
             raise ValueError("division by non-constant scalar %s" % other)
-        q = other.terms[()]
-        return Scalar(
-            {m: c / q for m, c in self.terms.items()},
-            self.pi_power - other.pi_power,
-        )
+        power = other.pi_power
+        q = other.terms[(power, ())]
+        return Scalar({(p - power, m): c / q for (p, m), c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -259,12 +258,12 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation; parameters and pi are real and stay fixed."""
-        return Scalar({m: c.conjugate() for m, c in self.terms.items()}, self.pi_power)
+        return Scalar({k: c.conjugate() for k, c in self.terms.items()})
 
     def substitute(self, values: Mapping[str, Union[RationalLike, Q]]) -> "Scalar":
         """Evaluate some parameters at exact rational values; pi stays formal."""
         out: dict = {}
-        for m, c in self.terms.items():
+        for (p, m), c in self.terms.items():
             coeff = c
             rest = []
             for name, e in m:
@@ -274,34 +273,35 @@ class Scalar:
                     coeff = coeff * base ** e
                 else:
                     rest.append((name, e))
-            key = tuple(rest)
+            key = (p, tuple(rest))
             out[key] = out.get(key, QZERO) + coeff
-        return Scalar(out, self.pi_power)
+        return Scalar(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.pi_power == other.pi_power and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.pi_power, tuple(sorted(self.terms.items()))))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        return "Scalar(%s)" % str(self)
+        try:
+            return "Scalar(%s)" % self
+        except ValueError:  # a mix of pi powers has no printed form
+            return "Scalar(%r)" % self.terms
 
     # -- printing ------------------------------------------------------------
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (-_mono_degree(kv[0]), kv[0]))
 
     def __str__(self):
         if self.is_zero():
             return "0"
-        content, rest = self._content()
+        power = self.pi_power
+        content, rest = _content({m: c for (_, m), c in self.terms.items()})
         coeff_str = _coeff_piece(content) if content != QONE else None
         pi_str = None
-        if self.pi_power:
-            pi_str = "pi" if self.pi_power == 1 else "pi^%d" % self.pi_power
+        if power:
+            pi_str = "pi" if power == 1 else "pi^%d" % power
         poly = _poly_str(rest)
         poly_str = None
         if poly != "1":
@@ -315,36 +315,21 @@ class Scalar:
             out = "-" + out[3:]
         return out
 
-    def _content(self):
-        """Factor out the rational content (with the leading term's sign)."""
-        terms = self._sorted_terms()
-        nums = []
-        dens = []
-        for _, c in terms:
-            for x in (c.re, c.im):
-                if x != 0:
-                    nums.append(abs(x.numerator))
-                    dens.append(x.denominator)
-        g = 0
-        for n in nums:
-            g = _gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // _gcd(l, d)
-        content = Fraction(g, l)
-        lead = terms[0][1]
-        sign = 1
-        if (lead.re < 0) or (lead.re == 0 and lead.im < 0):
-            sign = -1
-        content = content * sign
-        rest = {m: Q(c.re / content, c.im / content) for m, c in self.terms.items()}
-        return Q(content), rest
+
+def _mono_key(m: Monomial) -> tuple:
+    """Printing order: higher degree first, then the sorted pairs."""
+    return (-_mono_degree(m), m)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _content(terms: Mapping[Monomial, Q]):
+    """Factor out the rational content (with the leading term's sign)."""
+    parts = [x for c in terms.values() for x in (c.re, c.im) if x != 0]
+    content = Fraction(math.gcd(*(x.numerator for x in parts)),
+                       math.lcm(*(x.denominator for x in parts)))
+    lead = terms[min(terms, key=_mono_key)]
+    if (lead.re < 0) or (lead.re == 0 and lead.im < 0):
+        content = -content
+    return Q(content), {m: Q(c.re / content, c.im / content) for m, c in terms.items()}
 
 
 def _coeff_piece(q: Q) -> str:
@@ -355,7 +340,7 @@ def _coeff_piece(q: Q) -> str:
 
 
 def _poly_str(terms: Mapping[Monomial, Q]) -> str:
-    items = sorted(terms.items(), key=lambda kv: (-_mono_degree(kv[0]), kv[0]))
+    items = sorted(terms.items(), key=lambda kv: _mono_key(kv[0]))
     if not items:
         return "0"
     parts = []
@@ -379,7 +364,6 @@ def _poly_str(terms: Mapping[Monomial, Q]) -> str:
 ZERO = Scalar()
 ONE = Scalar.rational(1)
 I = Scalar.imaginary(1)
-MINUS_ONE = Scalar.rational(-1)
 
 
 def scalar(value: Union[int, Fraction, Q, Scalar]) -> Scalar:

@@ -206,6 +206,29 @@ def test_power_and_division_semantics():
         parse_form_text("exp(e1)", model)
 
 
+def test_pi_powers_are_checked_on_each_operator_result(tmp_path, capsys):
+    # the order of terms inside an operand never matters; a result with two
+    # pi powers on one coefficient is a parse error at its operator
+    two_forms = "e2^e3 + e1^e3 + e1^e2"
+    path = tmp_path / "pi.model"
+    for body, error in [
+        ("let a = (e1 + pi*e2 + pi*e3) ^ (%s)" % two_forms, None),
+        ("let a = (pi*e2 + pi*e3 + e1) ^ (%s)" % two_forms, None),
+        ("let a = (e1 + pi*e2) ^ (e2 + e1)",
+         "line 3, col 22: cannot add scalars with pi powers 0 and 1"),
+        ("let a = pi + 1", "line 3, col 12: cannot add scalars with pi powers 1 and 0"),
+    ]:
+        path.write_text("model pi\ngenerators e1 e2 e3\n%s\n" % body)
+        code = main(["validate", str(path)])
+        payload = json.loads(capsys.readouterr().out)
+        if error is None:
+            assert code == 0 and payload["ok"]
+            a = parse_model(path.read_text()).values["a"]
+            assert a.coefficient((1, 2, 3)) == ONE
+        else:
+            assert code == 2 and payload == {"error": error, "kind": "parse"}
+
+
 HEADER = "model hostile\ngenerators e1 e2\nparams t s u\n"
 
 

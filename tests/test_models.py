@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_form, random_vector
+from conftest import MODELS_DIR, random_form, random_vector
 from gcalg.forms import Form, clifford, contract_vector, exp_two_form, reversal, wedge
 from gcalg.gcmaps import complex_structure, symplectic_map
 from gcalg.models import (
@@ -26,6 +27,7 @@ from gcalg.models import (
     torus,
     twisted_cohomology,
 )
+from gcalg.modelfile import parse_model
 from gcalg.scalars import I, ONE, Q, Scalar
 from oracles import twisted_betti_oracle
 
@@ -48,6 +50,44 @@ def test_d_squares_to_zero_exhaustively():
             f = Form(m.n, {mask: ONE})
             assert d(m, d(m, f)).is_zero()
             assert d_twisted(m, d_twisted(m, f)).is_zero()
+
+
+def ref_d(m, a):
+    """d as first written: the graded Leibniz rule bit by bit, wedging d(e_g)
+    between the generators before and after it with sign (-1)^position."""
+    out = Form.zero(m.n)
+    for mask, coeff in a.terms.items():
+        rest = mask
+        pos = 0
+        while rest:
+            low = rest & -rest
+            di = m.d_table[low.bit_length() - 1]
+            if not di.is_zero():
+                left = Form(m.n, {mask & (low - 1): ONE})
+                right = Form(m.n, {mask & ~((low << 1) - 1): ONE})
+                piece = wedge(left, wedge(di, right)).scale(coeff)
+                out = out + (piece if (pos % 2 == 0) else -piece)
+            rest ^= low
+            pos += 1
+    return out
+
+
+def test_d_matches_leibniz_reference():
+    # d sums d(e_g) ^ contract(g, a) over generators: on every unit form and
+    # on random forms whose coefficients are Gaussian, parametric and carry
+    # pi powers 0..2 (so some images mix powers on one mask)
+    from test_clifford_refs import random_scalar
+
+    iwasawa = parse_model((MODELS_DIR / "iwasawa.model").read_text()).model
+    rng = random.Random("d-leibniz")
+    for m in (kodaira_thurston(), heisenberg5(), iwasawa):
+        for mask in range(1 << m.n):
+            f = Form(m.n, {mask: ONE})
+            assert d(m, f) == ref_d(m, f)
+        for _ in range(200):
+            f = Form(m.n, {rng.randrange(1 << m.n): random_scalar(rng, rng.randint(0, 2))
+                           for _ in range(rng.randint(1, 6))})
+            assert d(m, f) == ref_d(m, f)
 
 
 def test_d_twisted_examples():
@@ -322,9 +362,7 @@ def test_del_delbar_split_nonzero_halves():
 def test_iwasawa_literature_goldens():
     # the compact quotient of the complex Heisenberg group, dw3 = w1^w2 for
     # w1 = e1 + i*e2, w2 = e3 + i*e4, w3 = e5 + i*e6
-    from conftest import MODELS_DIR
     from gcalg.gcmaps import type_of
-    from gcalg.modelfile import parse_model
 
     mf = parse_model((MODELS_DIR / "iwasawa.model").read_text())
     model, j = mf.model, mf.structures["Jc"]

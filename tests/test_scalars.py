@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcalg.forms import Form
 from gcalg.modelfile import parse_scalar_text
 from gcalg.scalars import I, ONE, Q, Scalar, ZERO
 
@@ -32,10 +33,16 @@ def test_scalar_constructors_and_equality():
 
 
 def test_scalar_pi_addition_rules():
+    # a sum applies no rule; reading the pi power of a mixed value raises
     pi = Scalar.pi()
     assert pi + ZERO == pi
-    with pytest.raises(ValueError):
-        pi + ONE
+    mixed = pi + ONE
+    assert mixed == ONE + pi and mixed - ONE == pi
+    for read in (lambda: mixed.pi_power, lambda: str(mixed)):
+        with pytest.raises(ValueError, match="^cannot add scalars with pi powers 1 and 0$"):
+            read()
+    assert repr(mixed) == "Scalar({(1, ()): Q(1, 0), (0, ()): Q(1, 0)})"
+    assert repr(Form(1, {1: mixed})) == "Form(1, {1: %r})" % mixed
     assert (pi * pi).pi_power == 2
     assert (pi / pi).pi_power == 0
 
