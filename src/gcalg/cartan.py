@@ -821,7 +821,7 @@ def canonical_extension(
     if phi.parameters():
         raise ValueError("decomposition needs parameter-free coefficients")
     lo, up = ops.lower, ops.upper
-    lo_up = linalg.mat_mul(lo, up)
+    prod = linalg.mat_mul(up, lo)  # P = -lower upper, so lower(upper x) = -r iff P x = r
     _moment_sections(act)  # missing moment data wins over a closedness error
 
     def kills(half, f: Form) -> bool:
@@ -843,8 +843,7 @@ def canonical_extension(
         if not residuals:
             break
         for e, r in residuals.items():
-            rhs = [-x for x in form_to_vec(r, ops.masks)]
-            sol = linalg.solve(lo_up, rhs)
+            sol = linalg.solve(prod, form_to_vec(r, ops.masks))
             if sol is None:
                 raise ExtensionError(
                     "moment contribution is not cancellable; interchange "

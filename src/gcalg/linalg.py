@@ -267,24 +267,6 @@ def leading_minors(mat: Mat) -> Iterator[Q]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
 
 
-def intersect_spans(rows_a: Mat, rows_b: Mat, ncols: int) -> Mat:
-    """Zassenhaus: canonical basis of span(rows_a) & span(rows_b)."""
-    block = []
-    for r in rows_a:
-        block.append(list(r) + list(r))
-    for r in rows_b:
-        block.append(list(r) + [QZERO] * ncols)
-    m, _ = rref(block)
-    out = []
-    for row in m:
-        left, right = row[:ncols], row[ncols:]
-        if any(not x.is_zero() for x in left):
-            continue
-        if any(not x.is_zero() for x in right):
-            out.append(right)
-    return row_space(out) if out else []
-
-
 def operator_matrix(op: Callable, src: Sequence, dst: Sequence) -> Mat:
     """Matrix of a linear operator: column j holds op(src[j]) in dst order.
 

@@ -107,8 +107,9 @@ class ExprParser:
 
     def next(self) -> Token:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.line, 999)
+        if tok is None:  # located just past the last token
+            col = self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1
+            raise ParseError("unexpected end of expression", self.line, col)
         self.pos += 1
         return tok
 
@@ -514,6 +515,7 @@ def parse_model(text: str) -> ModelFile:
     connections_raw: List[tuple] = []
     dh_raw: List[tuple] = []
     samples: Dict[str, List[Fraction]] = {}
+    sample_lines: Dict[str, int] = {}
 
     def fail(msg: str, line: int, col: int = 1):
         raise ParseError(msg, line, col)
@@ -695,6 +697,7 @@ def parse_model(text: str) -> ModelFile:
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":
                 fail("usage: samples <param> = <rationals>", lineno)
             samples[toks[1].text] = _rational_list(toks[3:], lineno)
+            sample_lines[toks[1].text] = lineno
         else:
             fail("unknown statement %r" % key, lineno, head.col)
 
@@ -852,7 +855,9 @@ def parse_model(text: str) -> ModelFile:
 
     for pname in samples:
         if pname not in params:
-            raise ModelFileError("samples for undeclared parameter %r" % pname)
+            raise ModelFileError(
+                "samples for undeclared parameter %r" % pname, sample_lines[pname]
+            )
 
     return ModelFile(
         name=name,

@@ -9,6 +9,7 @@ complexes are Z2-graded because the twisted differential mixes form degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -134,43 +135,33 @@ class BettiPair:
         return iter((self.even, self.odd))
 
 
-def parity_masks(n: int) -> Tuple[List[int], List[int]]:
-    masks = basis_masks(n)
-    return (
-        [m for m in masks if m.bit_count() % 2 == 0],
-        [m for m in masks if m.bit_count() % 2 == 1],
-    )
+def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.Mat:
+    """Matrix of d_H with rows and columns in the given mask order."""
+    return linalg.operator_matrix(lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks)
 
 
 def twisted_cohomology(m: Model) -> BettiPair:
-    """Exact Z2-graded Betti ranks of the twisted complex."""
+    """Exact Z2-graded Betti ranks of the twisted complex: d_H swaps parity,
+    so its rank is the sum of its two parity blocks' ranks and each Betti
+    rank is 2^(n-1) minus it.  Columns are built even masks first."""
     if m.n == 0:
         return BettiPair(1, 0)
-    even, odd = parity_masks(m.n)
-
-    def image(mask: int) -> dict:
-        return d_twisted(m, Form(m.n, {mask: ONE})).terms
-
-    rank_eo = linalg.rank(linalg.operator_matrix(image, even, odd))
-    rank_oe = linalg.rank(linalg.operator_matrix(image, odd, even))
-    return BettiPair(len(even) - rank_eo - rank_oe, len(odd) - rank_oe - rank_eo)
+    masks = sorted(basis_masks(m.n), key=lambda mk: mk.bit_count() % 2)
+    free = (1 << (m.n - 1)) - linalg.rank(_d_matrix(m, masks))
+    return BettiPair(free, free)
 
 
 def betti_numbers(m: Model) -> List[int]:
-    """Integer-graded Betti numbers; only meaningful when the twist is zero."""
+    """Integer-graded Betti numbers; only meaningful when the twist is zero.
+    d raises degree by one, so its blocks share no rows or columns and the
+    rank of d out of degree q is the number of pivot columns of degree q."""
     if not m.H.is_zero():
         raise ValueError("integer grading needs a zero twisting form")
-    by_degree = [[mk for mk in basis_masks(m.n) if mk.bit_count() == q] for q in range(m.n + 1)]
-
-    def image(mask: int) -> dict:
-        return d(m, Form(m.n, {mask: ONE})).terms
-
-    # ranks[q]: rank of d from degree q to degree q + 1 (none out of the top degree)
-    ranks = [
-        linalg.rank(linalg.operator_matrix(image, by_degree[q], by_degree[q + 1]))
-        for q in range(m.n)
-    ] + [0]
-    return [len(by_degree[q]) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
+    masks = basis_masks(m.n)
+    ranks = [0] * (m.n + 1)  # ranks[q]: rank of d from degree q to degree q + 1
+    for c in linalg.rref(_d_matrix(m, masks))[1]:
+        ranks[masks[c].bit_count()] += 1
+    return [comb(m.n, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
 
 
 def exp_lambda_transport(m: Model, lam: Form, a: Form) -> Form:
@@ -293,9 +284,7 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
         raise ValueError("structure frame does not match the model")
     masks = tuple(basis_masks(m.n))
     try:
-        dmat = linalg.operator_matrix(
-            lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
-        )
+        dmat = _d_matrix(m, masks)
     except ValueError:  # parameter or pi coefficients: the per-form split names them
         g = uk_grading(j)
         for mask in masks:
@@ -335,22 +324,23 @@ class DdbarReport:
 def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) -> DdbarReport:
     """Exact subspace test of the interchange law between the two halves.
 
-    Verifies ker(lower) & im(upper) = im(lower) & ker(upper) = im(lower&upper)
+    Verifies ker(lower) & im(upper) = im(lower) & ker(upper) = im(upper lower)
     by rank comparisons; on failure returns the first offending basis vector.
+    d_H^2 = 0 splits by level into lower^2 = upper^2 = 0 and lower upper = -P
+    for P = upper lower, so ker(lower) & im(upper) = upper(ker P) and
+    im(lower) & ker(upper) = lower(ker P).
     """
     sp = ops if ops is not None else split_operators(m, j)
-    lo, up = sp.lower, sp.upper
-    dim = len(sp.masks)
-
-    # intersect_spans returns canonical bases from any spanning rows;
-    # in_span needs im_uplo in RREF
-    im_uplo = linalg.row_space(linalg.transpose(linalg.mat_mul(up, lo)))
-    a = linalg.intersect_spans(linalg.kernel_basis(lo), linalg.transpose(up), dim)
-    b = linalg.intersect_spans(linalg.transpose(lo), linalg.kernel_basis(up), dim)
+    prod = linalg.mat_mul(sp.upper, sp.lower)
+    im_prod = linalg.row_space(linalg.transpose(prod))  # in RREF, as in_span needs
+    ker_prod = linalg.kernel_basis(prod)
+    # canonical bases of the images: row x of ker_prod times half^T is half(x)
+    a = linalg.row_space(linalg.mat_mul(ker_prod, linalg.transpose(sp.upper)))
+    b = linalg.row_space(linalg.mat_mul(ker_prod, linalg.transpose(sp.lower)))
 
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
-            if not linalg.in_span(row, im_uplo):
+            if not linalg.in_span(row, im_prod):
                 witness = vec_to_form(row, sp.masks, m.n)
                 return DdbarReport(
                     ok=False,
@@ -359,28 +349,30 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
                     % (name, witness.to_text(m.names)),
                 )
     # im(delbar del) always sits inside both intersections; dims settle equality.
-    if len(a) != len(im_uplo) or len(b) != len(im_uplo):
+    if len(a) != len(im_prod) or len(b) != len(im_prod):
         return DdbarReport(ok=False, detail="rank bookkeeping mismatch")
     return DdbarReport(ok=True)
 
 
 def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
-    """Twisted Betti ranks of the subcomplex of upper-half-closed forms."""
+    """Twisted Betti ranks of the subcomplex of upper-half-closed forms.  Each
+    kernel vector has one parity and d_H swaps it, so the even and odd images
+    share no coordinates and one rank of all of them is their ranks' sum."""
     sp = split_operators(m, j)
     kernel = linalg.kernel_basis(sp.upper)
     if not kernel:
         return BettiPair(0, 0)
     span = linalg.row_space(kernel)
-    images = ([], [])  # even, odd; ranks in mask coordinates equal ranks in the kernel
+    images, n_odd = [], 0  # ranks in mask coordinates equal ranks in the kernel
     for v in kernel:
         f = vec_to_form(v, sp.masks, m.n)
         img = form_to_vec(d_twisted(m, f), sp.masks)
         if not linalg.in_span(img, span):
             raise AssertionError("twisted differential left the subcomplex")
-        images[_pure_parity(f)].append(img)
-    even, odd = images
-    rank_e, rank_o = linalg.rank(even), linalg.rank(odd)
-    return BettiPair(len(even) - rank_e - rank_o, len(odd) - rank_o - rank_e)
+        images.append(img)
+        n_odd += _pure_parity(f)
+    rank = linalg.rank(images)
+    return BettiPair(len(kernel) - n_odd - rank, n_odd - rank)
 
 
 def _pure_parity(f: Form) -> int:

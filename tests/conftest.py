@@ -7,8 +7,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gcalg.forms import Form, wedge
-from gcalg.scalars import Q, Scalar, scalar
+from gcalg import linalg
+from gcalg.forms import Form, basis_masks, form_to_vec, vec_to_form, wedge
+from gcalg.models import BettiPair, d, d_twisted, split_operators
+from gcalg.scalars import ONE, Q, Scalar, scalar
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -126,3 +128,73 @@ def ref_pairing_matrix(dim):
         p[i][dim + i] = half
         p[dim + i][i] = half
     return p
+
+
+# the rank questions of the models layer as first answered: twisted ranks
+# from two parity blocks of d_H, integer Betti numbers from one matrix per
+# degree, the upper-closed subcomplex from one rank per parity, and the
+# ddbar intersections by Zassenhaus; the package reads each off one matrix
+# of d_H or the product of its two halves
+def ref_intersect_spans(rows_a, rows_b, ncols):
+    """Zassenhaus: canonical basis of span(rows_a) & span(rows_b)."""
+    block = [list(r) + list(r) for r in rows_a]
+    block += [list(r) + [Q(0)] * ncols for r in rows_b]
+    m, _ = linalg.rref(block)
+    out = []
+    for row in m:
+        left, right = row[:ncols], row[ncols:]
+        if any(not x.is_zero() for x in left):
+            continue
+        if any(not x.is_zero() for x in right):
+            out.append(right)
+    return linalg.row_space(out) if out else []
+
+
+def ref_twisted_cohomology(m):
+    if m.n == 0:
+        return BettiPair(1, 0)
+    masks = basis_masks(m.n)
+    even = [mk for mk in masks if mk.bit_count() % 2 == 0]
+    odd = [mk for mk in masks if mk.bit_count() % 2 == 1]
+
+    def image(mask):
+        return d_twisted(m, Form(m.n, {mask: ONE})).terms
+
+    rank_eo = linalg.rank(linalg.operator_matrix(image, even, odd))
+    rank_oe = linalg.rank(linalg.operator_matrix(image, odd, even))
+    return BettiPair(len(even) - rank_eo - rank_oe, len(odd) - rank_oe - rank_eo)
+
+
+def ref_betti_numbers(m):
+    if not m.H.is_zero():
+        raise ValueError("integer grading needs a zero twisting form")
+    by_degree = [[mk for mk in basis_masks(m.n) if mk.bit_count() == q] for q in range(m.n + 1)]
+
+    def image(mask):
+        return d(m, Form(m.n, {mask: ONE})).terms
+
+    # ranks[q]: rank of d from degree q to degree q + 1 (none out of the top degree)
+    ranks = [
+        linalg.rank(linalg.operator_matrix(image, by_degree[q], by_degree[q + 1]))
+        for q in range(m.n)
+    ] + [0]
+    return [len(by_degree[q]) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
+
+
+def ref_delbar_closed_subcomplex_betti(m, j):
+    sp = split_operators(m, j)
+    kernel = linalg.kernel_basis(sp.upper)
+    if not kernel:
+        return BettiPair(0, 0)
+    span = linalg.row_space(kernel)
+    images = ([], [])  # even, odd
+    for v in kernel:
+        f = vec_to_form(v, sp.masks, m.n)
+        img = form_to_vec(d_twisted(m, f), sp.masks)
+        assert linalg.in_span(img, span)
+        parities = {mk.bit_count() % 2 for mk in f.terms}
+        assert len(parities) == 1
+        images[parities.pop()].append(img)
+    even, odd = images
+    rank_e, rank_o = linalg.rank(even), linalg.rank(odd)
+    return BettiPair(len(even) - rank_e - rank_o, len(odd) - rank_o - rank_e)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -53,3 +55,24 @@ def test_summary_gives_quartiles_wins_and_rounds():
     # ties count for neither side
     assert out["ddbar"]["peak_rss_mb"]["change_better_pairs"] == 0
     assert out["ddbar"]["queries_per_kref"]["change_better_pairs"] == 2
+
+
+def test_refuses_checkouts_where_only_one_side_has_bytecode(tmp_path, capsys):
+    dirs = {s: tmp_path / s for s in ("parent", "change")}
+    for d in dirs.values():
+        (d / "src" / "gcalg").mkdir(parents=True)
+    assert bench_pairs._bytecode_gap(dirs) == ""
+    for side in ("parent", "change"):
+        cache = dirs[side] / "src" / "gcalg" / "__pycache__"
+        cache.mkdir()
+        assert bench_pairs._bytecode_gap(dirs) == side
+        with pytest.raises(SystemExit) as err:
+            bench_pairs.main([str(dirs["parent"]), str(dirs["change"]), "--out",
+                              str(tmp_path / "out.json")])
+        assert err.value.code == 2
+        assert "only the %s checkout has src/gcalg/__pycache__" % side in capsys.readouterr().err
+        cache.rmdir()
+    for d in dirs.values():
+        (d / "src" / "gcalg" / "__pycache__").mkdir()
+    assert bench_pairs._bytecode_gap(dirs) == ""
+    assert not (tmp_path / "out.json").exists()

@@ -2,9 +2,11 @@
 
 The references are the constructions the package first used: one kernel per
 step of the x-degree filtration, lifted to full coordinates and stacked on
-the image for a rank; ddbar intersections of re-canonicalised spans; and
-subcomplex coordinates from one solve per basis vector.  The package reads
-the same answers off one RREF per matrix; the two must agree exactly.  That
+the image for a rank; ddbar intersections of re-canonicalised spans by
+Zassenhaus; subcomplex coordinates from one solve per basis vector; and the
+Betti ranks from one matrix per parity or degree (tests/conftest.py).  The
+package reads the same answers off one RREF per matrix, with one matrix of
+d_H and the product of its halves; the two must agree exactly.  That
 RREF itself is checked against the dense elimination it replaced, also on
 Gaussian matrices with denominators up to 10^6, and its int-triple loop
 against any use of Q arithmetic.
@@ -17,7 +19,9 @@ from math import gcd
 import pytest
 
 from conftest import (
-    MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_q, wide_q,
+    MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_q,
+    ref_betti_numbers, ref_delbar_closed_subcomplex_betti, ref_intersect_spans,
+    ref_twisted_cohomology, wide_q,
 )
 from gcalg import linalg
 from gcalg.cartan import (
@@ -45,6 +49,7 @@ from gcalg.models import (
     Model,
     SplitOperators,
     _pure_parity,
+    betti_numbers,
     d,
     d_twisted,
     ddbar_lemma_check,
@@ -53,6 +58,7 @@ from gcalg.models import (
     kodaira_thurston,
     split_operators,
     torus,
+    twisted_cohomology,
 )
 from gcalg.scalars import ONE, QONE, QZERO, Q, Scalar
 
@@ -107,8 +113,8 @@ def ref_ddbar(sp):
     im_lo = linalg.row_space(linalg.transpose(lo))
     im_up = linalg.row_space(linalg.transpose(up))
     im_uplo = linalg.row_space(linalg.transpose(linalg.mat_mul(up, lo)))
-    a = linalg.intersect_spans(ker_lo, im_up, dim)
-    b = linalg.intersect_spans(im_lo, ker_up, dim)
+    a = ref_intersect_spans(ker_lo, im_up, dim)
+    b = ref_intersect_spans(im_lo, ker_up, dim)
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
             if not linalg.in_span(row, im_uplo):
@@ -228,6 +234,8 @@ def test_ddbar_reports_match_spans_of_canonical_rows():
     cases = _shipped_structures() + [
         (torus(4), complex_structure(2, sign=-1)),
         (torus(4), symplectic_map(Form(4, {0b0011: ONE, 0b1100: ONE}))),
+        (torus(6), complex_structure(3)),
+        (torus(6, Form(6, {0b100011: ONE})), complex_structure(3)),
     ]
     verdicts = set()
     for model, j in cases:
@@ -242,6 +250,75 @@ def test_ddbar_reports_match_spans_of_canonical_rows():
 def test_delbar_closed_betti_matches_solved_coordinates():
     for model, j in _shipped_structures():
         assert delbar_closed_subcomplex_betti(model, j) == ref_delbar_closed_betti(model, j)
+
+
+def _random_nilpotent(rng, n, kind):
+    """A 2-step nilpotent model on n generators: the first k (all but at
+    least one from n = 3 on) are closed and each later d(e_g) sums e_a^e_b
+    over closed a < b, so d^2 = 0.  H, on about half the draws, is closed
+    triples plus d of a 2-form.  Coefficients are Gaussian rationals, and
+    for kind "param" or "pi" some are -s, s + 1 or a multiple of pi."""
+    def coeff():
+        c = Scalar.from_q(random_q(rng))
+        if kind == "param" and rng.random() < 0.3:
+            return rng.choice([-Scalar.parameter("s"), Scalar.parameter("s") + ONE])
+        if kind == "pi" and rng.random() < 0.3:
+            return c * Scalar.pi()
+        return c
+
+    def sparse(masks, count):
+        return Form(n, {mk: coeff() for mk in rng.sample(masks, min(count, len(masks)))})
+
+    k = rng.randint(min(n, 2), n - 1) if n > 2 else n
+    closed_pairs = [mk for mk in basis_masks(k) if mk.bit_count() == 2]
+    table = [Form.zero(n)] * k + [sparse(closed_pairs, rng.randint(0, 3)) for _ in range(n - k)]
+    model = Model(n, table)
+    if n < 3 or rng.random() < 0.5:
+        return model
+    triples = [mk for mk in basis_masks(k) if mk.bit_count() == 3]
+    pairs = [mk for mk in basis_masks(n) if mk.bit_count() == 2]
+    return model.with_twist(sparse(triples, 2) + d(model, sparse(pairs, 2)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
+    # n = 0..7 with Gaussian, parametric and pi coefficients, with and
+    # without H: values and error messages must be those of the blocks
+    rng = random.Random("nilpotent-betti")
+    seen = {"values": 0, "errors": set(), "delbar": 0}
+    for n in range(8):
+        for kind in ("gauss", "gauss", "param", "param", "pi", "pi"):
+            model = _random_nilpotent(rng, n, kind)
+            checks = [(twisted_cohomology, ref_twisted_cohomology, (model,)),
+                      (betti_numbers, ref_betti_numbers, (model,))]
+            if n in (2, 4) or (n == 6 and kind == "gauss"):
+                omega = Form(n, {3 << (2 * i): Scalar.rational(rng.choice([-2, -1, 1, 3]), 2)
+                                 for i in range(n // 2)})  # sum of c_i e_2i-1^e_2i
+                for j in (complex_structure(n // 2), symplectic_map(omega)):
+                    checks.append((delbar_closed_subcomplex_betti,
+                                   ref_delbar_closed_subcomplex_betti, (model, j)))
+            for fn, ref, args in checks:
+                got = _outcome(fn, *args)
+                assert got == _outcome(ref, *args), (fn.__name__, model, kind)
+                if isinstance(got, tuple) and isinstance(got[0], str):
+                    seen["errors"].add(got[1])
+                else:
+                    seen["values"] += 1
+                if fn is delbar_closed_subcomplex_betti and isinstance(got, BettiPair):
+                    seen["delbar"] += 1
+    assert seen["values"] > 40 and seen["delbar"] > 5
+    # parametric and pi coefficients reach the matrices, twists the degree
+    # check; which of s and -s is named depends on the column order
+    assert {"integer grading needs a zero twisting form",
+            "scalar s is not a plain Gaussian rational",
+            "scalar -s is not a plain Gaussian rational",
+            "scalar -pi is not a plain Gaussian rational"} <= seen["errors"]
 
 
 def test_one_rref_per_matrix(monkeypatch):
@@ -262,16 +339,18 @@ def test_one_rref_per_matrix(monkeypatch):
 
     act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
     for trunc in (2, 4, 6):
-        # two per parity plus the two twisted Betti ranks, whatever trunc is
+        # two per parity plus the one rank of d_H, whatever trunc is
         got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
-        assert got == {"rref": 6, "solve": 0}
+        assert got == {"rref": 5, "solve": 0}
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     j = mf.structures["Jc"]
     sp = split_operators(mf.model, j)
-    assert count(ddbar_lemma_check, mf.model, j, ops=sp) == {"rref": 7, "solve": 0}
+    # the image and kernel of P = upper lower, and the canonical bases of
+    # upper(ker P) and lower(ker P)
+    assert count(ddbar_lemma_check, mf.model, j, ops=sp) == {"rref": 4, "solve": 0}
     split = count(split_operators, mf.model, j)["rref"]
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
-    assert got == {"rref": split + 4, "solve": 0}
+    assert got == {"rref": split + 3, "solve": 0}
 
 
 # -- the level split of d_H ---------------------------------------------------
@@ -524,7 +603,7 @@ def test_split_builds_no_grading(monkeypatch):
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     model, j = mf.model, mf.structures["Jc"]
     assert count(split_operators, model, j) == {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
-    assert count(ddbar_lemma_check, model, j)["rref"] == 7
+    assert count(ddbar_lemma_check, model, j)["rref"] == 4
     t2 = parse_model((MODELS_DIR / "t2_symplectic.model").read_text())
     got = count(canonical_extension, t2.actions["rot"], t2.structures["Jw"], Form.generator(2, 2))
     assert got["uk_grading"] == 0
@@ -739,7 +818,7 @@ def test_rref_matches_dense_on_captured_matrices(monkeypatch):
     mats += _captured_rref_inputs(monkeypatch, equivariant_cohomology, act,
                                   act.h_equivariant(3), 3)
     grading = _captured_rref_inputs(monkeypatch, uk_grading, complex_structure(3))
-    assert len(mats) == 6 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
+    assert len(mats) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
     for mat in mats + grading:
         assert_same_rref(mat)
 
@@ -761,8 +840,7 @@ def test_rank_questions_match_dense_rref(monkeypatch):
         for a, b, rhs, sq, cols in cases:
             out.append(linalg.kernel_basis(a, ncols=cols))
             out.append(linalg.solve(a, rhs))
-            out.append(linalg.intersect_spans(a, b, cols))
-            out.append(linalg.row_space(a))
+            out.append(linalg.row_space(a + b))
             try:
                 out.append(linalg.invert(sq))
             except ValueError as e:
@@ -773,8 +851,8 @@ def test_rank_questions_match_dense_rref(monkeypatch):
     monkeypatch.setattr(linalg, "rref", ref_rref)
     assert got == answers()
     # the draw reaches both outcomes of solve and invert
-    assert None in got[1::5] and any(s is not None for s in got[1::5])
-    assert "matrix is singular" in got[4::5] and any(isinstance(m, list) for m in got[4::5])
+    assert None in got[1::4] and any(s is not None for s in got[1::4])
+    assert "matrix is singular" in got[3::4] and any(isinstance(m, list) for m in got[3::4])
 
 
 def test_rref_pivots_on_the_sparsest_candidate_row(monkeypatch):

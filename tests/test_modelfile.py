@@ -185,6 +185,27 @@ samples t = 0, 1, -1/2
     assert mf.samples["t"] == [Fraction(0), Fraction(1), Fraction(-1, 2)]
 
 
+def test_samples_for_an_undeclared_parameter_name_their_line():
+    text = "model demo\ngenerators e1 e2\nparams t\n\nsamples s = 1, 2\n"
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text)
+    assert str(err.value) == "line 5: samples for undeclared parameter 's'"
+    assert err.value.line == 5
+
+
+def test_unexpected_end_is_located_past_the_last_token(tmp_path, capsys):
+    path = tmp_path / "end.model"
+    for body, col in [("let a = e1 +", 13), ("let a = (e1 + e2", 17), ("let a = exp(", 13)]:
+        path.write_text("model end\ngenerators e1 e2\n%s   # comment\n" % body)
+        code = main(["validate", str(path)])
+        payload = json.loads(capsys.readouterr().out)
+        error = "line 3, col %d: unexpected end of expression" % col
+        assert code == 2 and payload == {"error": error, "kind": "parse"}
+    with pytest.raises(ParseError) as err:
+        parse_form_text("", torus(2))
+    assert str(err.value) == "line 1, col 1: unexpected end of expression"
+
+
 def test_scalar_round_trip_through_parser():
     for text in ("-2*pi*(t+1)", "4*(t+1)", "-2*pi", "1/2*pi", "t^2+2"):
         val = parse_scalar_text(text, params=["t"])

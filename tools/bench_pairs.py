@@ -12,7 +12,8 @@ keeps the `meta` and `metrics` objects of its
 summary gives, per workload and end-to-end metric of BENCHMARK.json, the
 median and quartiles of each side and the number of pairs in which the
 change was better, and per workload each side's `meta.rounds`, per run and
-as a median.  Standard library only.
+as a median.  Two checkouts of which only one has src/gcalg/__pycache__
+are refused with exit 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -77,6 +78,14 @@ def summarize(runs, spec, workloads) -> dict:
     return out
 
 
+def _bytecode_gap(dirs) -> str:
+    """The side whose checkout alone has src/gcalg/__pycache__, or "" when
+    both or neither have it: bytecode on one side alone moves setup_s and
+    peak RSS."""
+    cached = [s for s, d in dirs.items() if (d / "src" / "gcalg" / "__pycache__").is_dir()]
+    return cached[0] if len(cached) == 1 else ""
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -92,8 +101,12 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("need at least two pairs for quartiles")
     workloads = args.workload or list(WORKLOADS)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    side = _bytecode_gap(dirs)
+    if side:
+        p.error("only the %s checkout has src/gcalg/__pycache__; remove it or "
+                "compile both sides" % side)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = []
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
