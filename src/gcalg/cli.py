@@ -14,9 +14,8 @@ from typing import Optional
 from . import cartan, gcy, gcmaps, models
 from .cartan import EqForm, ExtensionError, ModelMorphism
 from .forms import Form
-from .modelfile import ModelFile, ModelFileError, ParseError, parse_model
+from .modelfile import ModelFile, ModelFileError, ParseError, parse_model, promote
 from .models import IntegrabilityError
-from .scalars import Scalar
 
 
 class DomainError(Exception):
@@ -58,30 +57,25 @@ def _need(mapping: dict, key: Optional[str], what: str):
     return mapping[key]
 
 
-def _named_form(mf: ModelFile, name: str) -> Form:
+def _named(mf: ModelFile, name: str, k: Optional[int] = None):
+    """The value named `name`, promoted as `promote` does."""
     if name not in mf.values:
         raise DomainError("unknown form %r" % name)
-    val = mf.values[name]
-    if isinstance(val, Scalar):
-        val = Form.unit(mf.model.n, val)
+    return promote(mf.values[name], mf.model.n, k)
+
+
+def _named_form(mf: ModelFile, name: str) -> Form:
+    val = _named(mf, name)
     if not isinstance(val, Form):
         raise DomainError("%r is not a plain form" % name)
     return val
 
 
 def _named_eqform(mf: ModelFile, name: str, k: int, trunc: int) -> EqForm:
-    if name not in mf.values:
-        raise DomainError("unknown form %r" % name)
-    val = mf.values[name]
-    if isinstance(val, Scalar):
-        val = Form.unit(mf.model.n, val)
-    if isinstance(val, Form):
-        return EqForm.of_form(val, k, trunc)
-    if isinstance(val, EqForm):
-        if val.k != k:
-            raise DomainError("%r was built for a rank-%d torus" % (name, val.k))
-        return EqForm(k, val.n, trunc, val.terms)
-    raise DomainError("%r is not usable here" % name)
+    val = _named(mf, name, k)
+    if val.k != k:
+        raise DomainError("%r was built for a rank-%d torus" % (name, val.k))
+    return EqForm(k, val.n, trunc, val.terms)
 
 
 # -- subcommands --------------------------------------------------------------------

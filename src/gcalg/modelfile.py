@@ -212,6 +212,16 @@ class ExprParser:
 _XVAR_RE = re.compile(r"^x(\d+)$")
 
 
+def promote(value: Value, n: int, k: Optional[int] = None) -> Value:
+    """A Scalar as a 0-form on n generators; with k given, a Form (or Scalar) as
+    a constant EqForm of a rank-k torus at EQFORM_TRUNC.  Others pass unchanged."""
+    if isinstance(value, Scalar):
+        value = Form.unit(n, value)
+    if k is not None and isinstance(value, Form):
+        value = EqForm.of_form(value, k, EQFORM_TRUNC)
+    return value
+
+
 class Evaluator:
     """Evaluate expression trees to Scalar, Form or EqForm values."""
 
@@ -332,24 +342,15 @@ class Evaluator:
             raise ParseError(str(e), tok.line, tok.col)
 
     def _promote_pair(self, a: Value, b: Value):
-        order = {Scalar: 0, Form: 1, EqForm: 2}
-        ka, kb = order[type(a)], order[type(b)]
-        while ka < kb:
-            a = self._promote(a)
-            ka += 1
-        while kb < ka:
-            b = self._promote(b)
-            kb += 1
-        return a, b
-
-    def _promote(self, v: Value) -> Value:
-        if isinstance(v, Scalar):
-            return Form.unit(self.n, v)
-        if isinstance(v, Form):
+        """a and b promoted to the larger of their two kinds."""
+        if type(a) is type(b):
+            return a, b
+        k = None
+        if isinstance(a, EqForm) or isinstance(b, EqForm):
             if not self.k_context:
                 raise ValueError("polynomial variables are not allowed here")
-            return EqForm.of_form(v, self.k_context, EQFORM_TRUNC)
-        raise ValueError("cannot promote further")
+            k = self.k_context
+        return promote(a, self.n, k), promote(b, self.n, k)
 
     def _add(self, a: Value, b: Value) -> Value:
         a, b = self._promote_pair(a, b)
@@ -465,7 +466,6 @@ class DHSpec:
     k: int
     orientation: int = 1
     constant_type: Optional[int] = None
-    line: int = 0
 
 
 @dataclass
@@ -488,7 +488,6 @@ class _RawAction:
     xi: Dict[int, List[Fraction]] = field(default_factory=dict)
     mu: Dict[int, Node] = field(default_factory=dict)
     alpha: Dict[int, Node] = field(default_factory=dict)
-    mu_lines: Dict[int, int] = field(default_factory=dict)
 
 
 def _logical_lines(text: str):
@@ -500,16 +499,15 @@ def _logical_lines(text: str):
 
 def parse_model(text: str) -> ModelFile:
     """Parse and validate a model file; raises ParseError / ModelFileError."""
-    lines = list(_logical_lines(text))
-    pos = 0
+    lines = _logical_lines(text)
     name = None
     gen_names: List[str] = []
     params: List[str] = []
-    d_exprs: Dict[int, Tuple[Node, int]] = {}
-    h_expr: Optional[Tuple[Node, int]] = None
-    vol_expr: Optional[Tuple[Node, int]] = None
+    d_exprs: Dict[int, Node] = {}
+    h_expr: Optional[Node] = None
+    vol_expr: Optional[Node] = None
     orientation = 1
-    lets: List[Tuple[str, Node, Optional[str], int]] = []  # name, ast, action ctx, line
+    lets: List[Tuple[str, Node, Optional[str]]] = []  # name, ast, action context
     structures_raw: List[tuple] = []
     actions_raw: Dict[str, _RawAction] = {}
     connections_raw: List[tuple] = []
@@ -520,9 +518,16 @@ def parse_model(text: str) -> ModelFile:
     def fail(msg: str, line: int, col: int = 1):
         raise ParseError(msg, line, col)
 
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        pos += 1
+    def block(what: str, lineno: int, handle) -> None:
+        """Pass the tokens of each line up to 'end' to handle(); a block that
+        reaches the end of the file fails after its body lines."""
+        for l2, body in lines:
+            if body.strip() == "end":
+                return
+            handle(tokenize(body, l2))
+        fail("%s block missing 'end'" % what, lineno)
+
+    for lineno, line in lines:
         toks = tokenize(line, lineno)
         head = toks[0]
         if head.kind != "NAME":
@@ -555,16 +560,15 @@ def parse_model(text: str) -> ModelFile:
             gname = toks[1].text
             if gname not in gen_names:
                 fail("undeclared generator %r" % gname, lineno, toks[1].col)
-            ast = ExprParser(toks[3:], lineno).parse()
-            d_exprs[gen_names.index(gname) + 1] = (ast, lineno)
+            d_exprs[gen_names.index(gname) + 1] = ExprParser(toks[3:], lineno).parse()
         elif key == "H":
             if len(toks) < 3 or toks[1].text != "=":
                 fail("usage: H = <form>", lineno)
-            h_expr = (ExprParser(toks[2:], lineno).parse(), lineno)
+            h_expr = ExprParser(toks[2:], lineno).parse()
         elif key == "volume":
             if len(toks) < 3 or toks[1].text != "=":
                 fail("usage: volume = <scalar>", lineno)
-            vol_expr = (ExprParser(toks[2:], lineno).parse(), lineno)
+            vol_expr = ExprParser(toks[2:], lineno).parse()
         elif key == "orientation":
             if len(toks) < 3 or toks[1].text != "=":
                 fail("usage: orientation = +1 | -1", lineno)
@@ -575,7 +579,7 @@ def parse_model(text: str) -> ModelFile:
         elif key == "let":
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":
                 fail("usage: let <name> = <expr>", lineno)
-            lets.append((toks[1].text, ExprParser(toks[3:], lineno).parse(), None, lineno))
+            lets.append((toks[1].text, ExprParser(toks[3:], lineno).parse(), None))
         elif key == "eqform":
             # eqform NAME for ACTION = EXPR
             if (
@@ -586,20 +590,11 @@ def parse_model(text: str) -> ModelFile:
                 or toks[4].text != "="
             ):
                 fail("usage: eqform <name> for <action> = <expr>", lineno)
-            lets.append(
-                (toks[1].text, ExprParser(toks[5:], lineno).parse(), toks[3].text, lineno)
-            )
+            lets.append((toks[1].text, ExprParser(toks[5:], lineno).parse(), toks[3].text))
         elif key == "structure":
             if len(toks) >= 3 and toks[2].kind == "NAME" and toks[2].text == "matrix":
                 rows: List[List[Fraction]] = []
-                while pos < len(lines):
-                    l2, body = lines[pos]
-                    pos += 1
-                    if body.strip() == "end":
-                        break
-                    rows.append(_rational_row(body, l2))
-                else:
-                    fail("matrix block missing 'end'", lineno)
+                block("matrix", lineno, lambda btoks: rows.append(_rational_list(btoks)))
                 structures_raw.append(("matrix", toks[1].text, rows, lineno))
             elif len(toks) >= 4 and toks[2].text == "symplectic":
                 ast = ExprParser(toks[3:], lineno).parse()
@@ -618,36 +613,25 @@ def parse_model(text: str) -> ModelFile:
             if len(toks) != 2 or toks[1].kind != "NAME":
                 fail("usage: action <name>", lineno)
             raw = _RawAction(name=toks[1].text, line=lineno)
-            while pos < len(lines):
-                l2, body = lines[pos]
-                pos += 1
-                if body.strip() == "end":
-                    break
-                btoks = tokenize(body, l2)
+
+            def action_field(btoks: List[Token]) -> None:
+                l2 = btoks[0].line
                 if len(btoks) < 3 or btoks[0].kind != "NAME":
                     fail("expected xi/mu/alpha assignment or 'end'", l2)
                 what = btoks[0].text
-                if what == "xi":
-                    if btoks[1].kind != "NUM" or btoks[2].text != "=":
-                        fail("usage: xi <j> = <rationals>", l2)
-                    j = int(btoks[1].text)
-                    raw.xi[j] = _rational_row(
-                        body.split("=", 1)[1], l2
-                    )
-                elif what in ("mu", "alpha"):
-                    if btoks[1].kind != "NUM" or btoks[2].text != "=":
-                        fail("usage: %s <j> = <form>" % what, l2)
-                    j = int(btoks[1].text)
-                    ast = ExprParser(btoks[3:], l2).parse()
-                    if what == "mu":
-                        raw.mu[j] = ast
-                        raw.mu_lines[j] = l2
-                    else:
-                        raw.alpha[j] = ast
-                else:
+                if what not in ("xi", "mu", "alpha"):
                     fail("unknown action field %r" % what, l2, btoks[0].col)
-            else:
-                fail("action block missing 'end'", lineno)
+                if btoks[1].kind != "NUM" or btoks[2].text != "=":
+                    fail("usage: %s <j> = <%s>"
+                         % (what, "rationals" if what == "xi" else "form"), l2)
+                j = int(btoks[1].text)
+                if what == "xi":
+                    raw.xi[j] = _rational_list(btoks[3:])
+                else:
+                    ast = ExprParser(btoks[3:], l2).parse()
+                    (raw.mu if what == "mu" else raw.alpha)[j] = ast
+
+            block("action", lineno, action_field)
             if raw.name in actions_raw:
                 fail("repeated action %r" % raw.name, lineno)
             actions_raw[raw.name] = raw
@@ -660,43 +644,35 @@ def parse_model(text: str) -> ModelFile:
             ):
                 fail("usage: connection <name> for <action>", lineno)
             thetas: Dict[int, Node] = {}
-            while pos < len(lines):
-                l2, body = lines[pos]
-                pos += 1
-                if body.strip() == "end":
-                    break
-                btoks = tokenize(body, l2)
+
+            def theta(btoks: List[Token]) -> None:
                 if (
                     len(btoks) < 4
                     or btoks[0].text != "theta"
                     or btoks[1].kind != "NUM"
                     or btoks[2].text != "="
                 ):
-                    fail("usage: theta <j> = <1-form>", l2)
-                thetas[int(btoks[1].text)] = ExprParser(btoks[3:], l2).parse()
-            else:
-                fail("connection block missing 'end'", lineno)
+                    fail("usage: theta <j> = <1-form>", btoks[0].line)
+                thetas[int(btoks[1].text)] = ExprParser(btoks[3:], btoks[0].line).parse()
+
+            block("connection", lineno, theta)
             connections_raw.append((toks[1].text, toks[3].text, thetas, lineno))
         elif key == "dh":
             if len(toks) != 2 or toks[1].kind != "NAME":
                 fail("usage: dh <name>", lineno)
-            fields: Dict[str, Tuple[Node, int]] = {}
-            while pos < len(lines):
-                l2, body = lines[pos]
-                pos += 1
-                if body.strip() == "end":
-                    break
-                btoks = tokenize(body, l2)
+            fields: Dict[str, Node] = {}
+
+            def dh_field(btoks: List[Token]) -> None:
                 if len(btoks) < 3 or btoks[0].kind != "NAME" or btoks[1].text != "=":
-                    fail("usage: <field> = <value>", l2)
-                fields[btoks[0].text] = (ExprParser(btoks[2:], l2).parse(), l2)
-            else:
-                fail("dh block missing 'end'", lineno)
+                    fail("usage: <field> = <value>", btoks[0].line)
+                fields[btoks[0].text] = ExprParser(btoks[2:], btoks[0].line).parse()
+
+            block("dh", lineno, dh_field)
             dh_raw.append((toks[1].text, fields, lineno))
         elif key == "samples":
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":
                 fail("usage: samples <param> = <rationals>", lineno)
-            samples[toks[1].text] = _rational_list(toks[3:], lineno)
+            samples[toks[1].text] = _rational_list(toks[3:])
             sample_lines[toks[1].text] = lineno
         else:
             fail("unknown statement %r" % key, lineno, head.col)
@@ -711,16 +687,15 @@ def parse_model(text: str) -> ModelFile:
     def evaluator(k_context: Optional[int] = None) -> Evaluator:
         return Evaluator(n, gen_names, params, values, k_context, spent)
 
-    def eval_form(ast: Node, line: int, what: str) -> Form:
-        val = evaluator().eval(ast)
-        if isinstance(val, Scalar):
-            val = Form.unit(n, val)
+    def eval_form(ast: Node, what: str) -> Form:
+        val = promote(evaluator().eval(ast), n)
         if not isinstance(val, Form):
-            raise ParseError("%s must be a form" % what, line)
+            raise ParseError("%s must be a form" % what, ast.token.line)
         return val
 
     # let/eqform definitions in order, so later lines may use earlier names
-    for let_name, ast, action_ctx, line in lets:
+    for let_name, ast, action_ctx in lets:
+        line = ast.token.line
         if let_name in values or let_name in gen_names or let_name in params:
             raise ParseError("name %r already in use" % let_name, line)
         if action_ctx is None:
@@ -729,24 +704,18 @@ def parse_model(text: str) -> ModelFile:
             if action_ctx not in actions_raw:
                 raise ParseError("undeclared action %r" % action_ctx, line)
             k = len(actions_raw[action_ctx].xi)
-            val = evaluator(k_context=k).eval(ast)
-            if isinstance(val, Scalar):
-                val = Form.unit(n, val)
-            if isinstance(val, Form):
-                val = EqForm.of_form(val, k, EQFORM_TRUNC)
-            values[let_name] = val
+            values[let_name] = promote(evaluator(k_context=k).eval(ast), n, k)
 
     try:
         d_table = [Form.zero(n)] * n
-        for gi, (ast, line) in d_exprs.items():
-            d_table[gi - 1] = eval_form(ast, line, "generator differential")
-        h_form = eval_form(h_expr[0], h_expr[1], "twisting form") if h_expr else None
+        for gi, ast in d_exprs.items():
+            d_table[gi - 1] = eval_form(ast, "generator differential")
+        h_form = eval_form(h_expr, "twisting form") if h_expr is not None else None
         volume = ONE
         if vol_expr is not None:
-            v = evaluator().eval(vol_expr[0])
-            if not isinstance(v, Scalar):
-                raise ParseError("volume must be a scalar", vol_expr[1])
-            volume = v
+            volume = evaluator().eval(vol_expr)
+            if not isinstance(volume, Scalar):
+                raise ParseError("volume must be a scalar", vol_expr.token.line)
         model = Model(n, d_table, h_form, volume, orientation, gen_names)
     except ValueError as e:
         raise ModelFileError(str(e))
@@ -758,8 +727,7 @@ def parse_model(text: str) -> ModelFile:
                 rows = [[Q(x) for x in row] for row in payload]
                 structures[sname] = GCMap(n, rows)
             elif kind == "symplectic":
-                omega = eval_form(payload, line, "symplectic form")
-                structures[sname] = symplectic_map(omega)
+                structures[sname] = symplectic_map(eval_form(payload, "symplectic form"))
             else:
                 structures[sname] = complex_structure(n // 2)
         except ValueError as e:
@@ -783,13 +751,11 @@ def parse_model(text: str) -> ModelFile:
         mu = alpha = None
         if raw.mu or raw.alpha:
             mu = [
-                eval_form(raw.mu[j], raw.line, "mu") if j in raw.mu else Form.zero(n)
+                eval_form(raw.mu[j], "mu") if j in raw.mu else Form.zero(n)
                 for j in range(1, k + 1)
             ]
             alpha = [
-                eval_form(raw.alpha[j], raw.line, "alpha")
-                if j in raw.alpha
-                else Form.zero(n)
+                eval_form(raw.alpha[j], "alpha") if j in raw.alpha else Form.zero(n)
                 for j in range(1, k + 1)
             ]
         try:
@@ -804,7 +770,7 @@ def parse_model(text: str) -> ModelFile:
         act = actions[aname]
         if sorted(thetas) != list(range(1, act.k + 1)):
             raise ModelFileError("connection must define theta 1..k", line)
-        forms = [eval_form(thetas[j], line, "theta") for j in range(1, act.k + 1)]
+        forms = [eval_form(thetas[j], "theta") for j in range(1, act.k + 1)]
         try:
             connections[cname] = Connection(act, forms)
         except ValueError as e:
@@ -812,45 +778,36 @@ def parse_model(text: str) -> ModelFile:
 
     dh_specs: Dict[str, DHSpec] = {}
     for dname, fields, line in dh_raw:
-        def take(key: str, required: bool = True):
+        for key in ("base", "twist", "param", "n", "k"):
             if key not in fields:
-                if required:
-                    raise ModelFileError("dh block %r misses %r" % (dname, key), line)
-                return None
-            return fields[key]
-
-        base_ast = take("base")
-        twist_ast = take("twist")
-        param_ast = take("param")
-        n_ast = take("n")
-        k_ast = take("k")
-        base = eval_form(base_ast[0], base_ast[1], "base")
-        twist = eval_form(twist_ast[0], twist_ast[1], "twist")
-        if param_ast[0].kind != "name":
-            raise ModelFileError("dh param must be a parameter name", param_ast[1])
-        param = param_ast[0].value
+                raise ModelFileError("dh block %r misses %r" % (dname, key), line)
+        base = eval_form(fields["base"], "base")
+        twist = eval_form(fields["twist"], "twist")
+        param_ast = fields["param"]
+        if param_ast.kind != "name":
+            raise ModelFileError("dh param must be a parameter name", param_ast.token.line)
+        param = param_ast.value
         if param not in params:
-            raise ModelFileError("undeclared parameter %r" % param, param_ast[1])
-        nval = _int_literal(n_ast[0])
-        kval = _int_literal(k_ast[0])
+            raise ModelFileError("undeclared parameter %r" % param, param_ast.token.line)
+        nval = _int_literal(fields["n"])
+        kval = _int_literal(fields["k"])
         if nval is None or kval is None:
             raise ModelFileError("dh n and k must be integer literals", line)
         orient = 1
-        o_ast = take("orientation", required=False)
+        o_ast = fields.get("orientation")
         if o_ast is not None:
-            oval = _int_literal(o_ast[0])
-            if oval not in (1, -1):
-                raise ModelFileError("dh orientation must be +1 or -1", o_ast[1])
-            orient = oval
+            orient = _int_literal(o_ast)
+            if orient not in (1, -1):
+                raise ModelFileError("dh orientation must be +1 or -1", o_ast.token.line)
         ctype = None
-        t_ast = take("type", required=False)
+        t_ast = fields.get("type")
         if t_ast is not None:
-            ctype = _int_literal(t_ast[0])
+            ctype = _int_literal(t_ast)
             if ctype is None or ctype < 0:
-                raise ModelFileError("dh type must be a nonnegative integer", t_ast[1])
+                raise ModelFileError("dh type must be a nonnegative integer", t_ast.token.line)
         dh_specs[dname] = DHSpec(
             name=dname, base=base, twist=twist, param=param,
-            n=nval, k=kval, orientation=orient, constant_type=ctype, line=line,
+            n=nval, k=kval, orientation=orient, constant_type=ctype,
         )
 
     for pname in samples:
@@ -872,12 +829,7 @@ def parse_model(text: str) -> ModelFile:
     )
 
 
-def _rational_row(text: str, line: int) -> List[Fraction]:
-    toks = tokenize(text, line)
-    return _rational_list(toks, line)
-
-
-def _rational_list(toks: List[Token], line: int) -> List[Fraction]:
+def _rational_list(toks: List[Token]) -> List[Fraction]:
     out: List[Fraction] = []
     pos = 0
     while pos < len(toks):
@@ -890,30 +842,35 @@ def _rational_list(toks: List[Token], line: int) -> List[Fraction]:
             sign = -1 if tok.text == "-" else 1
             pos += 1
             if pos >= len(toks):
-                raise ParseError("dangling sign", line, tok.col)
+                raise ParseError("dangling sign", tok.line, tok.col)
             tok = toks[pos]
         if tok.kind != "NUM":
-            raise ParseError("expected a rational number", line, tok.col)
+            raise ParseError("expected a rational number", tok.line, tok.col)
         num = int(tok.text)
         pos += 1
         den = 1
         if pos < len(toks) and toks[pos].kind == "OP" and toks[pos].text == "/":
             pos += 1
             if pos >= len(toks) or toks[pos].kind != "NUM":
-                raise ParseError("expected a denominator", line, toks[pos - 1].col)
-            den = int(toks[pos].text)
+                at = toks[pos - 1]
+                raise ParseError("expected a denominator", at.line, at.col)
+            at = toks[pos]
+            den = int(at.text)
+            if den == 0:
+                raise ParseError("zero denominator", at.line, at.col)
             pos += 1
         out.append(Fraction(sign * num, den))
     return out
 
 
+def _eval_text(text: str, n: int, names: Sequence[str], params: Sequence[str]) -> Value:
+    """Tokenize, parse and evaluate one standalone expression on line 1."""
+    return Evaluator(n, names, params, {}).eval(ExprParser(tokenize(text, 1), 1).parse())
+
+
 def parse_form_text(text: str, model: Model, params: Sequence[str] = ()) -> Form:
     """Parse a standalone form expression against a model's frame."""
-    toks = tokenize(text, 1)
-    ast = ExprParser(toks, 1).parse()
-    val = Evaluator(model.n, model.names, params, {}).eval(ast)
-    if isinstance(val, Scalar):
-        val = Form.unit(model.n, val)
+    val = promote(_eval_text(text, model.n, model.names, params), model.n)
     if not isinstance(val, Form):
         raise ParseError("expected a form", 1)
     return val
@@ -921,13 +878,9 @@ def parse_form_text(text: str, model: Model, params: Sequence[str] = ()) -> Form
 
 def parse_scalar_text(text: str, params: Sequence[str] = ()) -> Scalar:
     """Parse a standalone scalar expression (round-trips the printer)."""
-    toks = tokenize(text, 1)
-    ast = ExprParser(toks, 1).parse()
-    val = Evaluator(0, [], params, {}).eval(ast)
-    if isinstance(val, Form):
-        if set(val.terms) <= {0}:
-            return val.terms.get(0, Scalar())
-        raise ParseError("expected a scalar", 1)
+    val = _eval_text(text, 0, [], params)
+    if isinstance(val, Form) and set(val.terms) <= {0}:
+        val = val.terms.get(0, Scalar())
     if not isinstance(val, Scalar):
         raise ParseError("expected a scalar", 1)
     return val

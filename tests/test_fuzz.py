@@ -33,7 +33,7 @@ HEADS = [
 ]
 TOKENS = (
     "e1 e2 e3 e4 t s a b x1 x2 i pi exp conj symplectic complex matrix for = "
-    "0 1 2 3 16 32 33 99999999999 + - * / ^ ( ) ,"
+    "0 1 2 3 16 32 33 99999999999 1/0 + - * / ^ ( ) ,"
 ).split()
 HEADER = "model fuzz\ngenerators e1 e2 e3 e4\nparams t s\nlet b = e1^e2\n"
 

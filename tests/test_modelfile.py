@@ -412,3 +412,63 @@ def test_polynomial_degree_just_under_the_budget(tmp_path, capsys):
     values = parse_model(HEADER + body).values
     assert values["a"].terms[0b01].degree() == 32
     assert values["c"].degree() == 32 and values["c"].degree("t") == 31
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("structure J matrix\n  0 0 0 1/0\n  0 0 1 0\n  0 -1 0 0\n  1 0 0 0\nend\n",
+         "line 5, col 11"),
+        ("action r\n  xi 1 = 1/0 0\nend\n", "line 5, col 12"),
+        ("samples t = 0, 1/0\n", "line 4, col 18"),
+    ],
+    ids=["matrix-row", "xi-row", "samples"],
+)
+def test_zero_denominators_are_located_parse_errors(tmp_path, capsys, body, where):
+    code, payload, _ = _validate_file(tmp_path, capsys, body)
+    assert code == 2
+    assert payload == {"error": "%s: zero denominator" % where, "kind": "parse"}
+
+
+def test_xi_rows_are_located_in_their_own_line():
+    with pytest.raises(ParseError) as err:
+        parse_model("model demo\ngenerators e1 e2\naction r\n  xi 1 = 1 x\nend\n")
+    assert str(err.value) == "line 4, col 12: expected a rational number"
+
+
+@pytest.mark.parametrize(
+    "what, block, line",
+    [
+        ("mu", "action r\n  xi 1 = 1 0\n  mu 1 = g\nend\n", 6),
+        ("alpha", "action r\n  xi 1 = 1 0\n  alpha 1 = g\nend\n", 6),
+        ("theta", "action r\n  xi 1 = 1 0\nend\nconnection c for r\n  theta 1 = g\nend\n", 8),
+    ],
+    ids=["mu", "alpha", "theta"],
+)
+def test_moment_and_connection_forms_are_located_in_their_own_line(what, block, line):
+    # g is an eqform; the error names the mu, alpha or theta line, not the block header
+    with pytest.raises(ParseError) as err:
+        parse_model(HEADER + block + "eqform g for r = x1\n")
+    assert str(err.value) == "line %d, col 1: %s must be a form" % (line, what)
+
+
+def test_forms_meet_eqforms_only_under_a_torus_rank():
+    eq = "model demo\ngenerators e1 e2\naction r\n  xi 1 = 1 0\nend\neqform g for r = x1\n"
+    mf = parse_model(eq + "eqform h for r = g + e1\n")
+    assert mf.values["h"].component((0,)) == Form.generator(2, 1)
+    with pytest.raises(ParseError) as err:
+        parse_model(eq + "let h = g + e1\n")
+    assert str(err.value) == "line 7, col 11: polynomial variables are not allowed here"
+
+
+def test_blocks_without_end_fail_after_their_body_lines():
+    for block, error in [
+        ("structure J matrix\n  0 0 0 -1\n", "line 3, col 1: matrix block missing 'end'"),
+        ("action r\n  xi 1 = 1 0\n", "line 3, col 1: action block missing 'end'"),
+        ("connection c for r\n  theta 1 = e1\n", "line 3, col 1: connection block missing 'end'"),
+        ("dh f\n  base = 1\n", "line 3, col 1: dh block missing 'end'"),
+        ("dh f\n  base = (1\n", "line 4, col 12: unexpected end of expression"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_model("model demo\ngenerators e1 e2\n" + block)
+        assert str(err.value) == error
