@@ -158,27 +158,23 @@ def type_of(j: GCMap) -> int:
 def pure_spinor(space: IsotropicSubspace) -> Form:
     """Generator of the annihilator line of a maximal isotropic subspace.
 
-    Normalized so the first coefficient in `mask_key` order (degree, then
-    mask) is 1.
+    The basis vectors anticommute and square to zero, so their Clifford
+    product maps every form into the line; the first basis form (in
+    `basis_masks` order) it does not kill gives the generator, normalized so
+    the first coefficient in `mask_key` order is 1.
     """
     n = space.dim_v
     if space.dimension != n:
-        raise ValueError(
-            "subspace has dimension %d, maximal isotropic needs %d"
-            % (space.dimension, n)
-        )
-    masks = basis_masks(n)
-    rows: linalg.Mat = []
-    for v in space.basis:
-        coords = [Scalar.from_q(x) for x in v]
-        rows.extend(linalg.operator_matrix(
-            lambda m: clifford(coords, Form(n, {m: ONE})).terms, masks, masks))
-    kernel = linalg.kernel_basis(rows, ncols=len(masks))
-    if len(kernel) != 1:
-        raise ValueError(
-            "annihilator line has dimension %d, expected 1" % len(kernel)
-        )
-    return _normalize_spinor(vec_to_form(kernel[0], masks, n))
+        raise ValueError("subspace has dimension %d, maximal isotropic needs %d"
+                         % (space.dimension, n))
+    vectors = [[Scalar.from_q(x) for x in v] for v in space.basis]
+    for mask in basis_masks(n):
+        f = Form(n, {mask: ONE})
+        for v in vectors:
+            f = clifford(v, f)
+        if not f.is_zero():
+            return _normalize_spinor(f)
+    raise AssertionError("the product of a maximal isotropic basis kills every form")
 
 
 def _normalize_spinor(f: Form) -> Form:
@@ -227,14 +223,10 @@ def b_transform(j: GCMap, b: Form) -> GCMap:
         raise ValueError("B-field lives on %d generators, structure on %d" % (b.n, j.dim))
     bm = _b_matrix(b)
     n = j.dim
-    eb = linalg.identity(2 * n)
-    ebm = linalg.identity(2 * n)
-    for r in range(n):
-        for c in range(n):
-            eb[n + r][c] = bm[r][c]
-            ebm[n + r][c] = -bm[r][c]
-    out = linalg.mat_mul(eb, linalg.mat_mul(j.matrix, ebm))
-    result = GCMap(n, out)
+    eb, ebm = linalg.identity(2 * n), linalg.identity(2 * n)
+    for r in range(n):  # e^B and e^-B: the identity plus +-bm in the lower left block
+        eb[n + r][:n], ebm[n + r][:n] = bm[r], [-x for x in bm[r]]
+    result = GCMap(n, linalg.mat_mul(eb, linalg.mat_mul(j.matrix, ebm)))
     report = validate(result)
     if not report.ok:
         raise ValueError("B-transform produced an invalid structure: %s" % (report.failures,))
@@ -258,16 +250,9 @@ def _b_matrix(b: Form) -> linalg.Mat:
 
 def transform_vector(b: Form, v: Sequence[Q]) -> List[Q]:
     """Apply the shear e^B to a V+V* coefficient vector."""
-    n = b.n
-    bm = _b_matrix(b)
-    out = list(v)
-    for r in range(n):
-        acc = out[n + r]
-        for c in range(n):
-            if not bm[r][c].is_zero():
-                acc = acc + bm[r][c] * v[c]
-        out[n + r] = acc
-    return out
+    n, bm = b.n, _b_matrix(b)
+    return list(v[:n]) + [v[n + r] + linalg.sum_q(x * y for x, y in zip(bm[r], v))
+                          for r in range(n)]
 
 
 # -- the induced grading on forms -------------------------------------------------
@@ -285,8 +270,6 @@ class UGrading:
     dim_v: int
     levels: Tuple[int, ...]
     bases: dict = field(hash=False)
-    _masks: Tuple[int, ...] = field(hash=False, repr=False)
-    _inverse: tuple = field(hash=False, repr=False)
 
     @property
     def half_dim(self) -> int:
@@ -301,19 +284,14 @@ class UGrading:
             raise ValueError("form does not live on this frame")
         if f.parameters():
             raise ValueError("decomposition needs parameter-free coefficients")
-        coeffs = linalg.mat_vec(self._inverse, form_to_vec(f, self._masks))
-        out = {}
-        pos = 0
-        for k in self.levels:
-            part = Form.zero(self.dim_v)
-            for b in self.bases[k]:
-                c = coeffs[pos]
-                pos += 1
-                if not c.is_zero():
-                    part = part + b.scale(Scalar.from_q(c))
-            if not part.is_zero():
-                out[k] = part
-        return out
+        masks = basis_masks(self.dim_v)
+        vec = form_to_vec(f, masks)
+        level_forms = [b for k in self.levels for b in self.bases[k]]
+        change = linalg.operator_matrix(lambda b: b.terms, level_forms, masks)
+        coeffs = iter(linalg.solve(change, vec))  # read level by level, in self.levels order
+        parts = {k: sum((b.scale(Scalar.from_q(c)) for b, c in zip(self.bases[k], coeffs)),
+                        Form.zero(self.dim_v)) for k in self.levels}
+        return {k: part for k, part in parts.items() if not part.is_zero()}
 
 
 def lifted_action_matrix(j: GCMap) -> linalg.Mat:
@@ -323,8 +301,9 @@ def lifted_action_matrix(j: GCMap) -> linalg.Mat:
     acting through commutators; with the Clifford relation u.v. + v.u. =
     2<u,v> and P^2 = 1/4 this is exactly the normalization that satisfies
     [L, v.] = -(Jv). for every v, including structures that do not commute
-    with P (for example B-field shears).  An additive scalar then anchors
-    the canonical line at eigenvalue -n*i.
+    with P (for example B-field shears).  No scalar is added: L has
+    eigenvalue -k*i on level k of `uk_grading`, which the tests check on
+    every level basis form.
 
     Each unit vector c_a of V + V* maps a unit form e_mask to a signed unit
     form (`_unit_clifford`), so a term w (c_a c_b - c_b c_a) adds at most two
@@ -354,49 +333,34 @@ def lifted_action_matrix(j: GCMap) -> linalg.Mat:
 
 
 def uk_grading(j: GCMap) -> UGrading:
-    """Decompose forms into integer levels -n..n; level n is the spinor line."""
+    """Decompose forms into integer levels -h..h (h = dim V / 2).
+
+    With L the i-eigenspace of J and rho its pure spinor, level h - k is
+    spanned by lbar_I . rho over the k-subsets I of a basis of conj(L)
+    (Gualtieri).  A level's basis is the RREF of its spanning rows with the
+    columns reversed, reversed back: one vector per free coordinate, in
+    increasing order, normalized like the spinor.
+    """
     n = j.dim
     half = n // 2
     masks = basis_masks(n)
-    dim = len(masks)
-    op = lifted_action_matrix(j)
-
-    spinor = pure_spinor(i_eigenspace(j))
-    svec = form_to_vec(spinor, masks)
-    image = linalg.mat_vec(op, svec)
-    lead = next(i for i, x in enumerate(svec) if not x.is_zero())
-    eigen = image[lead] / svec[lead]
-    if [x * eigen for x in svec] != image:
-        raise ValueError("canonical line is not an eigenvector of the lift")
-    shift = Q(0, -half) - eigen
-
+    space = i_eigenspace(j)
+    conj = [[Scalar.from_q(x) for x in v] for v in space.conjugate_basis()]
+    levels = tuple(range(half, -half - 1, -1))
     bases = {}
-    levels = list(range(half, -half - 1, -1))
-    count = 0
+    span = [(-1, pure_spinor(space))]  # (last conjugate index applied, form)
     for k in levels:
-        # level k: kernel of L + shift + k*i, both added on the diagonal
-        diag = shift + Q(0, k)
-        target = [list(row) for row in op]
-        for r, row in enumerate(target):
-            row[r] = row[r] + diag
-        kernel = linalg.kernel_basis(target)
-        bases[k] = tuple(_normalize_spinor(vec_to_form(v, masks, n)) for v in kernel)
-        count += len(kernel)
-    if count != dim:
-        raise ValueError(
-            "eigenvalue spectrum escapes the expected levels "
-            "(%d of %d dimensions found): lift convention bug" % (count, dim)
+        rows, pivots = linalg.rref([form_to_vec(f, masks)[::-1] for _, f in span])
+        bases[k] = tuple(
+            _normalize_spinor(vec_to_form(row[::-1], masks, n))
+            for row in reversed(rows[: len(pivots)])
         )
-    level_forms = [f for k in levels for f in bases[k]]
-    change = linalg.operator_matrix(lambda f: f.terms, level_forms, masks)
-    inverse = linalg.invert(change)
-    return UGrading(
-        dim_v=n,
-        levels=tuple(levels),
-        bases=bases,
-        _masks=tuple(masks),
-        _inverse=tuple(tuple(r) for r in inverse),
-    )
+        span = [(b, clifford(conj[b], f)) for a, f in span for b in range(a + 1, n)]
+    count = sum(map(len, bases.values()))
+    if count != len(masks):
+        raise ValueError("eigenvalue spectrum escapes the expected levels (%d of %d dimensions "
+                         "found): lift convention bug" % (count, len(masks)))
+    return UGrading(dim_v=n, levels=levels, bases=bases)
 
 
 @dataclass(frozen=True)
@@ -441,12 +405,8 @@ def symplectic_map(omega: Form) -> GCMap:
     if linalg.rank(om) != n:
         raise ValueError("2-form is degenerate")
     inv = linalg.invert(om)
-    m = linalg.zeros(2 * n, 2 * n)
-    for r in range(n):
-        for c in range(n):
-            m[r][n + c] = -inv[r][c]
-            m[n + r][c] = om[r][c]
-    return GCMap(n, m)
+    zero = [QZERO] * n
+    return GCMap(n, [zero + [-x for x in row] for row in inv] + [row + zero for row in om])
 
 
 def complex_structure(n_pairs: int, sign: int = 1) -> GCMap:

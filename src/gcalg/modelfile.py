@@ -29,6 +29,7 @@ MAX_DEGREE = 32  # largest parameter degree a product, power or exp may build
 MAX_MONOMIALS = 1000  # most monomials one coefficient of a product, power or exp may hold
 MAX_FILE_PRODUCTS = 20000  # most term products (that bound x the power) one file may spend
 MAX_GENERATORS = 8  # most generators a model may declare: every space has dimension 2^n
+_DH_FIELDS = ("base", "twist", "param", "n", "k", "orientation", "type")  # the first five required
 
 
 class ParseError(Exception):
@@ -514,9 +515,16 @@ def parse_model(text: str) -> ModelFile:
     dh_raw: List[tuple] = []
     samples: Dict[str, List[Fraction]] = {}
     sample_lines: Dict[str, int] = {}
+    defined = set()  # (block header line or 0, statement, name) of each one-time statement
 
     def fail(msg: str, line: int, col: int = 1):
         raise ParseError(msg, line, col)
+
+    def once(what: str, line: int, col: int = 1, name=None, block: int = 0) -> None:
+        if (block, what, name) in defined:
+            fail("repeated %s" % what if name is None else "repeated %s %r" % (what, name),
+                 line, col)
+        defined.add((block, what, name))
 
     def block(what: str, lineno: int, handle) -> None:
         """Pass the tokens of each line up to 'end' to handle(); a block that
@@ -542,8 +550,7 @@ def parse_model(text: str) -> ModelFile:
             for t in toks[1:]:
                 if t.kind != "NAME":
                     fail("generator names must be identifiers", lineno, t.col)
-                if t.text in gen_names:
-                    fail("repeated generator %r" % t.text, lineno, t.col)
+                once("generator", lineno, t.col, t.text)
                 if len(gen_names) == MAX_GENERATORS:
                     fail("more than %d generators" % MAX_GENERATORS, lineno, t.col)
                 gen_names.append(t.text)
@@ -560,14 +567,17 @@ def parse_model(text: str) -> ModelFile:
             gname = toks[1].text
             if gname not in gen_names:
                 fail("undeclared generator %r" % gname, lineno, toks[1].col)
+            once("d", lineno, toks[1].col, gname)
             d_exprs[gen_names.index(gname) + 1] = ExprParser(toks[3:], lineno).parse()
         elif key == "H":
             if len(toks) < 3 or toks[1].text != "=":
                 fail("usage: H = <form>", lineno)
+            once("H", lineno, head.col)
             h_expr = ExprParser(toks[2:], lineno).parse()
         elif key == "volume":
             if len(toks) < 3 or toks[1].text != "=":
                 fail("usage: volume = <scalar>", lineno)
+            once("volume", lineno, head.col)
             vol_expr = ExprParser(toks[2:], lineno).parse()
         elif key == "orientation":
             if len(toks) < 3 or toks[1].text != "=":
@@ -575,6 +585,7 @@ def parse_model(text: str) -> ModelFile:
             val = "".join(t.text for t in toks[2:])
             if val not in ("+1", "-1", "1"):
                 fail("orientation must be +1 or -1", lineno, toks[2].col)
+            once("orientation", lineno, head.col)
             orientation = -1 if val == "-1" else 1
         elif key == "let":
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":
@@ -593,22 +604,22 @@ def parse_model(text: str) -> ModelFile:
             lets.append((toks[1].text, ExprParser(toks[5:], lineno).parse(), toks[3].text))
         elif key == "structure":
             if len(toks) >= 3 and toks[2].kind == "NAME" and toks[2].text == "matrix":
-                rows: List[List[Fraction]] = []
-                block("matrix", lineno, lambda btoks: rows.append(_rational_list(btoks)))
-                structures_raw.append(("matrix", toks[1].text, rows, lineno))
+                payload = []
+                block("matrix", lineno, lambda btoks: payload.append(_rational_list(btoks)))
             elif len(toks) >= 4 and toks[2].text == "symplectic":
-                ast = ExprParser(toks[3:], lineno).parse()
-                structures_raw.append(("symplectic", toks[1].text, ast, lineno))
+                payload = ExprParser(toks[3:], lineno).parse()
             elif len(toks) == 3 and toks[2].text == "complex":
                 if len(gen_names) % 2:
                     fail("complex structure needs an even generator count", lineno)
-                structures_raw.append(("complex", toks[1].text, None, lineno))
+                payload = None
             else:
                 fail(
                     "usage: structure <name> symplectic <2-form> | "
                     "structure <name> complex | structure <name> matrix ... end",
                     lineno,
                 )
+            once("structure", lineno, toks[1].col, toks[1].text)
+            structures_raw.append((toks[2].text, toks[1].text, payload, lineno))
         elif key == "action":
             if len(toks) != 2 or toks[1].kind != "NAME":
                 fail("usage: action <name>", lineno)
@@ -625,6 +636,7 @@ def parse_model(text: str) -> ModelFile:
                     fail("usage: %s <j> = <%s>"
                          % (what, "rationals" if what == "xi" else "form"), l2)
                 j = int(btoks[1].text)
+                once(what, l2, btoks[1].col, j, lineno)
                 if what == "xi":
                     raw.xi[j] = _rational_list(btoks[3:])
                 else:
@@ -632,8 +644,7 @@ def parse_model(text: str) -> ModelFile:
                     (raw.mu if what == "mu" else raw.alpha)[j] = ast
 
             block("action", lineno, action_field)
-            if raw.name in actions_raw:
-                fail("repeated action %r" % raw.name, lineno)
+            once("action", lineno, name=raw.name)
             actions_raw[raw.name] = raw
         elif key == "connection":
             if (
@@ -653,9 +664,11 @@ def parse_model(text: str) -> ModelFile:
                     or btoks[2].text != "="
                 ):
                     fail("usage: theta <j> = <1-form>", btoks[0].line)
+                once("theta", btoks[0].line, btoks[1].col, int(btoks[1].text), lineno)
                 thetas[int(btoks[1].text)] = ExprParser(btoks[3:], btoks[0].line).parse()
 
             block("connection", lineno, theta)
+            once("connection", lineno, toks[1].col, toks[1].text)
             connections_raw.append((toks[1].text, toks[3].text, thetas, lineno))
         elif key == "dh":
             if len(toks) != 2 or toks[1].kind != "NAME":
@@ -665,13 +678,19 @@ def parse_model(text: str) -> ModelFile:
             def dh_field(btoks: List[Token]) -> None:
                 if len(btoks) < 3 or btoks[0].kind != "NAME" or btoks[1].text != "=":
                     fail("usage: <field> = <value>", btoks[0].line)
-                fields[btoks[0].text] = ExprParser(btoks[2:], btoks[0].line).parse()
+                tok = btoks[0]
+                if tok.text not in _DH_FIELDS:
+                    fail("unknown dh field %r" % tok.text, tok.line, tok.col)
+                once("dh field", tok.line, tok.col, tok.text, lineno)
+                fields[tok.text] = ExprParser(btoks[2:], tok.line).parse()
 
             block("dh", lineno, dh_field)
+            once("dh", lineno, toks[1].col, toks[1].text)
             dh_raw.append((toks[1].text, fields, lineno))
         elif key == "samples":
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":
                 fail("usage: samples <param> = <rationals>", lineno)
+            once("samples", lineno, toks[1].col, toks[1].text)
             samples[toks[1].text] = _rational_list(toks[3:])
             sample_lines[toks[1].text] = lineno
         else:
@@ -748,6 +767,10 @@ def parse_model(text: str) -> ModelFile:
                     "xi %d needs %d coordinates" % (j, n), raw.line
                 )
             xi.append([Scalar.rational(x) for x in row])
+        for what, table in (("mu", raw.mu), ("alpha", raw.alpha)):
+            for j in [j for j in table if j > k]:
+                raise ModelFileError("action %r defines %s %d past its rank %d"
+                                     % (raw.name, what, j, k), table[j].token.line)
         mu = alpha = None
         if raw.mu or raw.alpha:
             mu = [
@@ -778,7 +801,7 @@ def parse_model(text: str) -> ModelFile:
 
     dh_specs: Dict[str, DHSpec] = {}
     for dname, fields, line in dh_raw:
-        for key in ("base", "twist", "param", "n", "k"):
+        for key in _DH_FIELDS[:5]:
             if key not in fields:
                 raise ModelFileError("dh block %r misses %r" % (dname, key), line)
         base = eval_form(fields["base"], "base")

@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gcalg import linalg
-from gcalg.forms import Form, basis_masks, form_to_vec, vec_to_form, wedge
+from gcalg.forms import Form, basis_masks, clifford, form_to_vec, mask_key, vec_to_form, wedge
+from gcalg.gcmaps import i_eigenspace, lifted_action_matrix
 from gcalg.models import BettiPair, d, d_twisted, split_operators
 from gcalg.scalars import ONE, Q, Scalar, scalar
 
@@ -198,3 +199,85 @@ def ref_delbar_closed_subcomplex_betti(m, j):
     even, odd = images
     rank_e, rank_o = linalg.rank(even), linalg.rank(odd)
     return BettiPair(len(even) - rank_e - rank_o, len(odd) - rank_o - rank_e)
+
+
+# the level grading as first computed: the pure spinor as the kernel of the
+# stacked Clifford system of the space, level k as the kernel of the lift
+# shifted so the spinor line sits at -h*i plus k*i, and decompose through the
+# stored inverse of the change matrix; the package builds the levels from the
+# spinor by Clifford products and solves the change matrix per call instead
+def _ref_normalize(f):
+    lead = min(f.terms, key=mask_key)
+    return f.scale(ONE / f.terms[lead])
+
+
+def ref_pure_spinor(space):
+    n = space.dim_v
+    if space.dimension != n:
+        raise ValueError(
+            "subspace has dimension %d, maximal isotropic needs %d"
+            % (space.dimension, n)
+        )
+    masks = basis_masks(n)
+    rows = []
+    for v in space.basis:
+        coords = [Scalar.from_q(x) for x in v]
+        rows.extend(linalg.operator_matrix(
+            lambda m: clifford(coords, Form(n, {m: ONE})).terms, masks, masks))
+    kernel = linalg.kernel_basis(rows, ncols=len(masks))
+    if len(kernel) != 1:
+        raise ValueError("annihilator line has dimension %d, expected 1" % len(kernel))
+    return _ref_normalize(vec_to_form(kernel[0], masks, n))
+
+
+class RefGrading:
+    def __init__(self, dim_v, levels, bases, masks, inverse):
+        self.dim_v, self.levels, self.bases = dim_v, levels, bases
+        self.masks, self.inverse = masks, inverse
+
+    def decompose(self, f):
+        if f.n != self.dim_v:
+            raise ValueError("form does not live on this frame")
+        if f.parameters():
+            raise ValueError("decomposition needs parameter-free coefficients")
+        coeffs = linalg.mat_vec(self.inverse, form_to_vec(f, self.masks))
+        out = {}
+        pos = 0
+        for k in self.levels:
+            part = Form.zero(self.dim_v)
+            for b in self.bases[k]:
+                c = coeffs[pos]
+                pos += 1
+                if not c.is_zero():
+                    part = part + b.scale(Scalar.from_q(c))
+            if not part.is_zero():
+                out[k] = part
+        return out
+
+
+def ref_uk_grading(j):
+    n = j.dim
+    half = n // 2
+    masks = basis_masks(n)
+    op = lifted_action_matrix(j)
+    svec = form_to_vec(ref_pure_spinor(i_eigenspace(j)), masks)
+    image = linalg.mat_vec(op, svec)
+    lead = next(i for i, x in enumerate(svec) if not x.is_zero())
+    eigen = image[lead] / svec[lead]
+    if [x * eigen for x in svec] != image:
+        raise ValueError("canonical line is not an eigenvector of the lift")
+    shift = Q(0, -half) - eigen
+    levels = tuple(range(half, -half - 1, -1))
+    bases = {}
+    for k in levels:
+        diag = shift + Q(0, k)
+        target = [list(row) for row in op]
+        for r, row in enumerate(target):
+            row[r] = row[r] + diag
+        kernel = linalg.kernel_basis(target)
+        bases[k] = tuple(_ref_normalize(vec_to_form(v, masks, n)) for v in kernel)
+    if sum(len(b) for b in bases.values()) != len(masks):
+        raise ValueError("eigenvalue spectrum escapes the expected levels")
+    level_forms = [f for k in levels for f in bases[k]]
+    inverse = linalg.invert(linalg.operator_matrix(lambda f: f.terms, level_forms, masks))
+    return RefGrading(n, levels, bases, masks, inverse)

@@ -29,6 +29,7 @@ from gcalg.cartan import (
 )
 from gcalg.forms import (
     Form,
+    basis_masks,
     canonical_pairing,
     clifford,
     contract,
@@ -218,7 +219,7 @@ def test_criterion_07_gc_linear_layer():
             assert sum(grading.dimension(k) for k in grading.levels) == 2 ** n
             assert grading.bases[half] == (spinor,)
             # eigenvalue -half*i on the canonical line, straight from the lift
-            masks = grading._masks
+            masks = basis_masks(n)
             op = lifted_action_matrix(j)
             vec = [spinor.terms.get(mk, Scalar()).as_q() for mk in masks]
             image = linalg.mat_vec(op, vec)

@@ -364,7 +364,7 @@ def test_one_rref_per_matrix(monkeypatch):
 
 def ref_split_operators(m, j):
     g = uk_grading(j)
-    masks = g._masks
+    masks = tuple(basis_masks(m.n))
     halves = {mk: del_delbar_split(m, j, Form(m.n, {mk: ONE}), grading=g) for mk in masks}
     lower = linalg.operator_matrix(lambda mk: halves[mk][0].terms, masks, masks)
     upper = linalg.operator_matrix(lambda mk: halves[mk][1].terms, masks, masks)

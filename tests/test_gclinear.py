@@ -250,15 +250,14 @@ def test_uk_grading_of_sheared_structures():
 
 def test_lift_commutator_identity(rng):
     # [L, v.] = -(Jv). for the quadratic lift, including sheared structures
-    from gcalg.forms import clifford
+    from gcalg.forms import basis_masks, clifford
     from gcalg.gcmaps import lifted_action_matrix
     from gcalg.scalars import Scalar as Sc
 
     jw = symplectic_map(omega4())
     jb = b_transform(jw, Form.monomial(4, (1, 4)))
     for j in (jw, complex_structure(2), jb):
-        grading = uk_grading(j)
-        masks = grading._masks
+        masks = basis_masks(4)
         op = lifted_action_matrix(j)
 
         def apply_op(form):

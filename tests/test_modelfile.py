@@ -472,3 +472,53 @@ def test_blocks_without_end_fail_after_their_body_lines():
         with pytest.raises(ParseError) as err:
             parse_model("model demo\ngenerators e1 e2\n" + block)
         assert str(err.value) == error
+
+
+@pytest.mark.parametrize("what", ["mu", "alpha"])
+def test_moment_lines_past_the_rank_name_their_line(what):
+    text = "model demo\ngenerators e1 e2\naction r\n  xi 1 = 1 0\n  %s 2 = e2\nend\n" % what
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text)
+    assert str(err.value) == "line 5: action 'r' defines %s 2 past its rank 1" % what
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("field", ["orientaton", "colour"])
+def test_unknown_dh_fields_are_located_at_the_field(field):
+    text = ("model demo\ngenerators e1 e2\nparams t\ndh f\n  base = 1\n  twist = e1^e2\n"
+            "  param = t\n  n = 1\n  k = 1\n  %s = -1\nend\n" % field)
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == "line 10, col 3: unknown dh field %r" % field
+
+
+DH_F = "params t\ndh f\n  base = 1\n  twist = e1^e2\n  param = t\n  n = 1\n  k = 1\n%send\n"
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("structure J complex\nstructure J symplectic e1^e2\n", "line 4, col 11: repeated structure 'J'"),
+        ("action r\n  xi 1 = 1 0\nend\nconnection c for r\n  theta 1 = e1\nend\n"
+         "connection c for r\n  theta 1 = e1\nend\n", "line 9, col 12: repeated connection 'c'"),
+        (DH_F % "" + "dh f\n  base = 1\nend\n", "line 11, col 4: repeated dh 'f'"),
+        ("params t\nsamples t = 1\nsamples t = 2\n", "line 5, col 9: repeated samples 't'"),
+        ("action r\n  xi 1 = 1 0\n  xi 1 = 0 1\nend\n", "line 5, col 6: repeated xi 1"),
+        ("action r\n  xi 1 = 1 0\n  mu 1 = e1\n  mu 1 = e2\nend\n", "line 6, col 6: repeated mu 1"),
+        ("action r\n  xi 1 = 1 0\n  alpha 1 = 0\n  alpha 1 = e1\nend\n",
+         "line 6, col 9: repeated alpha 1"),
+        ("action r\n  xi 1 = 1 0\nend\nconnection c for r\n  theta 1 = e1\n  theta 1 = e2\nend\n",
+         "line 8, col 9: repeated theta 1"),
+        (DH_F % "  n = 2\n", "line 10, col 3: repeated dh field 'n'"),
+        ("d e2 = e1\nd e2 = 0\n", "line 4, col 3: repeated d 'e2'"),
+        ("H = 0\nH = 0\n", "line 4, col 1: repeated H"),
+        ("volume = 1\nvolume = 2\n", "line 4, col 1: repeated volume"),
+        ("orientation = +1\norientation = -1\n", "line 4, col 1: repeated orientation"),
+    ],
+    ids=["structure", "connection", "dh", "samples", "xi", "mu", "alpha", "theta",
+         "dh-field", "d", "H", "volume", "orientation"],
+)
+def test_repeated_definitions_fail_at_the_second(body, error):
+    with pytest.raises(ParseError) as err:
+        parse_model("model demo\ngenerators e1 e2\n" + body)
+    assert str(err.value) == error

@@ -5,8 +5,9 @@ named by the per-layer metrics, and raises LookupError for a listed name
 that is gone; its counting pass reads `linalg.mat_vec`'s matrix as dense Q
 rows.  Deleting or renaming a traced function, or changing what `mat_vec`
 is handed, breaks `perfbench/run.py --trace 1`.  This test loads the file
-read-only, installs the tracer and the counter, runs a `gclinear` and a
-`grading` query under both, and checks that the output is unchanged.
+read-only, installs the tracer and the counter, runs a `gclinear`, a
+`grading` and an `extension` query under both (the extension query hands
+`mat_vec` its split halves), and checks that the output is unchanged.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 QUERIES = [
     ["gclinear", str(MODELS_DIR / "kodaira_thurston.model")],
     ["grading", str(MODELS_DIR / "kodaira_thurston.model")],
+    ["extension", str(MODELS_DIR / "t2_symplectic.model"), "--form", "rho"],
 ]
 
 
@@ -45,7 +47,7 @@ def outputs():
 def test_traced_and_counted_queries_match_untraced():
     layers = load_layers()
     plain = outputs()
-    assert [code for code, _ in plain] == [0, 0]
+    assert [code for code, _ in plain] == [0, 0, 0]
     tracer, counter = layers.Tracer(), layers.Counter()
     try:
         tracer.install(layers.traced_names())
