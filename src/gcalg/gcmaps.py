@@ -14,6 +14,7 @@ with P is a row swap.  The Clifford action is the one generator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -165,8 +166,10 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
     """
     n = space.dim_v
     if space.dimension != n:
-        raise ValueError("subspace has dimension %d, maximal isotropic needs %d"
-                         % (space.dimension, n))
+        raise ValueError(
+            "subspace has dimension %d, maximal isotropic needs %d"
+            % (space.dimension, n)
+        )
     vectors = [[Scalar.from_q(x) for x in v] for v in space.basis]
     for mask in basis_masks(n):
         f = Form(n, {mask: ONE})
@@ -223,10 +226,14 @@ def b_transform(j: GCMap, b: Form) -> GCMap:
         raise ValueError("B-field lives on %d generators, structure on %d" % (b.n, j.dim))
     bm = _b_matrix(b)
     n = j.dim
-    eb, ebm = linalg.identity(2 * n), linalg.identity(2 * n)
-    for r in range(n):  # e^B and e^-B: the identity plus +-bm in the lower left block
-        eb[n + r][:n], ebm[n + r][:n] = bm[r], [-x for x in bm[r]]
-    result = GCMap(n, linalg.mat_mul(eb, linalg.mat_mul(j.matrix, ebm)))
+    eb = linalg.identity(2 * n)
+    ebm = linalg.identity(2 * n)
+    for r in range(n):
+        for c in range(n):
+            eb[n + r][c] = bm[r][c]
+            ebm[n + r][c] = -bm[r][c]
+    out = linalg.mat_mul(eb, linalg.mat_mul(j.matrix, ebm))
+    result = GCMap(n, out)
     report = validate(result)
     if not report.ok:
         raise ValueError("B-transform produced an invalid structure: %s" % (report.failures,))
@@ -250,9 +257,16 @@ def _b_matrix(b: Form) -> linalg.Mat:
 
 def transform_vector(b: Form, v: Sequence[Q]) -> List[Q]:
     """Apply the shear e^B to a V+V* coefficient vector."""
-    n, bm = b.n, _b_matrix(b)
-    return list(v[:n]) + [v[n + r] + linalg.sum_q(x * y for x, y in zip(bm[r], v))
-                          for r in range(n)]
+    n = b.n
+    bm = _b_matrix(b)
+    out = list(v)
+    for r in range(n):
+        acc = out[n + r]
+        for c in range(n):
+            if not bm[r][c].is_zero():
+                acc = acc + bm[r][c] * v[c]
+        out[n + r] = acc
+    return out
 
 
 # -- the induced grading on forms -------------------------------------------------
@@ -278,19 +292,25 @@ class UGrading:
     def dimension(self, k: int) -> int:
         return len(self.bases.get(k, ()))
 
+    @cached_property
+    def _inverse(self) -> linalg.Mat:
+        """Inverse of the matrix whose columns are the level forms, level by level
+        in `levels` order; made on the first `decompose` and kept."""
+        level_forms = [b for k in self.levels for b in self.bases[k]]
+        masks = basis_masks(self.dim_v)
+        return linalg.invert(linalg.operator_matrix(lambda b: b.terms, level_forms, masks))
+
     def decompose(self, f: Form) -> dict:
         """Split a form into its level components (zero parts omitted)."""
         if f.n != self.dim_v:
             raise ValueError("form does not live on this frame")
         if f.parameters():
             raise ValueError("decomposition needs parameter-free coefficients")
-        masks = basis_masks(self.dim_v)
-        vec = form_to_vec(f, masks)
-        level_forms = [b for k in self.levels for b in self.bases[k]]
-        change = linalg.operator_matrix(lambda b: b.terms, level_forms, masks)
-        coeffs = iter(linalg.solve(change, vec))  # read level by level, in self.levels order
-        parts = {k: sum((b.scale(Scalar.from_q(c)) for b, c in zip(self.bases[k], coeffs)),
-                        Form.zero(self.dim_v)) for k in self.levels}
+        if f.is_zero():
+            return {}
+        coeffs = iter(linalg.mat_vec(self._inverse, form_to_vec(f, basis_masks(self.dim_v))))
+        parts = {k: sum((b.scale(Scalar.from_q(c)) for b, c in zip(self.bases[k], coeffs)
+                         if not c.is_zero()), Form.zero(self.dim_v)) for k in self.levels}
         return {k: part for k, part in parts.items() if not part.is_zero()}
 
 
@@ -358,8 +378,10 @@ def uk_grading(j: GCMap) -> UGrading:
         span = [(b, clifford(conj[b], f)) for a, f in span for b in range(a + 1, n)]
     count = sum(map(len, bases.values()))
     if count != len(masks):
-        raise ValueError("eigenvalue spectrum escapes the expected levels (%d of %d dimensions "
-                         "found): lift convention bug" % (count, len(masks)))
+        raise ValueError(
+            "eigenvalue spectrum escapes the expected levels "
+            "(%d of %d dimensions found): lift convention bug" % (count, len(masks))
+        )
     return UGrading(dim_v=n, levels=levels, bases=bases)
 
 
@@ -405,8 +427,12 @@ def symplectic_map(omega: Form) -> GCMap:
     if linalg.rank(om) != n:
         raise ValueError("2-form is degenerate")
     inv = linalg.invert(om)
-    zero = [QZERO] * n
-    return GCMap(n, [zero + [-x for x in row] for row in inv] + [row + zero for row in om])
+    m = linalg.zeros(2 * n, 2 * n)
+    for r in range(n):
+        for c in range(n):
+            m[r][n + c] = -inv[r][c]
+            m[n + r][c] = om[r][c]
+    return GCMap(n, m)
 
 
 def complex_structure(n_pairs: int, sign: int = 1) -> GCMap:

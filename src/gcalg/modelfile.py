@@ -768,9 +768,10 @@ def parse_model(text: str) -> ModelFile:
                 )
             xi.append([Scalar.rational(x) for x in row])
         for what, table in (("mu", raw.mu), ("alpha", raw.alpha)):
-            for j in [j for j in table if j > k]:
-                raise ModelFileError("action %r defines %s %d past its rank %d"
-                                     % (raw.name, what, j, k), table[j].token.line)
+            bad = next((j for j in table if not 1 <= j <= k), None)
+            if bad is not None:
+                raise ModelFileError("action %r defines %s %d outside 1..%d"
+                                     % (raw.name, what, bad, k), table[bad].token.line)
         mu = alpha = None
         if raw.mu or raw.alpha:
             mu = [

@@ -12,7 +12,7 @@ _spec.loader.exec_module(ladder)
 
 def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
     out = tmp_path / "ladder.json"
-    assert ladder.main(["here=%s" % ROOT, "--n", "2", "--timeout", "60", "--out", str(out)]) == 0
+    assert ladder.main(["here=%s" % ROOT, "--n", "2", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert [(r["call"], r["structure"]) for r in rows] == [
         (call, s) for s in ladder.STRUCTURES for call in ladder.CALLS
@@ -23,5 +23,5 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
 
 
 def test_ladder_reports_a_call_past_its_timeout(tmp_path):
-    got = ladder.run_child(ROOT, "uk_grading", "complex", 2, timeout=0.001, mem_mb=4096)
+    got = ladder.run_child(ROOT, "uk_grading", "complex", 2, timeout=0.001)
     assert got == {"status": "timeout"}

@@ -474,12 +474,14 @@ def test_blocks_without_end_fail_after_their_body_lines():
         assert str(err.value) == error
 
 
+@pytest.mark.parametrize("index", [0, 2])
 @pytest.mark.parametrize("what", ["mu", "alpha"])
-def test_moment_lines_past_the_rank_name_their_line(what):
-    text = "model demo\ngenerators e1 e2\naction r\n  xi 1 = 1 0\n  %s 2 = e2\nend\n" % what
+def test_moment_lines_outside_the_rank_name_their_line(what, index):
+    text = ("model demo\ngenerators e1 e2\naction r\n  xi 1 = 1 0\n  %s %d = e2\nend\n"
+            % (what, index))
     with pytest.raises(ModelFileError) as err:
         parse_model(text)
-    assert str(err.value) == "line 5: action 'r' defines %s 2 past its rank 1" % what
+    assert str(err.value) == "line 5: action 'r' defines %s %d outside 1..1" % (what, index)
     assert err.value.line == 5
 
 

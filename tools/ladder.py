@@ -9,8 +9,8 @@ structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 `ddbar_lemma_check(T^n, j)` runs in a fresh child process; so does
 `twisted_cohomology(T^n)`, once per n.  The child imports gcalg from
 DIR/src, builds the inputs untimed, times the call and prints its wall time
-and `ru_maxrss`.  A child gets `--timeout` seconds of wall time and an
-address-space limit of `--mem-mb` (RLIMIT_AS, set in the child only); a call
+and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
+address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
 that exceeds one is recorded as "timeout" or "memory".  Checkouts run
 alternately call by call.  n = 12 is left out: its dense 4096 x 4096
 matrices exhaust memory.  Standard library only, Linux (ru_maxrss in KiB).
@@ -29,6 +29,8 @@ from pathlib import Path
 
 CALLS = ("uk_grading", "pure_spinor", "split_operators", "ddbar_lemma_check")
 STRUCTURES = ("complex", "symplectic")
+TIMEOUT_S = 300.0
+MEM_MB = 3072
 
 CHILD = r"""
 import json, resource, sys, time
@@ -64,8 +66,8 @@ print(json.dumps({"status": "ok", "wall_s": round(wall, 4), "maxrss_kb": rss}))
 """
 
 
-def run_child(checkout: Path, call: str, structure: str, n: int, timeout: float,
-              mem_mb: int) -> dict:
+def run_child(checkout: Path, call: str, structure: str, n: int,
+              timeout: float = TIMEOUT_S, mem_mb: int = MEM_MB) -> dict:
     limit = mem_mb * 1024 * 1024
 
     def cap():  # runs in the child between fork and exec
@@ -96,8 +98,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout", nargs="+", help="NAME=DIR")
     p.add_argument("--n", type=int, nargs="+", default=[6, 8, 10])
-    p.add_argument("--timeout", type=float, default=300.0, help="wall seconds per call")
-    p.add_argument("--mem-mb", type=int, default=4096, help="address-space limit per call")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     sides = {}
@@ -112,12 +112,12 @@ def main(argv=None) -> int:
     for call, structure, n in ladder_cases(args.n):
         row = {"call": call, "structure": structure, "n": n}
         for name, path in sides.items():
-            row[name] = run_child(path, call, structure, n, args.timeout, args.mem_mb)
+            row[name] = run_child(path, call, structure, n)
         print(json.dumps(row), flush=True)
         rows.append(row)
     out = {
         "what": "one child process per call, wall timeout %g s, RLIMIT_AS %d MB"
-                % (args.timeout, args.mem_mb),
+                % (TIMEOUT_S, MEM_MB),
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count()},
         "checkouts": list(sides),
