@@ -29,7 +29,6 @@ from .models import (
     ddbar_lemma_check,
     lie_derivative,
     split_operators,
-    twisted_cohomology,
 )
 from .scalars import ONE, QONE, QZERO, Scalar, scalar
 
@@ -425,64 +424,73 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
         raise ValueError("twisting form is not equivariantly closed: %s" % res)
 
     masks = basis_masks(model.n)
-    basis: List[Tuple[Expo, int]] = [
-        (e, mask)
-        for deg in range(trunc + 1)
-        for e in monomials_of_degree(act.k, deg)
-        for mask in masks
-    ]
+    basis: List[Tuple[Expo, int]] = [(e, mask) for deg in range(trunc + 1)
+                                     for e in monomials_of_degree(act.k, deg) for mask in masks]
     even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
     odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
 
     # d, the contractions and h_g^ commute with the even x^e, so the column of
     # (e, mask) is that of (0, mask) shifted by e, cut at the image truncation
-    units: Dict[int, Tuple[int, list]] = {}
+    zero = tuple([0] * act.k)
+    bound = min(trunc, h_g.trunc)
+    units: Dict[int, list] = {}
 
     def image(key: Tuple[Expo, int]) -> dict:
         e, mask = key
-        if mask not in units:
+        if mask not in units:  # d_G - h_g^ on the unit form, summed per x-monomial in
+            # EqForm's order, which decides the coefficient a refusal names first
             unit = Form(model.n, {mask: ONE})
-            img = _d_eq_twisted_unchecked(act, h_g, EqForm.of_form(unit, act.k, trunc))
-            units[mask] = (img.trunc, [(ee, mk, c) for ee, f in img.terms.items()
-                                       for mk, c in f.terms.items()])
-        bound, terms = units[mask]
-        return {(_expo_sum(e, ee), mk): c for ee, mk, c in terms if sum(e) + sum(ee) <= bound}
+            pieces = [(zero, d(model, unit))]
+            pieces += [(_expo_add(zero, j), -contract_vector(v, unit))
+                       for j, v in enumerate(act.xi)]
+            pieces += [(ee, -wedge(h, unit)) for ee, h in h_g.terms.items()]
+            img: Dict[Expo, Form] = {}
+            for ee, f in pieces:
+                if not f.is_zero():
+                    img[ee] = img[ee] + f if ee in img else f
+            units[mask] = [(ee, mk, c) for ee, f in img.items() for mk, c in f.terms.items()]
+        cut = bound - sum(e)
+        return {(_expo_sum(e, ee), mk): c for ee, mk, c in units[mask] if sum(ee) <= cut}
 
-    mat_eo = linalg.operator_matrix(image, even_basis, odd_basis)
-    mat_oe = linalg.operator_matrix(image, odd_basis, even_basis)
+    cols_eo = linalg.operator_columns(image, even_basis, odd_basis)
+    cols_oe = linalg.operator_columns(image, odd_basis, even_basis)
 
     # Graded pieces of the x-degree filtration on kernel/image: the piece at
     # degree p is dim((ker & F_p) + im) - dim((ker & F_p+1) + im), F_p spanning
     # the trailing coordinates, of x-degree >= p.  As im lies in ker, that is
-    # |F_p| - rank(mat_out on F_p) + rank(im off F_p): pivots of one RREF each.
-    def graded(mat_out, mat_in, basis_list):
+    # |F_p| - rank(out-map on F_p) + rank(im off F_p): pivots of one elimination each.
+    def graded(cols_out, cols_in, basis_list):
         size = len(basis_list)
-        out_pivots = linalg.rref([row[::-1] for row in mat_out])[1]  # F_p first
-        im_pivots = linalg.rref(linalg.transpose(mat_in))[1]
+        rows_out: Dict[int, dict] = {}  # the out-map's rows, columns reversed: F_p first
+        for j, col in enumerate(cols_out):
+            for i, x in col.items():
+                rows_out.setdefault(i, {})[size - 1 - j] = x
+        out_pivots = linalg.pivot_columns(list(rows_out.values()), size)
+        im_pivots = linalg.pivot_columns(cols_in, size)
         degs = [sum(e) for e, _ in basis_list]
         heads = [bisect_left(degs, p) for p in range(trunc + 2)]  # coordinates off F_p
         dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
                 for h in heads]
         return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
 
-    even_ranks = graded(mat_eo, mat_oe, even_basis)
-    odd_ranks = graded(mat_oe, mat_eo, odd_basis)
+    by_degree = tuple(zip(graded(cols_eo, cols_oe, even_basis),
+                          graded(cols_oe, cols_eo, odd_basis)))
 
-    h0 = h_g.component(tuple([0] * act.k))
-    betti = twisted_cohomology(model.with_twist(h0))
-    free = True
-    for deg in range(trunc):
-        count = len(monomials_of_degree(act.k, deg))
-        if even_ranks[deg] != count * betti.even or odd_ranks[deg] != count * betti.odd:
-            free = False
-            break
-    return EquivariantRanks(
-        trunc=trunc,
-        k=act.k,
-        by_degree=tuple(zip(even_ranks, odd_ranks)),
-        betti=betti,
-        free_pattern=free,
-    )
+    # the twisted Betti ranks of h_g's x-degree-0 part h0: 2^(n-1) minus the
+    # rank of the x-degree-0 block of d_G - h_g^, whose columns lead each basis
+    h0 = h_g.component(zero)
+    model.with_twist(h0)  # its checks of h0 as a twisting form
+    betti = BettiPair(1, 0)
+    if model.n:
+        half = 1 << (model.n - 1)
+        block = [{i: x for i, x in col.items() if i < half} for col in cols_eo[:half]]
+        block += [{half + i: x for i, x in col.items() if i < half} for col in cols_oe[:half]]
+        free = half - len(linalg.pivot_columns(block, 2 * half))
+        betti = BettiPair(free, free)
+    counts = [len(monomials_of_degree(act.k, deg)) for deg in range(trunc)]
+    pattern = all(ranks == (c * betti.even, c * betti.odd) for ranks, c in zip(by_degree, counts))
+    return EquivariantRanks(trunc=trunc, k=act.k, by_degree=by_degree, betti=betti,
+                            free_pattern=pattern)
 
 
 @dataclass(frozen=True)

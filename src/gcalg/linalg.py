@@ -1,13 +1,13 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are dense lists of Q rows at the interfaces; `sparse_mul` and
-`sparse_comb` take and give sparse rows {col: Q} with no stored zeros.
-Inside `rref`, `sparse_mul` and `sparse_comb` each stored entry is a reduced
-Gaussian-integer triple (a, b, d), the value (a + b*i)/d with d > 0 and
-gcd(a, b, d) = 1, so zero is `not a and not b`: the loops run on int
-arithmetic and only the stored results go back to Q.  `sparse_mul` is the
-one matrix product (`mat_mul` is its dense wrapper).  Every rank question
-reads its answer off one RREF, which is unique, so results are exact.
+Matrices are dense lists of Q rows, except that `sparse_mul`, `sparse_comb`,
+`operator_columns` and `pivot_columns` take or give sparse rows {col: Q} with
+no stored zeros.  Inside `_eliminate`, `sparse_mul` and `sparse_comb` each
+entry is a reduced Gaussian-integer triple (a, b, d), the value (a + b*i)/d
+with d > 0 and gcd(a, b, d) = 1, so zero is `not a and not b`: the loops run
+on int arithmetic and only the stored results go back to Q.  `sparse_mul` is
+the one matrix product (`mat_mul` is its dense wrapper).  Every rank
+question reads its answer off one RREF, which is unique, so results are exact.
 """
 
 from __future__ import annotations
@@ -140,18 +140,12 @@ def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rref(rows: Mat):
-    """Reduced row echelon form; returns (new rows, pivot column list).
-
-    Gauss-Jordan on sparse rows {col: Triple} with a column -> rows index, so
-    an update touches stored entries only.  The pivot is the candidate row
-    with the fewest nonzeros (ties: lowest index); the RREF is unique, so that
-    rule moves only the fill-in.
+def _eliminate(sparse: List[Dict[int, Triple]], ncols: int) -> Tuple[List[int], List[int]]:
+    """Gauss-Jordan in place on rows {col: Triple}, with a column -> rows index
+    so an update touches stored entries only; returns the pivot columns and
+    their rows.  The pivot is the candidate row with the fewest nonzeros (ties:
+    lowest index); the RREF is unique, so that rule moves only the fill-in.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    sparse = _triples(to_sparse(rows))
     holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
     for i, row in enumerate(sparse):
         for c in row:
@@ -183,8 +177,23 @@ def rref(rows: Mat):
                     holders[col].discard(i)
         pivots.append(c)
         order.append(p)
+    return pivots, order
+
+
+def rref(rows: Mat):
+    """Reduced row echelon form; returns (new rows, pivot column list)."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    sparse = _triples(to_sparse(rows))
+    pivots, order = _eliminate(sparse, ncols)
     pivot_rows = _to_rows(sparse[p] for p in order)
     return to_dense(pivot_rows + [{}] * (len(rows) - len(order)), ncols), pivots
+
+
+def pivot_columns(rows: Rows, ncols: int) -> List[int]:
+    """Pivot columns of the RREF of sparse rows, with no conversion back."""
+    return _eliminate(_triples(rows), ncols)[0]
 
 
 def rank(mat: Mat) -> int:
@@ -267,15 +276,26 @@ def leading_minors(mat: Mat) -> Iterator[Q]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
 
 
-def operator_matrix(op: Callable, src: Sequence, dst: Sequence) -> Mat:
-    """Matrix of a linear operator: column j holds op(src[j]) in dst order.
-
-    op(key) returns the sparse image {dst key: Scalar}; an image key outside
-    dst raises KeyError.
-    """
+def operator_columns(op: Callable, src: Sequence, dst: Sequence) -> Rows:
+    """Entry j is op(src[j]) as {dst index: Q}; op(key) returns the sparse
+    image {dst key: Scalar}.  Each image key is looked up, raising KeyError
+    outside dst, before its coefficient is converted."""
     row_of = {key: i for i, key in enumerate(dst)}
-    out = zeros(len(dst), len(src))
-    for j, key in enumerate(src):
+    out = []
+    for key in src:
+        col = {}
         for k, c in op(key).items():
-            out[row_of[k]][j] = c.as_q()
+            i = row_of[k]
+            if not c.is_zero():
+                col[i] = c.as_q()
+        out.append(col)
+    return out
+
+
+def operator_matrix(op: Callable, src: Sequence, dst: Sequence) -> Mat:
+    """Dense view of `operator_columns`: column j holds op(src[j]) in dst order."""
+    out = zeros(len(dst), len(src))
+    for j, col in enumerate(operator_columns(op, src, dst)):
+        for i, x in col.items():
+            out[i][j] = x
     return out

@@ -560,6 +560,7 @@ def parse_model(text: str) -> ModelFile:
                     fail("parameter names must be identifiers", lineno, t.col)
                 if t.text in ("i", "pi") or t.text in gen_names:
                     fail("reserved or conflicting parameter %r" % t.text, lineno, t.col)
+                once("parameter", lineno, t.col, t.text)
                 params.append(t.text)
         elif key == "d":
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":

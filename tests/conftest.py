@@ -1,16 +1,18 @@
 import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gcalg import linalg
+from gcalg import cartan, linalg
 from gcalg.forms import Form, basis_masks, clifford, form_to_vec, mask_key, vec_to_form, wedge
 from gcalg.gcmaps import i_eigenspace, lifted_action_matrix
-from gcalg.models import BettiPair, d, d_twisted, split_operators
+from gcalg.models import BettiPair, d, d_twisted, split_operators, twisted_cohomology
 from gcalg.scalars import ONE, Q, Scalar, scalar
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -77,6 +79,17 @@ def dense_mul(a, b):
             for j, y in enumerate(b[k]):
                 if not y.is_zero():
                     orow[j] = orow[j] + x * y
+    return out
+
+
+# the operator matrix as first assembled: one dense write per image entry;
+# the package fills sparse columns and takes the dense matrix as their view
+def ref_operator_matrix(op, src, dst):
+    row_of = {key: i for i, key in enumerate(dst)}
+    out = [[Q(0)] * len(src) for _ in dst]
+    for j, key in enumerate(src):
+        for k, c in op(key).items():
+            out[row_of[k]][j] = c.as_q()
     return out
 
 
@@ -281,3 +294,64 @@ def ref_uk_grading(j):
     level_forms = [f for k in levels for f in bases[k]]
     inverse = linalg.invert(linalg.operator_matrix(lambda f: f.terms, level_forms, masks))
     return RefGrading(n, levels, bases, masks, inverse)
+
+
+# the truncated equivariant complex as first ranked: both parity maps built
+# as dense matrices from per-mask EqForm images, the out-map's rows reversed
+# and the in-map transposed for one dense RREF each, and the Betti ranks
+# from a model rebuilt with the x-degree-0 twist; the package takes sparse
+# unit images straight from d, the contractions and the wedge, and reads
+# every rank off the pivots of one elimination
+def ref_equivariant_cohomology(act, h_g, trunc):
+    model = act.model
+    columns = comb(trunc + act.k, act.k) << model.n
+    if columns > cartan.MAX_COLUMNS:
+        raise ValueError("truncated complex has %d (x-monomial, mask) columns, beyond %d"
+                         % (columns, cartan.MAX_COLUMNS))
+    res = cartan.d_equivariant(act, h_g)
+    if not res.is_zero():
+        raise ValueError("twisting form is not equivariantly closed: %s" % res)
+    masks = basis_masks(model.n)
+    basis = [(e, mask) for deg in range(trunc + 1)
+             for e in cartan.monomials_of_degree(act.k, deg) for mask in masks]
+    even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
+    odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
+    units = {}
+
+    def image(key):
+        e, mask = key
+        if mask not in units:
+            unit = Form(model.n, {mask: ONE})
+            img = cartan._d_eq_twisted_unchecked(
+                act, h_g, cartan.EqForm.of_form(unit, act.k, trunc))
+            units[mask] = (img.trunc, [(ee, mk, c) for ee, f in img.terms.items()
+                                       for mk, c in f.terms.items()])
+        bound, terms = units[mask]
+        return {(cartan._expo_sum(e, ee), mk): c for ee, mk, c in terms
+                if sum(e) + sum(ee) <= bound}
+
+    mat_eo = ref_operator_matrix(image, even_basis, odd_basis)
+    mat_oe = ref_operator_matrix(image, odd_basis, even_basis)
+
+    def graded(mat_out, mat_in, basis_list):
+        size = len(basis_list)
+        out_pivots = linalg.rref([row[::-1] for row in mat_out])[1]  # F_p first
+        im_pivots = linalg.rref(linalg.transpose(mat_in))[1]
+        degs = [sum(e) for e, _ in basis_list]
+        heads = [bisect_left(degs, p) for p in range(trunc + 2)]
+        dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
+                for h in heads]
+        return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
+
+    even_ranks = graded(mat_eo, mat_oe, even_basis)
+    odd_ranks = graded(mat_oe, mat_eo, odd_basis)
+    h0 = h_g.component(tuple([0] * act.k))
+    betti = twisted_cohomology(model.with_twist(h0))
+    free = True
+    for deg in range(trunc):
+        count = len(cartan.monomials_of_degree(act.k, deg))
+        if even_ranks[deg] != count * betti.even or odd_ranks[deg] != count * betti.odd:
+            free = False
+            break
+    return cartan.EquivariantRanks(trunc=trunc, k=act.k, by_degree=tuple(zip(even_ranks, odd_ranks)),
+                                   betti=betti, free_pattern=free)

@@ -116,15 +116,15 @@ def test_equivariant_refuses_a_complex_past_the_column_budget(capsys, monkeypatc
     # 1001 x-monomials times 2^4 masks
     assert payload == {"error": "truncated complex has 16016 (x-monomial, mask) columns,"
                                 " beyond 4096", "kind": "domain"}
-    # the budget is checked before any matrix is built, and the limit itself passes
+    # the budget is checked before any column is built, and the limit itself passes
     built = [0]
-    original = cartan.linalg.operator_matrix
+    original = cartan.linalg.operator_columns
 
     def counted(*args):
         built[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(cartan.linalg, "operator_matrix", counted)
+    monkeypatch.setattr(cartan.linalg, "operator_columns", counted)
     monkeypatch.setattr(cartan, "MAX_COLUMNS", 3 * 16)
     code, payload = run_cli(capsys, "equivariant", model, "--trunc", "3")
     assert (code, payload["error"], built[0]) == (

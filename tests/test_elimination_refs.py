@@ -9,19 +9,21 @@ package reads the same answers off one RREF per matrix, with one matrix of
 d_H and the product of its halves; the two must agree exactly.  That
 RREF itself is checked against the dense elimination it replaced, also on
 Gaussian matrices with denominators up to 10^6, and its int-triple loop
-against any use of Q arithmetic.
+against any use of Q arithmetic; so are the pivots alone that the
+equivariant complex reads off its sparse rows, and the complex itself
+against its dense first version (ref_equivariant_cohomology).
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from conftest import (
     MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_q,
-    ref_betti_numbers, ref_delbar_closed_subcomplex_betti, ref_intersect_spans,
-    ref_twisted_cohomology, wide_q,
+    ref_betti_numbers, ref_delbar_closed_subcomplex_betti, ref_equivariant_cohomology,
+    ref_intersect_spans, ref_twisted_cohomology, wide_q,
 )
 from gcalg import linalg
 from gcalg.cartan import (
@@ -61,6 +63,7 @@ from gcalg.models import (
     twisted_cohomology,
 )
 from gcalg.scalars import ONE, QONE, QZERO, Q, Scalar
+from oracles import rank_oracle
 
 
 def ref_by_degree(act, h_g, trunc):
@@ -322,7 +325,7 @@ def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
 
 
 def test_one_rref_per_matrix(monkeypatch):
-    calls = {"rref": 0, "solve": 0}
+    calls = {"rref": 0, "pivot_columns": 0, "solve": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -333,24 +336,26 @@ def test_one_rref_per_matrix(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def count(fn, *args, **kwargs):
-        calls.update(rref=0, solve=0)
+        calls.update(rref=0, pivot_columns=0, solve=0)
         fn(*args, **kwargs)
         return dict(calls)
 
     act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
     for trunc in (2, 4, 6):
-        # two per parity plus the one rank of d_H, whatever trunc is
+        # two per parity plus the x-degree-0 block of d_H, whatever trunc is,
+        # all read off pivots alone
         got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
-        assert got == {"rref": 5, "solve": 0}
+        assert got == {"rref": 0, "pivot_columns": 5, "solve": 0}
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     j = mf.structures["Jc"]
     sp = split_operators(mf.model, j)
     # the image and kernel of P = upper lower, and the canonical bases of
     # upper(ker P) and lower(ker P)
-    assert count(ddbar_lemma_check, mf.model, j, ops=sp) == {"rref": 4, "solve": 0}
+    got = count(ddbar_lemma_check, mf.model, j, ops=sp)
+    assert got == {"rref": 4, "pivot_columns": 0, "solve": 0}
     split = count(split_operators, mf.model, j)["rref"]
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
-    assert got == {"rref": split + 3, "solve": 0}
+    assert got == {"rref": split + 3, "pivot_columns": 0, "solve": 0}
 
 
 # -- the level split of d_H ---------------------------------------------------
@@ -709,6 +714,32 @@ def test_rref_edge_shapes():
         assert len(m) == len(mat) and all(len(r) == len(mat[0]) for r in m)
 
 
+def assert_same_pivots(mat):
+    """pivot_columns on the sparse rows of mat against the dense reference."""
+    ncols = len(mat[0]) if mat else 0
+    pivots = linalg.pivot_columns(linalg.to_sparse(mat), ncols)
+    assert pivots == ref_rref(mat)[1]
+    assert len(pivots) == rank_oracle([[(x.re, x.im) for x in row] for row in mat])
+
+
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5])
+def test_pivot_columns_match_dense_rref(density):
+    rng = random.Random("pivots-%s" % density)
+    size = 24 if density < 0.1 else 12  # dense Gaussian rationals grow fast
+    for _ in range(30):
+        rows, cols = rng.randint(1, size), rng.randint(1, size)
+        mat = gaussian_matrix(rng, rows, cols, density)
+        if rows > 1 and rng.random() < 0.3:
+            mat[rng.randrange(rows)] = list(mat[0])  # a duplicate row
+        if rng.random() < 0.3:
+            c = rng.randrange(cols)
+            for row in mat:
+                row[c] = QZERO  # a zero column
+        assert_same_pivots(mat)
+    assert linalg.pivot_columns([], 7) == [] and linalg.pivot_columns([{}, {}], 0) == []
+    assert linalg.pivot_columns([{}] * 3, 5) == []
+
+
 # Gaussian matrices with denominators up to 10^6: real, pure-imaginary or
 # mixed entries, and rows that are Gaussian combinations of two others, so
 # that elimination cancels stored entries to exact zeros.
@@ -789,37 +820,42 @@ def test_rref_runs_no_q_arithmetic(monkeypatch):
     assert got == want and len(got[1]) == 16
 
 
-def _captured_rref_inputs(monkeypatch, fn, *args):
+def _captured_inputs(monkeypatch, name, fn, *args):
+    """The arguments of every call fn makes to linalg.<name>, copied."""
     seen = []
-    original = linalg.rref
+    original = getattr(linalg, name)
 
-    def capture(rows):
-        seen.append([list(r) for r in rows])
-        return original(rows)
+    def capture(rows, *rest):
+        seen.append(([dict(r) if isinstance(r, dict) else list(r) for r in rows],) + rest)
+        return original(rows, *rest)
 
-    monkeypatch.setattr(linalg, "rref", capture)
+    monkeypatch.setattr(linalg, name, capture)
     fn(*args)
-    monkeypatch.setattr(linalg, "rref", original)
+    monkeypatch.setattr(linalg, name, original)
     return seen
 
 
 def test_rref_matches_dense_on_captured_matrices(monkeypatch):
-    mats = []
+    # the equivariant complex hands its sparse rows to pivot_columns, the
+    # grading its dense matrices to rref
+    captured = []
     for model_file, name in SHIPPED_ACTIONS:
         act = parse_model((MODELS_DIR / model_file).read_text()).actions[name]
         for trunc in range(1, 7):
-            mats += _captured_rref_inputs(
-                monkeypatch, equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
+            captured += _captured_inputs(monkeypatch, "pivot_columns", equivariant_cohomology,
+                                         act, act.h_equivariant(trunc), trunc)
     rng = random.Random(7)  # the rank-two action of the test above
     c = _q(rng)
     a1 = Form(3, {0b100: _q(rng), 0b010: c})
     a2 = Form(3, {0b100: _q(rng), 0b001: -c})
     act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
-    mats += _captured_rref_inputs(monkeypatch, equivariant_cohomology, act,
-                                  act.h_equivariant(3), 3)
-    grading = _captured_rref_inputs(monkeypatch, uk_grading, complex_structure(3))
-    assert len(mats) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
-    for mat in mats + grading:
+    captured += _captured_inputs(monkeypatch, "pivot_columns", equivariant_cohomology, act,
+                                 act.h_equivariant(3), 3)
+    grading = _captured_inputs(monkeypatch, "rref", uk_grading, complex_structure(3))
+    assert len(captured) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
+    for rows, ncols in captured:
+        assert linalg.pivot_columns(rows, ncols) == ref_rref(linalg.to_dense(rows, ncols))[1]
+    for (mat,) in grading:
         assert_same_rref(mat)
 
 
@@ -876,3 +912,95 @@ def test_rref_pivots_on_the_sparsest_candidate_row(monkeypatch):
     monkeypatch.undo()
     assert (m, pivots) == ref_rref(arrow)
     assert muls[0] <= 2 * size * size
+
+
+# -- the equivariant complex against its dense first version --------------------
+# ref_equivariant_cohomology (tests/conftest.py) builds both parity maps as
+# dense matrices from per-mask EqForm images and rebuilds the model for the
+# Betti ranks.  The package must give the same value or the same exception:
+# with parametric and pi coefficients, which scalar is named first depends on
+# the order in which the columns convert their coefficients.
+
+
+def _coefficient(rng, wild):
+    """A Gaussian rational, or with probability wild a multiple of s or pi."""
+    r = rng.random()
+    if r < wild / 2:
+        return Scalar.parameter("s") * Scalar.rational(rng.choice([1, -1, 2, -2]))
+    if r < wild:
+        return Scalar.pi() * Scalar.rational(rng.choice([1, -1]))
+    return Scalar.from_q(random_q(rng))
+
+
+def _random_equivariant_case(rng):
+    """(action, h_g, trunc): flat T^n rotated along s_j e_j with H and the
+    alpha_j on the other generators (closed by the k = 2 cancellation of
+    closed_action in test_operator_refs.py), or Kodaira-Thurston along e4;
+    h_g is the action's own, truncated below trunc, without its x-degree-0
+    part, or with a closed 1-form there instead of a 3-form."""
+    wild = rng.choice([0.0, 0.0, 0.1, 0.3])
+    n, k = rng.randint(0, 5), rng.choice([1, 2])
+    with_h, with_alpha = rng.random() < 0.6, rng.random() < 0.7
+    if n == 4 and k == 1 and rng.random() < 0.4:
+        q, b = _coefficient(rng, wild), _coefficient(rng, wild) if with_alpha else Scalar()
+        model = kodaira_thurston(Form(4, {0b0111: q, 0b1011: b}) if with_h else None)
+        alpha = [Form(4, {0b0100: b, 0b0001: _coefficient(rng, wild)})] if with_alpha else None
+        act = TorusAction(model, [[0, 0, 0, 1]], alpha=alpha)
+        rest = [0b0001]
+    else:
+        s = [_coefficient(rng, wild) for _ in range(k)]
+        rest = [1 << i for i in range(k, n)]
+        triples = [a | b | c for a in rest for b in rest for c in rest if a < b < c]
+        h = None
+        if with_h and triples:
+            h = Form(n, {m: _coefficient(rng, wild) for m in rng.sample(triples, min(2, len(triples)))})
+        xi = [[s[j] if i == j else 0 for i in range(n)] for j in range(k)]
+        alpha = None
+        if with_alpha:
+            terms = [{m: _coefficient(rng, wild) for m in rest if rng.random() < 0.7}
+                     for _ in range(k)]
+            if k == 2 and n >= 2:
+                c = _coefficient(rng, wild)
+                terms[0][0b10] = c * s[0]
+                terms[1][0b01] = -c * s[1]
+            alpha = [Form(n, t) for t in terms]
+        act = TorusAction(torus(n, h), xi, alpha=alpha)
+    trunc = rng.randint(0, 6)
+    while trunc and comb(trunc + k, k) << n > 160:  # keeps the dense reference quick
+        trunc -= 1
+    h_g = act.h_equivariant(trunc)
+    kind = rng.choice(["own", "own", "lower", "no h0", "not a 3-form"])
+    if kind == "lower" and trunc:
+        h_g = act.h_equivariant(rng.randrange(trunc))
+    elif kind == "no h0":
+        h_g = EqForm(k, n, trunc, {e: f for e, f in h_g.terms.items() if any(e)})
+    elif kind == "not a 3-form" and rest:
+        terms = dict(h_g.terms)
+        terms[tuple([0] * k)] = Form(n, {rng.choice(rest): _coefficient(rng, wild)})
+        h_g = EqForm(k, n, trunc, terms)
+    return act, h_g, trunc
+
+
+def equivariant_cases(count=320):
+    rng = random.Random("equivariant-differential")
+    return [_random_equivariant_case(rng) for _ in range(count)]
+
+
+def _ranks_or_error(fn, act, h_g, trunc):
+    try:
+        return fn(act, h_g, trunc)
+    except (ValueError, KeyError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_equivariant_ranks_match_dense_reference():
+    cases = equivariant_cases()
+    got = [_ranks_or_error(equivariant_cohomology, *case) for case in cases]
+    want = [_ranks_or_error(ref_equivariant_cohomology, *case) for case in cases]
+    assert got == want
+    errors = {g[1] for g in got if isinstance(g, tuple)}
+    # the draw reaches ranks and each kind of refusal
+    assert sum(isinstance(g, tuple) for g in got) < len(got) - 100
+    assert any("not a plain Gaussian rational" in e for e in errors)
+    assert "twisting form must be homogeneous of degree 3" in errors
+    assert any(not isinstance(g, tuple) and not g.free_pattern for g in got)

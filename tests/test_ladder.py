@@ -16,7 +16,7 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert [(r["call"], r["structure"]) for r in rows] == [
         (call, s) for s in ladder.STRUCTURES for call in ladder.CALLS
-    ] + [("twisted_cohomology", "-")]
+    ] + [("twisted_cohomology", "-"), ("equivariant_cohomology", "-")]
     for r in rows:
         assert r["n"] == 2 and r["here"]["status"] == "ok", r
         assert r["here"]["wall_s"] >= 0 and r["here"]["maxrss_kb"] > 0

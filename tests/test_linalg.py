@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_q, ref_intersect_spans
+from conftest import random_q, ref_intersect_spans, ref_operator_matrix
 from gcalg import linalg
 from gcalg.scalars import Q, QONE, QZERO, Scalar
 from oracles import det_oracle, rank_oracle
@@ -165,3 +165,32 @@ def test_operator_matrix_rejects_key_outside_dst():
     with pytest.raises(KeyError):
         linalg.operator_matrix(lambda key: {7: Scalar.rational(1)}, [0], [0, 1])
 
+
+
+def test_operator_matrix_matches_the_first_loop(rng):
+    # the dense view of operator_columns against one write per image entry,
+    # zero coefficients and empty images included
+    for _ in range(30):
+        src = list(range(rng.randint(0, 6)))
+        dst = rng.sample(range(20), rng.randint(0, 6))
+        images = {key: {k: Scalar.from_q(random_q(rng)) for k in dst if rng.random() < 0.5}
+                  for key in src}
+        mat = linalg.operator_matrix(lambda key: images[key], src, dst)
+        assert mat == ref_operator_matrix(lambda key: images[key], src, dst)
+        cols = linalg.operator_columns(lambda key: images[key], src, dst)
+        assert all(not x.is_zero() for col in cols for x in col.values())
+        assert [[col.get(i, QZERO) for col in cols] for i in range(len(dst))] == mat
+    for fn in (linalg.operator_matrix, ref_operator_matrix):
+        with pytest.raises(KeyError):
+            fn(lambda key: {7: Scalar.rational(1)}, [0], [0, 1])
+
+
+def test_operator_columns_look_up_each_key_before_converting_it():
+    # a parameter before an outside key names the parameter, and after it
+    # raises KeyError, as the first loop did
+    s = Scalar.parameter("s")
+    for image, error in [({0: s, 7: Scalar.rational(1)}, ValueError),
+                         ({7: Scalar.rational(1), 0: s}, KeyError)]:
+        for fn in (linalg.operator_columns, ref_operator_matrix):
+            with pytest.raises(error):
+                fn(lambda key: image, [0], [0, 1])

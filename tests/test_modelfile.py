@@ -516,9 +516,11 @@ DH_F = "params t\ndh f\n  base = 1\n  twist = e1^e2\n  param = t\n  n = 1\n  k =
         ("H = 0\nH = 0\n", "line 4, col 1: repeated H"),
         ("volume = 1\nvolume = 2\n", "line 4, col 1: repeated volume"),
         ("orientation = +1\norientation = -1\n", "line 4, col 1: repeated orientation"),
+        ("params t t\n", "line 3, col 10: repeated parameter 't'"),
+        ("params t\nparams s t\n", "line 4, col 10: repeated parameter 't'"),
     ],
     ids=["structure", "connection", "dh", "samples", "xi", "mu", "alpha", "theta",
-         "dh-field", "d", "H", "volume", "orientation"],
+         "dh-field", "d", "H", "volume", "orientation", "parameter", "parameter-lines"],
 )
 def test_repeated_definitions_fail_at_the_second(body, error):
     with pytest.raises(ParseError) as err:

@@ -31,10 +31,11 @@ import pytest
 
 from conftest import (
     MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_form, random_q,
-    ref_clifford, ref_contract_vector, ref_pairing_matrix, wide_q,
+    ref_clifford, ref_contract_vector, ref_operator_matrix, ref_pairing_matrix, wide_q,
 )
 from gcalg import linalg
 import gcalg.cartan
+import gcalg.models
 from gcalg.cartan import (
     EqForm,
     TorusAction,
@@ -461,7 +462,7 @@ def test_extension_recursion_goldens():
 
 # -- the truncated Cartan complex: columns from the 2^n unit images -------------
 
-OPERATOR_MATRIX = linalg.operator_matrix
+OPERATOR_COLUMNS = linalg.operator_columns
 
 
 def ref_cartan_matrices(act, h_g, trunc):
@@ -482,8 +483,8 @@ def ref_cartan_matrices(act, h_g, trunc):
         img = _d_eq_twisted_unchecked(act, h_g, src)
         return {(ee, mk): c for ee, f in img.terms.items() for mk, c in f.terms.items()}
 
-    return [OPERATOR_MATRIX(image, even_basis, odd_basis),
-            OPERATOR_MATRIX(image, odd_basis, even_basis)]
+    return [ref_operator_matrix(image, even_basis, odd_basis),
+            ref_operator_matrix(image, odd_basis, even_basis)]
 
 
 class _Assembled(Exception):
@@ -491,19 +492,22 @@ class _Assembled(Exception):
 
 
 def cartan_matrices(monkeypatch, act, h_g, trunc):
-    """The two matrices equivariant_cohomology assembles; stops it there."""
+    """The two column sets equivariant_cohomology assembles, as dense
+    matrices with one column per source; stops it there."""
     mats = []
 
     def capture(op, src, dst):
-        mats.append(OPERATOR_MATRIX(op, src, dst))
+        cols = OPERATOR_COLUMNS(op, src, dst)
+        assert all(not x.is_zero() for col in cols for x in col.values())
+        mats.append([[col.get(i, QZERO) for col in cols] for i in range(len(dst))])
         if len(mats) == 2:
             raise _Assembled
-        return mats[-1]
+        return cols
 
-    monkeypatch.setattr(linalg, "operator_matrix", capture)
+    monkeypatch.setattr(linalg, "operator_columns", capture)
     with pytest.raises(_Assembled):
         equivariant_cohomology(act, h_g, trunc)
-    monkeypatch.setattr(linalg, "operator_matrix", OPERATOR_MATRIX)
+    monkeypatch.setattr(linalg, "operator_columns", OPERATOR_COLUMNS)
     return mats
 
 
@@ -567,20 +571,35 @@ def test_cartan_columns_cut_at_a_lower_twist_truncation(monkeypatch):
 
 
 def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
-    calls = [0]
+    # one d per mask beyond the closedness check, no EqForm differential per
+    # mask, and no dense matrix, transpose, RREF or rebuilt twisted complex
+    calls = {}
+    for owner, name in [(gcalg.cartan, "d"), (gcalg.cartan, "_d_eq_twisted_unchecked"),
+                        (linalg, "operator_matrix"), (linalg, "rref"), (linalg, "transpose"),
+                        (gcalg.models, "twisted_cohomology")]:
+        calls[name] = 0
 
-    def counted(*args):
-        calls[0] += 1
-        return _d_eq_twisted_unchecked(*args)
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(gcalg.cartan, "_d_eq_twisted_unchecked", counted)
+        monkeypatch.setattr(owner, name, counted)
+    assert "twisted_cohomology" not in vars(gcalg.cartan)
+
+    def count(act, trunc):
+        h_g = act.h_equivariant(trunc)
+        for name in calls:
+            calls[name] = 0
+        d_equivariant(act, h_g)
+        closedness = calls["d"]
+        calls["d"] = 0
+        equivariant_cohomology(act, h_g, trunc)
+        return dict(calls, d=calls["d"] - closedness)
+
     act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
+    zero = dict.fromkeys(calls, 0)
     for trunc in (0, 3, 6):
-        calls[0] = 0
-        equivariant_cohomology(act, act.h_equivariant(trunc), trunc)
-        assert calls[0] == 2 ** act.model.n
+        assert count(act, trunc) == dict(zero, d=2 ** act.model.n)
     rng = random.Random("cartan-count")
     act = closed_action(rng, 3, 2, True, False)
-    calls[0] = 0
-    equivariant_cohomology(act, act.h_equivariant(4), 4)
-    assert calls[0] == 2 ** 3
+    assert count(act, 4) == dict(zero, d=2 ** 3)

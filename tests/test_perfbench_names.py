@@ -6,8 +6,10 @@ that is gone; its counting pass reads `linalg.mat_vec`'s matrix as dense Q
 rows.  Deleting or renaming a traced function, or changing what `mat_vec`
 is handed, breaks `perfbench/run.py --trace 1`.  This test loads the file
 read-only, installs the tracer and the counter, runs a `gclinear`, a
-`grading` and an `extension` query under both (the extension query hands
-`mat_vec` its split halves), and checks that the output is unchanged.
+`grading`, an `extension` and an `equivariant` query under both (the
+extension query hands `mat_vec` its split halves, the equivariant query
+reads its ranks from `pivot_columns`), and checks that the output is
+unchanged.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ QUERIES = [
     ["gclinear", str(MODELS_DIR / "kodaira_thurston.model")],
     ["grading", str(MODELS_DIR / "kodaira_thurston.model")],
     ["extension", str(MODELS_DIR / "t2_symplectic.model"), "--form", "rho"],
+    ["equivariant", str(MODELS_DIR / "t4_twisted_circle.model"), "--trunc", "3"],
 ]
 
 
@@ -47,7 +50,7 @@ def outputs():
 def test_traced_and_counted_queries_match_untraced():
     layers = load_layers()
     plain = outputs()
-    assert [code for code, _ in plain] == [0, 0, 0]
+    assert [code for code, _ in plain] == [0, 0, 0, 0]
     tracer, counter = layers.Tracer(), layers.Counter()
     try:
         tracer.install(layers.traced_names())
@@ -58,6 +61,7 @@ def test_traced_and_counted_queries_match_untraced():
         tracer.disable()
     assert traced == plain
     assert tracer.calls["forms.clifford"] > 0 and tracer.calls["linalg.mat_vec"] > 0
+    assert tracer.calls["linalg.pivot_columns"] > 0  # the equivariant ranks
     assert counter.facts["linalg.mat_vec.entries"] > 0
     assert outputs() == plain  # every wrapper is undone
     assert gcalg.cli.main is main

@@ -1,4 +1,4 @@
-"""Size ladder of the grading and ddbar layers, one child process per call.
+"""Size ladder of the grading, ddbar and equivariant layers, one child process per call.
 
     python3 tools/ladder.py parent=PARENT_DIR change=CHANGE_DIR --out LADDER_N.json
 
@@ -6,8 +6,10 @@ Each NAME=DIR is a checkout.  For n = 6, 8, 10 (`--n`) the flat torus T^n is
 taken with `complex_structure(n/2)` and with the standard symplectic
 structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 `pure_spinor(i_eigenspace(j))`, `split_operators(T^n, j)` and
-`ddbar_lemma_check(T^n, j)` runs in a fresh child process; so does
-`twisted_cohomology(T^n)`, once per n.  The child imports gcalg from
+`ddbar_lemma_check(T^n, j)` runs in a fresh child process; so do
+`twisted_cohomology(T^n)` and `equivariant_cohomology` at trunc 3 for a
+circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
+(at n = 10 its 4 x 2^10 columns are exactly `cartan.MAX_COLUMNS`).  The child imports gcalg from
 DIR/src, builds the inputs untimed, times the call and prints its wall time
 and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
@@ -34,6 +36,7 @@ MEM_MB = 3072
 
 CHILD = r"""
 import json, resource, sys, time
+from gcalg.cartan import TorusAction, equivariant_cohomology
 from gcalg.forms import Form
 from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
 from gcalg.models import ddbar_lemma_check, split_operators, torus, twisted_cohomology
@@ -47,12 +50,16 @@ elif structure == "symplectic":
     for a in range(1, n, 2):
         omega = omega + Form.monomial(n, (a, a + 1))
     j = symplectic_map(omega)
+if call == "equivariant_cohomology":
+    h = Form.monomial(n, (1, 2, 3)) if n >= 4 else None
+    act = TorusAction(torus(n, h), [[0] * (n - 1) + [1]], alpha=[Form.generator(n, 1)])
 run = {
     "uk_grading": lambda: uk_grading(j),
     "pure_spinor": lambda: pure_spinor(i_eigenspace(j)),
     "split_operators": lambda: split_operators(model, j),
     "ddbar_lemma_check": lambda: ddbar_lemma_check(model, j),
     "twisted_cohomology": lambda: twisted_cohomology(model),
+    "equivariant_cohomology": lambda: equivariant_cohomology(act, act.h_equivariant(3), 3),
 }[call]
 try:
     start = time.perf_counter()
@@ -92,6 +99,7 @@ def ladder_cases(sizes):
             for call in CALLS:
                 yield call, structure, n
         yield "twisted_cohomology", "-", n
+        yield "equivariant_cohomology", "-", n
 
 
 def main(argv=None) -> int:
