@@ -828,7 +828,7 @@ def canonical_extension(
             raise ValueError("form is not invariant under the action")
     if phi.parameters():
         raise ValueError("decomposition needs parameter-free coefficients")
-    lo, up = ops.lower, ops.upper
+    lo, up = (linalg.to_dense(half, len(ops.masks)) for half in (ops.lower, ops.upper))
     prod = linalg.mat_mul(up, lo)  # P = -lower upper, so lower(upper x) = -r iff P x = r
     _moment_sections(act)  # missing moment data wins over a closedness error
 

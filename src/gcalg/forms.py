@@ -142,7 +142,8 @@ class Form:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
+            x = terms.get(m)
+            terms[m] = c if x is None else x + c
         return Form(self.n, terms)
 
     def __sub__(self, other: "Form") -> "Form":
@@ -257,7 +258,8 @@ def wedge(a: Form, b: Form) -> Form:
             c = ca * cb
             if _merge_sign(ma, mb) < 0:
                 c = -c
-            terms[m] = terms.get(m, ZERO) + c
+            x = terms.get(m)
+            terms[m] = c if x is None else x + c
     return Form(a.n, terms)
 
 
@@ -280,8 +282,9 @@ def _clifford_sum(v: Sequence, a: Form, first: int = 0) -> Form:
         for m, c in a.terms.items():
             hit = _unit_clifford(k, a.n, m)
             if hit:
-                y = x * c
-                terms[hit[1]] = terms.get(hit[1], ZERO) + (y if hit[0] > 0 else -y)
+                y = x * c if hit[0] > 0 else -(x * c)
+                old = terms.get(hit[1])
+                terms[hit[1]] = y if old is None else old + y
     return Form(a.n, terms)
 
 

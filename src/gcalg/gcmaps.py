@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -109,12 +110,12 @@ def validate(j: GCMap) -> ValidationReport:
     """
     failures = []
     n2 = 2 * j.dim
-    rows = linalg.to_sparse(j.matrix)
-    if linalg.sparse_mul(rows, rows) != [{r: -QONE} for r in range(n2)]:
+    rows = linalg.triples(linalg.to_sparse(j.matrix))
+    if linalg.sparse_mul(rows, rows) != [{r: (-1, 0, 1)} for r in range(n2)]:
         failures.append("J^2 != -1")
     swap = [(r + j.dim) % n2 for r in range(n2)]
-    jt = linalg.to_sparse(linalg.transpose(j.matrix))
-    if linalg.sparse_mul(jt, [rows[s] for s in swap]) != [{s: QONE} for s in swap]:
+    jt = linalg.sparse_transpose(rows, n2)
+    if linalg.sparse_mul(jt, [rows[s] for s in swap]) != [{s: (1, 0, 1)} for s in swap]:
         failures.append("J does not preserve the canonical pairing")
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
@@ -314,8 +315,9 @@ class UGrading:
         return {k: part for k, part in parts.items() if not part.is_zero()}
 
 
-def lifted_action_matrix(j: GCMap) -> linalg.Mat:
-    """Matrix on forms of the quadratic Clifford lift of the structure.
+def lifted_action_matrix(j: GCMap) -> linalg.TRows:
+    """Sparse rows of triples of the quadratic Clifford lift of the structure
+    on forms, rows and columns in `basis_masks` order.
 
     The lift uses the 2-form with coefficient matrix -J P (P the pairing),
     acting through commutators; with the Clifford relation u.v. + v.u. =
@@ -326,29 +328,38 @@ def lifted_action_matrix(j: GCMap) -> linalg.Mat:
     every level basis form.
 
     Each unit vector c_a of V + V* maps a unit form e_mask to a signed unit
-    form (`_unit_clifford`), so a term w (c_a c_b - c_b c_a) adds at most two
-    signed entries to a column; no Form is built.
+    form (`_unit_clifford`), so a term w (c_a c_b - c_b c_a) adds +-w to at
+    most two entries of a column.  The weights are real, so every entry is
+    an integer sum over their common denominator, reduced once at the end.
     """
     n = j.dim
-    half = QONE / Q(2)
     pairs = []
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
-            jp = j.matrix[a][(b + n) % (2 * n)] * half  # (JP)[a][b]
-            if not jp.is_zero():
-                pairs.append((a, b, -jp))
+            jp = j.matrix[a][(b + n) % (2 * n)].re  # 2 (JP)[a][b]
+            if jp:
+                pairs.append((a, b, jp))
+    den = lcm(*(jp.denominator for _, _, jp in pairs))
+    weights = [(a, b, -jp.numerator * (den // jp.denominator)) for a, b, jp in pairs]
+    den *= 2  # the entry w = -(JP)[a][b] is -jp / 2
     masks = basis_masks(n)
     row_of = {m: i for i, m in enumerate(masks)}
-    out = linalg.zeros(len(masks), len(masks))
+    sums = [{} for _ in masks]
     for col, mask in enumerate(masks):
-        for a, b, w in pairs:
+        for a, b, w in weights:
             for first, second, sign in ((b, a, 1), (a, b, -1)):
                 one = _unit_clifford(first, n, mask)
                 two = one and _unit_clifford(second, n, one[1])
                 if two:
-                    r = row_of[two[1]]
-                    x = out[r][col]
-                    out[r][col] = x + w if one[0] * two[0] == sign else x - w
+                    row = sums[row_of[two[1]]]
+                    row[col] = row.get(col, 0) + (w if one[0] * two[0] == sign else -w)
+    out = []
+    for row in sums:
+        out.append({})
+        for col, x in row.items():
+            if x:
+                g = gcd(x, den)
+                out[-1][col] = (x // g, 0, den // g)
     return out
 
 

@@ -1,13 +1,15 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are dense lists of Q rows, except that `sparse_mul`, `sparse_comb`,
-`operator_columns` and `pivot_columns` take or give sparse rows {col: Q} with
-no stored zeros.  Inside `_eliminate`, `sparse_mul` and `sparse_comb` each
-entry is a reduced Gaussian-integer triple (a, b, d), the value (a + b*i)/d
-with d > 0 and gcd(a, b, d) = 1, so zero is `not a and not b`: the loops run
-on int arithmetic and only the stored results go back to Q.  `sparse_mul` is
-the one matrix product (`mat_mul` is its dense wrapper).  Every rank
-question reads its answer off one RREF, which is unique, so results are exact.
+Matrices are dense lists of Q rows or sparse rows with no stored zeros:
+{col: Q} rows (`operator_columns`, `pivot_columns`, `to_sparse`) or rows of
+reduced Gaussian-integer triples (a, b, d), the value (a + b*i)/d with d > 0
+and gcd(a, b, d) = 1, so zero is `not a and not b`.  `triples` and `to_rows`
+convert between the two.  The sparse products, sums, eliminations and
+kernels (`sparse_mul`, `sparse_comb`, `echelon`, `null_space`,
+`in_echelon_span`) run on triples, with int arithmetic only, so a chain of
+them converts nothing between its steps; `mat_mul` is the dense view of
+`sparse_mul`.  Every rank question reads its answer off one RREF, which is
+unique, so results are exact.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ Vec = List[Q]
 Mat = List[List[Q]]
 Rows = List[Dict[int, Q]]  # sparse rows {col: Q}, no stored zeros
 Triple = Tuple[int, int, int]  # (a + b*i)/d, d > 0, gcd(a, b, d) = 1
+TRows = List[Dict[int, Triple]]  # sparse rows {col: Triple}, no stored zeros
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -58,8 +61,14 @@ def _q(t: Triple) -> Q:
     return Q(a, b) if d == 1 else Q(Fraction(a, d), Fraction(b, d))
 
 
-def _triples(rows) -> List[Dict[int, Triple]]:
+def triples(rows: Rows) -> TRows:
+    """{col: Q} rows as rows of triples."""
     return [{c: _triple(x) for c, x in row.items()} for row in rows]
+
+
+def to_rows(rows: TRows) -> Rows:
+    """Rows of triples as {col: Q} rows."""
+    return [{c: _q(t) for c, t in row.items()} for row in rows]
 
 
 def _add_mul(x: Optional[Triple], f: Triple, y: Triple) -> Triple:
@@ -89,38 +98,51 @@ def _inverse(t: Triple) -> Triple:
     return a // g, b // g, n // g
 
 
-def _to_rows(acc: List[Dict[int, Triple]]) -> Rows:
-    return [{j: _q(t) for j, t in row.items() if t[0] or t[1]} for row in acc]
+def _add_row(acc: Dict[int, Triple], f: Triple, row: Dict[int, Triple]) -> None:
+    """acc += f * row in place; an entry that cancels is removed."""
+    for j, y in row.items():
+        x = acc.get(j)
+        v = _add_mul(x, f, y)
+        if v[0] or v[1]:
+            acc[j] = v
+        elif x is not None:
+            del acc[j]
 
 
-def sparse_mul(a: Rows, b: Rows) -> Rows:
-    """Product of sparse rows: row i of a times b, over stored entries only."""
-    a, b = _triples(a), _triples(b)
+def sparse_mul(a: TRows, b: TRows) -> TRows:
+    """Product of rows of triples: row i of a times b, over stored entries only."""
     out = []
     for row in a:
         acc = {}
         for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] = _add_mul(acc.get(j), x, y)
+            _add_row(acc, x, b[k])
         out.append(acc)
-    return _to_rows(out)
+    return out
 
 
-def sparse_comb(*terms) -> Rows:
-    """Sum of c * m over (c, m) pairs of sparse matrices of one shape."""
+def sparse_comb(*terms: Tuple[Triple, TRows]) -> TRows:
+    """Sum of c * m over (c, m) pairs of a triple and rows of triples of one shape."""
     out = [{} for _ in terms[0][1]]
     for c, m in terms:
-        c = _triple(c)
-        for acc, row in zip(out, _triples(m)):
-            for j, x in row.items():
-                acc[j] = _add_mul(acc.get(j), c, x)
-    return _to_rows(out)
+        for acc, row in zip(out, m):
+            _add_row(acc, c, row)
+    return out
+
+
+def sparse_transpose(rows: list, ncols: int) -> list:
+    """Transpose of sparse rows, of Q or of triples, with ncols columns."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    return to_dense(sparse_mul(to_sparse(a), to_sparse(b)), len(b[0]) if b else 0)
+    prod = sparse_mul(triples(to_sparse(a)), triples(to_sparse(b)))
+    return to_dense(to_rows(prod), len(b[0]) if b else 0)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -136,11 +158,7 @@ def sum_q(items) -> Q:
     return out
 
 
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def _eliminate(sparse: List[Dict[int, Triple]], ncols: int) -> Tuple[List[int], List[int]]:
+def _eliminate(sparse: TRows, ncols: int) -> Tuple[List[int], List[int]]:
     """Gauss-Jordan in place on rows {col: Triple}, with a column -> rows index
     so an update touches stored entries only; returns the pivot columns and
     their rows.  The pivot is the candidate row with the fewest nonzeros (ties:
@@ -180,60 +198,61 @@ def _eliminate(sparse: List[Dict[int, Triple]], ncols: int) -> Tuple[List[int], 
     return pivots, order
 
 
+def echelon(rows: TRows, ncols: int) -> Tuple[TRows, List[int]]:
+    """The nonzero rows of the RREF of rows of triples, in pivot order, and
+    their pivot columns; the rows given are not changed."""
+    sparse = [dict(row) for row in rows]
+    pivots, order = _eliminate(sparse, ncols)
+    return [sparse[p] for p in order], pivots
+
+
+def null_space(rows: TRows, ncols: int) -> TRows:
+    """Basis of {x : rows @ x = 0}, one vector per free column of the RREF in
+    increasing order: 1 there, minus that column's entry of each pivot row at
+    its pivot, zero elsewhere."""
+    basis, pivots = echelon(rows, ncols)
+    taken = set(pivots)
+    kernel = {c: {c: (1, 0, 1)} for c in range(ncols) if c not in taken}
+    for row, p in zip(basis, pivots):
+        for c, (a, b, d) in row.items():
+            if c != p:
+                kernel[c][p] = (-a, -b, d)
+    return list(kernel.values())
+
+
+def in_echelon_span(v: Dict[int, Triple], rows: TRows, pivots: Sequence[int]) -> bool:
+    """Whether the sparse vector v lies in the span of RREF rows with these pivots."""
+    out = dict(v)
+    for row, p in zip(rows, pivots):
+        f = out.get(p)
+        if f is not None:
+            _add_row(out, (-f[0], -f[1], f[2]), row)
+    return not out
+
+
 def rref(rows: Mat):
     """Reduced row echelon form; returns (new rows, pivot column list)."""
     if not rows:
         return [], []
     ncols = len(rows[0])
-    sparse = _triples(to_sparse(rows))
-    pivots, order = _eliminate(sparse, ncols)
-    pivot_rows = _to_rows(sparse[p] for p in order)
-    return to_dense(pivot_rows + [{}] * (len(rows) - len(order)), ncols), pivots
+    basis, pivots = echelon(triples(to_sparse(rows)), ncols)
+    return to_dense(to_rows(basis) + [{}] * (len(rows) - len(basis)), ncols), pivots
 
 
 def pivot_columns(rows: Rows, ncols: int) -> List[int]:
     """Pivot columns of the RREF of sparse rows, with no conversion back."""
-    return _eliminate(_triples(rows), ncols)[0]
+    return _eliminate(triples(rows), ncols)[0]
 
 
 def rank(mat: Mat) -> int:
     return len(rref(mat)[1])
 
 
-def row_space(rows: Mat) -> Mat:
-    """Canonical basis (RREF nonzero rows) of the span of the given rows."""
-    m, pivots = rref(rows)
-    return m[: len(pivots)]
-
-
-def in_span(v: Vec, basis_rref: Mat) -> bool:
-    """Membership test against an RREF basis."""
-    out = list(v)
-    for row in basis_rref:
-        lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
-        if lead is None:
-            continue
-        f = out[lead]
-        if not f.is_zero():
-            out = [x - f * y for x, y in zip(out, row)]
-    return all(x.is_zero() for x in out)
-
-
 def kernel_basis(mat: Mat, ncols: Optional[int] = None) -> List[Vec]:
-    """Basis of the right kernel {x : mat @ x = 0}, deterministic order."""
+    """Basis of the right kernel {x : mat @ x = 0}: the dense view of `null_space`."""
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    m, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [QZERO] * ncols
-        v[fc] = QONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return to_dense(to_rows(null_space(triples(to_sparse(mat)), ncols)), ncols)
 
 
 def solve(mat: Mat, rhs: Vec) -> Optional[Vec]:

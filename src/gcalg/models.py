@@ -9,6 +9,7 @@ complexes are Z2-graded because the twisted differential mixes form degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,13 +20,11 @@ from .forms import (
     clifford,
     contract,
     contract_vector,
-    form_to_vec,
     reversal,
-    vec_to_form,
     wedge,
 )
 from .gcmaps import GCMap, UGrading, lifted_action_matrix, require_valid, uk_grading
-from .scalars import ONE, Q, QONE, QZERO, Scalar
+from .scalars import ONE, Q, Scalar
 
 
 class Model:
@@ -135,9 +134,12 @@ class BettiPair:
         return iter((self.even, self.odd))
 
 
-def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.Mat:
-    """Matrix of d_H with rows and columns in the given mask order."""
-    return linalg.operator_matrix(lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks)
+def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.Rows:
+    """Sparse rows of d_H's matrix, rows and columns in the given mask order."""
+    cols = linalg.operator_columns(
+        lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
+    )
+    return linalg.sparse_transpose(cols, len(masks))
 
 
 def twisted_cohomology(m: Model) -> BettiPair:
@@ -147,7 +149,8 @@ def twisted_cohomology(m: Model) -> BettiPair:
     if m.n == 0:
         return BettiPair(1, 0)
     masks = sorted(basis_masks(m.n), key=lambda mk: mk.bit_count() % 2)
-    free = (1 << (m.n - 1)) - linalg.rank(_d_matrix(m, masks))
+    rank = len(linalg.pivot_columns(_d_matrix(m, masks), len(masks)))
+    free = (1 << (m.n - 1)) - rank
     return BettiPair(free, free)
 
 
@@ -159,7 +162,7 @@ def betti_numbers(m: Model) -> List[int]:
         raise ValueError("integer grading needs a zero twisting form")
     masks = basis_masks(m.n)
     ranks = [0] * (m.n + 1)  # ranks[q]: rank of d from degree q to degree q + 1
-    for c in linalg.rref(_d_matrix(m, masks))[1]:
+    for c in linalg.pivot_columns(_d_matrix(m, masks), len(masks)):
         ranks[masks[c].bit_count()] += 1
     return [comb(m.n, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
 
@@ -260,12 +263,20 @@ def del_delbar_split(
 
 @dataclass(frozen=True)
 class SplitOperators:
-    """Matrices of the two halves of the twisted differential, level-split."""
+    """The two halves of the twisted differential, level-split, as sparse rows
+    of triples; `lower` and `upper` are their {col: Q} views."""
 
     model: Model
     masks: Tuple[int, ...]
-    lower: tuple  # rows of the level -1 half
-    upper: tuple  # rows of the level +1 half
+    halves: Tuple[linalg.TRows, linalg.TRows]  # (level -1 half, level +1 half)
+
+    @cached_property
+    def lower(self) -> linalg.Rows:
+        return linalg.to_rows(self.halves[0])
+
+    @cached_property
+    def upper(self) -> linalg.Rows:
+        return linalg.to_rows(self.halves[1])
 
 
 def split_operators(m: Model, j: GCMap) -> SplitOperators:
@@ -276,8 +287,7 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     and [L, [L, D]] + D = -8 S for the stray part S = D_-3 + D_3.  When S is
     zero the halves are (D -+ i[L, D]) / 2; else the first nonzero column of
     S is the stray component of the first basis form, as the per-form split
-    reports it.  The products run on sparse rows; only the halves are made
-    dense.
+    reports it.  Every product and sum runs on sparse rows of triples.
     """
     require_valid(j)
     if j.dim != m.n:
@@ -290,28 +300,33 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
         for mask in masks:
             del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
         raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
-    lift = linalg.to_sparse(lifted_action_matrix(j))
-    dmat = linalg.to_sparse(dmat)
+    dmat = linalg.triples(dmat)
+    lift = lifted_action_matrix(j)
+    one = (1, 0, 1)  # triples (a, b, d) = (a + b*i)/d
 
     def comm(a):
         return linalg.sparse_comb(
-            (QONE, linalg.sparse_mul(lift, a)), (-QONE, linalg.sparse_mul(a, lift))
+            (one, linalg.sparse_mul(lift, a)), ((-1, 0, 1), linalg.sparse_mul(a, lift))
         )
 
     d_comm = comm(dmat)
-    stray8 = linalg.sparse_comb((QONE, comm(d_comm)), (QONE, dmat))  # -8 S
-    if not any(stray8):
-        half, i_half = QONE / Q(2), Q(0, 1) / Q(2)
-        lower = linalg.sparse_comb((half, dmat), (-i_half, d_comm))
-        upper = linalg.sparse_comb((half, dmat), (i_half, d_comm))
-        dense = [tuple(map(tuple, linalg.to_dense(h, len(masks)))) for h in (lower, upper)]
-        return SplitOperators(m, masks, *dense)
-    if comm(comm(stray8)) != linalg.sparse_comb((-Q(9), stray8)):
+    stray8 = linalg.sparse_comb((one, comm(d_comm)), (one, dmat))  # -8 S
+    if not any(stray8):  # the halves (D -+ i[L, D]) / 2
+        lower = linalg.sparse_comb(((1, 0, 2), dmat), ((0, -1, 2), d_comm))
+        upper = linalg.sparse_comb(((1, 0, 2), dmat), ((0, 1, 2), d_comm))
+        return SplitOperators(m, masks, (lower, upper))
+    if comm(comm(stray8)) != linalg.sparse_comb(((-9, 0, 1), stray8)):
         raise AssertionError("d_H moves levels by steps other than 1 and 3")
     col = min(c for row in stray8 for c in row)
-    scale = -QONE / Q(8)
-    residual = [scale * row.get(col, QZERO) for row in stray8]
-    raise _stray_component(m, vec_to_form(residual, masks, m.n))
+    column = {r: row[col] for r, row in enumerate(stray8) if col in row}
+    residual = linalg.sparse_comb(((-1, 0, 8), [column]))[0]  # S's column: -1/8 of -8 S
+    raise _stray_component(m, _row_form(residual, masks, m.n))
+
+
+def _row_form(row: dict, masks: Sequence[int], n: int) -> Form:
+    """The form with coordinates row, a sparse row of triples, on the given masks."""
+    coords = sorted(linalg.to_rows([row])[0].items())
+    return Form(n, {masks[c]: Scalar.from_q(x) for c, x in coords})
 
 
 @dataclass(frozen=True)
@@ -328,20 +343,24 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     by rank comparisons; on failure returns the first offending basis vector.
     d_H^2 = 0 splits by level into lower^2 = upper^2 = 0 and lower upper = -P
     for P = upper lower, so ker(lower) & im(upper) = upper(ker P) and
-    im(lower) & ker(upper) = lower(ker P).
+    im(lower) & ker(upper) = lower(ker P).  Four eliminations on sparse rows
+    of triples: of P's columns, of P's rows for ker P, and of each image.
     """
     sp = ops if ops is not None else split_operators(m, j)
-    prod = linalg.mat_mul(sp.upper, sp.lower)
-    im_prod = linalg.row_space(linalg.transpose(prod))  # in RREF, as in_span needs
-    ker_prod = linalg.kernel_basis(prod)
+    size = len(sp.masks)
+    lower, upper = sp.halves
+    prod = linalg.sparse_mul(upper, lower)
+    im_prod, im_pivots = linalg.echelon(linalg.sparse_transpose(prod, size), size)
+    ker_prod = linalg.null_space(prod, size)
     # canonical bases of the images: row x of ker_prod times half^T is half(x)
-    a = linalg.row_space(linalg.mat_mul(ker_prod, linalg.transpose(sp.upper)))
-    b = linalg.row_space(linalg.mat_mul(ker_prod, linalg.transpose(sp.lower)))
+    upper_t, lower_t = (linalg.sparse_transpose(half, size) for half in (upper, lower))
+    a = linalg.echelon(linalg.sparse_mul(ker_prod, upper_t), size)[0]
+    b = linalg.echelon(linalg.sparse_mul(ker_prod, lower_t), size)[0]
 
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
-            if not linalg.in_span(row, im_prod):
-                witness = vec_to_form(row, sp.masks, m.n)
+            if not linalg.in_echelon_span(row, im_prod, im_pivots):
+                witness = _row_form(row, sp.masks, m.n)
                 return DdbarReport(
                     ok=False,
                     witness=witness,
@@ -359,19 +378,21 @@ def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     kernel vector has one parity and d_H swaps it, so the even and odd images
     share no coordinates and one rank of all of them is their ranks' sum."""
     sp = split_operators(m, j)
-    kernel = linalg.kernel_basis(sp.upper)
+    size = len(sp.masks)
+    kernel = linalg.null_space(sp.halves[1], size)
     if not kernel:
         return BettiPair(0, 0)
-    span = linalg.row_space(kernel)
+    span, pivots = linalg.echelon(kernel, size)
+    index = {mk: i for i, mk in enumerate(sp.masks)}
     images, n_odd = [], 0  # ranks in mask coordinates equal ranks in the kernel
     for v in kernel:
-        f = vec_to_form(v, sp.masks, m.n)
-        img = form_to_vec(d_twisted(m, f), sp.masks)
-        if not linalg.in_span(img, span):
+        f = _row_form(v, sp.masks, m.n)
+        img = linalg.triples([{index[mk]: c.as_q() for mk, c in d_twisted(m, f).terms.items()}])[0]
+        if not linalg.in_echelon_span(img, span, pivots):
             raise AssertionError("twisted differential left the subcomplex")
         images.append(img)
         n_odd += _pure_parity(f)
-    rank = linalg.rank(images)
+    rank = len(linalg.echelon(images, size)[1])
     return BettiPair(len(kernel) - n_odd - rank, n_odd - rank)
 
 

@@ -10,9 +10,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gcalg import cartan, linalg
-from gcalg.forms import Form, basis_masks, clifford, form_to_vec, mask_key, vec_to_form, wedge
-from gcalg.gcmaps import i_eigenspace, lifted_action_matrix
-from gcalg.models import BettiPair, d, d_twisted, split_operators, twisted_cohomology
+from gcalg.forms import (
+    Form, _unit_clifford, basis_masks, clifford, form_to_vec, mask_key, vec_to_form, wedge,
+)
+from gcalg.gcmaps import i_eigenspace, require_valid, uk_grading
+from gcalg.modelfile import parse_model
+from gcalg.models import (
+    BettiPair, DdbarReport, Model, _stray_component, d, d_twisted, del_delbar_split,
+    split_operators, twisted_cohomology,
+)
 from gcalg.scalars import ONE, Q, Scalar, scalar
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -68,6 +74,45 @@ def random_vector(rng, length, span=3):
     return [Scalar.from_q(random_q(rng, span)) for _ in range(length)]
 
 
+def shipped_structures():
+    """(model, structure) for every structure of the shipped model files."""
+    out = []
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        mf = parse_model(path.read_text())
+        out += [(mf.model, j) for j in mf.structures.values()]
+    return out
+
+
+# 2-step nilpotent models with Gaussian, parametric or pi coefficients: the
+# random models of the rank and ddbar differential tests
+def random_nilpotent(rng, n, kind):
+    """A 2-step nilpotent model on n generators: the first k (all but at
+    least one from n = 3 on) are closed and each later d(e_g) sums e_a^e_b
+    over closed a < b, so d^2 = 0.  H, on about half the draws, is closed
+    triples plus d of a 2-form.  Coefficients are Gaussian rationals, and
+    for kind "param" or "pi" some are -s, s + 1 or a multiple of pi."""
+    def coeff():
+        c = Scalar.from_q(random_q(rng))
+        if kind == "param" and rng.random() < 0.3:
+            return rng.choice([-Scalar.parameter("s"), Scalar.parameter("s") + ONE])
+        if kind == "pi" and rng.random() < 0.3:
+            return c * Scalar.pi()
+        return c
+
+    def sparse(masks, count):
+        return Form(n, {mk: coeff() for mk in rng.sample(masks, min(count, len(masks)))})
+
+    k = rng.randint(min(n, 2), n - 1) if n > 2 else n
+    closed_pairs = [mk for mk in basis_masks(k) if mk.bit_count() == 2]
+    table = [Form.zero(n)] * k + [sparse(closed_pairs, rng.randint(0, 3)) for _ in range(n - k)]
+    model = Model(n, table)
+    if n < 3 or rng.random() < 0.5:
+        return model
+    triples = [mk for mk in basis_masks(k) if mk.bit_count() == 3]
+    pairs = [mk for mk in basis_masks(n) if mk.bit_count() == 2]
+    return model.with_twist(sparse(triples, 2) + d(model, sparse(pairs, 2)))
+
+
 # dense matrix products and sums for the reference constructions; the
 # package itself multiplies, adds and scales matrices on sparse rows only
 def dense_mul(a, b):
@@ -91,6 +136,31 @@ def ref_operator_matrix(op, src, dst):
         for k, c in op(key).items():
             out[row_of[k]][j] = c.as_q()
     return out
+
+
+# dense spans as linalg first had them: the canonical RREF rows of a span and
+# membership in it; the package eliminates sparse rows of triples instead
+def row_space(rows):
+    """Canonical basis (RREF nonzero rows) of the span of the given rows."""
+    m, pivots = linalg.rref(rows)
+    return m[: len(pivots)]
+
+
+def in_span(v, basis_rref):
+    """Membership test against an RREF basis."""
+    out = list(v)
+    for row in basis_rref:
+        lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
+        if lead is None:
+            continue
+        f = out[lead]
+        if not f.is_zero():
+            out = [x - f * y for x, y in zip(out, row)]
+    return all(x.is_zero() for x in out)
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
 
 
 def mat_add(a, b):
@@ -161,7 +231,7 @@ def ref_intersect_spans(rows_a, rows_b, ncols):
             continue
         if any(not x.is_zero() for x in right):
             out.append(right)
-    return linalg.row_space(out) if out else []
+    return row_space(out) if out else []
 
 
 def ref_twisted_cohomology(m):
@@ -197,15 +267,15 @@ def ref_betti_numbers(m):
 
 def ref_delbar_closed_subcomplex_betti(m, j):
     sp = split_operators(m, j)
-    kernel = linalg.kernel_basis(sp.upper)
+    kernel = linalg.kernel_basis(linalg.to_dense(sp.upper, len(sp.masks)))
     if not kernel:
         return BettiPair(0, 0)
-    span = linalg.row_space(kernel)
+    span = row_space(kernel)
     images = ([], [])  # even, odd
     for v in kernel:
         f = vec_to_form(v, sp.masks, m.n)
         img = form_to_vec(d_twisted(m, f), sp.masks)
-        assert linalg.in_span(img, span)
+        assert in_span(img, span)
         parities = {mk.bit_count() % 2 for mk in f.terms}
         assert len(parities) == 1
         images[parities.pop()].append(img)
@@ -272,7 +342,7 @@ def ref_uk_grading(j):
     n = j.dim
     half = n // 2
     masks = basis_masks(n)
-    op = lifted_action_matrix(j)
+    op = ref_lifted_action_matrix(j)
     svec = form_to_vec(ref_pure_spinor(i_eigenspace(j)), masks)
     image = linalg.mat_vec(op, svec)
     lead = next(i for i, x in enumerate(svec) if not x.is_zero())
@@ -336,7 +406,7 @@ def ref_equivariant_cohomology(act, h_g, trunc):
     def graded(mat_out, mat_in, basis_list):
         size = len(basis_list)
         out_pivots = linalg.rref([row[::-1] for row in mat_out])[1]  # F_p first
-        im_pivots = linalg.rref(linalg.transpose(mat_in))[1]
+        im_pivots = linalg.rref(transpose(mat_in))[1]
         degs = [sum(e) for e, _ in basis_list]
         heads = [bisect_left(degs, p) for p in range(trunc + 2)]
         dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
@@ -355,3 +425,93 @@ def ref_equivariant_cohomology(act, h_g, trunc):
             break
     return cartan.EquivariantRanks(trunc=trunc, k=act.k, by_degree=tuple(zip(even_ranks, odd_ranks)),
                                    betti=betti, free_pattern=free)
+
+
+# the ddbar path as first run on dense rows: the lift summed in Q into a zero
+# matrix, the halves of d_H as dense rows from dense products, and the check
+# through row_space and in_span on dense RREF rows; the package keeps sparse
+# rows of Gaussian-integer triples from the lift and d_H's matrix to the last
+# rank
+def ref_lifted_action_matrix(j):
+    n = j.dim
+    half = Q(1) / Q(2)
+    pairs = []
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            jp = j.matrix[a][(b + n) % (2 * n)] * half  # (JP)[a][b]
+            if not jp.is_zero():
+                pairs.append((a, b, -jp))
+    masks = basis_masks(n)
+    row_of = {m: i for i, m in enumerate(masks)}
+    out = linalg.zeros(len(masks), len(masks))
+    for col, mask in enumerate(masks):
+        for a, b, w in pairs:
+            for first, second, sign in ((b, a, 1), (a, b, -1)):
+                one = _unit_clifford(first, n, mask)
+                two = one and _unit_clifford(second, n, one[1])
+                if two:
+                    r = row_of[two[1]]
+                    x = out[r][col]
+                    out[r][col] = x + w if one[0] * two[0] == sign else x - w
+    return out
+
+
+class RefSplit:
+    """The halves as the split first returned them: dense tuples of Q rows."""
+
+    def __init__(self, model, masks, lower, upper):
+        self.model, self.masks, self.lower, self.upper = model, masks, lower, upper
+
+
+def ref_split_operators(m, j):
+    require_valid(j)
+    if j.dim != m.n:
+        raise ValueError("structure frame does not match the model")
+    masks = tuple(basis_masks(m.n))
+    try:
+        dmat = ref_operator_matrix(lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks)
+    except ValueError:  # parameter or pi coefficients: the per-form split names them
+        g = uk_grading(j)
+        for mask in masks:
+            del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
+        raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
+    lift = ref_lifted_action_matrix(j)
+
+    def comm(a):
+        return mat_sub(dense_mul(lift, a), dense_mul(a, lift))
+
+    d_comm = comm(dmat)
+    stray8 = mat_add(comm(d_comm), dmat)  # -8 S
+    if all(x.is_zero() for row in stray8 for x in row):
+        half_d = mat_scale(dmat, Q(1) / Q(2))
+        i_half_comm = mat_scale(d_comm, Q(0, 1) / Q(2))
+        lower = tuple(map(tuple, mat_sub(half_d, i_half_comm)))
+        upper = tuple(map(tuple, mat_add(half_d, i_half_comm)))
+        return RefSplit(m, masks, lower, upper)
+    if comm(comm(stray8)) != mat_scale(stray8, -Q(9)):
+        raise AssertionError("d_H moves levels by steps other than 1 and 3")
+    col = next(c for c in range(len(masks)) if any(not row[c].is_zero() for row in stray8))
+    scale = -Q(1) / Q(8)
+    raise _stray_component(m, vec_to_form([scale * row[col] for row in stray8], masks, m.n))
+
+
+def ref_ddbar_lemma_check(m, j, ops=None):
+    sp = ops if ops is not None else ref_split_operators(m, j)
+    prod = linalg.mat_mul(sp.upper, sp.lower)
+    im_prod = row_space(transpose(prod))
+    ker_prod = linalg.kernel_basis(prod)
+    a = row_space(linalg.mat_mul(ker_prod, transpose(sp.upper)))
+    b = row_space(linalg.mat_mul(ker_prod, transpose(sp.lower)))
+    for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
+        for row in space:
+            if not in_span(row, im_prod):
+                witness = vec_to_form(row, sp.masks, m.n)
+                return DdbarReport(
+                    ok=False,
+                    witness=witness,
+                    detail="%s is larger than im(delbar del); witness %s"
+                    % (name, witness.to_text(m.names)),
+                )
+    if len(a) != len(im_prod) or len(b) != len(im_prod):
+        return DdbarReport(ok=False, detail="rank bookkeeping mismatch")
+    return DdbarReport(ok=True)

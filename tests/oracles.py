@@ -66,6 +66,37 @@ def rank_oracle(rows):
     return rank
 
 
+def mat_mul_oracle(a, b):
+    """Dense product of matrices of gq entries."""
+    out = []
+    for row in a:
+        acc = [GQ_ZERO] * (len(b[0]) if b else 0)
+        for k, x in enumerate(row):
+            if not gq_is_zero(x):
+                acc = [gq_add(s, gq_mul(x, y)) for s, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
+
+
+def bott_chern_aeppli(lower, upper):
+    """(h_BC, h_A, h_D) of two anticommuting square-zero operators del = lower
+    and delbar = upper on N coordinates, given as dense gq matrices (row i is
+    output coordinate i), with D = del + delbar:
+
+        h_BC = dim(ker del & ker delbar) - rank(del delbar)
+        h_A  = dim ker(del delbar) - dim(im del + im delbar)
+        h_D  = dim ker D - rank D
+
+    ker del & ker delbar is the kernel of the two stacked one above the other,
+    im del + im delbar the image of the two side by side."""
+    n = len(lower)
+    r_prod = rank_oracle(mat_mul_oracle(lower, upper))
+    r_stacked = rank_oracle(lower + upper)
+    r_side = rank_oracle([lo + up for lo, up in zip(lower, upper)])
+    r_sum = rank_oracle([[gq_add(x, y) for x, y in zip(lo, up)] for lo, up in zip(lower, upper)])
+    return n - r_stacked - r_prod, n - r_prod - r_side, n - 2 * r_sum
+
+
 def det_oracle(rows):
     """Determinant by Laplace expansion along the first row."""
     if not rows:

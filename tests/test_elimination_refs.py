@@ -21,9 +21,10 @@ from math import comb, gcd
 import pytest
 
 from conftest import (
-    MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_q,
-    ref_betti_numbers, ref_delbar_closed_subcomplex_betti, ref_equivariant_cohomology,
-    ref_intersect_spans, ref_twisted_cohomology, wide_q,
+    MODELS_DIR, RefSplit, gaussian_matrix, in_span, mat_add, mat_scale, mat_sub,
+    random_nilpotent, random_q, ref_betti_numbers, ref_delbar_closed_subcomplex_betti,
+    ref_equivariant_cohomology, ref_intersect_spans, ref_split_operators, ref_twisted_cohomology,
+    row_space, shipped_structures, transpose, wide_q,
 )
 from gcalg import linalg
 from gcalg.cartan import (
@@ -87,7 +88,7 @@ def ref_by_degree(act, h_g, trunc):
     mat_oe = linalg.operator_matrix(image, odd_basis, even_basis)
 
     def graded(mat_out, mat_in, basis_list):
-        im = linalg.row_space(linalg.transpose(mat_in))
+        im = row_space(transpose(mat_in))
         degs = [sum(e) for e, _ in basis_list]
         dims = []
         for p in range(trunc + 2):
@@ -109,18 +110,18 @@ def ref_by_degree(act, h_g, trunc):
 
 
 def ref_ddbar(sp):
-    lo, up = sp.lower, sp.upper
     dim, n, names = len(sp.masks), sp.model.n, sp.model.names
-    ker_lo = linalg.row_space(linalg.kernel_basis(lo))
-    ker_up = linalg.row_space(linalg.kernel_basis(up))
-    im_lo = linalg.row_space(linalg.transpose(lo))
-    im_up = linalg.row_space(linalg.transpose(up))
-    im_uplo = linalg.row_space(linalg.transpose(linalg.mat_mul(up, lo)))
+    lo, up = linalg.to_dense(sp.lower, dim), linalg.to_dense(sp.upper, dim)
+    ker_lo = row_space(linalg.kernel_basis(lo))
+    ker_up = row_space(linalg.kernel_basis(up))
+    im_lo = row_space(transpose(lo))
+    im_up = row_space(transpose(up))
+    im_uplo = row_space(transpose(linalg.mat_mul(up, lo)))
     a = ref_intersect_spans(ker_lo, im_up, dim)
     b = ref_intersect_spans(im_lo, ker_up, dim)
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
-            if not linalg.in_span(row, im_uplo):
+            if not in_span(row, im_uplo):
                 witness = vec_to_form(row, sp.masks, n)
                 return DdbarReport(
                     ok=False,
@@ -135,14 +136,14 @@ def ref_ddbar(sp):
 
 def ref_delbar_closed_betti(m, j):
     sp = split_operators(m, j)
-    kernel = linalg.kernel_basis(sp.upper)
+    kernel = linalg.kernel_basis(linalg.to_dense(sp.upper, len(sp.masks)))
     if not kernel:
         return BettiPair(0, 0)
     forms = [vec_to_form(v, sp.masks, m.n) for v in kernel]
-    span = linalg.row_space(kernel)
+    span = row_space(kernel)
 
     def coords(f):
-        sol = linalg.solve(linalg.transpose(span), form_to_vec(f, sp.masks))
+        sol = linalg.solve(transpose(span), form_to_vec(f, sp.masks))
         assert sol is not None
         return sol
 
@@ -214,14 +215,6 @@ def test_random_closed_twists_match_stacked_kernels(family):
         assert_same_ranks(act, act.h_equivariant(trunc), trunc)
 
 
-def _shipped_structures():
-    out = []
-    for path in sorted(MODELS_DIR.glob("*.model")):
-        mf = parse_model(path.read_text())
-        out += [(mf.model, j) for j in mf.structures.values()]
-    return out
-
-
 def _shears(model, j, rng):
     """The structure and a B-shear of it by a closed constant 2-form."""
     n = model.n
@@ -234,7 +227,7 @@ def _shears(model, j, rng):
 
 def test_ddbar_reports_match_spans_of_canonical_rows():
     rng = random.Random(11)
-    cases = _shipped_structures() + [
+    cases = shipped_structures() + [
         (torus(4), complex_structure(2, sign=-1)),
         (torus(4), symplectic_map(Form(4, {0b0011: ONE, 0b1100: ONE}))),
         (torus(6), complex_structure(3)),
@@ -251,36 +244,8 @@ def test_ddbar_reports_match_spans_of_canonical_rows():
 
 
 def test_delbar_closed_betti_matches_solved_coordinates():
-    for model, j in _shipped_structures():
+    for model, j in shipped_structures():
         assert delbar_closed_subcomplex_betti(model, j) == ref_delbar_closed_betti(model, j)
-
-
-def _random_nilpotent(rng, n, kind):
-    """A 2-step nilpotent model on n generators: the first k (all but at
-    least one from n = 3 on) are closed and each later d(e_g) sums e_a^e_b
-    over closed a < b, so d^2 = 0.  H, on about half the draws, is closed
-    triples plus d of a 2-form.  Coefficients are Gaussian rationals, and
-    for kind "param" or "pi" some are -s, s + 1 or a multiple of pi."""
-    def coeff():
-        c = Scalar.from_q(random_q(rng))
-        if kind == "param" and rng.random() < 0.3:
-            return rng.choice([-Scalar.parameter("s"), Scalar.parameter("s") + ONE])
-        if kind == "pi" and rng.random() < 0.3:
-            return c * Scalar.pi()
-        return c
-
-    def sparse(masks, count):
-        return Form(n, {mk: coeff() for mk in rng.sample(masks, min(count, len(masks)))})
-
-    k = rng.randint(min(n, 2), n - 1) if n > 2 else n
-    closed_pairs = [mk for mk in basis_masks(k) if mk.bit_count() == 2]
-    table = [Form.zero(n)] * k + [sparse(closed_pairs, rng.randint(0, 3)) for _ in range(n - k)]
-    model = Model(n, table)
-    if n < 3 or rng.random() < 0.5:
-        return model
-    triples = [mk for mk in basis_masks(k) if mk.bit_count() == 3]
-    pairs = [mk for mk in basis_masks(n) if mk.bit_count() == 2]
-    return model.with_twist(sparse(triples, 2) + d(model, sparse(pairs, 2)))
 
 
 def _outcome(fn, *args):
@@ -297,7 +262,7 @@ def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
     seen = {"values": 0, "errors": set(), "delbar": 0}
     for n in range(8):
         for kind in ("gauss", "gauss", "param", "param", "pi", "pi"):
-            model = _random_nilpotent(rng, n, kind)
+            model = random_nilpotent(rng, n, kind)
             checks = [(twisted_cohomology, ref_twisted_cohomology, (model,)),
                       (betti_numbers, ref_betti_numbers, (model,))]
             if n in (2, 4) or (n == 6 and kind == "gauss"):
@@ -325,7 +290,7 @@ def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
 
 
 def test_one_rref_per_matrix(monkeypatch):
-    calls = {"rref": 0, "pivot_columns": 0, "solve": 0}
+    calls = {"rref": 0, "pivot_columns": 0, "echelon": 0, "solve": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -336,7 +301,7 @@ def test_one_rref_per_matrix(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def count(fn, *args, **kwargs):
-        calls.update(rref=0, pivot_columns=0, solve=0)
+        calls.update(rref=0, pivot_columns=0, echelon=0, solve=0)
         fn(*args, **kwargs)
         return dict(calls)
 
@@ -345,29 +310,32 @@ def test_one_rref_per_matrix(monkeypatch):
         # two per parity plus the x-degree-0 block of d_H, whatever trunc is,
         # all read off pivots alone
         got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
-        assert got == {"rref": 0, "pivot_columns": 5, "solve": 0}
+        assert got == {"rref": 0, "pivot_columns": 5, "echelon": 0, "solve": 0}
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     j = mf.structures["Jc"]
     sp = split_operators(mf.model, j)
     # the image and kernel of P = upper lower, and the canonical bases of
-    # upper(ker P) and lower(ker P)
+    # upper(ker P) and lower(ker P), all on sparse rows of triples
     got = count(ddbar_lemma_check, mf.model, j, ops=sp)
-    assert got == {"rref": 4, "pivot_columns": 0, "solve": 0}
-    split = count(split_operators, mf.model, j)["rref"]
+    assert got == {"rref": 0, "pivot_columns": 0, "echelon": 4, "solve": 0}
+    assert count(split_operators, mf.model, j) == {
+        "rref": 0, "pivot_columns": 0, "echelon": 0, "solve": 0}
+    # the kernel of the upper half, its canonical basis and the images' rank
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
-    assert got == {"rref": split + 3, "pivot_columns": 0, "solve": 0}
+    assert got == {"rref": 0, "pivot_columns": 0, "echelon": 3, "solve": 0}
 
 
 # -- the level split of d_H ---------------------------------------------------
 # The first reference is the per-mask split the package first used: the level
 # grading, then one del_delbar_split per basis form.  The package reads the
 # halves off two commutators with the lift instead; the two must agree.  The
-# second reference takes the same commutators with dense products and sums,
-# as the package did before its products went sparse; it is the one used at
-# n = 6, where the per-mask split takes half a minute.
+# second reference takes the same commutators with dense products and sums
+# (ref_split_operators, tests/conftest.py), as the package did before its
+# products went sparse; it is the one used at n = 6, where the per-mask split
+# takes half a minute.
 
 
-def ref_split_operators(m, j):
+def ref_per_mask_split(m, j):
     g = uk_grading(j)
     masks = tuple(basis_masks(m.n))
     halves = {mk: del_delbar_split(m, j, Form(m.n, {mk: ONE}), grading=g) for mk in masks}
@@ -376,40 +344,20 @@ def ref_split_operators(m, j):
     return masks, tuple(map(tuple, lower)), tuple(map(tuple, upper))
 
 
-def ref_dense_split(m, j):
-    masks = tuple(basis_masks(m.n))
-    dmat = linalg.operator_matrix(
-        lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
-    )
-    lift = lifted_action_matrix(j)
-
-    def comm(a):
-        return mat_sub(dense_mul(lift, a), dense_mul(a, lift))
-
-    d_comm = comm(dmat)
-    stray8 = mat_add(comm(d_comm), dmat)  # -8 S
-    if all(x.is_zero() for row in stray8 for x in row):
-        half_d = mat_scale(dmat, QONE / Q(2))
-        i_half_comm = mat_scale(d_comm, Q(0, 1) / Q(2))
-        lower = tuple(map(tuple, mat_sub(half_d, i_half_comm)))
-        upper = tuple(map(tuple, mat_add(half_d, i_half_comm)))
-        return masks, lower, upper
-    assert comm(comm(stray8)) == mat_scale(stray8, -Q(9))
-    col = next(c for c in range(len(masks)) if any(not row[c].is_zero() for row in stray8))
-    scale = -QONE / Q(8)
-    residual = vec_to_form([scale * row[col] for row in stray8], masks, m.n)
-    return (
-        "structure is not integrable on this model; stray component %s"
-        % residual.to_text(m.names),
-        residual,
-    )
-
-
 def _split_or_error(fn, m, j):
+    """(masks, lower, upper) with dense tuple halves, or (message, residual)."""
     try:
-        return fn(m, j)
+        sp = fn(m, j)
     except IntegrabilityError as err:
         return str(err), err.residual
+    if isinstance(sp, SplitOperators):
+        assert sp.model is m
+        size = len(sp.masks)
+        return (sp.masks,) + tuple(tuple(map(tuple, linalg.to_dense(h, size)))
+                                   for h in (sp.lower, sp.upper))
+    if isinstance(sp, RefSplit):
+        return sp.masks, sp.lower, sp.upper
+    return sp
 
 
 def _random_three_form(rng, n):
@@ -449,7 +397,7 @@ def _ddbar_workload_cases(rng):
 def test_split_matches_per_mask_split():
     rng = random.Random(13)
     cases = []
-    for model, j in _shipped_structures():
+    for model, j in shipped_structures():
         cases += [(model, jj) for jj in _shears(model, j, rng) + _shears(model, j, rng)[1:]]
     w4 = symplectic_map(Form(4, {0b0011: ONE, 0b1100: ONE}))
     for j in (complex_structure(2), complex_structure(2, sign=-1), w4):
@@ -461,14 +409,10 @@ def test_split_matches_per_mask_split():
     cases += t6
     nonintegrable = []
     for model, j in cases:
-        ref = _split_or_error(ref_dense_split, model, j)
+        ref = _split_or_error(ref_split_operators, model, j)
         if model.n <= 4:
-            assert _split_or_error(ref_split_operators, model, j) == ref
-        got = _split_or_error(split_operators, model, j)
-        if isinstance(got, SplitOperators):
-            assert got.model is model
-            got = (got.masks, got.lower, got.upper)
-        assert got == ref
+            assert _split_or_error(ref_per_mask_split, model, j) == ref
+        assert _split_or_error(split_operators, model, j) == ref
         nonintegrable.append(isinstance(ref[0], str))
     assert set(nonintegrable) == {True, False}
     tail = nonintegrable[len(cases) - len(workload) - len(t6):]
@@ -481,7 +425,7 @@ def test_split_matches_per_mask_split():
 def test_split_of_parametric_twist_fails_as_the_per_mask_split():
     model = torus(4, Form(4, {0b0111: Scalar.parameter("t")}))
     with pytest.raises(ValueError) as ref:
-        ref_split_operators(model, complex_structure(2))
+        ref_per_mask_split(model, complex_structure(2))
     with pytest.raises(ValueError) as got:
         split_operators(model, complex_structure(2))
     assert str(got.value) == str(ref.value) == "decomposition needs parameter-free coefficients"
@@ -498,8 +442,10 @@ def test_split_on_twisted_t6_moves_levels_by_one():
     )
     lift = lifted_action_matrix(j)
     assert tuple(sp.masks) == tuple(masks)
-    assert mat_add(sp.lower, sp.upper) == dmat
-    for half, eigen in ((sp.lower, Q(0, 1)), (sp.upper, Q(0, -1))):
+    lower, upper = (linalg.to_dense(h, len(masks)) for h in (sp.lower, sp.upper))
+    assert mat_add(lower, upper) == dmat
+    lift = linalg.to_dense(linalg.to_rows(lift), len(masks))
+    for half, eigen in ((lower, Q(0, 1)), (upper, Q(0, -1))):
         assert any(not x.is_zero() for row in half for x in row)
         comm = mat_sub(linalg.mat_mul(lift, half), linalg.mat_mul(half, lift))
         assert comm == mat_scale(half, eigen)
@@ -535,13 +481,14 @@ def test_extension_closedness_errors_match_component_check():
     grading = uk_grading(j)
     phis = [Form(4, {mk: _q(rng) for mk in rng.sample(range(16), 2)}) for _ in range(8)]
     # lower-exact forms, and level -1 and +1 forms closed for one half only
-    phis += [vec_to_form(linalg.mat_vec(sp.lower, form_to_vec(f, sp.masks)), sp.masks, 4)
+    lower, upper = (linalg.to_dense(h, len(sp.masks)) for h in (sp.lower, sp.upper))
+    phis += [vec_to_form(linalg.mat_vec(lower, form_to_vec(f, sp.masks)), sp.masks, 4)
              for f in phis[:4]]
     e1, e124 = Form.monomial(4, (1,), Scalar.imaginary(1)), Form.monomial(4, (1, 2, 4))
     phis += [e1 + e124, -e1 + e124]
     messages = set()
     for phi in phis:
-        want = ref_extension_check(grading, phi, sp.lower, sp.upper)
+        want = ref_extension_check(grading, phi, lower, upper)
         try:
             canonical_extension(act, j, phi)
             got = None
@@ -574,7 +521,8 @@ def test_extension_names_the_half_failing_on_the_top_level():
          + Form.monomial(6, (1, 5, 6), i) + Form.monomial(6, (1, 2, 4, 5, 6)))
     b = Form.monomial(6, (1, 4)) - Form.monomial(6, (1, 4, 5, 6), i)
     sp = split_operators(model, j)
-    assert any(not x.is_zero() for x in linalg.mat_vec(sp.lower, form_to_vec(a + b, sp.masks)))
+    lower = linalg.to_dense(sp.lower, len(sp.masks))
+    assert any(not x.is_zero() for x in linalg.mat_vec(lower, form_to_vec(a + b, sp.masks)))
     with pytest.raises(ValueError) as err:
         canonical_extension(act, j, a + b)
     assert str(err.value) == "component is not closed for the upper half"
@@ -584,7 +532,7 @@ def test_split_builds_no_grading(monkeypatch):
     import gcalg.cartan
     import gcalg.models
 
-    calls = {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
+    calls = {"rref": 0, "echelon": 0, "uk_grading": 0, "del_delbar_split": 0}
 
     def counting(name, owner):
         original = getattr(owner, name)
@@ -596,19 +544,23 @@ def test_split_builds_no_grading(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting("rref", linalg)
+    counting("echelon", linalg)
     counting("uk_grading", gcalg.models)
     counting("del_delbar_split", gcalg.models)
     monkeypatch.setattr(gcalg.cartan, "uk_grading", gcalg.models.uk_grading)
 
     def count(fn, *args):
-        calls.update(rref=0, uk_grading=0, del_delbar_split=0)
+        calls.update(rref=0, echelon=0, uk_grading=0, del_delbar_split=0)
         fn(*args)
         return dict(calls)
 
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     model, j = mf.model, mf.structures["Jc"]
-    assert count(split_operators, model, j) == {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
-    assert count(ddbar_lemma_check, model, j)["rref"] == 4
+    assert count(split_operators, model, j) == {
+        "rref": 0, "echelon": 0, "uk_grading": 0, "del_delbar_split": 0}
+    # four eliminations of sparse rows replace the four dense rref calls
+    assert count(ddbar_lemma_check, model, j) == {
+        "rref": 0, "echelon": 4, "uk_grading": 0, "del_delbar_split": 0}
     t2 = parse_model((MODELS_DIR / "t2_symplectic.model").read_text())
     got = count(canonical_extension, t2.actions["rot"], t2.structures["Jw"], Form.generator(2, 2))
     assert got["uk_grading"] == 0
@@ -617,10 +569,10 @@ def test_split_builds_no_grading(monkeypatch):
     # a non-integrable rational split reads its stray part off the commutators
     # too (the per-mask split takes about 6 s here)
     t6 = torus(6, Form.monomial(6, (1, 4, 6), Scalar.rational(2)))
-    calls.update(rref=0, uk_grading=0, del_delbar_split=0)
+    calls.update(rref=0, echelon=0, uk_grading=0, del_delbar_split=0)
     with pytest.raises(IntegrabilityError) as err:
         split_operators(t6, complex_structure(3))
-    assert calls == {"rref": 0, "uk_grading": 0, "del_delbar_split": 0}
+    assert calls == {"rref": 0, "echelon": 0, "uk_grading": 0, "del_delbar_split": 0}
     assert str(err.value) == (
         "structure is not integrable on this model; stray component "
         "1/2*e1^e3^e5-1/2*e1^e4^e6-1/2*e2^e3^e6-1/2*e2^e4^e5"
@@ -757,7 +709,8 @@ def test_triples_are_reduced_and_round_trip(monkeypatch):
     for x in [wide_q(rng) for _ in range(200)] + [QZERO, QONE, Q(0, -1), Q(Fraction(1, 6), 3)]:
         a, b, d = linalg._triple(x)
         assert d > 0 and gcd(a, b, d) == 1 and linalg._q((a, b, d)) == x
-    # every entry rref, sparse_mul and sparse_comb store is a reduced triple
+    # every entry rref converts back, and every entry sparse_mul, sparse_comb,
+    # echelon and null_space store, is a reduced nonzero triple
     stored = []
     original = linalg._q
 
@@ -769,12 +722,17 @@ def test_triples_are_reduced_and_round_trip(monkeypatch):
     for _ in range(10):
         mat = gaussian_matrix(rng, 5, 6, 0.7)
         add_dependent_rows(rng, mat, 2)
-        rows = linalg.to_sparse(mat)
+        rows = linalg.triples(linalg.to_sparse(mat))
         linalg.rref(mat)
-        linalg.sparse_mul(rows, linalg.to_sparse(linalg.transpose(mat)))
-        linalg.sparse_comb((wide_q(rng), rows), (wide_q(rng), rows))
-    assert len(stored) > 500
-    assert all(d > 0 and gcd(a, b, d) == 1 for a, b, d in stored)
+        made = [
+            linalg.sparse_mul(rows, linalg.sparse_transpose(rows, 6)),
+            linalg.sparse_comb(*((linalg._triple(wide_q(rng)), rows) for _ in range(2))),
+            linalg.echelon(rows, 6)[0],
+            linalg.null_space(rows, 6),
+        ]
+        stored += [t for m in made for row in m for t in row.values()]
+    assert len(stored) > 700
+    assert all(d > 0 and gcd(a, b, d) == 1 and (a or b) for a, b, d in stored)
 
 
 @pytest.mark.parametrize("kind", ["real", "imag", "both", None])
@@ -871,12 +829,23 @@ def test_rank_questions_match_dense_rref(monkeypatch):
         sq = sparse_matrix(rng, cols, cols, rng.choice([0.3, 0.8]))
         cases.append((a, b, rhs, sq, cols))
 
+    def kernel(a, cols):
+        # the free-column kernel of the RREF, as kernel_basis first read it
+        m, pivots = linalg.rref(a)
+        basis = []
+        for fc in (c for c in range(cols) if c not in pivots):
+            v = [QONE if c == fc else QZERO for c in range(cols)]
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][fc]
+            basis.append(v)
+        return basis
+
     def answers():
         out = []
         for a, b, rhs, sq, cols in cases:
-            out.append(linalg.kernel_basis(a, ncols=cols))
+            out.append(kernel(a, cols))
             out.append(linalg.solve(a, rhs))
-            out.append(linalg.row_space(a + b))
+            out.append(linalg.rref(a + b))
             try:
                 out.append(linalg.invert(sq))
             except ValueError as e:
@@ -884,6 +853,7 @@ def test_rank_questions_match_dense_rref(monkeypatch):
         return out
 
     got = answers()
+    assert got[::4] == [linalg.kernel_basis(a, ncols=cols) for a, _, _, _, cols in cases]
     monkeypatch.setattr(linalg, "rref", ref_rref)
     assert got == answers()
     # the draw reaches both outcomes of solve and invert

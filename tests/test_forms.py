@@ -232,3 +232,24 @@ def test_integrate_examples():
     assert integrate(top, volume=Scalar.rational(1, 2)) == ONE / Scalar.rational(2)
     with pytest.raises(ValueError):
         integrate(top, orientation=2)
+
+
+def test_sums_store_a_term_without_partner_as_is(monkeypatch):
+    # a new key takes its coefficient unchanged, so a sum whose terms never
+    # meet adds no Scalars: wedging disjoint unit forms, adding forms on
+    # disjoint keys, or applying one unit vector of V + V*
+    calls = [0]
+    original = Scalar.__add__
+
+    def counted(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(Scalar, "__add__", counted)
+    e13, e2 = Form.monomial(4, (1, 3)), Form.generator(4, 2)
+    assert wedge(e13, e2) == Form.monomial(4, (1, 2, 3), -ONE)
+    assert (e13 + e2).terms == {0b0101: ONE, 0b0010: ONE}
+    assert clifford([ONE if k == 5 else Scalar() for k in range(8)], e13) == -Form.monomial(
+        4, (1, 2, 3))
+    assert calls[0] == 0
+    assert e13 + e13 == e13.scale(Scalar.rational(2)) and calls[0] == 1  # the counter counts

@@ -26,7 +26,7 @@ from gcalg.gcmaps import (
     symplectic_map,
     uk_grading,
 )
-from gcalg.scalars import Q, QONE, Scalar
+from gcalg.scalars import Scalar
 
 
 def _omega(n):
@@ -102,9 +102,9 @@ def test_lift_has_eigenvalue_minus_k_i_on_level_k(case):
     j = STRUCTURES[case]
     grading, _ = _pair(case)
     masks = basis_masks(j.dim)
-    lift = linalg.to_sparse(lifted_action_matrix(j))
+    lift = lifted_action_matrix(j)
     for k in grading.levels:
-        cols = linalg.to_sparse(
-            linalg.operator_matrix(lambda b: b.terms, grading.bases[k], masks))
-        residual = linalg.sparse_comb((QONE, linalg.sparse_mul(lift, cols)), (Q(0, k), cols))
+        cols = linalg.triples(linalg.to_sparse(
+            linalg.operator_matrix(lambda b: b.terms, grading.bases[k], masks)))
+        residual = linalg.sparse_comb(((1, 0, 1), linalg.sparse_mul(lift, cols)), ((0, k, 1), cols))
         assert residual == [{}] * len(masks), k

@@ -25,3 +25,14 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
 def test_ladder_reports_a_call_past_its_timeout(tmp_path):
     got = ladder.run_child(ROOT, "uk_grading", "complex", 2, timeout=0.001)
     assert got == {"status": "timeout"}
+
+
+def test_ladder_adds_the_iwasawa_rung_from_n_6():
+    flat = [(call, s) for s in ladder.STRUCTURES for call in ladder.CALLS] + [
+        ("twisted_cohomology", "-"), ("equivariant_cohomology", "-")]
+    iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS]
+    assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
+        [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa])
+    for call in ladder.IWASAWA_CALLS:
+        got = ladder.run_child(ROOT, call, "iwasawa", 6)
+        assert got["status"] == "ok" and got["wall_s"] >= 0, got

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_q, ref_intersect_spans, ref_operator_matrix
+from conftest import in_span, random_q, ref_intersect_spans, ref_operator_matrix, row_space
 from gcalg import linalg
 from gcalg.scalars import Q, QONE, QZERO, Scalar
 from oracles import det_oracle, rank_oracle
@@ -112,7 +112,7 @@ def test_intersect_spans(rng):
     b = [e2, e3]
     inter = ref_intersect_spans(a, b, 3)
     assert len(inter) == 1
-    assert linalg.in_span(e2, linalg.row_space(inter))
+    assert in_span(e2, row_space(inter))
 
 
 def test_intersect_spans_ignores_spanning_rows(rng):
@@ -124,20 +124,45 @@ def test_intersect_spans_ignores_spanning_rows(rng):
         b = random_matrix(rng, rng.randint(1, 4), cols, span=2)
         a_dirty = a + [[x * Q(3) - y for x, y in zip(a[0], a[-1])], [QZERO] * cols] + a[:1]
         b_dirty = [[QZERO] * cols] + b + [[x + y for x, y in zip(b[0], b[-1])]]
-        want = ref_intersect_spans(linalg.row_space(a), linalg.row_space(b), cols)
+        want = ref_intersect_spans(row_space(a), row_space(b), cols)
         assert ref_intersect_spans(a_dirty, b_dirty, cols) == want
         assert ref_intersect_spans(a, b, cols) == want
         # shared rows force a nonempty intersection
         shared = ref_intersect_spans(a + b[:1], b, cols)
-        assert shared == linalg.row_space(shared) and len(shared) >= 1
+        assert shared == row_space(shared) and len(shared) >= 1
 
 
-def test_in_span_and_row_space():
-    rows = [[QONE, Q(2)], [Q(2), Q(4)]]
-    basis = linalg.row_space(rows)
-    assert len(basis) == 1
-    assert linalg.in_span([Q(3), Q(6)], basis)
-    assert not linalg.in_span([QONE, QZERO], basis)
+def test_echelon_and_in_echelon_span():
+    rows = linalg.triples(linalg.to_sparse([[QONE, Q(2)], [Q(2), Q(4)]]))
+    basis, pivots = linalg.echelon(rows, 2)
+    assert (basis, pivots) == ([{0: (1, 0, 1), 1: (2, 0, 1)}], [0])
+    assert rows[1] == {0: (2, 0, 1), 1: (4, 0, 1)}  # the rows given are kept
+    assert linalg.in_echelon_span({0: (3, 0, 1), 1: (6, 0, 1)}, basis, pivots)
+    assert not linalg.in_echelon_span({0: (1, 0, 1)}, basis, pivots)
+    assert linalg.in_echelon_span({}, [], [])
+
+
+def test_sparse_echelon_matches_dense_row_space(rng):
+    # echelon and in_echelon_span against row_space and in_span of the dense
+    # rows they replaced (tests/conftest.py), and null_space by its definition
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[random_q(rng) if rng.random() < 0.5 else QZERO for _ in range(cols)]
+             for _ in range(rows)]
+        sparse = linalg.triples(linalg.to_sparse(m))
+        basis, pivots = linalg.echelon(sparse, cols)
+        want = row_space(m)
+        assert linalg.to_dense(linalg.to_rows(basis), cols) == want
+        # vector i of the kernel is 1 at the i-th free column and 0 at the
+        # others, which with m x = 0 fixes it
+        kernel = linalg.to_dense(linalg.to_rows(linalg.null_space(sparse, cols)), cols)
+        free = [c for c in range(cols) if c not in pivots]
+        assert [[v[c] for c in free] for v in kernel] == [
+            [QONE if c == fc else QZERO for c in free] for fc in free]
+        assert all(x.is_zero() for v in kernel for x in linalg.mat_vec(m, v))
+        for v in m + [[random_q(rng) for _ in range(cols)]]:
+            got = linalg.in_echelon_span(linalg.triples(linalg.to_sparse([v]))[0], basis, pivots)
+            assert got == in_span(v, want)
 
 
 def test_operator_matrix_columns_in_dst_order(rng):

@@ -6,12 +6,14 @@ the Clifford action, the contractions and the pairing matrix they use are the
 conftest copies of the first versions, so no reference runs the generator
 the package sums.
 The package builds the same matrices column by column from sparse images
-(the lift of J by mask arithmetic, with no Clifford call); the two must agree
-entry for entry.  The structure check is compared the same way: the dense
-products J J and J^T P J against the package's sparse ones, on valid
-structures, perturbed ones and random sparse integer matrices.  The sparse
-product and linear combination are checked against the dense product and
-sum on Gaussian matrices with large denominators.
+(the lift of J by mask arithmetic on integer sums, with no Clifford call);
+the two must agree entry for entry, and the lift also with its first
+mask-arithmetic version, which summed Q values into a zero matrix.  The
+structure check is compared the same way: the dense products J J and
+J^T P J against the package's sparse ones, on valid structures, perturbed
+ones and random sparse integer matrices.  The sparse
+product and linear combination on rows of triples are checked against the
+dense product and sum on Gaussian matrices with large denominators.
 
 The torus-layer references sum the x^j-weighted pieces of the moment
 operator, the equivariant differential, the Hamiltonian residuals and the
@@ -31,7 +33,8 @@ import pytest
 
 from conftest import (
     MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_form, random_q,
-    ref_clifford, ref_contract_vector, ref_operator_matrix, ref_pairing_matrix, wide_q,
+    ref_clifford, ref_contract_vector, ref_lifted_action_matrix, ref_operator_matrix,
+    ref_pairing_matrix, transpose, wide_q,
 )
 from gcalg import linalg
 import gcalg.cartan
@@ -78,7 +81,7 @@ def ref_clifford_matrix(v, n):
     return [[cols[j][i] for j in range(len(cols))] for i in range(len(masks))]
 
 
-def ref_lifted_action_matrix(j):
+def ref_lift_from_commutators(j):
     n = j.dim
     dim = 1 << n
     coeff = mat_scale(dense_mul(j.matrix, ref_pairing_matrix(n)), Q(-1))
@@ -147,7 +150,8 @@ def test_lifted_action_matches_dense_commutators(rng, n):
     b = random_form(rng, n, degrees=[2], max_terms=3, complex_ok=False)
     js = structures(rng, n) + [b_transform(random_symplectic(rng, n), b)]
     for j in js:
-        assert lifted_action_matrix(j) == ref_lifted_action_matrix(j)
+        dense = linalg.to_dense(linalg.to_rows(lifted_action_matrix(j)), 1 << n)
+        assert dense == ref_lift_from_commutators(j) == ref_lifted_action_matrix(j)
 
 
 def test_lifted_action_calls_no_clifford(monkeypatch):
@@ -175,6 +179,10 @@ def test_lifted_action_calls_no_clifford(monkeypatch):
 # in the left factor's kernel and a term taken back out cancel exactly.
 
 
+def triples(mat):
+    return linalg.triples(linalg.to_sparse(mat))
+
+
 def _stores_no_zeros(rows):
     return all(not x.is_zero() for row in rows for x in row.values())
 
@@ -193,13 +201,14 @@ def test_sparse_products_match_dense_products(kind):
             for row, x in zip(b, kernel[0]):
                 row[0] = x
             cancelled += 1
-        got = linalg.sparse_mul(linalg.to_sparse(a), linalg.to_sparse(b))
+        got = linalg.to_rows(linalg.sparse_mul(triples(a), triples(b)))
         assert linalg.to_dense(got, c) == dense_mul(a, b) and _stores_no_zeros(got)
 
         a2 = gaussian_matrix(rng, r, k, density, kind)
         c1, c2 = wide_q(rng), wide_q(rng, kind)
-        got = linalg.sparse_comb((c1, linalg.to_sparse(a)), (c2, linalg.to_sparse(a2)),
-                                 (-c1, linalg.to_sparse(a)))
+        got = linalg.to_rows(linalg.sparse_comb(
+            (linalg._triple(c1), triples(a)), (linalg._triple(c2), triples(a2)),
+            (linalg._triple(-c1), triples(a))))
         want = mat_add(mat_add(mat_scale(a, c1), mat_scale(a2, c2)), mat_scale(a, -c1))
         assert linalg.to_dense(got, k) == want and _stores_no_zeros(got)
     assert cancelled >= 5
@@ -216,7 +225,7 @@ def ref_validate(j):
     if dense_mul(j.matrix, j.matrix) != minus_one:
         failures.append("J^2 != -1")
     p = ref_pairing_matrix(j.dim)
-    if dense_mul(linalg.transpose(j.matrix), dense_mul(p, j.matrix)) != p:
+    if dense_mul(transpose(j.matrix), dense_mul(p, j.matrix)) != p:
         failures.append("J does not preserve the canonical pairing")
     return not failures, tuple(failures)
 
@@ -575,7 +584,7 @@ def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
     # mask, and no dense matrix, transpose, RREF or rebuilt twisted complex
     calls = {}
     for owner, name in [(gcalg.cartan, "d"), (gcalg.cartan, "_d_eq_twisted_unchecked"),
-                        (linalg, "operator_matrix"), (linalg, "rref"), (linalg, "transpose"),
+                        (linalg, "operator_matrix"), (linalg, "rref"),
                         (gcalg.models, "twisted_cohomology")]:
         calls[name] = 0
 
@@ -585,6 +594,7 @@ def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     assert "twisted_cohomology" not in vars(gcalg.cartan)
+    assert "transpose" not in vars(linalg)  # no dense transpose to make
 
     def count(act, trunc):
         h_g = act.h_equivariant(trunc)

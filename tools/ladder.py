@@ -9,7 +9,11 @@ structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 `ddbar_lemma_check(T^n, j)` runs in a fresh child process; so do
 `twisted_cohomology(T^n)` and `equivariant_cohomology` at trunc 3 for a
 circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
-(at n = 10 its 4 x 2^10 columns are exactly `cartan.MAX_COLUMNS`).  The child imports gcalg from
+(at n = 10 its 4 x 2^10 columns are exactly `cartan.MAX_COLUMNS`).  On the
+flat tori d_H = 0, so the split and the check time little beyond assembly;
+from n = 6 they also run on Iwasawa x T^(n-6) (d e5 = e1^e3 - e2^e4,
+d e6 = e1^e4 + e2^e3, as in models/iwasawa.model) with the complex
+structure, whose halves are nonzero and whose check fails with a witness.  The child imports gcalg from
 DIR/src, builds the inputs untimed, times the call and prints its wall time
 and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
@@ -31,6 +35,7 @@ from pathlib import Path
 
 CALLS = ("uk_grading", "pure_spinor", "split_operators", "ddbar_lemma_check")
 STRUCTURES = ("complex", "symplectic")
+IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check")  # on Iwasawa x T^(n-6)
 TIMEOUT_S = 300.0
 MEM_MB = 3072
 
@@ -39,11 +44,16 @@ import json, resource, sys, time
 from gcalg.cartan import TorusAction, equivariant_cohomology
 from gcalg.forms import Form
 from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
-from gcalg.models import ddbar_lemma_check, split_operators, torus, twisted_cohomology
+from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
 
 call, structure, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
 model = torus(n)
 if structure == "complex":
+    j = complex_structure(n // 2)
+elif structure == "iwasawa":
+    d5 = Form.monomial(n, (1, 3)) - Form.monomial(n, (2, 4))
+    d6 = Form.monomial(n, (1, 4)) + Form.monomial(n, (2, 3))
+    model = Model(n, [Form.zero(n)] * 4 + [d5, d6] + [Form.zero(n)] * (n - 6))
     j = complex_structure(n // 2)
 elif structure == "symplectic":
     omega = Form.zero(n)
@@ -100,6 +110,9 @@ def ladder_cases(sizes):
                 yield call, structure, n
         yield "twisted_cohomology", "-", n
         yield "equivariant_cohomology", "-", n
+        if n >= 6:
+            for call in IWASAWA_CALLS:
+                yield call, "iwasawa", n
 
 
 def main(argv=None) -> int:
