@@ -7,6 +7,7 @@ error.  Output is deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -241,46 +242,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, help_text):  # `main` runs cmd_<name>
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file", help="model file")
-        sp.set_defaults(fn=fn)
         return sp
 
-    add("validate", cmd_validate, "parse a model file and run all construction checks")
-    add("cohomology", cmd_cohomology, "twisted Betti ranks of the model")
+    add("validate", "parse a model file and run all construction checks")
+    add("cohomology", "twisted Betti ranks of the model")
 
-    sp = add("gclinear", cmd_gclinear, "validate a structure; type, spinor, flags")
+    sp = add("gclinear", "validate a structure; type, spinor, flags")
     sp.add_argument("--structure", help="structure name (default: the only one)")
 
-    sp = add("grading", cmd_grading, "level decomposition of forms under a structure")
+    sp = add("grading", "level decomposition of forms under a structure")
     sp.add_argument("--structure")
 
-    sp = add("equivariant", cmd_equivariant, "truncated equivariant cohomology ranks")
+    sp = add("equivariant", "truncated equivariant cohomology ranks")
     sp.add_argument("--action")
     sp.add_argument("--trunc", type=int, default=2)
 
-    sp = add("cartanmap", cmd_cartanmap, "apply the Cartan map to a named form")
+    sp = add("cartanmap", "apply the Cartan map to a named form")
     sp.add_argument("--connection")
     sp.add_argument("--eqform", required=True, help="named form or eqform")
     sp.add_argument("--trunc", type=int, default=4)
 
-    sp = add("kirwan", cmd_kirwan, "Cartan map followed by descent to the quotient")
+    sp = add("kirwan", "Cartan map followed by descent to the quotient")
     sp.add_argument("--connection")
     sp.add_argument("--eqform", required=True)
     sp.add_argument("--trunc", type=int, default=4)
 
-    sp = add("dh", cmd_dh, "exact push-forward density for a dh block")
+    sp = add("dh", "exact push-forward density for a dh block")
     sp.add_argument("--name", help="dh block name (default: the only one)")
     sp.add_argument(
         "--orientation", type=int, choices=(1, -1),
         help="override the block's orientation",
     )
 
-    sp = add("ddbar", cmd_ddbar, "interchange-law check for a structure")
+    sp = add("ddbar", "interchange-law check for a structure")
     sp.add_argument("--structure")
 
-    sp = add("extension", cmd_extension, "canonical equivariant extension of a form")
+    sp = add("extension", "canonical equivariant extension of a form")
     sp.add_argument("--action")
     sp.add_argument("--structure")
     sp.add_argument("--form", required=True)
@@ -289,11 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first `main` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        payload = args.fn(args)
+        # looked up per call, so a replaced cmd_* function is the one that runs
+        payload = globals()["cmd_" + args.command](args)
     except ParseError as e:
         _emit({"error": str(e), "kind": "parse"}, args.pretty)
         return 2

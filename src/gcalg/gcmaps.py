@@ -8,7 +8,9 @@ Gaussian rationals.
 
 The pairing P is the half swap (2P swaps the halves of V + V*), so a product
 with P is a row swap.  The Clifford action is the one generator
-`forms._unit_clifford`, summed by `clifford` or applied by the lift directly.
+`forms._unit_clifford`, summed by `clifford` on Scalars, by `_clifford` on
+forms held as {mask: triple} (the spinor and the levels), or applied by the
+lift directly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .forms import (
@@ -28,9 +30,8 @@ from .forms import (
     form_to_vec,
     mask_key,
     mukai,
-    vec_to_form,
 )
-from .scalars import ONE, Q, QI, QONE, QZERO, Scalar, ZERO
+from .scalars import ONE, Q, QONE, Scalar, ZERO
 
 
 class GCMap:
@@ -80,14 +81,24 @@ class IsotropicSubspace:
     basis: Tuple[Tuple[Q, ...], ...]
 
     def __post_init__(self):
-        rows = [list(v) for v in self.basis]
-        if rows and linalg.rank(rows) != len(rows):
-            raise ValueError("basis vectors are linearly dependent")
+        rows = self._rows
         n = self.dim_v
+        if rows and len(linalg.echelon(rows, 2 * n)[1]) != len(rows):
+            raise ValueError("basis vectors are linearly dependent")
         for x, a in enumerate(rows):
             for b in rows[x:]:
-                if not linalg.sum_q(a[i] * b[n + i] + a[n + i] * b[i] for i in range(n)).is_zero():
+                acc = None  # the pairing of a and b, doubled: a's entries times b's, halves swapped
+                for c, t in a.items():
+                    y = b.get((c + n) % (2 * n))
+                    if y is not None:
+                        acc = linalg._add_mul(acc, t, y)
+                if acc is not None and (acc[0] or acc[1]):
                     raise ValueError("subspace is not isotropic")
+
+    @cached_property
+    def _rows(self) -> linalg.TRows:
+        """The basis as sparse rows of triples."""
+        return linalg.triples(linalg.to_sparse(self.basis))
 
     @property
     def dimension(self) -> int:
@@ -97,9 +108,6 @@ class IsotropicSubspace:
     def type(self) -> int:
         """Corank of the projection to the complexified V."""
         return self.dim_v - linalg.rank([list(v[: self.dim_v]) for v in self.basis])
-
-    def conjugate_basis(self) -> Tuple[Tuple[Q, ...], ...]:
-        return tuple(tuple(x.conjugate() for x in v) for v in self.basis)
 
 
 def validate(j: GCMap) -> ValidationReport:
@@ -131,11 +139,11 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
     """Kernel of J - i over the Gaussian rationals; must have dimension dim V."""
     require_valid(j)
     n2 = 2 * j.dim
-    m = [
-        [Q(j.matrix[r][c].re) - (QI if r == c else QZERO) for c in range(n2)]
-        for r in range(n2)
-    ]
-    basis = linalg.kernel_basis(m)
+    rows = linalg.triples(linalg.to_sparse(j.matrix))
+    for r, row in enumerate(rows):  # J is real, so its diagonal entry a/d becomes (a - d*i)/d
+        a, _, d = row.get(r, (0, 0, 1))
+        row[r] = (a, -d, d)
+    basis = linalg.to_dense(linalg.to_rows(linalg.null_space(rows, n2)), n2)
     if len(basis) != j.dim:
         raise ValueError(
             "i-eigenspace has dimension %d, expected %d" % (len(basis), j.dim)
@@ -148,13 +156,57 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
 
 def _transverse(space: IsotropicSubspace) -> bool:
     """Whether a nonzero space meets its conjugate only in 0."""
-    rows = [list(v) for v in space.basis + space.conjugate_basis()]
-    return bool(rows) and linalg.rank(rows) == len(rows)
+    rows = space._rows + _conjugate(space._rows)
+    return bool(rows) and len(linalg.echelon(rows, 2 * space.dim_v)[1]) == len(rows)
+
+
+def _conjugate(rows: linalg.TRows) -> linalg.TRows:
+    return [{c: (a, -b, d) for c, (a, b, d) in row.items()} for row in rows]
 
 
 def type_of(j: GCMap) -> int:
     """Corank of the projection of the i-eigenspace to the complexified V."""
     return i_eigenspace(j).type
+
+
+def _clifford(v: Dict[int, linalg.Triple], f: Dict[int, linalg.Triple], n: int) -> dict:
+    """Sum of v[a] * c_a f over the stored entries of v, for a sparse row of
+    triples v on V + V* and a form f held as {mask: triple}; the moves are
+    those of `clifford`, in its order, and cancelled entries are dropped."""
+    out = {}
+    for a, x in v.items():
+        minus = (-x[0], -x[1], x[2])
+        for m, c in f.items():
+            hit = _unit_clifford(a, n, m)
+            if hit:
+                out[hit[1]] = linalg._add_mul(out.get(hit[1]), x if hit[0] > 0 else minus, c)
+    return {m: t for m, t in out.items() if t[0] or t[1]}
+
+
+def _normalized(f: Dict[int, linalg.Triple]) -> Dict[int, linalg.Triple]:
+    """f scaled so its first coefficient in `mask_key` order is 1."""
+    inv = linalg._inverse(f[min(f, key=mask_key)])
+    return {m: linalg._add_mul(None, inv, t) for m, t in f.items()}
+
+
+def _form(f: Dict[int, linalg.Triple], n: int) -> Form:
+    return Form(n, {m: Scalar.from_q(linalg._q(t)) for m, t in f.items()})
+
+
+def _spinor(space: IsotropicSubspace) -> Dict[int, linalg.Triple]:
+    n = space.dim_v
+    if space.dimension != n:
+        raise ValueError(
+            "subspace has dimension %d, maximal isotropic needs %d"
+            % (space.dimension, n)
+        )
+    for mask in basis_masks(n):
+        f = {mask: (1, 0, 1)}
+        for v in space._rows:
+            f = _clifford(v, f, n)
+        if f:
+            return _normalized(f)
+    raise AssertionError("the product of a maximal isotropic basis kills every form")
 
 
 def pure_spinor(space: IsotropicSubspace) -> Form:
@@ -165,25 +217,7 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
     `basis_masks` order) it does not kill gives the generator, normalized so
     the first coefficient in `mask_key` order is 1.
     """
-    n = space.dim_v
-    if space.dimension != n:
-        raise ValueError(
-            "subspace has dimension %d, maximal isotropic needs %d"
-            % (space.dimension, n)
-        )
-    vectors = [[Scalar.from_q(x) for x in v] for v in space.basis]
-    for mask in basis_masks(n):
-        f = Form(n, {mask: ONE})
-        for v in vectors:
-            f = clifford(v, f)
-        if not f.is_zero():
-            return _normalize_spinor(f)
-    raise AssertionError("the product of a maximal isotropic basis kills every form")
-
-
-def _normalize_spinor(f: Form) -> Form:
-    lead = min(f.terms, key=mask_key)
-    return f.scale(ONE / f.terms[lead])
+    return _form(_spinor(space), space.dim_v)
 
 
 @dataclass(frozen=True)
@@ -370,23 +404,26 @@ def uk_grading(j: GCMap) -> UGrading:
     spanned by lbar_I . rho over the k-subsets I of a basis of conj(L)
     (Gualtieri).  A level's basis is the RREF of its spanning rows with the
     columns reversed, reversed back: one vector per free coordinate, in
-    increasing order, normalized like the spinor.
+    increasing order, normalized like the spinor.  The spans, the products
+    and the eliminations run on triples; each basis form is built once.
     """
     n = j.dim
     half = n // 2
     masks = basis_masks(n)
+    top = len(masks) - 1
+    col_of = {m: top - i for i, m in enumerate(masks)}  # reversed columns
     space = i_eigenspace(j)
-    conj = [[Scalar.from_q(x) for x in v] for v in space.conjugate_basis()]
+    conj = _conjugate(space._rows)
     levels = tuple(range(half, -half - 1, -1))
     bases = {}
-    span = [(-1, pure_spinor(space))]  # (last conjugate index applied, form)
+    span = [(-1, _spinor(space))]  # (last conjugate index applied, form)
     for k in levels:
-        rows, pivots = linalg.rref([form_to_vec(f, masks)[::-1] for _, f in span])
+        rows = linalg.echelon([{col_of[m]: t for m, t in f.items()} for _, f in span], len(masks))[0]
         bases[k] = tuple(
-            _normalize_spinor(vec_to_form(row[::-1], masks, n))
-            for row in reversed(rows[: len(pivots)])
+            _form(_normalized({masks[top - c]: row[c] for c in sorted(row, reverse=True)}), n)
+            for row in reversed(rows)
         )
-        span = [(b, clifford(conj[b], f)) for a, f in span for b in range(a + 1, n)]
+        span = [(b, _clifford(conj[b], f, n)) for a, f in span for b in range(a + 1, n)]
     count = sum(map(len, bases.values()))
     if count != len(masks):
         raise ValueError(

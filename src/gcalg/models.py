@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .forms import (
     Form,
+    _merge_sign,
     basis_masks,
     clifford,
     contract,
@@ -134,12 +135,70 @@ class BettiPair:
         return iter((self.even, self.odd))
 
 
-def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.Rows:
-    """Sparse rows of d_H's matrix, rows and columns in the given mask order."""
-    cols = linalg.operator_columns(
-        lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
-    )
-    return linalg.sparse_transpose(cols, len(masks))
+def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.TRows:
+    """Sparse rows of triples of d_H's matrix, rows and columns in the given
+    mask order, built by mask arithmetic (`_d_column`) with no Form.
+
+    Column e_g holds d(e_g) and column 1 holds -H, so a coefficient of d or H
+    that is not a Gaussian rational leaves no matrix: the ValueError names the
+    first such entry in column and key order, summed as Scalars the way
+    `d_twisted` sums it.
+    """
+    table, h = [list(dg.terms.items()) for dg in m.d_table], list(m.H.terms.items())
+    try:
+        gauss = [[(mk, linalg._triple(c.as_q())) for mk, c in terms] for terms in table + [h]]
+    except ValueError:
+        for mask in masks:
+            for c in _d_column(mask, table, h, _add_scalar).values():
+                c.as_q()
+        raise
+    row_of = {mk: i for i, mk in enumerate(masks)}
+    rows = [{} for _ in masks]
+    for col, mask in enumerate(masks):
+        for key, t in _d_column(mask, gauss[:-1], gauss[-1], _add_triple).items():
+            rows[row_of[key]][col] = t
+    return rows
+
+
+def _d_column(mask: int, table: list, h: list, add) -> dict:
+    """Column e_mask of d_H as {mask: coefficient}, from the (mask,
+    coefficient) terms of each d(e_g) and of H: for each set bit g of mask the
+    terms of d(e_g) wedged onto mask ^ g, with the sign of contracting e_g and
+    `_merge_sign`, then minus the terms of H ^ e_mask.  add(x, c, sign) is x +
+    sign * c, with x None for a new entry and None back for a zero sum; a
+    cancelled entry is removed, so the keys keep `d_twisted`'s order."""
+    col = {}
+    bits = mask
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        rest = mask ^ bit
+        sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+        for mg, c in table[bit.bit_length() - 1]:
+            if not mg & rest:
+                key = mg | rest
+                v = add(col.get(key), c, sign * _merge_sign(mg, rest))
+                if v is None:
+                    del col[key]
+                else:
+                    col[key] = v
+    for mh, c in h:
+        if not mh & mask:
+            col[mh | mask] = add(None, c, -_merge_sign(mh, mask))
+    return col
+
+
+def _add_triple(x, c, sign):
+    v = linalg._add_mul(x, (sign, 0, 1), c)
+    return v if v[0] or v[1] else None
+
+
+def _add_scalar(x, c, sign):
+    y = c if sign > 0 else -c
+    if x is None:
+        return y
+    v = x + y
+    return None if v.is_zero() else v
 
 
 def twisted_cohomology(m: Model) -> BettiPair:
@@ -149,7 +208,7 @@ def twisted_cohomology(m: Model) -> BettiPair:
     if m.n == 0:
         return BettiPair(1, 0)
     masks = sorted(basis_masks(m.n), key=lambda mk: mk.bit_count() % 2)
-    rank = len(linalg.pivot_columns(_d_matrix(m, masks), len(masks)))
+    rank = len(linalg.echelon(_d_matrix(m, masks), len(masks))[1])
     free = (1 << (m.n - 1)) - rank
     return BettiPair(free, free)
 
@@ -162,7 +221,7 @@ def betti_numbers(m: Model) -> List[int]:
         raise ValueError("integer grading needs a zero twisting form")
     masks = basis_masks(m.n)
     ranks = [0] * (m.n + 1)  # ranks[q]: rank of d from degree q to degree q + 1
-    for c in linalg.pivot_columns(_d_matrix(m, masks), len(masks)):
+    for c in linalg.echelon(_d_matrix(m, masks), len(masks))[1]:
         ranks[masks[c].bit_count()] += 1
     return [comb(m.n, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
 
@@ -300,7 +359,6 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
         for mask in masks:
             del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
         raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
-    dmat = linalg.triples(dmat)
     lift = lifted_action_matrix(j)
     one = (1, 0, 1)  # triples (a, b, d) = (a + b*i)/d
 

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gcalg import cartan, linalg
+from gcalg import cartan, gcmaps, linalg
 from gcalg.forms import (
     Form, _unit_clifford, basis_masks, clifford, form_to_vec, mask_key, vec_to_form, wedge,
 )
@@ -515,3 +515,49 @@ def ref_ddbar_lemma_check(m, j, ops=None):
     if len(a) != len(im_prod) or len(b) != len(im_prod):
         return DdbarReport(ok=False, detail="rank bookkeeping mismatch")
     return DdbarReport(ok=True)
+
+
+# d_H's matrix, the i-eigenspace and the isotropy checks as computed on Q:
+# d_H's columns from d_twisted on unit forms, the eigenspace as the dense
+# kernel of J - i, and independence, isotropy and transversality from dense
+# ranks and Q sums of the pairing; the package runs all of them on triples
+# and builds d_H's columns by mask arithmetic
+def ref_d_matrix(m, masks):
+    cols = linalg.operator_columns(
+        lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
+    )
+    return linalg.sparse_transpose(cols, len(masks))
+
+
+def ref_isotropy_check(dim_v, basis):
+    rows = [list(v) for v in basis]
+    if rows and linalg.rank(rows) != len(rows):
+        raise ValueError("basis vectors are linearly dependent")
+    n = dim_v
+    for x, a in enumerate(rows):
+        for b in rows[x:]:
+            if not linalg.sum_q(a[i] * b[n + i] + a[n + i] * b[i] for i in range(n)).is_zero():
+                raise ValueError("subspace is not isotropic")
+
+
+def ref_transverse(basis):
+    rows = [list(v) for v in basis] + [[x.conjugate() for x in v] for v in basis]
+    return bool(rows) and linalg.rank(rows) == len(rows)
+
+
+def ref_i_eigenspace(j):
+    """The basis of the i-eigenspace, after the checks of `i_eigenspace`;
+    the structure check is read through the module, so a test can skip it
+    for both sides at once."""
+    gcmaps.require_valid(j)
+    n2 = 2 * j.dim
+    m = [[Q(j.matrix[r][c].re) - (Q(0, 1) if r == c else Q(0)) for c in range(n2)]
+         for r in range(n2)]
+    basis = linalg.kernel_basis(m)
+    if len(basis) != j.dim:
+        raise ValueError("i-eigenspace has dimension %d, expected %d" % (len(basis), j.dim))
+    basis = tuple(tuple(v) for v in basis)
+    ref_isotropy_check(j.dim, basis)
+    if not ref_transverse(basis):
+        raise ValueError("eigenspace meets its conjugate; structure is not valid")
+    return basis

@@ -260,3 +260,32 @@ def test_internal_check_failure_is_a_domain_error(monkeypatch, capsys, error, me
     assert captured.out.count("\n") == 1
     assert json.loads(captured.out) == {"error": message, "kind": "domain"}
     assert "Traceback" not in captured.err
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    # main builds the parser on its first call and keeps it; a usage error
+    # reads the same before and after a good call on the kept parser
+    from gcalg import cli
+
+    built = [0]
+    original = cli.build_parser
+
+    def counted():
+        built[0] += 1
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+
+    def usage_error():
+        with pytest.raises(SystemExit) as err:
+            main(["cohomology"])
+        return err.value.code, capsys.readouterr()
+
+    first = usage_error()
+    assert main(["cohomology", str(MODELS_DIR / "t3_twisted.model")]) == 0
+    assert json.loads(capsys.readouterr().out)["over"] == "Q(i)"
+    assert usage_error() == first
+    assert built[0] == 1
+    assert first[0] == 2 and first[1].out == ""
+    assert "the following arguments are required: file" in first[1].err

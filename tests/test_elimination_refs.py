@@ -584,8 +584,13 @@ def test_split_rejects_level_steps_other_than_one_and_three(monkeypatch):
     # an operator with a level-0 part must trip the self-check, not be split
     import gcalg.models
 
-    original = gcalg.models.d_twisted
-    monkeypatch.setattr(gcalg.models, "d_twisted", lambda m, f: original(m, f) + f)
+    original = gcalg.models._d_matrix
+
+    def plus_identity(m, masks):  # d_H + 1, row by row
+        return [{**row, i: linalg._add_mul(row.get(i), (1, 0, 1), (1, 0, 1))}
+                for i, row in enumerate(original(m, masks))]
+
+    monkeypatch.setattr(gcalg.models, "_d_matrix", plus_identity)
     with pytest.raises(AssertionError, match="steps other than 1 and 3"):
         split_operators(torus(4), complex_structure(2))
 
@@ -795,7 +800,7 @@ def _captured_inputs(monkeypatch, name, fn, *args):
 
 def test_rref_matches_dense_on_captured_matrices(monkeypatch):
     # the equivariant complex hands its sparse rows to pivot_columns, the
-    # grading its dense matrices to rref
+    # grading its level spans, rows of triples, to echelon
     captured = []
     for model_file, name in SHIPPED_ACTIONS:
         act = parse_model((MODELS_DIR / model_file).read_text()).actions[name]
@@ -809,12 +814,15 @@ def test_rref_matches_dense_on_captured_matrices(monkeypatch):
     act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
     captured += _captured_inputs(monkeypatch, "pivot_columns", equivariant_cohomology, act,
                                  act.h_equivariant(3), 3)
-    grading = _captured_inputs(monkeypatch, "rref", uk_grading, complex_structure(3))
+    grading = _captured_inputs(monkeypatch, "echelon", uk_grading, complex_structure(3))
     assert len(captured) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
     for rows, ncols in captured:
         assert linalg.pivot_columns(rows, ncols) == ref_rref(linalg.to_dense(rows, ncols))[1]
-    for (mat,) in grading:
-        assert_same_rref(mat)
+    for rows, ncols in grading:
+        basis, pivots = linalg.echelon(rows, ncols)
+        mat, want = ref_rref(linalg.to_dense(linalg.to_rows(rows), ncols))
+        assert pivots == want
+        assert linalg.to_dense(linalg.to_rows(basis), ncols) == mat[: len(want)]
 
 
 def test_rank_questions_match_dense_rref(monkeypatch):

@@ -16,7 +16,8 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert [(r["call"], r["structure"]) for r in rows] == [
         (call, s) for s in ladder.STRUCTURES for call in ladder.CALLS
-    ] + [("twisted_cohomology", "-"), ("equivariant_cohomology", "-")]
+    ] + [("twisted_cohomology", "-"), ("equivariant_cohomology", "-"),
+         ("canonical_extension", "symplectic")]
     for r in rows:
         assert r["n"] == 2 and r["here"]["status"] == "ok", r
         assert r["here"]["wall_s"] >= 0 and r["here"]["maxrss_kb"] > 0
@@ -29,7 +30,8 @@ def test_ladder_reports_a_call_past_its_timeout(tmp_path):
 
 def test_ladder_adds_the_iwasawa_rung_from_n_6():
     flat = [(call, s) for s in ladder.STRUCTURES for call in ladder.CALLS] + [
-        ("twisted_cohomology", "-"), ("equivariant_cohomology", "-")]
+        ("twisted_cohomology", "-"), ("equivariant_cohomology", "-"),
+        ("canonical_extension", "symplectic")]
     iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
         [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa])

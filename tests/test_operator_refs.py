@@ -169,7 +169,7 @@ def test_lifted_action_calls_no_clifford(monkeypatch):
     for j in structures(random.Random(3), 4):
         lifted_action_matrix(j)
     assert calls[0] == 0
-    pure_spinor(i_eigenspace(complex_structure(2)))  # the counter does count
+    gcalg.gcmaps.annihilator(Form.unit(2))  # the counter does count
     assert calls[0] > 0
 
 

@@ -9,9 +9,12 @@ structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 `ddbar_lemma_check(T^n, j)` runs in a fresh child process; so do
 `twisted_cohomology(T^n)` and `equivariant_cohomology` at trunc 3 for a
 circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
-(at n = 10 its 4 x 2^10 columns are exactly `cartan.MAX_COLUMNS`).  On the
-flat tori d_H = 0, so the split and the check time little beyond assembly;
-from n = 6 they also run on Iwasawa x T^(n-6) (d e5 = e1^e3 - e2^e4,
+(at n = 10 its 4 x 2^10 columns are exactly `cartan.MAX_COLUMNS`), and
+`canonical_extension` of rho = exp(i*omega) on the symplectic T^n for a
+circle along e1 with mu = e2 and alpha = 0, as `gcalg extension --form rho`
+runs it on models/t2_symplectic.model.  On the flat tori d_H = 0, so the
+split and the check time little beyond assembly; from n = 6 they and
+`twisted_cohomology` also run on Iwasawa x T^(n-6) (d e5 = e1^e3 - e2^e4,
 d e6 = e1^e4 + e2^e3, as in models/iwasawa.model) with the complex
 structure, whose halves are nonzero and whose check fails with a witness.  The child imports gcalg from
 DIR/src, builds the inputs untimed, times the call and prints its wall time
@@ -35,16 +38,17 @@ from pathlib import Path
 
 CALLS = ("uk_grading", "pure_spinor", "split_operators", "ddbar_lemma_check")
 STRUCTURES = ("complex", "symplectic")
-IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check")  # on Iwasawa x T^(n-6)
+IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check", "twisted_cohomology")  # Iwasawa x T^(n-6)
 TIMEOUT_S = 300.0
 MEM_MB = 3072
 
 CHILD = r"""
 import json, resource, sys, time
-from gcalg.cartan import TorusAction, equivariant_cohomology
-from gcalg.forms import Form
+from gcalg.cartan import TorusAction, canonical_extension, equivariant_cohomology
+from gcalg.forms import Form, exp_two_form
 from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
+from gcalg.scalars import I
 
 call, structure, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
 model = torus(n)
@@ -63,6 +67,10 @@ elif structure == "symplectic":
 if call == "equivariant_cohomology":
     h = Form.monomial(n, (1, 2, 3)) if n >= 4 else None
     act = TorusAction(torus(n, h), [[0] * (n - 1) + [1]], alpha=[Form.generator(n, 1)])
+if call == "canonical_extension":
+    act = TorusAction(model, [[1] + [0] * (n - 1)], mu_diff=[Form.generator(n, 2)],
+                      alpha=[Form.zero(n)])
+    rho = exp_two_form(omega.scale(I))
 run = {
     "uk_grading": lambda: uk_grading(j),
     "pure_spinor": lambda: pure_spinor(i_eigenspace(j)),
@@ -70,6 +78,7 @@ run = {
     "ddbar_lemma_check": lambda: ddbar_lemma_check(model, j),
     "twisted_cohomology": lambda: twisted_cohomology(model),
     "equivariant_cohomology": lambda: equivariant_cohomology(act, act.h_equivariant(3), 3),
+    "canonical_extension": lambda: canonical_extension(act, j, rho),
 }[call]
 try:
     start = time.perf_counter()
@@ -110,6 +119,7 @@ def ladder_cases(sizes):
                 yield call, structure, n
         yield "twisted_cohomology", "-", n
         yield "equivariant_cohomology", "-", n
+        yield "canonical_extension", "symplectic", n
         if n >= 6:
             for call in IWASAWA_CALLS:
                 yield call, "iwasawa", n
