@@ -17,20 +17,19 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import (
-    Form, basis_masks, clifford, contract_vector, form_to_vec, vec_to_form, wedge,
-)
+from .forms import Form, basis_masks, clifford, contract_vector, wedge
 from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
     Model,
+    _row_form,
     d,
     d_twisted,
     ddbar_lemma_check,
     lie_derivative,
     split_operators,
 )
-from .scalars import ONE, QONE, QZERO, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, scalar
 
 Expo = Tuple[int, ...]
 
@@ -465,8 +464,8 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
         for j, col in enumerate(cols_out):
             for i, x in col.items():
                 rows_out.setdefault(i, {})[size - 1 - j] = x
-        out_pivots = linalg.pivot_columns(list(rows_out.values()), size)
-        im_pivots = linalg.pivot_columns(cols_in, size)
+        out_pivots = linalg.echelon(list(rows_out.values()), size)[1]
+        im_pivots = linalg.echelon(cols_in, size)[1]
         degs = [sum(e) for e, _ in basis_list]
         heads = [bisect_left(degs, p) for p in range(trunc + 2)]  # coordinates off F_p
         dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
@@ -485,7 +484,7 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
         half = 1 << (model.n - 1)
         block = [{i: x for i, x in col.items() if i < half} for col in cols_eo[:half]]
         block += [{half + i: x for i, x in col.items() if i < half} for col in cols_oe[:half]]
-        free = half - len(linalg.pivot_columns(block, 2 * half))
+        free = half - len(linalg.echelon(block, 2 * half)[1])
         betti = BettiPair(free, free)
     counts = [len(monomials_of_degree(act.k, deg)) for deg in range(trunc)]
     pattern = all(ranks == (c * betti.even, c * betti.odd) for ranks, c in zip(by_degree, counts))
@@ -572,19 +571,16 @@ class Connection:
 
     @staticmethod
     def solve(action: TorusAction) -> "Connection":
-        """Find connection elements by solving the duality equations."""
-        model = action.model
-        rows = [[c.as_q() for c in v] for v in action.xi]
-        thetas = []
-        for j in range(action.k):
-            rhs = [QONE if i == j else QZERO for i in range(action.k)]
-            sol = linalg.solve(rows, rhs)
-            if sol is None:
-                raise ValueError("action is not free on the model frame")
-            thetas.append(
-                Form(model.n, {1 << i: Scalar.from_q(c) for i, c in enumerate(sol)})
-            )
-        return Connection(action, thetas)
+        """Find connection elements by solving the duality equations: column j
+        of the solution x of xi x = 1 holds the coordinates of theta^j."""
+        n, k = action.model.n, action.k
+        rows = linalg.to_sparse([[c.as_q() for c in v] for v in action.xi])
+        sol = linalg.solve(rows, [{j: (1, 0, 1)} for j in range(k)], n, k)
+        if sol is None:
+            raise ValueError("action is not free on the model frame")
+        units = [1 << i for i in range(n)]
+        return Connection(action, [_row_form(col, units, n)
+                                   for col in linalg.sparse_transpose(sol, k)])
 
 
 def horizontal_projection(conn: Connection, f: Form) -> Form:
@@ -828,12 +824,17 @@ def canonical_extension(
             raise ValueError("form is not invariant under the action")
     if phi.parameters():
         raise ValueError("decomposition needs parameter-free coefficients")
-    lo, up = (linalg.to_dense(half, len(ops.masks)) for half in (ops.lower, ops.upper))
-    prod = linalg.mat_mul(up, lo)  # P = -lower upper, so lower(upper x) = -r iff P x = r
+    lo, up, size = ops.lower, ops.upper, len(ops.masks)
+    prod = linalg.sparse_mul(up, lo)  # P = -lower upper, so lower(upper x) = -r iff P x = r
     _moment_sections(act)  # missing moment data wins over a closedness error
 
+    def column(f: Form) -> linalg.TRows:
+        """f's coordinates as a one-column matrix; `as_q` runs in mask order,
+        so an error names the first coefficient that is not Gaussian."""
+        return linalg.to_sparse([[f.terms.get(m, ZERO).as_q()] for m in ops.masks])
+
     def kills(half, f: Form) -> bool:
-        return all(x.is_zero() for x in linalg.mat_vec(half, form_to_vec(f, ops.masks)))
+        return not any(linalg.sparse_mul(half, column(f)))
 
     # a half moves every level by one step, so it kills phi iff it kills each
     # level component; the components, top level first, name the failing half
@@ -851,14 +852,15 @@ def canonical_extension(
         if not residuals:
             break
         for e, r in residuals.items():
-            sol = linalg.solve(prod, form_to_vec(r, ops.masks))
+            sol = linalg.solve(prod, column(r), size, 1)
             if sol is None:
                 raise ExtensionError(
                     "moment contribution is not cancellable; interchange "
                     "law violation witness %s" % r.to_text(model.names),
                     r,
                 )
-            corr = vec_to_form(linalg.mat_vec(up, sol), ops.masks, model.n)
+            corr = _row_form(linalg.sparse_transpose(linalg.sparse_mul(up, sol), 1)[0],
+                             ops.masks, model.n)
             if not corr.is_zero():
                 terms[e] = terms.get(e, Form.zero(model.n)) + corr
     out = EqForm(act.k, model.n, trunc, terms)

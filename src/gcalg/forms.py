@@ -238,11 +238,6 @@ def form_to_vec(f: Form, masks: Sequence[int]) -> List[Q]:
     return [f.terms.get(m, ZERO).as_q() for m in masks]
 
 
-def vec_to_form(v: Sequence[Q], masks: Sequence[int], n: int) -> Form:
-    """The form with coordinates v on the given basis masks."""
-    return Form(n, {m: Scalar.from_q(c) for m, c in zip(masks, v) if not c.is_zero()})
-
-
 # -- exterior operations -------------------------------------------------------
 
 

@@ -98,7 +98,7 @@ class IsotropicSubspace:
     @cached_property
     def _rows(self) -> linalg.TRows:
         """The basis as sparse rows of triples."""
-        return linalg.triples(linalg.to_sparse(self.basis))
+        return linalg.to_sparse(self.basis)
 
     @property
     def dimension(self) -> int:
@@ -107,7 +107,9 @@ class IsotropicSubspace:
     @property
     def type(self) -> int:
         """Corank of the projection to the complexified V."""
-        return self.dim_v - linalg.rank([list(v[: self.dim_v]) for v in self.basis])
+        n = self.dim_v
+        cut = [{c: t for c, t in row.items() if c < n} for row in self._rows]
+        return n - len(linalg.echelon(cut, n)[1])
 
 
 def validate(j: GCMap) -> ValidationReport:
@@ -118,7 +120,7 @@ def validate(j: GCMap) -> ValidationReport:
     """
     failures = []
     n2 = 2 * j.dim
-    rows = linalg.triples(linalg.to_sparse(j.matrix))
+    rows = linalg.to_sparse(j.matrix)
     if linalg.sparse_mul(rows, rows) != [{r: (-1, 0, 1)} for r in range(n2)]:
         failures.append("J^2 != -1")
     swap = [(r + j.dim) % n2 for r in range(n2)]
@@ -139,11 +141,11 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
     """Kernel of J - i over the Gaussian rationals; must have dimension dim V."""
     require_valid(j)
     n2 = 2 * j.dim
-    rows = linalg.triples(linalg.to_sparse(j.matrix))
+    rows = linalg.to_sparse(j.matrix)
     for r, row in enumerate(rows):  # J is real, so its diagonal entry a/d becomes (a - d*i)/d
         a, _, d = row.get(r, (0, 0, 1))
         row[r] = (a, -d, d)
-    basis = linalg.to_dense(linalg.to_rows(linalg.null_space(rows, n2)), n2)
+    basis = linalg.to_dense(linalg.null_space(rows, n2), n2)
     if len(basis) != j.dim:
         raise ValueError(
             "i-eigenspace has dimension %d, expected %d" % (len(basis), j.dim)
@@ -233,7 +235,7 @@ def annihilator(phi: Form) -> AnnihilatorReport:
     if phi.is_zero():
         raise ValueError("annihilator of the zero form")
     n = phi.n
-    basis = linalg.kernel_basis(_annihilator_system(phi), ncols=2 * n)
+    basis = linalg.to_dense(linalg.null_space(_annihilator_system(phi), 2 * n), 2 * n)
     space = IsotropicSubspace(n, tuple(tuple(v) for v in basis))
     pairing = mukai(phi, phi.conjugate())
     return AnnihilatorReport(
@@ -244,13 +246,15 @@ def annihilator(phi: Form) -> AnnihilatorReport:
     )
 
 
-def _annihilator_system(phi: Form) -> linalg.Mat:
-    """Column k: the Clifford action of the k-th unit vector of V + V* on phi."""
-    size = 2 * phi.n
-    return linalg.operator_matrix(
+def _annihilator_system(phi: Form) -> linalg.TRows:
+    """Rows of triples whose column k is the Clifford action of the k-th unit
+    vector of V + V* on phi."""
+    size, masks = 2 * phi.n, basis_masks(phi.n)
+    cols = linalg.operator_columns(
         lambda k: clifford([ONE if i == k else ZERO for i in range(size)], phi).terms,
-        range(size), basis_masks(phi.n),
+        range(size), masks,
     )
+    return linalg.sparse_transpose(cols, len(masks))
 
 
 def b_transform(j: GCMap, b: Form) -> GCMap:

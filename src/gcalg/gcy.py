@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, basis_masks, integrate, mukai, reversal, vec_to_form, wedge
+from .forms import Form, basis_masks, integrate, mukai, reversal, wedge
 from .gcmaps import AnnihilatorReport, annihilator
-from .models import Model, d_twisted
+from .models import Model, _row_form, d_twisted
 from .scalars import ONE, Scalar
 
 Sample = Dict[str, Fraction]
@@ -239,12 +239,12 @@ def lefschetz_check(model: Model, omega: Form) -> LefschetzReport:
         mid = wedge(mid, omega)
     masks_in = [1 << i for i in range(model.n)]
     masks_out = [m for m in basis_masks(model.n) if m.bit_count() == 2 * n - 1]
-    mat = linalg.operator_matrix(
+    cols = linalg.operator_columns(
         lambda mk: wedge(mid, Form(model.n, {mk: ONE})).terms, masks_in, masks_out
     )
-    kernel = linalg.kernel_basis(mat, ncols=len(masks_in))
+    kernel = linalg.null_space(linalg.sparse_transpose(cols, len(masks_out)), len(masks_in))
     if kernel:
-        witness = vec_to_form(kernel[0], masks_in, model.n)
+        witness = _row_form(kernel[0], masks_in, model.n)
         return LefschetzReport(
             ok=False, witness=witness,
             detail="kernel witness %s" % witness.to_text(model.names),

@@ -1,15 +1,15 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are dense lists of Q rows or sparse rows with no stored zeros:
-{col: Q} rows (`operator_columns`, `pivot_columns`, `to_sparse`) or rows of
+Matrices come in two formats: dense lists of Q rows, and sparse rows of
 reduced Gaussian-integer triples (a, b, d), the value (a + b*i)/d with d > 0
-and gcd(a, b, d) = 1, so zero is `not a and not b`.  `triples` and `to_rows`
-convert between the two.  The sparse products, sums, eliminations and
-kernels (`sparse_mul`, `sparse_comb`, `echelon`, `null_space`,
-`in_echelon_span`) run on triples, with int arithmetic only, so a chain of
-them converts nothing between its steps; `mat_mul` is the dense view of
-`sparse_mul`.  Every rank question reads its answer off one RREF, which is
-unique, so results are exact.
+and gcd(a, b, d) = 1, stored as {col: triple} with no stored zeros, so zero
+is `not a and not b`.  `to_sparse` and `to_dense` convert between the two.
+The sparse products, sums, eliminations, kernels and solves (`sparse_mul`,
+`sparse_comb`, `echelon`, `null_space`, `in_echelon_span`, `solve`) run on
+triples, with int arithmetic only, so a chain of them converts nothing
+between its steps; `rref`, `mat_mul` and `operator_matrix` are their dense
+views.  Every rank question reads its answer off one RREF, which is unique,
+so results are exact.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .scalars import Q, QONE, QZERO
 
 Vec = List[Q]
 Mat = List[List[Q]]
-Rows = List[Dict[int, Q]]  # sparse rows {col: Q}, no stored zeros
 Triple = Tuple[int, int, int]  # (a + b*i)/d, d > 0, gcd(a, b, d) = 1
 TRows = List[Dict[int, Triple]]  # sparse rows {col: Triple}, no stored zeros
 
@@ -33,20 +32,6 @@ def zeros(rows: int, cols: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
-
-
-def to_sparse(mat: Mat) -> Rows:
-    # the identity test skips the shared QZERO of `zeros` without a Fraction call
-    return [{c: x for c, x in enumerate(row) if x is not QZERO and not x.is_zero()}
-            for row in mat]
-
-
-def to_dense(rows: Rows, ncols: int) -> Mat:
-    out = zeros(len(rows), ncols)
-    for dense, row in zip(out, rows):
-        for c, x in row.items():
-            dense[c] = x
-    return out
 
 
 def _triple(x: Q) -> Triple:
@@ -61,14 +46,20 @@ def _q(t: Triple) -> Q:
     return Q(a, b) if d == 1 else Q(Fraction(a, d), Fraction(b, d))
 
 
-def triples(rows: Rows) -> TRows:
-    """{col: Q} rows as rows of triples."""
-    return [{c: _triple(x) for c, x in row.items()} for row in rows]
+def to_sparse(mat: Mat) -> TRows:
+    """Dense Q rows as rows of triples."""
+    # the identity test skips the shared QZERO of `zeros` without a Fraction call
+    return [{c: _triple(x) for c, x in enumerate(row) if x is not QZERO and not x.is_zero()}
+            for row in mat]
 
 
-def to_rows(rows: TRows) -> Rows:
-    """Rows of triples as {col: Q} rows."""
-    return [{c: _q(t) for c, t in row.items()} for row in rows]
+def to_dense(rows: TRows, ncols: int) -> Mat:
+    """Rows of triples as dense Q rows with ncols columns."""
+    out = zeros(len(rows), ncols)
+    for dense, row in zip(out, rows):
+        for c, t in row.items():
+            dense[c] = _q(t)
+    return out
 
 
 def _add_mul(x: Optional[Triple], f: Triple, y: Triple) -> Triple:
@@ -129,8 +120,8 @@ def sparse_comb(*terms: Tuple[Triple, TRows]) -> TRows:
     return out
 
 
-def sparse_transpose(rows: list, ncols: int) -> list:
-    """Transpose of sparse rows, of Q or of triples, with ncols columns."""
+def sparse_transpose(rows: TRows, ncols: int) -> TRows:
+    """Transpose of sparse rows with ncols columns."""
     out = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -141,8 +132,7 @@ def sparse_transpose(rows: list, ncols: int) -> list:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    prod = sparse_mul(triples(to_sparse(a)), triples(to_sparse(b)))
-    return to_dense(to_rows(prod), len(b[0]) if b else 0)
+    return to_dense(sparse_mul(to_sparse(a), to_sparse(b)), len(b[0]) if b else 0)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -235,36 +225,27 @@ def rref(rows: Mat):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    basis, pivots = echelon(triples(to_sparse(rows)), ncols)
-    return to_dense(to_rows(basis) + [{}] * (len(rows) - len(basis)), ncols), pivots
-
-
-def pivot_columns(rows: Rows, ncols: int) -> List[int]:
-    """Pivot columns of the RREF of sparse rows, with no conversion back."""
-    return _eliminate(triples(rows), ncols)[0]
+    basis, pivots = echelon(to_sparse(rows), ncols)
+    return to_dense(basis + [{}] * (len(rows) - len(basis)), ncols), pivots
 
 
 def rank(mat: Mat) -> int:
     return len(rref(mat)[1])
 
 
-def kernel_basis(mat: Mat, ncols: Optional[int] = None) -> List[Vec]:
-    """Basis of the right kernel {x : mat @ x = 0}: the dense view of `null_space`."""
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    return to_dense(to_rows(null_space(triples(to_sparse(mat)), ncols)), ncols)
-
-
-def solve(mat: Mat, rhs: Vec) -> Optional[Vec]:
-    """One exact solution of mat @ x = rhs, or None when inconsistent."""
-    ncols = len(mat[0]) if mat else 0
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    m, pivots = rref(aug)
-    if pivots and pivots[-1] == ncols:
+def solve(a: TRows, b: TRows, ncols: int, width: int) -> Optional[TRows]:
+    """One exact solution x (ncols rows, width columns) of a @ x = b, from one
+    RREF of [a | b], or None when a column of b is outside the image of a.
+    The first such column of b is a pivot column of [a | b]; without one,
+    row pc of x holds the b-part of the RREF row with pivot pc, and the free
+    coordinates are zero."""
+    aug = [{**ra, **{ncols + c: t for c, t in rb.items()}} for ra, rb in zip(a, b)]
+    basis, pivots = echelon(aug, ncols + width)
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [QZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][-1]
+    x = [{} for _ in range(ncols)]
+    for row, p in zip(basis, pivots):
+        x[p] = {c - ncols: t for c, t in row.items() if c >= ncols}
     return x
 
 
@@ -295,8 +276,8 @@ def leading_minors(mat: Mat) -> Iterator[Q]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
 
 
-def operator_columns(op: Callable, src: Sequence, dst: Sequence) -> Rows:
-    """Entry j is op(src[j]) as {dst index: Q}; op(key) returns the sparse
+def operator_columns(op: Callable, src: Sequence, dst: Sequence) -> TRows:
+    """Entry j is op(src[j]) as {dst index: Triple}; op(key) returns the sparse
     image {dst key: Scalar}.  Each image key is looked up, raising KeyError
     outside dst, before its coefficient is converted."""
     row_of = {key: i for i, key in enumerate(dst)}
@@ -306,15 +287,11 @@ def operator_columns(op: Callable, src: Sequence, dst: Sequence) -> Rows:
         for k, c in op(key).items():
             i = row_of[k]
             if not c.is_zero():
-                col[i] = c.as_q()
+                col[i] = _triple(c.as_q())
         out.append(col)
     return out
 
 
 def operator_matrix(op: Callable, src: Sequence, dst: Sequence) -> Mat:
     """Dense view of `operator_columns`: column j holds op(src[j]) in dst order."""
-    out = zeros(len(dst), len(src))
-    for j, col in enumerate(operator_columns(op, src, dst)):
-        for i, x in col.items():
-            out[i][j] = x
-    return out
+    return to_dense(sparse_transpose(operator_columns(op, src, dst), len(dst)), len(src))

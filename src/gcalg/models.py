@@ -9,7 +9,6 @@ complexes are Z2-graded because the twisted differential mixes form degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -323,19 +322,12 @@ def del_delbar_split(
 @dataclass(frozen=True)
 class SplitOperators:
     """The two halves of the twisted differential, level-split, as sparse rows
-    of triples; `lower` and `upper` are their {col: Q} views."""
+    of triples: `lower` moves the level by -1, `upper` by +1."""
 
     model: Model
     masks: Tuple[int, ...]
-    halves: Tuple[linalg.TRows, linalg.TRows]  # (level -1 half, level +1 half)
-
-    @cached_property
-    def lower(self) -> linalg.Rows:
-        return linalg.to_rows(self.halves[0])
-
-    @cached_property
-    def upper(self) -> linalg.Rows:
-        return linalg.to_rows(self.halves[1])
+    lower: linalg.TRows
+    upper: linalg.TRows
 
 
 def split_operators(m: Model, j: GCMap) -> SplitOperators:
@@ -372,7 +364,7 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     if not any(stray8):  # the halves (D -+ i[L, D]) / 2
         lower = linalg.sparse_comb(((1, 0, 2), dmat), ((0, -1, 2), d_comm))
         upper = linalg.sparse_comb(((1, 0, 2), dmat), ((0, 1, 2), d_comm))
-        return SplitOperators(m, masks, (lower, upper))
+        return SplitOperators(m, masks, lower, upper)
     if comm(comm(stray8)) != linalg.sparse_comb(((-9, 0, 1), stray8)):
         raise AssertionError("d_H moves levels by steps other than 1 and 3")
     col = min(c for row in stray8 for c in row)
@@ -383,8 +375,7 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
 
 def _row_form(row: dict, masks: Sequence[int], n: int) -> Form:
     """The form with coordinates row, a sparse row of triples, on the given masks."""
-    coords = sorted(linalg.to_rows([row])[0].items())
-    return Form(n, {masks[c]: Scalar.from_q(x) for c, x in coords})
+    return Form(n, {masks[c]: Scalar.from_q(linalg._q(row[c])) for c in sorted(row)})
 
 
 @dataclass(frozen=True)
@@ -406,7 +397,7 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     """
     sp = ops if ops is not None else split_operators(m, j)
     size = len(sp.masks)
-    lower, upper = sp.halves
+    lower, upper = sp.lower, sp.upper
     prod = linalg.sparse_mul(upper, lower)
     im_prod, im_pivots = linalg.echelon(linalg.sparse_transpose(prod, size), size)
     ker_prod = linalg.null_space(prod, size)
@@ -434,28 +425,27 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
 def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     """Twisted Betti ranks of the subcomplex of upper-half-closed forms.  Each
     kernel vector has one parity and d_H swaps it, so the even and odd images
-    share no coordinates and one rank of all of them is their ranks' sum."""
+    share no coordinates and one rank of all of them is their ranks' sum.
+    Row x of the kernel times d_H's transpose is d_H(x) as a row."""
     sp = split_operators(m, j)
     size = len(sp.masks)
-    kernel = linalg.null_space(sp.halves[1], size)
+    kernel = linalg.null_space(sp.upper, size)
     if not kernel:
         return BettiPair(0, 0)
     span, pivots = linalg.echelon(kernel, size)
-    index = {mk: i for i, mk in enumerate(sp.masks)}
-    images, n_odd = [], 0  # ranks in mask coordinates equal ranks in the kernel
-    for v in kernel:
-        f = _row_form(v, sp.masks, m.n)
-        img = linalg.triples([{index[mk]: c.as_q() for mk, c in d_twisted(m, f).terms.items()}])[0]
+    images = linalg.sparse_mul(kernel, linalg.sparse_transpose(_d_matrix(m, sp.masks), size))
+    n_odd = 0  # ranks in mask coordinates equal ranks in the kernel
+    for v, img in zip(kernel, images):
         if not linalg.in_echelon_span(img, span, pivots):
             raise AssertionError("twisted differential left the subcomplex")
-        images.append(img)
-        n_odd += _pure_parity(f)
+        n_odd += _pure_parity(v, sp.masks)
     rank = len(linalg.echelon(images, size)[1])
     return BettiPair(len(kernel) - n_odd - rank, n_odd - rank)
 
 
-def _pure_parity(f: Form) -> int:
-    degs = {mk.bit_count() % 2 for mk in f.terms}
+def _pure_parity(row: dict, masks: Sequence[int]) -> int:
+    """The parity of the masks of a sparse row's columns, which must agree."""
+    degs = {masks[c].bit_count() % 2 for c in row}
     if len(degs) != 1:
         raise AssertionError("basis vector of mixed parity")
     return degs.pop()

@@ -9,15 +9,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gcalg import cartan, gcmaps, linalg
+from gcalg import cartan, gcmaps, gcy, linalg
 from gcalg.forms import (
-    Form, _unit_clifford, basis_masks, clifford, form_to_vec, mask_key, vec_to_form, wedge,
+    Form, _unit_clifford, basis_masks, clifford, form_to_vec, mask_key, wedge,
 )
 from gcalg.gcmaps import i_eigenspace, require_valid, uk_grading
 from gcalg.modelfile import parse_model
 from gcalg.models import (
-    BettiPair, DdbarReport, Model, _stray_component, d, d_twisted, del_delbar_split,
-    split_operators, twisted_cohomology,
+    BettiPair, DdbarReport, Model, _stray_component, d, d_twisted, ddbar_lemma_check,
+    del_delbar_split, lie_derivative, split_operators, twisted_cohomology,
 )
 from gcalg.scalars import ONE, Q, Scalar, scalar
 
@@ -125,6 +125,49 @@ def dense_mul(a, b):
                 if not y.is_zero():
                     orow[j] = orow[j] + x * y
     return out
+
+
+def vec_to_form(v, masks, n):
+    """The form with dense coordinates v on the given basis masks; the
+    package reads forms off sparse rows of triples instead."""
+    return Form(n, {m: Scalar.from_q(c) for m, c in zip(masks, v) if not c.is_zero()})
+
+
+# kernels and solves as linalg first had them, on dense rows: the free-column
+# kernel of one dense RREF, and one dense RREF of [mat | rhs] per right-hand
+# side; the package solves and takes kernels on rows of triples
+def ref_kernel_basis(mat, ncols=None):
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    m, pivots = linalg.rref(mat)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Q(1) if c == fc else Q(0) for c in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(mat, rhs):
+    """One exact solution of mat @ x = rhs, or None when inconsistent."""
+    ncols = len(mat[0]) if mat else 0
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    m, pivots = linalg.rref(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Q(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][-1]
+    return x
+
+
+def solve_column(mat, rhs):
+    """linalg.solve on dense rows for one right-hand side: the solution as
+    dense coordinates, or None."""
+    ncols = len(mat[0]) if mat else 0
+    x = linalg.solve(linalg.to_sparse(mat), linalg.to_sparse([[y] for y in rhs]), ncols, 1)
+    return None if x is None else [row[0] for row in linalg.to_dense(x, 1)]
 
 
 # the operator matrix as first assembled: one dense write per image entry;
@@ -267,7 +310,7 @@ def ref_betti_numbers(m):
 
 def ref_delbar_closed_subcomplex_betti(m, j):
     sp = split_operators(m, j)
-    kernel = linalg.kernel_basis(linalg.to_dense(sp.upper, len(sp.masks)))
+    kernel = ref_kernel_basis(linalg.to_dense(sp.upper, len(sp.masks)))
     if not kernel:
         return BettiPair(0, 0)
     span = row_space(kernel)
@@ -307,7 +350,7 @@ def ref_pure_spinor(space):
         coords = [Scalar.from_q(x) for x in v]
         rows.extend(linalg.operator_matrix(
             lambda m: clifford(coords, Form(n, {m: ONE})).terms, masks, masks))
-    kernel = linalg.kernel_basis(rows, ncols=len(masks))
+    kernel = ref_kernel_basis(rows, ncols=len(masks))
     if len(kernel) != 1:
         raise ValueError("annihilator line has dimension %d, expected 1" % len(kernel))
     return _ref_normalize(vec_to_form(kernel[0], masks, n))
@@ -357,7 +400,7 @@ def ref_uk_grading(j):
         target = [list(row) for row in op]
         for r, row in enumerate(target):
             row[r] = row[r] + diag
-        kernel = linalg.kernel_basis(target)
+        kernel = ref_kernel_basis(target)
         bases[k] = tuple(_ref_normalize(vec_to_form(v, masks, n)) for v in kernel)
     if sum(len(b) for b in bases.values()) != len(masks):
         raise ValueError("eigenvalue spectrum escapes the expected levels")
@@ -499,7 +542,7 @@ def ref_ddbar_lemma_check(m, j, ops=None):
     sp = ops if ops is not None else ref_split_operators(m, j)
     prod = linalg.mat_mul(sp.upper, sp.lower)
     im_prod = row_space(transpose(prod))
-    ker_prod = linalg.kernel_basis(prod)
+    ker_prod = ref_kernel_basis(prod)
     a = row_space(linalg.mat_mul(ker_prod, transpose(sp.upper)))
     b = row_space(linalg.mat_mul(ker_prod, transpose(sp.lower)))
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
@@ -553,7 +596,7 @@ def ref_i_eigenspace(j):
     n2 = 2 * j.dim
     m = [[Q(j.matrix[r][c].re) - (Q(0, 1) if r == c else Q(0)) for c in range(n2)]
          for r in range(n2)]
-    basis = linalg.kernel_basis(m)
+    basis = ref_kernel_basis(m)
     if len(basis) != j.dim:
         raise ValueError("i-eigenspace has dimension %d, expected %d" % (len(basis), j.dim))
     basis = tuple(tuple(v) for v in basis)
@@ -561,3 +604,115 @@ def ref_i_eigenspace(j):
     if not ref_transverse(basis):
         raise ValueError("eigenspace meets its conjugate; structure is not valid")
     return basis
+
+
+# the extension, the connection solve, the annihilator and the Lefschetz
+# kernel as first run on dense rows: the split halves made dense, P as their
+# dense product, closedness by dense mat-vecs, one dense solve per residual
+# and per torus factor, and dense kernels of dense systems; the package keeps
+# the halves, P, every solve and every kernel on rows of triples
+def ref_canonical_extension(act, j, phi, trunc=None):
+    model = act.model
+    if trunc is None:
+        trunc = model.n // 2 + 1
+    ops = split_operators(model, j)
+    check = ddbar_lemma_check(model, j, ops=ops)
+    if not check.ok:
+        raise cartan.ExtensionError(
+            "interchange law fails on this model: %s" % check.detail,
+            check.witness if check.witness is not None else Form.zero(model.n),
+        )
+    for jj in range(act.k):
+        if not lie_derivative(model, act.xi[jj], phi).is_zero():
+            raise ValueError("form is not invariant under the action")
+    if phi.parameters():
+        raise ValueError("decomposition needs parameter-free coefficients")
+    lo, up = (linalg.to_dense(half, len(ops.masks)) for half in (ops.lower, ops.upper))
+    prod = dense_mul(up, lo)
+    cartan._moment_sections(act)
+
+    def kills(half, f):
+        return all(x.is_zero() for x in linalg.mat_vec(half, form_to_vec(f, ops.masks)))
+
+    if not (kills(lo, phi) and kills(up, phi)):
+        for comp in uk_grading(j).decompose(phi).values():
+            if not kills(lo, comp):
+                raise ValueError("component is not closed for the lower half")
+            if not kills(up, comp):
+                raise ValueError("component is not closed for the upper half")
+    terms = {tuple([0] * act.k): phi}
+    for degree in range(1, trunc + 1):
+        top = {e: f for e, f in terms.items() if sum(e) == degree - 1}
+        residuals = cartan.moment_operator(act, cartan.EqForm(act.k, model.n, trunc, top)).terms
+        if not residuals:
+            break
+        for e, r in residuals.items():
+            sol = ref_solve(prod, form_to_vec(r, ops.masks))
+            if sol is None:
+                raise cartan.ExtensionError(
+                    "moment contribution is not cancellable; interchange "
+                    "law violation witness %s" % r.to_text(model.names),
+                    r,
+                )
+            corr = vec_to_form(linalg.mat_vec(up, sol), ops.masks, model.n)
+            if not corr.is_zero():
+                terms[e] = terms.get(e, Form.zero(model.n)) + corr
+    out = cartan.EqForm(act.k, model.n, trunc, terms)
+    residual = cartan.generalized_d(act, out)
+    if not residual.is_zero():
+        raise AssertionError(
+            "extension failed to close the generalized differential: %s" % residual
+        )
+    return out
+
+
+def ref_connection_solve(action):
+    model = action.model
+    rows = [[c.as_q() for c in v] for v in action.xi]
+    thetas = []
+    for j in range(action.k):
+        rhs = [Q(1) if i == j else Q(0) for i in range(action.k)]
+        sol = ref_solve(rows, rhs)
+        if sol is None:
+            raise ValueError("action is not free on the model frame")
+        thetas.append(Form(model.n, {1 << i: Scalar.from_q(c) for i, c in enumerate(sol)}))
+    return cartan.Connection(action, thetas)
+
+
+def ref_annihilator_basis(phi):
+    """The basis of `annihilator(phi).space`: the dense kernel of the dense
+    system whose column k is the k-th unit vector of V + V* acting on phi."""
+    size = 2 * phi.n
+    system = ref_operator_matrix(
+        lambda k: clifford([ONE if i == k else Scalar() for i in range(size)], phi).terms,
+        range(size), basis_masks(phi.n),
+    )
+    return tuple(tuple(v) for v in ref_kernel_basis(system, ncols=size))
+
+
+def ref_lefschetz_check(model, omega):
+    if model.n % 2 != 0:
+        raise ValueError("model dimension must be even")
+    if not omega.is_homogeneous(2) or omega.is_zero():
+        raise ValueError("need a nonzero homogeneous 2-form")
+    n = model.n // 2
+    power = Form.unit(model.n)
+    for _ in range(n):
+        power = wedge(power, omega)
+    if power.top_coefficient().is_zero():
+        return gcy.LefschetzReport(ok=False, detail="2-form is degenerate: top power vanishes")
+    mid = Form.unit(model.n)
+    for _ in range(n - 1):
+        mid = wedge(mid, omega)
+    masks_in = [1 << i for i in range(model.n)]
+    masks_out = [m for m in basis_masks(model.n) if m.bit_count() == 2 * n - 1]
+    mat = ref_operator_matrix(
+        lambda mk: wedge(mid, Form(model.n, {mk: ONE})).terms, masks_in, masks_out
+    )
+    kernel = ref_kernel_basis(mat, ncols=len(masks_in))
+    if kernel:
+        witness = vec_to_form(kernel[0], masks_in, model.n)
+        return gcy.LefschetzReport(
+            ok=False, witness=witness, detail="kernel witness %s" % witness.to_text(model.names),
+        )
+    return gcy.LefschetzReport(ok=True)

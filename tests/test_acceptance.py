@@ -220,7 +220,7 @@ def test_criterion_07_gc_linear_layer():
             assert grading.bases[half] == (spinor,)
             # eigenvalue -half*i on the canonical line, straight from the lift
             masks = basis_masks(n)
-            op = linalg.to_dense(linalg.to_rows(lifted_action_matrix(j)), len(masks))
+            op = linalg.to_dense(lifted_action_matrix(j), len(masks))
             vec = [spinor.terms.get(mk, Scalar()).as_q() for mk in masks]
             image = linalg.mat_vec(op, vec)
             assert image == [Q(0, -half) * x for x in vec]

@@ -23,8 +23,9 @@ import pytest
 from conftest import (
     MODELS_DIR, RefSplit, gaussian_matrix, in_span, mat_add, mat_scale, mat_sub,
     random_nilpotent, random_q, ref_betti_numbers, ref_delbar_closed_subcomplex_betti,
-    ref_equivariant_cohomology, ref_intersect_spans, ref_split_operators, ref_twisted_cohomology,
-    row_space, shipped_structures, transpose, wide_q,
+    ref_equivariant_cohomology, ref_intersect_spans, ref_kernel_basis, ref_solve,
+    ref_split_operators, ref_twisted_cohomology, row_space, shipped_structures, solve_column,
+    transpose, vec_to_form, wide_q,
 )
 from gcalg import linalg
 from gcalg.cartan import (
@@ -36,7 +37,7 @@ from gcalg.cartan import (
     equivariant_cohomology,
     monomials_of_degree,
 )
-from gcalg.forms import Form, basis_masks, form_to_vec, vec_to_form
+from gcalg.forms import Form, basis_masks, form_to_vec
 from gcalg.gcmaps import (
     b_transform,
     complex_structure,
@@ -95,7 +96,7 @@ def ref_by_degree(act, h_g, trunc):
             keep = [i for i, dg in enumerate(degs) if dg >= p]
             sub = [[row[i] for i in keep] for row in mat_out]
             rows = []
-            for v in linalg.kernel_basis(sub, ncols=len(keep)):
+            for v in ref_kernel_basis(sub, ncols=len(keep)):
                 full = [QZERO] * len(basis_list)
                 for pos, i in enumerate(keep):
                     full[i] = v[pos]
@@ -112,8 +113,8 @@ def ref_by_degree(act, h_g, trunc):
 def ref_ddbar(sp):
     dim, n, names = len(sp.masks), sp.model.n, sp.model.names
     lo, up = linalg.to_dense(sp.lower, dim), linalg.to_dense(sp.upper, dim)
-    ker_lo = row_space(linalg.kernel_basis(lo))
-    ker_up = row_space(linalg.kernel_basis(up))
+    ker_lo = row_space(ref_kernel_basis(lo))
+    ker_up = row_space(ref_kernel_basis(up))
     im_lo = row_space(transpose(lo))
     im_up = row_space(transpose(up))
     im_uplo = row_space(transpose(linalg.mat_mul(up, lo)))
@@ -136,20 +137,25 @@ def ref_ddbar(sp):
 
 def ref_delbar_closed_betti(m, j):
     sp = split_operators(m, j)
-    kernel = linalg.kernel_basis(linalg.to_dense(sp.upper, len(sp.masks)))
+    kernel = ref_kernel_basis(linalg.to_dense(sp.upper, len(sp.masks)))
     if not kernel:
         return BettiPair(0, 0)
     forms = [vec_to_form(v, sp.masks, m.n) for v in kernel]
     span = row_space(kernel)
 
     def coords(f):
-        sol = linalg.solve(transpose(span), form_to_vec(f, sp.masks))
+        sol = ref_solve(transpose(span), form_to_vec(f, sp.masks))
         assert sol is not None
         return sol
 
-    even = [coords(d_twisted(m, f)) for f in forms if _pure_parity(f) == 0]
-    odd = [coords(d_twisted(m, f)) for f in forms if _pure_parity(f) == 1]
-    n_even = sum(1 for f in forms if _pure_parity(f) == 0)
+    def parity(f):
+        degs = {mk.bit_count() % 2 for mk in f.terms}
+        assert len(degs) == 1
+        return degs.pop()
+
+    even = [coords(d_twisted(m, f)) for f in forms if parity(f) == 0]
+    odd = [coords(d_twisted(m, f)) for f in forms if parity(f) == 1]
+    n_even = sum(1 for f in forms if parity(f) == 0)
     rank_e, rank_o = linalg.rank(even), linalg.rank(odd)
     return BettiPair(n_even - rank_e - rank_o, len(forms) - n_even - rank_o - rank_e)
 
@@ -248,6 +254,15 @@ def test_delbar_closed_betti_matches_solved_coordinates():
         assert delbar_closed_subcomplex_betti(model, j) == ref_delbar_closed_betti(model, j)
 
 
+def test_pure_parity_reads_the_masks_of_a_row():
+    # the parity of a kernel vector is that of the masks of its columns
+    t = (1, 0, 1)
+    assert _pure_parity({0: t, 3: t}, [0b1, 0b11, 0b101, 0b111]) == 1
+    assert _pure_parity({1: t}, [0b1, 0b11]) == 0
+    with pytest.raises(AssertionError, match="basis vector of mixed parity"):
+        _pure_parity({0: t, 1: t}, [0b1, 0b11])
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -290,7 +305,7 @@ def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
 
 
 def test_one_rref_per_matrix(monkeypatch):
-    calls = {"rref": 0, "pivot_columns": 0, "echelon": 0, "solve": 0}
+    calls = {"rref": 0, "echelon": 0, "solve": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -301,7 +316,7 @@ def test_one_rref_per_matrix(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def count(fn, *args, **kwargs):
-        calls.update(rref=0, pivot_columns=0, echelon=0, solve=0)
+        calls.update(rref=0, echelon=0, solve=0)
         fn(*args, **kwargs)
         return dict(calls)
 
@@ -310,19 +325,18 @@ def test_one_rref_per_matrix(monkeypatch):
         # two per parity plus the x-degree-0 block of d_H, whatever trunc is,
         # all read off pivots alone
         got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
-        assert got == {"rref": 0, "pivot_columns": 5, "echelon": 0, "solve": 0}
+        assert got == {"rref": 0, "echelon": 5, "solve": 0}
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     j = mf.structures["Jc"]
     sp = split_operators(mf.model, j)
     # the image and kernel of P = upper lower, and the canonical bases of
     # upper(ker P) and lower(ker P), all on sparse rows of triples
     got = count(ddbar_lemma_check, mf.model, j, ops=sp)
-    assert got == {"rref": 0, "pivot_columns": 0, "echelon": 4, "solve": 0}
-    assert count(split_operators, mf.model, j) == {
-        "rref": 0, "pivot_columns": 0, "echelon": 0, "solve": 0}
+    assert got == {"rref": 0, "echelon": 4, "solve": 0}
+    assert count(split_operators, mf.model, j) == {"rref": 0, "echelon": 0, "solve": 0}
     # the kernel of the upper half, its canonical basis and the images' rank
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
-    assert got == {"rref": 0, "pivot_columns": 0, "echelon": 3, "solve": 0}
+    assert got == {"rref": 0, "echelon": 3, "solve": 0}
 
 
 # -- the level split of d_H ---------------------------------------------------
@@ -444,7 +458,7 @@ def test_split_on_twisted_t6_moves_levels_by_one():
     assert tuple(sp.masks) == tuple(masks)
     lower, upper = (linalg.to_dense(h, len(masks)) for h in (sp.lower, sp.upper))
     assert mat_add(lower, upper) == dmat
-    lift = linalg.to_dense(linalg.to_rows(lift), len(masks))
+    lift = linalg.to_dense(lift, len(masks))
     for half, eigen in ((lower, Q(0, 1)), (upper, Q(0, -1))):
         assert any(not x.is_zero() for row in half for x in row)
         comm = mat_sub(linalg.mat_mul(lift, half), linalg.mat_mul(half, lift))
@@ -672,15 +686,15 @@ def test_rref_edge_shapes():
 
 
 def assert_same_pivots(mat):
-    """pivot_columns on the sparse rows of mat against the dense reference."""
+    """The pivots of echelon on the sparse rows of mat against the dense reference."""
     ncols = len(mat[0]) if mat else 0
-    pivots = linalg.pivot_columns(linalg.to_sparse(mat), ncols)
+    pivots = linalg.echelon(linalg.to_sparse(mat), ncols)[1]
     assert pivots == ref_rref(mat)[1]
     assert len(pivots) == rank_oracle([[(x.re, x.im) for x in row] for row in mat])
 
 
 @pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5])
-def test_pivot_columns_match_dense_rref(density):
+def test_echelon_pivots_match_dense_rref(density):
     rng = random.Random("pivots-%s" % density)
     size = 24 if density < 0.1 else 12  # dense Gaussian rationals grow fast
     for _ in range(30):
@@ -693,8 +707,8 @@ def test_pivot_columns_match_dense_rref(density):
             for row in mat:
                 row[c] = QZERO  # a zero column
         assert_same_pivots(mat)
-    assert linalg.pivot_columns([], 7) == [] and linalg.pivot_columns([{}, {}], 0) == []
-    assert linalg.pivot_columns([{}] * 3, 5) == []
+    assert linalg.echelon([], 7) == ([], []) and linalg.echelon([{}, {}], 0) == ([], [])
+    assert linalg.echelon([{}] * 3, 5) == ([], [])
 
 
 # Gaussian matrices with denominators up to 10^6: real, pure-imaginary or
@@ -714,8 +728,8 @@ def test_triples_are_reduced_and_round_trip(monkeypatch):
     for x in [wide_q(rng) for _ in range(200)] + [QZERO, QONE, Q(0, -1), Q(Fraction(1, 6), 3)]:
         a, b, d = linalg._triple(x)
         assert d > 0 and gcd(a, b, d) == 1 and linalg._q((a, b, d)) == x
-    # every entry rref converts back, and every entry sparse_mul, sparse_comb,
-    # echelon and null_space store, is a reduced nonzero triple
+    # every entry rref converts back, and every entry sparse_mul, solve,
+    # sparse_comb, echelon and null_space store, is a reduced nonzero triple
     stored = []
     original = linalg._q
 
@@ -727,10 +741,12 @@ def test_triples_are_reduced_and_round_trip(monkeypatch):
     for _ in range(10):
         mat = gaussian_matrix(rng, 5, 6, 0.7)
         add_dependent_rows(rng, mat, 2)
-        rows = linalg.triples(linalg.to_sparse(mat))
+        rows = linalg.to_sparse(mat)
         linalg.rref(mat)
+        square = linalg.sparse_mul(rows, linalg.sparse_transpose(rows, 6))
         made = [
-            linalg.sparse_mul(rows, linalg.sparse_transpose(rows, 6)),
+            square,
+            linalg.solve(rows, square, 6, len(rows)),
             linalg.sparse_comb(*((linalg._triple(wide_q(rng)), rows) for _ in range(2))),
             linalg.echelon(rows, 6)[0],
             linalg.null_space(rows, 6),
@@ -799,30 +815,28 @@ def _captured_inputs(monkeypatch, name, fn, *args):
 
 
 def test_rref_matches_dense_on_captured_matrices(monkeypatch):
-    # the equivariant complex hands its sparse rows to pivot_columns, the
-    # grading its level spans, rows of triples, to echelon
+    # the equivariant complex hands its sparse rows to echelon, and so does
+    # the grading its level spans
     captured = []
     for model_file, name in SHIPPED_ACTIONS:
         act = parse_model((MODELS_DIR / model_file).read_text()).actions[name]
         for trunc in range(1, 7):
-            captured += _captured_inputs(monkeypatch, "pivot_columns", equivariant_cohomology,
+            captured += _captured_inputs(monkeypatch, "echelon", equivariant_cohomology,
                                          act, act.h_equivariant(trunc), trunc)
     rng = random.Random(7)  # the rank-two action of the test above
     c = _q(rng)
     a1 = Form(3, {0b100: _q(rng), 0b010: c})
     a2 = Form(3, {0b100: _q(rng), 0b001: -c})
     act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
-    captured += _captured_inputs(monkeypatch, "pivot_columns", equivariant_cohomology, act,
+    captured += _captured_inputs(monkeypatch, "echelon", equivariant_cohomology, act,
                                  act.h_equivariant(3), 3)
     grading = _captured_inputs(monkeypatch, "echelon", uk_grading, complex_structure(3))
     assert len(captured) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
-    for rows, ncols in captured:
-        assert linalg.pivot_columns(rows, ncols) == ref_rref(linalg.to_dense(rows, ncols))[1]
-    for rows, ncols in grading:
+    for rows, ncols in captured + grading:
         basis, pivots = linalg.echelon(rows, ncols)
-        mat, want = ref_rref(linalg.to_dense(linalg.to_rows(rows), ncols))
+        mat, want = ref_rref(linalg.to_dense(rows, ncols))
         assert pivots == want
-        assert linalg.to_dense(linalg.to_rows(basis), ncols) == mat[: len(want)]
+        assert linalg.to_dense(basis, ncols) == mat[: len(want)]
 
 
 def test_rank_questions_match_dense_rref(monkeypatch):
@@ -848,11 +862,11 @@ def test_rank_questions_match_dense_rref(monkeypatch):
             basis.append(v)
         return basis
 
-    def answers():
+    def answers(solve):
         out = []
         for a, b, rhs, sq, cols in cases:
             out.append(kernel(a, cols))
-            out.append(linalg.solve(a, rhs))
+            out.append(solve(a, rhs))
             out.append(linalg.rref(a + b))
             try:
                 out.append(linalg.invert(sq))
@@ -860,10 +874,12 @@ def test_rank_questions_match_dense_rref(monkeypatch):
                 out.append(str(e))
         return out
 
-    got = answers()
-    assert got[::4] == [linalg.kernel_basis(a, ncols=cols) for a, _, _, _, cols in cases]
+    # the sparse solve and kernel against the dense ones, which read the RREF
+    got = answers(solve_column)
+    assert got[::4] == [linalg.to_dense(linalg.null_space(linalg.to_sparse(a), cols), cols)
+                        for a, _, _, _, cols in cases]
     monkeypatch.setattr(linalg, "rref", ref_rref)
-    assert got == answers()
+    assert got == answers(ref_solve)
     # the draw reaches both outcomes of solve and invert
     assert None in got[1::4] and any(s is not None for s in got[1::4])
     assert "matrix is singular" in got[3::4] and any(isinstance(m, list) for m in got[3::4])

@@ -258,7 +258,7 @@ def test_lift_commutator_identity(rng):
     jb = b_transform(jw, Form.monomial(4, (1, 4)))
     for j in (jw, complex_structure(2), jb):
         masks = basis_masks(4)
-        op = linalg.to_dense(linalg.to_rows(lifted_action_matrix(j)), len(masks))
+        op = linalg.to_dense(lifted_action_matrix(j), len(masks))
 
         def apply_op(form):
             vec = [form.terms.get(mk, Sc()).as_q() for mk in masks]

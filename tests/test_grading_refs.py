@@ -104,7 +104,7 @@ def test_lift_has_eigenvalue_minus_k_i_on_level_k(case):
     masks = basis_masks(j.dim)
     lift = lifted_action_matrix(j)
     for k in grading.levels:
-        cols = linalg.triples(linalg.to_sparse(
-            linalg.operator_matrix(lambda b: b.terms, grading.bases[k], masks)))
+        cols = linalg.to_sparse(
+            linalg.operator_matrix(lambda b: b.terms, grading.bases[k], masks))
         residual = linalg.sparse_comb(((1, 0, 1), linalg.sparse_mul(lift, cols)), ((0, k, 1), cols))
         assert residual == [{}] * len(masks), k

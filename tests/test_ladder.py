@@ -4,6 +4,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from gcalg.cartan import MAX_COLUMNS, TorusAction, equivariant_cohomology
+from gcalg.forms import Form
+from gcalg.models import torus
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("ladder", ROOT / "tools" / "ladder.py")
 ladder = importlib.util.module_from_spec(_spec)
@@ -38,3 +44,15 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
     for call in ladder.IWASAWA_CALLS:
         got = ladder.run_child(ROOT, call, "iwasawa", 6)
         assert got["status"] == "ok" and got["wall_s"] >= 0, got
+
+
+def test_ladder_runs_the_equivariant_rung_while_it_fits():
+    # trunc 3 for a circle spans 4 x 2^n columns: exactly MAX_COLUMNS at
+    # n = 10, and refused from n = 12 on, where the rung is left out
+    assert ladder.MAX_COLUMNS == MAX_COLUMNS
+    calls = {n: [c for c, _, m in ladder.ladder_cases([10, 12]) if m == n] for n in (10, 12)}
+    assert "equivariant_cohomology" in calls[10]
+    assert calls[12] == [c for c in calls[10] if c != "equivariant_cohomology"]
+    act = TorusAction(torus(12), [[0] * 11 + [1]], alpha=[Form.generator(12, 1)])
+    with pytest.raises(ValueError, match="16384 .* columns, beyond 4096"):
+        equivariant_cohomology(act, act.h_equivariant(3), 3)

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import in_span, random_q, ref_intersect_spans, ref_operator_matrix, row_space
+from conftest import (
+    in_span, random_q, ref_intersect_spans, ref_kernel_basis, ref_operator_matrix, ref_solve,
+    row_space, solve_column,
+)
 from gcalg import linalg
 from gcalg.scalars import Q, QONE, QZERO, Scalar
 from oracles import det_oracle, rank_oracle
@@ -27,7 +30,8 @@ def test_kernel_vectors_annihilate(rng):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        kernel = linalg.kernel_basis(m, ncols=cols)
+        kernel = linalg.to_dense(linalg.null_space(linalg.to_sparse(m), cols), cols)
+        assert kernel == ref_kernel_basis(m, ncols=cols)
         assert len(kernel) == cols - linalg.rank(m)
         for v in kernel:
             assert all(x.is_zero() for x in linalg.mat_vec(m, v))
@@ -35,8 +39,16 @@ def test_kernel_vectors_annihilate(rng):
 
 def test_solve_and_inconsistency():
     m = [[QONE, QONE], [QONE, QONE]]
-    assert linalg.solve(m, [Q(2), Q(2)]) is not None
-    assert linalg.solve(m, [Q(2), Q(3)]) is None
+    assert solve_column(m, [Q(2), Q(2)]) == [Q(2), QZERO]  # the free coordinate is 0
+    assert solve_column(m, [Q(2), Q(3)]) is None
+    a = linalg.to_sparse(m)
+    # one column outside the image refuses the lot, wherever it stands
+    for b in ([{0: (1, 0, 1), 1: (1, 0, 1)}, {0: (2, 0, 1), 1: (1, 0, 1)}],
+              [{0: (1, 0, 1), 1: (2, 0, 1)}, {0: (1, 0, 1), 1: (3, 0, 1)}],
+              [{0: (1, 0, 1), 1: (2, 0, 1)}, {0: (2, 0, 1), 1: (4, 0, 1)}]):
+        assert linalg.solve(a, b, 2, 2) is None
+    assert linalg.solve(a, [{0: (1, 0, 1)}, {0: (1, 0, 1)}], 2, 2) == [{0: (1, 0, 1)}, {}]
+    assert linalg.solve([], [], 3, 0) == [{}, {}, {}]
 
 
 def test_solve_random_consistent(rng):
@@ -46,9 +58,30 @@ def test_solve_random_consistent(rng):
         m = random_matrix(rng, rows, cols)
         x = [random_q(rng) for _ in range(cols)]
         rhs = linalg.mat_vec(m, x)
-        sol = linalg.solve(m, rhs)
-        assert sol is not None
+        sol = solve_column(m, rhs)
+        assert sol is not None and sol == ref_solve(m, rhs)
         assert linalg.mat_vec(m, sol) == rhs
+
+
+def test_solve_matches_one_dense_solve_per_column(rng):
+    # several right-hand sides at once, consistent or not, against one dense
+    # solve per column: the same solution columns, or None when any is None
+    for _ in range(40):
+        rows, cols, width = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        m = [[random_q(rng) if rng.random() < 0.5 else QZERO for _ in range(cols)]
+             for _ in range(rows)]
+        if rng.random() < 0.5:  # every column in the image
+            xs = random_matrix(rng, cols, width)
+            b = [[linalg.sum_q(r[k] * xs[k][c] for k in range(cols)) for c in range(width)]
+                 for r in m]
+        else:
+            b = random_matrix(rng, rows, width)
+        got = linalg.solve(linalg.to_sparse(m), linalg.to_sparse(b), cols, width)
+        want = [ref_solve(m, [r[c] for r in b]) for c in range(width)]
+        if None in want:
+            assert got is None
+        else:
+            assert linalg.to_dense(got, width) == [list(r) for r in zip(*want)]
 
 
 def test_invert_round_trip(rng):
@@ -133,7 +166,7 @@ def test_intersect_spans_ignores_spanning_rows(rng):
 
 
 def test_echelon_and_in_echelon_span():
-    rows = linalg.triples(linalg.to_sparse([[QONE, Q(2)], [Q(2), Q(4)]]))
+    rows = linalg.to_sparse([[QONE, Q(2)], [Q(2), Q(4)]])
     basis, pivots = linalg.echelon(rows, 2)
     assert (basis, pivots) == ([{0: (1, 0, 1), 1: (2, 0, 1)}], [0])
     assert rows[1] == {0: (2, 0, 1), 1: (4, 0, 1)}  # the rows given are kept
@@ -149,19 +182,19 @@ def test_sparse_echelon_matches_dense_row_space(rng):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = [[random_q(rng) if rng.random() < 0.5 else QZERO for _ in range(cols)]
              for _ in range(rows)]
-        sparse = linalg.triples(linalg.to_sparse(m))
+        sparse = linalg.to_sparse(m)
         basis, pivots = linalg.echelon(sparse, cols)
         want = row_space(m)
-        assert linalg.to_dense(linalg.to_rows(basis), cols) == want
+        assert linalg.to_dense(basis, cols) == want
         # vector i of the kernel is 1 at the i-th free column and 0 at the
         # others, which with m x = 0 fixes it
-        kernel = linalg.to_dense(linalg.to_rows(linalg.null_space(sparse, cols)), cols)
+        kernel = linalg.to_dense(linalg.null_space(sparse, cols), cols)
         free = [c for c in range(cols) if c not in pivots]
         assert [[v[c] for c in free] for v in kernel] == [
             [QONE if c == fc else QZERO for c in free] for fc in free]
         assert all(x.is_zero() for v in kernel for x in linalg.mat_vec(m, v))
         for v in m + [[random_q(rng) for _ in range(cols)]]:
-            got = linalg.in_echelon_span(linalg.triples(linalg.to_sparse([v]))[0], basis, pivots)
+            got = linalg.in_echelon_span(linalg.to_sparse([v])[0], basis, pivots)
             assert got == in_span(v, want)
 
 
@@ -203,8 +236,9 @@ def test_operator_matrix_matches_the_first_loop(rng):
         mat = linalg.operator_matrix(lambda key: images[key], src, dst)
         assert mat == ref_operator_matrix(lambda key: images[key], src, dst)
         cols = linalg.operator_columns(lambda key: images[key], src, dst)
-        assert all(not x.is_zero() for col in cols for x in col.values())
-        assert [[col.get(i, QZERO) for col in cols] for i in range(len(dst))] == mat
+        assert all(a or b for col in cols for a, b, _ in col.values())
+        assert [[linalg._q(col[i]) if i in col else QZERO for col in cols]
+                for i in range(len(dst))] == mat
     for fn in (linalg.operator_matrix, ref_operator_matrix):
         with pytest.raises(KeyError):
             fn(lambda key: {7: Scalar.rational(1)}, [0], [0, 1])

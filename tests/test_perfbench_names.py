@@ -6,9 +6,10 @@ that is gone; its counting pass reads `linalg.mat_vec`'s matrix as dense Q
 rows.  Deleting or renaming a traced function, or changing what `mat_vec`
 is handed, breaks `perfbench/run.py --trace 1`.  This test loads the file
 read-only, installs the tracer and the counter, runs a `gclinear`, a
-`grading`, an `extension` and an `equivariant` query under both (the
-extension query hands `mat_vec` its split halves, the equivariant query
-reads its ranks from `pivot_columns`), and checks that the output is
+`grading`, two `extension` and an `equivariant` query under both (the
+second extension query fails its closedness check, so the level grading's
+`decompose` hands `mat_vec` its dense inverse; the equivariant query reads
+its ranks from the pivots of `echelon`), and checks that the output is
 unchanged.
 """
 
@@ -29,6 +30,26 @@ QUERIES = [
     ["equivariant", str(MODELS_DIR / "t4_twisted_circle.model"), "--trunc", "3"],
 ]
 
+# a solvable model times T^2 on which phi fails the upper half on its top
+# level: the extension names that half through the grading's decompose
+UNCLOSED = """\
+model solvable_t2
+generators e1 e2 e3 e4 e5 e6
+d e1 = e1^e2
+d e3 = e2^e3
+
+let omega = e1^e3 + e2^e4 + e5^e6
+let phi = e1 - i*e1^e2^e4 + i*e1^e5^e6 + e1^e2^e4^e5^e6 + e1^e4 - i*e1^e4^e5^e6
+
+structure Jw symplectic omega
+
+action rot
+  xi 1 = 0 0 0 0 0 0
+  mu 1 = 0
+  alpha 1 = 0
+end
+"""
+
 
 def load_layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
@@ -37,9 +58,9 @@ def load_layers():
     return module
 
 
-def outputs():
+def outputs(queries):
     out = []
-    for argv in QUERIES:
+    for argv in queries:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
@@ -47,21 +68,25 @@ def outputs():
     return out
 
 
-def test_traced_and_counted_queries_match_untraced():
+def test_traced_and_counted_queries_match_untraced(tmp_path):
+    unclosed = tmp_path / "unclosed.model"
+    unclosed.write_text(UNCLOSED)
+    queries = QUERIES + [["extension", str(unclosed), "--form", "phi"]]
     layers = load_layers()
-    plain = outputs()
-    assert [code for code, _ in plain] == [0, 0, 0, 0]
+    plain = outputs(queries)
+    assert [code for code, _ in plain] == [0, 0, 0, 0, 1]
+    assert "component is not closed for the upper half" in plain[-1][1]
     tracer, counter = layers.Tracer(), layers.Counter()
     try:
         tracer.install(layers.traced_names())
         counter.install()
-        traced = outputs()
+        traced = outputs(queries)
     finally:
         counter.disable()
         tracer.disable()
     assert traced == plain
     assert tracer.calls["forms.clifford"] > 0 and tracer.calls["linalg.mat_vec"] > 0
-    assert tracer.calls["linalg.pivot_columns"] > 0  # the equivariant ranks
+    assert tracer.calls["linalg.echelon"] > 0  # the equivariant ranks
     assert counter.facts["linalg.mat_vec.entries"] > 0
-    assert outputs() == plain  # every wrapper is undone
+    assert outputs(queries) == plain  # every wrapper is undone
     assert gcalg.cli.main is main

@@ -2,14 +2,15 @@
 
     python3 tools/ladder.py parent=PARENT_DIR change=CHANGE_DIR --out LADDER_N.json
 
-Each NAME=DIR is a checkout.  For n = 6, 8, 10 (`--n`) the flat torus T^n is
+Each NAME=DIR is a checkout.  For n = 6, 8, 10, 12 (`--n`) the flat torus T^n is
 taken with `complex_structure(n/2)` and with the standard symplectic
 structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 `pure_spinor(i_eigenspace(j))`, `split_operators(T^n, j)` and
 `ddbar_lemma_check(T^n, j)` runs in a fresh child process; so do
 `twisted_cohomology(T^n)` and `equivariant_cohomology` at trunc 3 for a
 circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
-(at n = 10 its 4 x 2^10 columns are exactly `cartan.MAX_COLUMNS`), and
+while its 4 x 2^n columns fit in `cartan.MAX_COLUMNS` (mirrored here as
+MAX_COLUMNS; exactly at n = 10, and from n = 12 the call would refuse), and
 `canonical_extension` of rho = exp(i*omega) on the symplectic T^n for a
 circle along e1 with mu = e2 and alpha = 0, as `gcalg extension --form rho`
 runs it on models/t2_symplectic.model.  On the flat tori d_H = 0, so the
@@ -21,8 +22,7 @@ DIR/src, builds the inputs untimed, times the call and prints its wall time
 and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
 that exceeds one is recorded as "timeout" or "memory".  Checkouts run
-alternately call by call.  n = 12 is left out: its dense 4096 x 4096
-matrices exhaust memory.  Standard library only, Linux (ru_maxrss in KiB).
+alternately call by call.  Standard library only, Linux (ru_maxrss in KiB).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ STRUCTURES = ("complex", "symplectic")
 IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check", "twisted_cohomology")  # Iwasawa x T^(n-6)
 TIMEOUT_S = 300.0
 MEM_MB = 3072
+MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rung's 4 x 2^n columns must fit
 
 CHILD = r"""
 import json, resource, sys, time
@@ -118,7 +119,8 @@ def ladder_cases(sizes):
             for call in CALLS:
                 yield call, structure, n
         yield "twisted_cohomology", "-", n
-        yield "equivariant_cohomology", "-", n
+        if 4 << n <= MAX_COLUMNS:
+            yield "equivariant_cohomology", "-", n
         yield "canonical_extension", "symplectic", n
         if n >= 6:
             for call in IWASAWA_CALLS:
@@ -128,7 +130,7 @@ def ladder_cases(sizes):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout", nargs="+", help="NAME=DIR")
-    p.add_argument("--n", type=int, nargs="+", default=[6, 8, 10])
+    p.add_argument("--n", type=int, nargs="+", default=[6, 8, 10, 12])
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     sides = {}
