@@ -22,6 +22,9 @@ from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
     Model,
+    _add_scalar,
+    _add_triple,
+    _d_column,
     _row_form,
     d,
     d_twisted,
@@ -112,30 +115,20 @@ class EqForm:
         return self + (-other)
 
     def __neg__(self) -> "EqForm":
-        return EqForm(
-            self.k, self.n, self.trunc,
-            {e: -f for e, f in self.terms.items()}, self.dropped,
-        )
+        return self.map_forms(lambda f: -f)
 
     def scale(self, c) -> "EqForm":
         c = scalar(c)
-        return EqForm(
-            self.k, self.n, self.trunc,
-            {e: f.scale(c) for e, f in self.terms.items()}, self.dropped,
-        )
+        return self.map_forms(lambda f: f.scale(c))
 
     def x_shift(self, j: int) -> "EqForm":
         """Multiply by the j-th polynomial variable (drops past truncation)."""
-        return EqForm(
-            self.k, self.n, self.trunc,
-            {_expo_add(e, j): f for e, f in self.terms.items()}, self.dropped,
-        )
+        return EqForm(self.k, self.n, self.trunc,
+                      {_expo_add(e, j): f for e, f in self.terms.items()}, self.dropped)
 
     def map_forms(self, fn) -> "EqForm":
-        return EqForm(
-            self.k, self.n, self.trunc,
-            {e: fn(f) for e, f in self.terms.items()}, self.dropped,
-        )
+        return EqForm(self.k, self.n, self.trunc,
+                      {e: fn(f) for e, f in self.terms.items()}, self.dropped)
 
     def _check(self, other: "EqForm"):
         if self.k != other.k or self.n != other.n:
@@ -421,64 +414,34 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     res = d_equivariant(act, h_g)
     if not res.is_zero():
         raise ValueError("twisting form is not equivariantly closed: %s" % res)
-
-    masks = basis_masks(model.n)
-    basis: List[Tuple[Expo, int]] = [(e, mask) for deg in range(trunc + 1)
-                                     for e in monomials_of_degree(act.k, deg) for mask in masks]
-    even_basis = [b for b in basis if b[1].bit_count() % 2 == 0]
-    odd_basis = [b for b in basis if b[1].bit_count() % 2 == 1]
-
-    # d, the contractions and h_g^ commute with the even x^e, so the column of
-    # (e, mask) is that of (0, mask) shifted by e, cut at the image truncation
-    zero = tuple([0] * act.k)
-    bound = min(trunc, h_g.trunc)
-    units: Dict[int, list] = {}
-
-    def image(key: Tuple[Expo, int]) -> dict:
-        e, mask = key
-        if mask not in units:  # d_G - h_g^ on the unit form, summed per x-monomial in
-            # EqForm's order, which decides the coefficient a refusal names first
-            unit = Form(model.n, {mask: ONE})
-            pieces = [(zero, d(model, unit))]
-            pieces += [(_expo_add(zero, j), -contract_vector(v, unit))
-                       for j, v in enumerate(act.xi)]
-            pieces += [(ee, -wedge(h, unit)) for ee, h in h_g.terms.items()]
-            img: Dict[Expo, Form] = {}
-            for ee, f in pieces:
-                if not f.is_zero():
-                    img[ee] = img[ee] + f if ee in img else f
-            units[mask] = [(ee, mk, c) for ee, f in img.items() for mk, c in f.terms.items()]
-        cut = bound - sum(e)
-        return {(_expo_sum(e, ee), mk): c for ee, mk, c in units[mask] if sum(ee) <= cut}
-
-    cols_eo = linalg.operator_columns(image, even_basis, odd_basis)
-    cols_oe = linalg.operator_columns(image, odd_basis, even_basis)
+    cols_eo, cols_oe = _cartan_columns(act, h_g, trunc)
+    mono_degs = [deg for deg in range(trunc + 1) for _ in monomials_of_degree(act.k, deg)]
 
     # Graded pieces of the x-degree filtration on kernel/image: the piece at
     # degree p is dim((ker & F_p) + im) - dim((ker & F_p+1) + im), F_p spanning
     # the trailing coordinates, of x-degree >= p.  As im lies in ker, that is
     # |F_p| - rank(out-map on F_p) + rank(im off F_p): pivots of one elimination each.
-    def graded(cols_out, cols_in, basis_list):
-        size = len(basis_list)
+    def graded(cols_out, cols_in):
+        size = len(cols_out)
         rows_out: Dict[int, dict] = {}  # the out-map's rows, columns reversed: F_p first
         for j, col in enumerate(cols_out):
             for i, x in col.items():
                 rows_out.setdefault(i, {})[size - 1 - j] = x
         out_pivots = linalg.echelon(list(rows_out.values()), size)[1]
         im_pivots = linalg.echelon(cols_in, size)[1]
-        degs = [sum(e) for e, _ in basis_list]
-        heads = [bisect_left(degs, p) for p in range(trunc + 2)]  # coordinates off F_p
+        per = size // len(mono_degs)  # masks of one parity per x-monomial
+        heads = [per * bisect_left(mono_degs, p) for p in range(trunc + 2)]  # coordinates off F_p
         dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
                 for h in heads]
         return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
 
-    by_degree = tuple(zip(graded(cols_eo, cols_oe, even_basis),
-                          graded(cols_oe, cols_eo, odd_basis)))
+    by_degree = tuple(zip(graded(cols_eo, cols_oe), graded(cols_oe, cols_eo)))
 
-    # the twisted Betti ranks of h_g's x-degree-0 part h0: 2^(n-1) minus the
-    # rank of the x-degree-0 block of d_G - h_g^, whose columns lead each basis
-    h0 = h_g.component(zero)
-    model.with_twist(h0)  # its checks of h0 as a twisting form
+    # the twisted Betti ranks of h_g's x-degree-0 part h0, closed by the check
+    # above: 2^(n-1) minus the rank of the x^0 block, whose columns lead each basis
+    h0 = h_g.component(tuple([0] * act.k))
+    if not (h0.is_zero() or h0.is_homogeneous(3)):
+        raise ValueError("twisting form must be homogeneous of degree 3")
     betti = BettiPair(1, 0)
     if model.n:
         half = 1 << (model.n - 1)
@@ -490,6 +453,53 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     pattern = all(ranks == (c * betti.even, c * betti.odd) for ranks, c in zip(by_degree, counts))
     return EquivariantRanks(trunc=trunc, k=act.k, by_degree=by_degree, betti=betti,
                             free_pattern=pattern)
+
+
+def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.TRows, linalg.TRows]:
+    """Sparse columns of d_G - h_g^ on the even, then the odd (x-monomial,
+    mask) pairs; (i-th monomial, p-th mask of a parity) is row i 2^(n-1) + p.
+    Column (e, mask) is mask's unit image shifted by e, cut at min(trunc,
+    h_g.trunc): a `_d_column` per x-exponent, of d's table at x^0 and of the
+    0-form table -xi_j (a contraction) at x^j, each with h_g's terms there.
+    A coefficient the cut keeps that is not Gaussian makes the blocks Scalar
+    sums, converted in the first build's order (masks even then odd, then
+    blocks), so the ValueError names the same first entry."""
+    n, k = act.model.n, act.k
+    bound = min(trunc, h_g.trunc)
+    twists = {ee: list(f.terms.items()) for ee, f in h_g.terms.items() if sum(ee) <= bound}
+    for ee, h in twists.items():
+        if any(mh.bit_count() % 2 == 0 for mh, _ in h):  # h_g^ would keep the parity
+            raise ValueError("twisting form has a term of even form degree: %s"
+                             % EqForm(k, n, trunc, {ee: h_g.terms[ee]}))
+    zero = tuple([0] * k)
+    tables = {zero: [list(dg.terms.items()) for dg in act.model.d_table]}
+    tables.update((_expo_add(zero, j), [[] if c.is_zero() else [(0, -c)] for c in v])
+                  for j, v in enumerate(act.xi) if bound)
+    expos = list(tables) + [ee for ee in twists if ee not in tables]
+    blocks = [(tables.get(ee, [[]] * n), twists.get(ee, [])) for ee in expos]
+
+    def gauss(terms):  # ValueError for a coefficient that is not a Gaussian rational
+        return [(m, linalg._triple(c.as_q())) for m, c in terms]
+
+    try:
+        blocks, add = [([gauss(t) for t in table], gauss(h)) for table, h in blocks], _add_triple
+    except ValueError:
+        add = _add_scalar
+    parts = [[mk for mk in basis_masks(n) if mk.bit_count() % 2 == p] for p in (0, 1)]
+    pos = {mk: p for part in parts for p, mk in enumerate(part)}
+    walk = {0: [expos.index(ee) for ee in twists]}  # mask 0 meets h_g's terms alone, in its order
+    units = {mask: [[] for _ in expos] for mask in parts[0] + parts[1]}
+    for mask, unit in units.items():
+        for b in walk.get(mask, range(len(expos))):
+            col = list(_d_column(mask, *blocks[b], add).items())
+            unit[b] = [(pos[mk], t) for mk, t in (col if add is _add_triple else gauss(col))]
+    monos = [e for deg in range(trunc + 1) for e in monomials_of_degree(k, deg)]
+    index = {e: i for i, e in enumerate(monos)}
+    # per source monomial e, (block, row offset of e + ee) for the blocks the cut keeps
+    shifts = [[(b, index[_expo_sum(e, ee)] << n >> 1) for b, ee in enumerate(expos)
+               if sum(e) + sum(ee) <= bound] for e in monos]
+    return tuple([{off + p: t for b, off in live for p, t in units[mask][b]}
+                  for live in shifts for mask in part] for part in parts)
 
 
 @dataclass(frozen=True)

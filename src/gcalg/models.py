@@ -163,9 +163,11 @@ def _d_column(mask: int, table: list, h: list, add) -> dict:
     """Column e_mask of d_H as {mask: coefficient}, from the (mask,
     coefficient) terms of each d(e_g) and of H: for each set bit g of mask the
     terms of d(e_g) wedged onto mask ^ g, with the sign of contracting e_g and
-    `_merge_sign`, then minus the terms of H ^ e_mask.  add(x, c, sign) is x +
-    sign * c, with x None for a new entry and None back for a zero sum; a
-    cancelled entry is removed, so the keys keep `d_twisted`'s order."""
+    `_merge_sign`, then minus the terms of H ^ e_mask.  A table of 0-forms
+    (mask 0) makes the first pass a contraction.  add(x, c, sign) is x +
+    sign * c, with x None for a new entry and None back for a zero sum; both
+    passes add into the column and remove a cancelled entry, so the keys keep
+    `d_twisted`'s order."""
     col = {}
     bits = mask
     while bits:
@@ -183,7 +185,12 @@ def _d_column(mask: int, table: list, h: list, add) -> dict:
                     col[key] = v
     for mh, c in h:
         if not mh & mask:
-            col[mh | mask] = add(None, c, -_merge_sign(mh, mask))
+            key = mh | mask
+            v = add(col.get(key), c, -_merge_sign(mh, mask))
+            if v is None:
+                del col[key]
+            else:
+                col[key] = v
     return col
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_form
+import gcalg.cartan
 from gcalg.cartan import (
     stable_equivariant_ranks,
     Connection,
@@ -30,6 +31,7 @@ from gcalg.cartan import (
 from gcalg.forms import Form, contract, wedge
 from gcalg.gcmaps import complex_structure, symplectic_map
 from gcalg.models import (
+    Model,
     d,
     d_twisted,
     heisenberg3,
@@ -203,6 +205,65 @@ def test_equivariant_cohomology_twisted_circle():
     quotient = torus(3, H=Form.monomial(3, (1, 2, 3)))
     pair = twisted_cohomology(quotient)
     assert r3.totals_stable() == (pair.even, pair.odd)
+
+
+def test_equivariant_cohomology_refuses_an_even_degree_twist(monkeypatch):
+    # x1*(e2^e3) is equivariantly closed for a circle along e1 on T^3, but
+    # wedging an even form keeps the parity, so d_G - h_G^ is no map between
+    # the even and odd parts: refused before any column is built
+    act = TorusAction(torus(3), [[1, 0, 0]])
+    built = []
+    monkeypatch.setattr(gcalg.cartan, "_d_column", lambda *args: built.append(args))
+    for trunc in (1, 2):
+        h_g = EqForm(1, 3, trunc, {(1,): Form.monomial(3, (2, 3))})
+        assert d_equivariant(act, h_g).is_zero()
+        with pytest.raises(ValueError, match=r"^twisting form has a term of even form "
+                                             r"degree: x1\*\(e2\^e3\)$"):
+            equivariant_cohomology(act, h_g, trunc)
+    assert built == []
+    # at trunc 0 the term is cut from every column, and the ranks are those of T^3
+    monkeypatch.undo()
+    ranks = equivariant_cohomology(act, EqForm(1, 3, 0, {(1,): Form.monomial(3, (2, 3))}), 0)
+    assert ranks.by_degree == ((4, 4),)
+
+
+def _kt_circle(c=ONE, h=ONE, a=ONE, s=ONE):
+    """d(e3) = c e1^e2, H = h e1^e2^e3, a circle along s e4 with alpha = a e1."""
+    model = Model(4, [Form.zero(4), Form.zero(4), Form(4, {0b011: c}), Form.zero(4)],
+                  Form(4, {0b0111: h}))
+    return TorusAction(model, [[0, 0, 0, s]], alpha=[Form(4, {0b0001: a})])
+
+
+def test_equivariant_cohomology_refusals_name_the_first_scalar():
+    # the messages the Form-built columns gave: a coefficient the cut drops
+    # (alpha and xi at trunc 0) is never read
+    pi, t = Scalar.pi(), Scalar.parameter("t")
+    cases = {
+        "d pi": (_kt_circle(c=pi), ["pi"] * 3),
+        "d t": (_kt_circle(c=t), ["t"] * 3),
+        "H pi": (_kt_circle(h=-pi), ["pi"] * 3),
+        "H t": (_kt_circle(h=t), ["-t"] * 3),
+        "alpha pi": (_kt_circle(a=pi), [None, "-pi", "-pi"]),
+        "alpha t": (_kt_circle(a=-t), [None, "t", "t"]),
+        "xi pi": (_kt_circle(s=pi), [None, "pi", "pi"]),
+        "d t, H pi": (_kt_circle(c=t, h=pi), ["-pi"] * 3),
+        "alpha pi, xi t": (_kt_circle(a=pi, s=t), [None, "-pi", "-pi"]),
+    }
+    for name, (act, want) in cases.items():
+        for trunc, scalar_text in enumerate(want):
+            h_g = act.h_equivariant(trunc)
+            if scalar_text is None:
+                assert equivariant_cohomology(act, h_g, trunc).by_degree == ((4, 4),), name
+                continue
+            with pytest.raises(ValueError) as err:
+                equivariant_cohomology(act, h_g, trunc)
+            assert str(err.value) == "scalar %s is not a plain Gaussian rational" % scalar_text
+    # h_G's own term order decides which of its coefficients is named first
+    act = _kt_circle(h=pi, a=-pi)
+    for trunc, scalar_text in ((0, "-pi"), (1, "pi"), (2, "pi")):
+        h_g = EqForm(1, 4, trunc, {(1,): act.alpha[0], (0,): act.model.H})
+        with pytest.raises(ValueError, match="^scalar %s is not" % scalar_text):
+            equivariant_cohomology(act, h_g, trunc)
 
 
 def test_connection_and_curvature():

@@ -118,13 +118,13 @@ def test_equivariant_refuses_a_complex_past_the_column_budget(capsys, monkeypatc
                                 " beyond 4096", "kind": "domain"}
     # the budget is checked before any column is built, and the limit itself passes
     built = [0]
-    original = cartan.linalg.operator_columns
+    original = cartan._cartan_columns
 
     def counted(*args):
         built[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(cartan.linalg, "operator_columns", counted)
+    monkeypatch.setattr(cartan, "_cartan_columns", counted)
     monkeypatch.setattr(cartan, "MAX_COLUMNS", 3 * 16)
     code, payload = run_cli(capsys, "equivariant", model, "--trunc", "3")
     assert (code, payload["error"], built[0]) == (

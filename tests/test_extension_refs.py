@@ -225,7 +225,7 @@ def ref_type(n, basis):
     return n - linalg.rank([list(v[:n]) for v in basis])
 
 
-def test_lefschetz_check_matches_the_dense_kernel(monkeypatch):
+def test_lefschetz_check_matches_the_dense_kernel():
     rng = random.Random("lefschetz-refs")
     cases = []
     for n in (2, 4, 6):
@@ -242,12 +242,3 @@ def test_lefschetz_check_matches_the_dense_kernel(monkeypatch):
         details.add(got[1] if isinstance(got, tuple) else got.detail)
     assert {"", "2-form is degenerate: top power vanishes",
             "model dimension must be even", "need a nonzero homogeneous 2-form"} <= details
-    # a nondegenerate omega leaves no kernel, so the witness is reached only
-    # with the degeneracy test skipped, on both sides alike
-    monkeypatch.setattr(Form, "top_coefficient", lambda self: ONE)
-    witnesses = 0
-    for model, omega in cases:
-        got = outcome(gcy.lefschetz_check, model, omega)
-        assert got == outcome(ref_lefschetz_check, model, omega)
-        witnesses += not isinstance(got, tuple) and got.witness is not None
-    assert witnesses >= 3

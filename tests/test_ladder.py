@@ -27,6 +27,33 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
     for r in rows:
         assert r["n"] == 2 and r["here"]["status"] == "ok", r
         assert r["here"]["wall_s"] >= 0 and r["here"]["maxrss_kb"] > 0
+        assert len(r["here"]["runs_s"]) == ladder.REPEATS == 3
+        assert r["here"]["wall_s"] == sorted(r["here"]["runs_s"])[1]
+
+
+def test_ladder_rows_are_medians_of_alternating_runs(tmp_path, monkeypatch, capsys):
+    # three runs per checkout, the first checkout swapping each time; a side
+    # whose run fails stops and reports that run
+    order = []
+    walls = {"a": iter([0.5, 0.1, 0.3]), "b": iter([0.2, 0.9, 0.4])}
+
+    def fake(checkout, call, structure, n):
+        name = checkout.name
+        order.append(name)
+        if name == "c":
+            return {"status": "timeout"}
+        return {"status": "ok", "wall_s": next(walls[name]), "maxrss_kb": 10 + len(order)}
+
+    monkeypatch.setattr(ladder, "run_child", fake)
+    monkeypatch.setattr(ladder, "ladder_cases", lambda sizes: [("uk_grading", "complex", 2)])
+    out = tmp_path / "ladder.json"
+    args = ["a=%s" % (tmp_path / "a"), "b=%s" % (tmp_path / "b"), "c=%s" % (tmp_path / "c")]
+    assert ladder.main(args + ["--out", str(out)]) == 0
+    assert order == ["a", "b", "c", "b", "a", "a", "b"]
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["a"] == {"status": "ok", "wall_s": 0.3, "maxrss_kb": 15, "runs_s": [0.5, 0.1, 0.3]}
+    assert row["b"] == {"status": "ok", "wall_s": 0.4, "maxrss_kb": 14, "runs_s": [0.2, 0.9, 0.4]}
+    assert row["c"] == {"status": "timeout"}
 
 
 def test_ladder_reports_a_call_past_its_timeout(tmp_path):
@@ -38,10 +65,11 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
     flat = [(call, s) for s in ladder.STRUCTURES for call in ladder.CALLS] + [
         ("twisted_cohomology", "-"), ("equivariant_cohomology", "-"),
         ("canonical_extension", "symplectic")]
-    iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS]
+    iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS] + [
+        ("equivariant_cohomology", "iwasawa")]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
         [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa])
-    for call in ladder.IWASAWA_CALLS:
+    for call, _ in iwasawa:
         got = ladder.run_child(ROOT, call, "iwasawa", 6)
         assert got["status"] == "ok" and got["wall_s"] >= 0, got
 
@@ -50,9 +78,10 @@ def test_ladder_runs_the_equivariant_rung_while_it_fits():
     # trunc 3 for a circle spans 4 x 2^n columns: exactly MAX_COLUMNS at
     # n = 10, and refused from n = 12 on, where the rung is left out
     assert ladder.MAX_COLUMNS == MAX_COLUMNS
-    calls = {n: [c for c, _, m in ladder.ladder_cases([10, 12]) if m == n] for n in (10, 12)}
-    assert "equivariant_cohomology" in calls[10]
-    assert calls[12] == [c for c in calls[10] if c != "equivariant_cohomology"]
+    calls = {n: [(c, s) for c, s, m in ladder.ladder_cases([10, 12]) if m == n] for n in (10, 12)}
+    equivariant = [("equivariant_cohomology", s) for s in ("-", "iwasawa")]
+    assert set(equivariant) <= set(calls[10])
+    assert calls[12] == [c for c in calls[10] if c not in equivariant]
     act = TorusAction(torus(12), [[0] * 11 + [1]], alpha=[Form.generator(12, 1)])
     with pytest.raises(ValueError, match="16384 .* columns, beyond 4096"):
         equivariant_cohomology(act, act.h_equivariant(3), 3)

@@ -68,7 +68,7 @@ from gcalg.gcmaps import (
 )
 from gcalg.modelfile import parse_model
 from gcalg.models import Model, d, kodaira_thurston, torus
-from gcalg.scalars import Q, QONE, QZERO, Scalar
+from gcalg.scalars import ONE, Q, QONE, QZERO, Scalar
 
 
 def ref_clifford_matrix(v, n):
@@ -467,7 +467,7 @@ def test_extension_recursion_goldens():
 
 # -- the truncated Cartan complex: columns from the 2^n unit images -------------
 
-OPERATOR_COLUMNS = linalg.operator_columns
+CARTAN_COLUMNS = gcalg.cartan._cartan_columns
 
 
 def ref_cartan_matrices(act, h_g, trunc):
@@ -501,18 +501,17 @@ def cartan_matrices(monkeypatch, act, h_g, trunc):
     matrices with one column per source; stops it there."""
     mats = []
 
-    def capture(op, src, dst):
-        cols = OPERATOR_COLUMNS(op, src, dst)
-        assert all(a or b for col in cols for a, b, _ in col.values())
-        mats.append(linalg.to_dense(linalg.sparse_transpose(cols, len(dst)), len(src)))
-        if len(mats) == 2:
-            raise _Assembled
-        return cols
+    def capture(*args):
+        cols = CARTAN_COLUMNS(*args)
+        assert all(a or b for part in cols for col in part for a, b, _ in col.values())
+        for src, dst in (cols, cols[::-1]):
+            mats.append(linalg.to_dense(linalg.sparse_transpose(src, len(dst)), len(src)))
+        raise _Assembled
 
-    monkeypatch.setattr(linalg, "operator_columns", capture)
+    monkeypatch.setattr(gcalg.cartan, "_cartan_columns", capture)
     with pytest.raises(_Assembled):
         equivariant_cohomology(act, h_g, trunc)
-    monkeypatch.setattr(linalg, "operator_columns", OPERATOR_COLUMNS)
+    monkeypatch.setattr(gcalg.cartan, "_cartan_columns", CARTAN_COLUMNS)
     return mats
 
 
@@ -565,6 +564,59 @@ def test_cartan_columns_match_per_column_images(monkeypatch, n, k):
             assert got == ref_cartan_matrices(act, h_g, trunc)
 
 
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_cartan_refusals_name_the_first_entry_of_the_per_column_images(monkeypatch):
+    # pi and parameters in d, xi, H and alpha: a refusal names the first
+    # coefficient the per-column images meet, sources even then odd, and a
+    # coefficient the cut drops is never read; a complex that is built
+    # matches the per-column images
+    rng = random.Random("cartan-refusals")
+    pi, s, t = Scalar.pi(), Scalar.parameter("s"), Scalar.parameter("t")
+
+    def c():
+        return rng.choice([ONE, Scalar.rational(-2), Scalar.imaginary(1), pi, -pi,
+                           Scalar.rational(3) * pi, s, -t, s + ONE])
+
+    actions = []
+    for _ in range(30):
+        table = [Form.zero(4), Form.zero(4), Form(4, {0b0011: c()}), Form.zero(4)]
+        model = Model(4, table, Form(4, {0b0111: c()}) if rng.random() < 0.7 else None)
+        alpha = Form(4, {0b0001: c(), 0b0010: c()})
+        actions.append(TorusAction(model, [[0, 0, 0, c()]], alpha=[alpha]))
+    for _ in range(30):
+        n = rng.choice([3, 4, 5])
+        rest = [1 << g for g in range(1, n)]
+        triples = [a | b | e for a in rest for b in rest for e in rest if a < b < e]
+        h = Form(n, {m: c() for m in rng.sample(triples, min(2, len(triples)))})
+        alpha = Form(n, {m: c() for m in rest if rng.random() < 0.6})
+        actions.append(TorusAction(torus(n, h), [[c()] + [0] * (n - 1)], alpha=[alpha]))
+    seen = {"built": 0, "errors": set()}
+    for act in actions:
+        for trunc in (0, 1, 2):
+            h_g = act.h_equivariant(trunc)
+            want = _refusal(ref_cartan_matrices, act, h_g, trunc)
+            assert _refusal(equivariant_cohomology, act, h_g, trunc) == want
+            if want is None:
+                seen["built"] += 1
+                assert cartan_matrices(monkeypatch, act, h_g, trunc) == ref_cartan_matrices(
+                    act, h_g, trunc)
+            else:
+                seen["errors"].add(want)
+    assert seen["built"] > 10
+    assert {"scalar pi is not a plain Gaussian rational",
+            "scalar -pi is not a plain Gaussian rational",
+            "scalar s is not a plain Gaussian rational",
+            "scalar -s is not a plain Gaussian rational",
+            "scalar t is not a plain Gaussian rational"} <= seen["errors"]
+
+
 def test_cartan_columns_cut_at_a_lower_twist_truncation(monkeypatch):
     # h_G truncated below the complex cuts every image at its own degree
     rng = random.Random("cartan-cut")
@@ -576,19 +628,27 @@ def test_cartan_columns_cut_at_a_lower_twist_truncation(monkeypatch):
 
 
 def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
-    # one d per mask beyond the closedness check, no EqForm differential per
-    # mask, and no dense matrix, transpose, RREF or rebuilt twisted complex
+    # beyond the closedness check: no d, wedge, contraction or Scalar product
+    # (the columns come from mask arithmetic on triples), no EqForm
+    # differential, no operator_columns, and no dense matrix, transpose, RREF
+    # or rebuilt twisted complex
     calls = {}
-    for owner, name in [(gcalg.cartan, "d"), (gcalg.cartan, "_d_eq_twisted_unchecked"),
-                        (linalg, "operator_matrix"), (linalg, "rref"),
-                        (gcalg.models, "twisted_cohomology")]:
+    for name, original in [("d", gcalg.models.d), ("wedge", gcalg.forms.wedge),
+                           ("contract_vector", gcalg.forms.contract_vector),
+                           ("_d_eq_twisted_unchecked", gcalg.cartan._d_eq_twisted_unchecked),
+                           ("operator_columns", linalg.operator_columns),
+                           ("operator_matrix", linalg.operator_matrix), ("rref", linalg.rref),
+                           ("twisted_cohomology", gcalg.models.twisted_cohomology),
+                           ("__mul__", Scalar.__mul__)]:
         calls[name] = 0
 
-        def counted(*args, _name=name, _original=getattr(owner, name)):
+        def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(owner, name, counted)
+        for owner in (gcalg.forms, gcalg.models, gcalg.cartan, linalg, Scalar):
+            if vars(owner).get(name) is original:
+                monkeypatch.setattr(owner, name, counted)
     assert "twisted_cohomology" not in vars(gcalg.cartan)
     assert "transpose" not in vars(linalg)  # no dense transpose to make
 
@@ -597,15 +657,16 @@ def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
         for name in calls:
             calls[name] = 0
         d_equivariant(act, h_g)
-        closedness = calls["d"]
-        calls["d"] = 0
+        closedness = dict(calls)
         equivariant_cohomology(act, h_g, trunc)
-        return dict(calls, d=calls["d"] - closedness)
+        assert calls["d"] > closedness["d"] > 0
+        return {name: calls[name] - 2 * closedness[name] for name in calls}
 
-    act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
     zero = dict.fromkeys(calls, 0)
+    act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
     for trunc in (0, 3, 6):
-        assert count(act, trunc) == dict(zero, d=2 ** act.model.n)
+        assert count(act, trunc) == zero
     rng = random.Random("cartan-count")
-    act = closed_action(rng, 3, 2, True, False)
-    assert count(act, 4) == dict(zero, d=2 ** 3)
+    assert count(closed_action(rng, 3, 2, True, False), 4) == zero
+    kt = TorusAction(kodaira_thurston(), [[0, 0, 0, 1]], alpha=[Form.generator(4, 1)])
+    assert count(kt, 3) == zero

@@ -20,12 +20,14 @@ from conftest import (
     ref_isotropy_check, ref_transverse, ref_twisted_cohomology, shipped_structures, wide_q,
 )
 from gcalg import gcmaps, linalg
-from gcalg.forms import Form, basis_masks
+from gcalg.forms import Form, basis_masks, contract_vector, wedge
 from gcalg.gcmaps import (
     GCMap, IsotropicSubspace, _transverse, b_transform, complex_structure, i_eigenspace,
     symplectic_map, uk_grading,
 )
-from gcalg.models import Model, _d_matrix, betti_numbers, twisted_cohomology
+from gcalg.models import (
+    Model, _add_scalar, _add_triple, _d_column, _d_matrix, betti_numbers, d, twisted_cohomology,
+)
 from gcalg.scalars import ONE, Q, QZERO, Scalar
 
 
@@ -113,6 +115,50 @@ def test_d_matrix_sums_moves_onto_one_key():
     model = Model(3, [Form.zero(3), Form(3, {0b011: s}), Form(3, {0b101: -s})])
     for masks in (basis_masks(3), basis_masks(3)[::-1]):
         assert _outcome(lambda: _d_matrix(model, masks)) == _outcome(ref_d_matrix, model, masks)
+
+
+def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
+    # a twist of 1-forms lands where the 2-form moves of d do, and a 0-form
+    # table -xi contracts: both passes add into one column, as the Form sums
+    # d(e_mask) - h ^ e_mask and -i_xi(e_mask) - h ^ e_mask do, term order
+    # included, and a sum that cancels leaves no entry
+    rng = random.Random("d-column-twist")
+    cases = []
+    for n in range(1, 6):
+        for kind in ("gauss", "param", "pi"):
+            for model in (random_nilpotent(rng, n, kind), random_almost_abelian(rng, n, kind)):
+                h = Form(n, {1 << g: coefficient(rng, kind) for g in range(n) if rng.random() < 0.6})
+                xi = [coefficient(rng, kind) if rng.random() < 0.6 else Scalar() for _ in range(n)]
+                cases.append((model, h, xi))
+    # d(e2) = e1^e2 and h = e1: in column e2 the move and the twist cancel
+    model = Model(2, [Form.zero(2), Form(2, {0b11: ONE})])
+    cases.append((model, Form(2, {0b01: ONE}), [ONE, ONE]))
+    sums = {"collisions": 0, "cancelled": 0}
+    for model, h, xi in cases:
+        n = model.n
+        tables = {"d": [list(dg.terms.items()) for dg in model.d_table],
+                  "contraction": [[] if c.is_zero() else [(0, -c)] for c in xi]}
+        twist = list(h.terms.items())
+        for mask in range(1 << n):
+            unit = Form(n, {mask: ONE})
+            wedged = wedge(h, unit)
+            for name, table in tables.items():
+                moved = d(model, unit) if name == "d" else -contract_vector(xi, unit)
+                want = moved - wedged
+                sums["collisions"] += bool(moved.terms.keys() & wedged.terms.keys())
+                sums["cancelled"] += len(want.terms) < len(moved.terms.keys() | wedged.terms.keys())
+                got = _d_column(mask, table, twist, _add_scalar)
+                assert list(got.items()) == list(want.terms.items())
+                try:
+                    gauss_table = [[(m, linalg._triple(c.as_q())) for m, c in t] for t in table]
+                    gauss_twist = [(m, linalg._triple(c.as_q())) for m, c in twist]
+                except ValueError:  # pi or a parameter: no triples to compare
+                    continue
+                got = _d_column(mask, gauss_table, gauss_twist, _add_triple)
+                assert list(got) == list(want.terms)
+                assert [linalg._q(t) for t in got.values()] == [
+                    c.as_q() for c in want.terms.values()]
+    assert sums["collisions"] > 20 and sums["cancelled"] > 0
 
 
 def _omega(n):

@@ -17,12 +17,18 @@ runs it on models/t2_symplectic.model.  On the flat tori d_H = 0, so the
 split and the check time little beyond assembly; from n = 6 they and
 `twisted_cohomology` also run on Iwasawa x T^(n-6) (d e5 = e1^e3 - e2^e4,
 d e6 = e1^e4 + e2^e3, as in models/iwasawa.model) with the complex
-structure, whose halves are nonzero and whose check fails with a witness.  The child imports gcalg from
+structure, whose halves are nonzero and whose check fails with a witness,
+and so does `equivariant_cohomology` for a circle along e6 with
+H = e1^e2^e3 and alpha = e1, while it fits, so that d's table, the
+contraction and the twist all enter its columns.  The child imports gcalg from
 DIR/src, builds the inputs untimed, times the call and prints its wall time
 and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
-that exceeds one is recorded as "timeout" or "memory".  Checkouts run
-alternately call by call.  Standard library only, Linux (ru_maxrss in KiB).
+that exceeds one is recorded as "timeout" or "memory", and that side's
+row stops there.  Each row runs every call REPEATS times per checkout,
+checkouts alternating and the first of them swapping each time, and
+records the median wall time and `ru_maxrss` with the wall times of the
+runs.  Standard library only, Linux (ru_maxrss in KiB).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +48,7 @@ STRUCTURES = ("complex", "symplectic")
 IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check", "twisted_cohomology")  # Iwasawa x T^(n-6)
 TIMEOUT_S = 300.0
 MEM_MB = 3072
+REPEATS = 3  # child runs per call and checkout; a row keeps their median
 MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rung's 4 x 2^n columns must fit
 
 CHILD = r"""
@@ -67,7 +75,8 @@ elif structure == "symplectic":
     j = symplectic_map(omega)
 if call == "equivariant_cohomology":
     h = Form.monomial(n, (1, 2, 3)) if n >= 4 else None
-    act = TorusAction(torus(n, h), [[0] * (n - 1) + [1]], alpha=[Form.generator(n, 1)])
+    field = [0] * (n - 1) + [1] if structure == "-" else [0] * 5 + [1] + [0] * (n - 6)
+    act = TorusAction(model.with_twist(h), [field], alpha=[Form.generator(n, 1)])
 if call == "canonical_extension":
     act = TorusAction(model, [[1] + [0] * (n - 1)], mu_diff=[Form.generator(n, 2)],
                       alpha=[Form.zero(n)])
@@ -125,6 +134,18 @@ def ladder_cases(sizes):
         if n >= 6:
             for call in IWASAWA_CALLS:
                 yield call, "iwasawa", n
+            if 4 << n <= MAX_COLUMNS:
+                yield "equivariant_cohomology", "iwasawa", n
+
+
+def median_run(runs) -> dict:
+    """The median wall time and ru_maxrss of ok runs, or the first run that is not ok."""
+    for run in runs:
+        if run["status"] != "ok":
+            return run
+    return {"status": "ok", "wall_s": statistics.median(r["wall_s"] for r in runs),
+            "maxrss_kb": statistics.median(r["maxrss_kb"] for r in runs),
+            "runs_s": [r["wall_s"] for r in runs]}
 
 
 def main(argv=None) -> int:
@@ -143,14 +164,18 @@ def main(argv=None) -> int:
         p.error("--n takes even sizes of at least 2")
     rows = []
     for call, structure, n in ladder_cases(args.n):
+        runs = {name: [] for name in sides}
+        for r in range(REPEATS):
+            for name in list(sides)[::-1 if r % 2 else 1]:
+                if all(run["status"] == "ok" for run in runs[name]):
+                    runs[name].append(run_child(sides[name], call, structure, n))
         row = {"call": call, "structure": structure, "n": n}
-        for name, path in sides.items():
-            row[name] = run_child(path, call, structure, n)
+        row.update((name, median_run(runs[name])) for name in sides)
         print(json.dumps(row), flush=True)
         rows.append(row)
     out = {
-        "what": "one child process per call, wall timeout %g s, RLIMIT_AS %d MB"
-                % (TIMEOUT_S, MEM_MB),
+        "what": "median of %d child processes per call and checkout, wall timeout %g s,"
+                " RLIMIT_AS %d MB" % (REPEATS, TIMEOUT_S, MEM_MB),
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count()},
         "checkouts": list(sides),
