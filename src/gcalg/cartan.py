@@ -26,6 +26,7 @@ from .models import (
     _add_triple,
     _d_column,
     _row_form,
+    _triples,
     d,
     d_twisted,
     ddbar_lemma_check,
@@ -478,11 +479,9 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
     expos = list(tables) + [ee for ee in twists if ee not in tables]
     blocks = [(tables.get(ee, [[]] * n), twists.get(ee, [])) for ee in expos]
 
-    def gauss(terms):  # ValueError for a coefficient that is not a Gaussian rational
-        return [(m, linalg._triple(c.as_q())) for m, c in terms]
-
     try:
-        blocks, add = [([gauss(t) for t in table], gauss(h)) for table, h in blocks], _add_triple
+        blocks = [([_triples(t) for t in table], _triples(h)) for table, h in blocks]
+        add = _add_triple
     except ValueError:
         add = _add_scalar
     parts = [[mk for mk in basis_masks(n) if mk.bit_count() % 2 == p] for p in (0, 1)]
@@ -492,7 +491,7 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
     for mask, unit in units.items():
         for b in walk.get(mask, range(len(expos))):
             col = list(_d_column(mask, *blocks[b], add).items())
-            unit[b] = [(pos[mk], t) for mk, t in (col if add is _add_triple else gauss(col))]
+            unit[b] = [(pos[mk], t) for mk, t in (col if add is _add_triple else _triples(col))]
     monos = [e for deg in range(trunc + 1) for e in monomials_of_degree(k, deg)]
     index = {e: i for i, e in enumerate(monos)}
     # per source monomial e, (block, row offset of e + ee) for the blocks the cut keeps

@@ -31,7 +31,7 @@ from .forms import (
     mask_key,
     mukai,
 )
-from .scalars import ONE, Q, QONE, Scalar, ZERO
+from .scalars import ONE, Q, QONE, Scalar, ZERO, _q
 
 
 class GCMap:
@@ -192,7 +192,7 @@ def _normalized(f: Dict[int, linalg.Triple]) -> Dict[int, linalg.Triple]:
 
 
 def _form(f: Dict[int, linalg.Triple], n: int) -> Form:
-    return Form(n, {m: Scalar.from_q(linalg._q(t)) for m, t in f.items()})
+    return Form(n, {m: Scalar.from_q(_q(*t)) for m, t in f.items()})
 
 
 def _spinor(space: IsotropicSubspace) -> Dict[int, linalg.Triple]:
@@ -374,11 +374,11 @@ def lifted_action_matrix(j: GCMap) -> linalg.TRows:
     pairs = []
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
-            jp = j.matrix[a][(b + n) % (2 * n)].re  # 2 (JP)[a][b]
-            if jp:
-                pairs.append((a, b, jp))
-    den = lcm(*(jp.denominator for _, _, jp in pairs))
-    weights = [(a, b, -jp.numerator * (den // jp.denominator)) for a, b, jp in pairs]
+            jp = j.matrix[a][(b + n) % (2 * n)]  # 2 (JP)[a][b] = jp.a / jp.d, as J is real
+            if jp.a:
+                pairs.append((a, b, jp.a, jp.d))
+    den = lcm(*(jd for _, _, _, jd in pairs))
+    weights = [(a, b, -ja * (den // jd)) for a, b, ja, jd in pairs]
     den *= 2  # the entry w = -(JP)[a][b] is -jp / 2
     masks = basis_masks(n)
     row_of = {m: i for i, m in enumerate(masks)}
@@ -459,7 +459,7 @@ def kahler_check(j1: GCMap, j2: GCMap) -> KahlerReport:
     n2, minus_half = 2 * j1.dim, -QONE / Q(2)
     g = [[minus_half * x for x in a[(r + j1.dim) % n2]] for r in range(n2)]
     for size, d in enumerate(linalg.leading_minors(g), start=1):
-        if not (d.is_real() and d.re > 0):
+        if not (d.is_real() and d.a > 0):
             return KahlerReport(
                 False, True, False,
                 "leading principal minor %d is %s, not positive" % (size, d),

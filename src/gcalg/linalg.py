@@ -3,7 +3,8 @@
 Matrices come in two formats: dense lists of Q rows, and sparse rows of
 reduced Gaussian-integer triples (a, b, d), the value (a + b*i)/d with d > 0
 and gcd(a, b, d) = 1, stored as {col: triple} with no stored zeros, so zero
-is `not a and not b`.  `to_sparse` and `to_dense` convert between the two.
+is `not a and not b`.  A `Q` stores the same triple in its fields a, b, d:
+`to_sparse` reads them and `to_dense` builds each `Q` from its triple.
 The sparse products, sums, eliminations, kernels and solves (`sparse_mul`,
 `sparse_comb`, `echelon`, `null_space`, `in_echelon_span`, `solve`) run on
 triples, with int arithmetic only, so a chain of them converts nothing
@@ -14,11 +15,10 @@ so results are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .scalars import Q, QONE, QZERO
+from .scalars import Q, QONE, QZERO, _q
 
 Vec = List[Q]
 Mat = List[List[Q]]
@@ -34,23 +34,9 @@ def identity(n: int) -> Mat:
     return [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
 
 
-def _triple(x: Q) -> Triple:
-    re, im = x.re, x.im
-    dr, di = re.denominator, im.denominator
-    d = dr if dr == di else dr * di // gcd(dr, di)
-    return re.numerator * (d // dr), im.numerator * (d // di), d
-
-
-def _q(t: Triple) -> Q:
-    a, b, d = t
-    return Q(a, b) if d == 1 else Q(Fraction(a, d), Fraction(b, d))
-
-
 def to_sparse(mat: Mat) -> TRows:
     """Dense Q rows as rows of triples."""
-    # the identity test skips the shared QZERO of `zeros` without a Fraction call
-    return [{c: _triple(x) for c, x in enumerate(row) if x is not QZERO and not x.is_zero()}
-            for row in mat]
+    return [{c: (x.a, x.b, x.d) for c, x in enumerate(row) if not x.is_zero()} for row in mat]
 
 
 def to_dense(rows: TRows, ncols: int) -> Mat:
@@ -58,7 +44,7 @@ def to_dense(rows: TRows, ncols: int) -> Mat:
     out = zeros(len(rows), ncols)
     for dense, row in zip(out, rows):
         for c, t in row.items():
-            dense[c] = _q(t)
+            dense[c] = _q(*t)
     return out
 
 
@@ -287,7 +273,8 @@ def operator_columns(op: Callable, src: Sequence, dst: Sequence) -> TRows:
         for k, c in op(key).items():
             i = row_of[k]
             if not c.is_zero():
-                col[i] = _triple(c.as_q())
+                q = c.as_q()
+                col[i] = q.a, q.b, q.d
         out.append(col)
     return out
 

@@ -18,7 +18,7 @@ from .cartan import Connection, EqForm, TorusAction
 from .forms import Form, exp_two_form, wedge
 from .gcmaps import GCMap, complex_structure, symplectic_map
 from .models import Model
-from .scalars import ONE, Q, Scalar
+from .scalars import ONE, Q, Scalar, _q
 
 Value = Union[Scalar, Form, EqForm]
 
@@ -486,7 +486,7 @@ class ModelFile:
 class _RawAction:
     name: str
     line: int
-    xi: Dict[int, List[Fraction]] = field(default_factory=dict)
+    xi: Dict[int, List[Q]] = field(default_factory=dict)
     mu: Dict[int, Node] = field(default_factory=dict)
     alpha: Dict[int, Node] = field(default_factory=dict)
 
@@ -692,7 +692,7 @@ def parse_model(text: str) -> ModelFile:
             if len(toks) < 4 or toks[1].kind != "NAME" or toks[2].text != "=":
                 fail("usage: samples <param> = <rationals>", lineno)
             once("samples", lineno, toks[1].col, toks[1].text)
-            samples[toks[1].text] = _rational_list(toks[3:])
+            samples[toks[1].text] = [x.re for x in _rational_list(toks[3:])]
             sample_lines[toks[1].text] = lineno
         else:
             fail("unknown statement %r" % key, lineno, head.col)
@@ -744,8 +744,7 @@ def parse_model(text: str) -> ModelFile:
     for kind, sname, payload, line in structures_raw:
         try:
             if kind == "matrix":
-                rows = [[Q(x) for x in row] for row in payload]
-                structures[sname] = GCMap(n, rows)
+                structures[sname] = GCMap(n, payload)
             elif kind == "symplectic":
                 structures[sname] = symplectic_map(eval_form(payload, "symplectic form"))
             else:
@@ -767,7 +766,7 @@ def parse_model(text: str) -> ModelFile:
                 raise ModelFileError(
                     "xi %d needs %d coordinates" % (j, n), raw.line
                 )
-            xi.append([Scalar.rational(x) for x in row])
+            xi.append([Scalar.from_q(x) for x in row])
         for what, table in (("mu", raw.mu), ("alpha", raw.alpha)):
             bad = next((j for j in table if not 1 <= j <= k), None)
             if bad is not None:
@@ -854,8 +853,8 @@ def parse_model(text: str) -> ModelFile:
     )
 
 
-def _rational_list(toks: List[Token]) -> List[Fraction]:
-    out: List[Fraction] = []
+def _rational_list(toks: List[Token]) -> List[Q]:
+    out: List[Q] = []
     pos = 0
     while pos < len(toks):
         tok = toks[pos]
@@ -884,7 +883,7 @@ def _rational_list(toks: List[Token]) -> List[Fraction]:
             if den == 0:
                 raise ParseError("zero denominator", at.line, at.col)
             pos += 1
-        out.append(Fraction(sign * num, den))
+        out.append(_q(sign * num, 0, den))
     return out
 
 

@@ -24,7 +24,7 @@ from .forms import (
     wedge,
 )
 from .gcmaps import GCMap, UGrading, lifted_action_matrix, require_valid, uk_grading
-from .scalars import ONE, Q, Scalar
+from .scalars import ONE, Q, Scalar, _q
 
 
 class Model:
@@ -145,7 +145,7 @@ def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.TRows:
     """
     table, h = [list(dg.terms.items()) for dg in m.d_table], list(m.H.terms.items())
     try:
-        gauss = [[(mk, linalg._triple(c.as_q())) for mk, c in terms] for terms in table + [h]]
+        gauss = [_triples(terms) for terms in table + [h]]
     except ValueError:
         for mask in masks:
             for c in _d_column(mask, table, h, _add_scalar).values():
@@ -192,6 +192,11 @@ def _d_column(mask: int, table: list, h: list, add) -> dict:
             else:
                 col[key] = v
     return col
+
+
+def _triples(terms):
+    """[(key, triple)] of [(key, Scalar)]; ValueError for a coefficient that is not a Q."""
+    return [(key, (q.a, q.b, q.d)) for key, q in ((key, c.as_q()) for key, c in terms)]
 
 
 def _add_triple(x, c, sign):
@@ -382,7 +387,7 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
 
 def _row_form(row: dict, masks: Sequence[int], n: int) -> Form:
     """The form with coordinates row, a sparse row of triples, on the given masks."""
-    return Form(n, {masks[c]: Scalar.from_q(linalg._q(row[c])) for c in sorted(row)})
+    return Form(n, {masks[c]: Scalar.from_q(_q(*row[c])) for c in sorted(row)})
 
 
 @dataclass(frozen=True)

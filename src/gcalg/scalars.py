@@ -3,52 +3,64 @@
 Scalars are polynomials in declared real parameters with Gaussian-rational
 coefficients, times an integer power of the formal unit ``pi``.  Nothing is
 ever evaluated in floating point; ``pi`` is never given a numeric value.
+A Gaussian rational `Q` stores the reduced integer triple (a, b, d) of (a + b*i)/d,
+the entry format of `linalg`'s sparse rows, and computes, compares and prints on
+those ints without building a Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
 
 class Q:
-    """A Gaussian rational a + b*i with exact Fraction components."""
+    """A Gaussian rational (a + b*i)/d, stored as the reduced integer triple
+    (a, b, d): d > 0 and gcd(a, b, d) = 1, so equal values have equal fields.
+    `re` and `im` are Fraction views for readers outside this module."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        if type(re) is int and type(im) is int:
+            return _q(re, im, 1)
+        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
+        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _q(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Q is immutable")
 
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
+
     def __add__(self, other: "Q") -> "Q":
-        return Q(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        return _q(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "Q") -> "Q":
-        return Q(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        return _q(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "Q":
-        return Q(-self.re, -self.im)
+        return _q(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "Q") -> "Q":
-        return Q(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _q(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: "Q") -> "Q":
-        n = other.re * other.re + other.im * other.im
+        # (a + b*i)/d over (c + e*i)/f is (a + b*i)(c - e*i) f / (d (c^2 + e^2))
+        c, e = other.a, other.b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return Q(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, f = self.a, self.b, other.d
+        return _q((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __pow__(self, k: int) -> "Q":
         if k < 0:
@@ -59,27 +71,40 @@ class Q:
         return out
 
     def conjugate(self) -> "Q":
-        return Q(self.re, -self.im)
+        return _q(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Q):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
-        return "Q(%s, %s)" % (self.re, self.im)
+        return "Q(%s, %s)" % (_ratio_str(self.a, self.d), _ratio_str(self.b, self.d))
 
     def __str__(self):
         return format_q(self)
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _q(a: int, b: int, d: int) -> Q:
+    """The Q of (a + b*i)/d for d > 0, reduced by gcd(a, b, d) as linalg's triples are."""
+    g = gcd(a, b, d)
+    q = _new(Q)
+    _set(q, "a", a // g)
+    _set(q, "b", b // g)
+    _set(q, "d", d // g)
+    return q
 
 
 QZERO = Q(0)
@@ -87,25 +112,28 @@ QONE = Q(1)
 QI = Q(0, 1)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+def _ratio_str(n: int, d: int) -> str:
+    """n/d for d > 0 as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
 
 
 def format_q(q: Q) -> str:
     """Canonical text for a Gaussian rational, e.g. ``-1/2``, ``i``, ``1+2*i``."""
-    if q.im == 0:
-        return _frac_str(q.re)
-    if q.im == 1:
+    a, b, d = q.a, q.b, q.d
+    if not b:
+        return _ratio_str(a, d)
+    if b == d:
         im = "i"
-    elif q.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = _frac_str(q.im) + "*i"
-    if q.re == 0:
+        im = _ratio_str(b, d) + "*i"
+    if not a:
         return im
-    sign = "+" if q.im > 0 else "-"
+    sign = "+" if b > 0 else "-"
     mag = im.lstrip("-")
-    return "%s%s%s" % (_frac_str(q.re), sign, mag)
+    return "%s%s%s" % (_ratio_str(a, d), sign, mag)
 
 
 # A monomial is a sorted tuple of (parameter name, positive exponent) pairs.
@@ -158,7 +186,7 @@ class Scalar:
 
     @staticmethod
     def rational(num: RationalLike, den: RationalLike = 1) -> "Scalar":
-        return Scalar.from_q(Q(Fraction(num, den) if den != 1 else Fraction(num)))
+        return Scalar.from_q(Q(num) if den == 1 else Q(num) / Q(den))
 
     @staticmethod
     def imaginary(num: RationalLike = 1) -> "Scalar":
@@ -269,7 +297,7 @@ class Scalar:
             for name, e in m:
                 if name in values:
                     v = values[name]
-                    base = v if isinstance(v, Q) else Q(Fraction(v))
+                    base = v if isinstance(v, Q) else Q(v)
                     coeff = coeff * base ** e
                 else:
                     rest.append((name, e))
@@ -322,14 +350,14 @@ def _mono_key(m: Monomial) -> tuple:
 
 
 def _content(terms: Mapping[Monomial, Q]):
-    """Factor out the rational content (with the leading term's sign)."""
-    parts = [x for c in terms.values() for x in (c.re, c.im) if x != 0]
-    content = Fraction(math.gcd(*(x.numerator for x in parts)),
-                       math.lcm(*(x.denominator for x in parts)))
+    """Factor out the rational content (with the leading term's sign): the gcd
+    of the numerators over the lcm of the denominators, as triples are reduced."""
+    top = gcd(*(x for c in terms.values() for x in (c.a, c.b)))
+    bottom = lcm(*(c.d for c in terms.values()))
     lead = terms[min(terms, key=_mono_key)]
-    if (lead.re < 0) or (lead.re == 0 and lead.im < 0):
-        content = -content
-    return Q(content), {m: Q(c.re / content, c.im / content) for m, c in terms.items()}
+    s = -1 if lead.a < 0 or (lead.a == 0 and lead.b < 0) else 1
+    return _q(s * top, 0, bottom), {
+        m: _q(s * bottom * c.a, s * bottom * c.b, top * c.d) for m, c in terms.items()}
 
 
 def _coeff_piece(q: Q) -> str:
@@ -372,4 +400,4 @@ def scalar(value: Union[int, Fraction, Q, Scalar]) -> Scalar:
         return value
     if isinstance(value, Q):
         return Scalar.from_q(value)
-    return Scalar.rational(Fraction(value))
+    return Scalar.rational(value)

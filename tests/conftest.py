@@ -2,7 +2,7 @@ import random
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from gcalg.models import (
     BettiPair, DdbarReport, Model, _stray_component, d, d_twisted, ddbar_lemma_check,
     del_delbar_split, lie_derivative, split_operators, twisted_cohomology,
 )
-from gcalg.scalars import ONE, Q, Scalar, scalar
+from gcalg.scalars import ONE, Q, Scalar, _mono_key, _mono_str, scalar
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -47,6 +47,122 @@ def wide_q(rng, kind=None):
         return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 3), den)
 
     return Q(part() if kind != "imag" else 0, part() if kind != "real" else 0)
+
+
+def triple(q):
+    """The reduced triple (a, b, d) a Q stores, the entry format of linalg's rows."""
+    return q.a, q.b, q.d
+
+
+# Gaussian rationals as scalars first had them, on two Fractions: the
+# reference of the differential tests of Q, which stores reduced integer
+# triples instead, and of its printing
+class RefQ:
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefQ is immutable")
+
+    def __add__(self, other):
+        return RefQ(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefQ(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return RefQ(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return RefQ(self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return RefQ((self.re * other.re + self.im * other.im) / n,
+                    (self.im * other.re - self.re * other.im) / n)
+
+    def __pow__(self, k):
+        if k < 0:
+            return RefQ(1) / self.__pow__(-k)
+        out = RefQ(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return RefQ(self.re, -self.im)
+
+    def __eq__(self, other):
+        if not isinstance(other, RefQ):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return "Q(%s, %s)" % (self.re, self.im)
+
+
+def _ref_frac_str(x):
+    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+
+def ref_format_q(q):
+    if q.im == 0:
+        return _ref_frac_str(q.re)
+    if q.im == 1:
+        im = "i"
+    elif q.im == -1:
+        im = "-i"
+    else:
+        im = _ref_frac_str(q.im) + "*i"
+    if q.re == 0:
+        return im
+    return "%s%s%s" % (_ref_frac_str(q.re), "+" if q.im > 0 else "-", im.lstrip("-"))
+
+
+def ref_scalar_str(terms, pi_power=0):
+    """Scalar.__str__ of {monomial: RefQ} (nonzero coefficients) times pi^pi_power,
+    with the rational content factored out on Fractions."""
+    if not terms:
+        return "0"
+    parts = [x for c in terms.values() for x in (c.re, c.im) if x != 0]
+    content = Fraction(gcd(*(x.numerator for x in parts)), lcm(*(x.denominator for x in parts)))
+    lead = terms[min(terms, key=_mono_key)]
+    if (lead.re < 0) or (lead.re == 0 and lead.im < 0):
+        content = -content
+    rest = {m: RefQ(c.re / content, c.im / content) for m, c in terms.items()}
+
+    def coeff_piece(q):
+        s = ref_format_q(q)
+        return "(%s)" % s if ("+" in s[1:]) or ("-" in s[1:]) else s
+
+    poly = ""
+    for m, c in sorted(rest.items(), key=lambda kv: _mono_key(kv[0])):
+        mono = _mono_str(m)
+        if not mono:
+            piece = ref_format_q(c)
+        elif c == RefQ(1):
+            piece = mono
+        elif c == RefQ(-1):
+            piece = "-" + mono
+        else:
+            piece = "%s*%s" % (coeff_piece(c), mono)
+        poly += "+" + piece if poly and not piece.startswith("-") else piece
+    pieces = [coeff_piece(RefQ(content)) if content != 1 else None,
+              ("pi" if pi_power == 1 else "pi^%d" % pi_power) if pi_power else None]
+    if poly != "1":
+        wrap = len(rest) > 1 and any(p is not None for p in pieces)
+        pieces.append("(%s)" % poly if wrap else poly)
+    out = "*".join(p for p in pieces if p is not None) or "1"
+    return "-" + out[3:] if out.startswith("-1*") else out
 
 
 def gaussian_matrix(rng, rows, cols, density, kind=None):

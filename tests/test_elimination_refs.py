@@ -25,7 +25,7 @@ from conftest import (
     random_nilpotent, random_q, ref_betti_numbers, ref_delbar_closed_subcomplex_betti,
     ref_equivariant_cohomology, ref_intersect_spans, ref_kernel_basis, ref_solve,
     ref_split_operators, ref_twisted_cohomology, row_space, shipped_structures, solve_column,
-    transpose, vec_to_form, wide_q,
+    transpose, triple, vec_to_form, wide_q,
 )
 from gcalg import linalg
 from gcalg.cartan import (
@@ -726,16 +726,16 @@ def add_dependent_rows(rng, mat, count):
 def test_triples_are_reduced_and_round_trip(monkeypatch):
     rng = random.Random("triples")
     for x in [wide_q(rng) for _ in range(200)] + [QZERO, QONE, Q(0, -1), Q(Fraction(1, 6), 3)]:
-        a, b, d = linalg._triple(x)
-        assert d > 0 and gcd(a, b, d) == 1 and linalg._q((a, b, d)) == x
+        a, b, d = triple(x)
+        assert d > 0 and gcd(a, b, d) == 1 and linalg._q(a, b, d) == x
     # every entry rref converts back, and every entry sparse_mul, solve,
     # sparse_comb, echelon and null_space store, is a reduced nonzero triple
     stored = []
     original = linalg._q
 
-    def record(t):
+    def record(*t):
         stored.append(t)
-        return original(t)
+        return original(*t)
 
     monkeypatch.setattr(linalg, "_q", record)
     for _ in range(10):
@@ -747,7 +747,7 @@ def test_triples_are_reduced_and_round_trip(monkeypatch):
         made = [
             square,
             linalg.solve(rows, square, 6, len(rows)),
-            linalg.sparse_comb(*((linalg._triple(wide_q(rng)), rows) for _ in range(2))),
+            linalg.sparse_comb(*((triple(wide_q(rng)), rows) for _ in range(2))),
             linalg.echelon(rows, 6)[0],
             linalg.null_space(rows, 6),
         ]

@@ -16,7 +16,8 @@ ladder = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ladder)
 
 
-def test_ladder_records_each_call_of_a_small_rung(tmp_path, capsys):
+def test_ladder_records_each_call_of_a_small_rung(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ladder, "POWERS", ())  # the scalars rung has its own test
     out = tmp_path / "ladder.json"
     assert ladder.main(["here=%s" % ROOT, "--n", "2", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
@@ -68,7 +69,8 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
     iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS] + [
         ("equivariant_cohomology", "iwasawa")]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
-        [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa])
+        [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa]
+        + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)])
     for call, _ in iwasawa:
         got = ladder.run_child(ROOT, call, "iwasawa", 6)
         assert got["status"] == "ok" and got["wall_s"] >= 0, got
@@ -85,3 +87,10 @@ def test_ladder_runs_the_equivariant_rung_while_it_fits():
     act = TorusAction(torus(12), [[0] * 11 + [1]], alpha=[Form.generator(12, 1)])
     with pytest.raises(ValueError, match="16384 .* columns, beyond 4096"):
         equivariant_cohomology(act, act.h_equivariant(3), 3)
+
+
+def test_ladder_times_the_scalars_rung():
+    # (t+s+u+1)^k for k = 8 and 16 after every size (the case lists above)
+    assert ladder.POWERS == (8, 16)
+    got = ladder.run_child(ROOT, "parse_scalar_text", "-", 8)
+    assert got["status"] == "ok" and got["wall_s"] >= 0, got

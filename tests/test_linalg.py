@@ -8,7 +8,7 @@ from conftest import (
     row_space, solve_column,
 )
 from gcalg import linalg
-from gcalg.scalars import Q, QONE, QZERO, Scalar
+from gcalg.scalars import Q, QONE, QZERO, Scalar, _q
 from oracles import det_oracle, rank_oracle
 
 
@@ -237,7 +237,7 @@ def test_operator_matrix_matches_the_first_loop(rng):
         assert mat == ref_operator_matrix(lambda key: images[key], src, dst)
         cols = linalg.operator_columns(lambda key: images[key], src, dst)
         assert all(a or b for col in cols for a, b, _ in col.values())
-        assert [[linalg._q(col[i]) if i in col else QZERO for col in cols]
+        assert [[_q(*col[i]) if i in col else QZERO for col in cols]
                 for i in range(len(dst))] == mat
     for fn in (linalg.operator_matrix, ref_operator_matrix):
         with pytest.raises(KeyError):

@@ -34,7 +34,7 @@ import pytest
 from conftest import (
     MODELS_DIR, dense_mul, gaussian_matrix, mat_add, mat_scale, mat_sub, random_form, random_q,
     ref_clifford, ref_contract_vector, ref_kernel_basis, ref_lifted_action_matrix,
-    ref_operator_matrix, ref_pairing_matrix, transpose, vec_to_form, wide_q,
+    ref_operator_matrix, ref_pairing_matrix, transpose, triple, vec_to_form, wide_q,
 )
 from gcalg import linalg
 import gcalg.cartan
@@ -203,8 +203,8 @@ def test_sparse_products_match_dense_products(kind):
         a2 = gaussian_matrix(rng, r, k, density, kind)
         c1, c2 = wide_q(rng), wide_q(rng, kind)
         got = linalg.sparse_comb(
-            (linalg._triple(c1), linalg.to_sparse(a)), (linalg._triple(c2), linalg.to_sparse(a2)),
-            (linalg._triple(-c1), linalg.to_sparse(a)))
+            (triple(c1), linalg.to_sparse(a)), (triple(c2), linalg.to_sparse(a2)),
+            (triple(-c1), linalg.to_sparse(a)))
         want = mat_add(mat_add(mat_scale(a, c1), mat_scale(a2, c2)), mat_scale(a, -c1))
         assert linalg.to_dense(got, k) == want and _stores_no_zeros(got)
     assert cancelled >= 5

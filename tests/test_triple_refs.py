@@ -26,9 +26,10 @@ from gcalg.gcmaps import (
     symplectic_map, uk_grading,
 )
 from gcalg.models import (
-    Model, _add_scalar, _add_triple, _d_column, _d_matrix, betti_numbers, d, twisted_cohomology,
+    Model, _add_scalar, _add_triple, _d_column, _d_matrix, _triples, betti_numbers, d,
+    twisted_cohomology,
 )
-from gcalg.scalars import ONE, Q, QZERO, Scalar
+from gcalg.scalars import ONE, Q, QZERO, Scalar, _q
 
 
 def _outcome(fn, *args):
@@ -106,7 +107,7 @@ def test_d_matrix_sums_moves_onto_one_key():
         model = Model(3, [Form.zero(3), Form(3, {0b011: ONE}), Form(3, {0b101: Scalar.rational(c3)})])
         masks = basis_masks(3)
         col = masks.index(0b110)
-        got = {masks[r]: linalg._q(row[col]) for r, row in enumerate(_d_matrix(model, masks))
+        got = {masks[r]: _q(*row[col]) for r, row in enumerate(_d_matrix(model, masks))
                if col in row}
         assert got == want
     # with s and -s on the diagonal the parametric terms cancel in that
@@ -150,13 +151,13 @@ def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
                 got = _d_column(mask, table, twist, _add_scalar)
                 assert list(got.items()) == list(want.terms.items())
                 try:
-                    gauss_table = [[(m, linalg._triple(c.as_q())) for m, c in t] for t in table]
-                    gauss_twist = [(m, linalg._triple(c.as_q())) for m, c in twist]
+                    gauss_table = [_triples(t) for t in table]
+                    gauss_twist = _triples(twist)
                 except ValueError:  # pi or a parameter: no triples to compare
                     continue
                 got = _d_column(mask, gauss_table, gauss_twist, _add_triple)
                 assert list(got) == list(want.terms)
-                assert [linalg._q(t) for t in got.values()] == [
+                assert [_q(*t) for t in got.values()] == [
                     c.as_q() for c in want.terms.values()]
     assert sums["collisions"] > 20 and sums["cancelled"] > 0
 

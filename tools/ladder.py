@@ -20,9 +20,12 @@ d e6 = e1^e4 + e2^e3, as in models/iwasawa.model) with the complex
 structure, whose halves are nonzero and whose check fails with a witness,
 and so does `equivariant_cohomology` for a circle along e6 with
 H = e1^e2^e3 and alpha = e1, while it fits, so that d's table, the
-contraction and the twist all enter its columns.  The child imports gcalg from
-DIR/src, builds the inputs untimed, times the call and prints its wall time
-and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
+contraction and the twist all enter its columns.  The scalars rung times
+`parse_scalar_text("(t+s+u+1)^k", ["t", "s", "u"])` for k = 8 and 16
+(POWERS) after every size, which spends its time in Gaussian-rational and
+polynomial arithmetic; its rows carry k as n.  The child imports gcalg
+from DIR/src, builds the inputs untimed, times the call and prints its wall
+time and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
 that exceeds one is recorded as "timeout" or "memory", and that side's
 row stops there.  Each row runs every call REPEATS times per checkout,
@@ -50,12 +53,14 @@ TIMEOUT_S = 300.0
 MEM_MB = 3072
 REPEATS = 3  # child runs per call and checkout; a row keeps their median
 MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rung's 4 x 2^n columns must fit
+POWERS = (8, 16)  # powers k of the scalars rung
 
 CHILD = r"""
 import json, resource, sys, time
 from gcalg.cartan import TorusAction, canonical_extension, equivariant_cohomology
 from gcalg.forms import Form, exp_two_form
 from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
+from gcalg.modelfile import parse_scalar_text
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
 from gcalg.scalars import I
 
@@ -89,6 +94,7 @@ run = {
     "twisted_cohomology": lambda: twisted_cohomology(model),
     "equivariant_cohomology": lambda: equivariant_cohomology(act, act.h_equivariant(3), 3),
     "canonical_extension": lambda: canonical_extension(act, j, rho),
+    "parse_scalar_text": lambda: parse_scalar_text("(t+s+u+1)^%d" % n, ["t", "s", "u"]),
 }[call]
 try:
     start = time.perf_counter()
@@ -136,6 +142,8 @@ def ladder_cases(sizes):
                 yield call, "iwasawa", n
             if 4 << n <= MAX_COLUMNS:
                 yield "equivariant_cohomology", "iwasawa", n
+    for k in POWERS:
+        yield "parse_scalar_text", "-", k
 
 
 def median_run(runs) -> dict:
