@@ -83,7 +83,7 @@ class IsotropicSubspace:
     def __post_init__(self):
         rows = self._rows
         n = self.dim_v
-        if rows and len(linalg.echelon(rows, 2 * n)[1]) != len(rows):
+        if rows and len(linalg.pivots(rows, 2 * n)) != len(rows):
             raise ValueError("basis vectors are linearly dependent")
         for x, a in enumerate(rows):
             for b in rows[x:]:
@@ -109,7 +109,7 @@ class IsotropicSubspace:
         """Corank of the projection to the complexified V."""
         n = self.dim_v
         cut = [{c: t for c, t in row.items() if c < n} for row in self._rows]
-        return n - len(linalg.echelon(cut, n)[1])
+        return n - len(linalg.pivots(cut, n))
 
 
 def validate(j: GCMap) -> ValidationReport:
@@ -159,7 +159,7 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
 def _transverse(space: IsotropicSubspace) -> bool:
     """Whether a nonzero space meets its conjugate only in 0."""
     rows = space._rows + _conjugate(space._rows)
-    return bool(rows) and len(linalg.echelon(rows, 2 * space.dim_v)[1]) == len(rows)
+    return bool(rows) and len(linalg.pivots(rows, 2 * space.dim_v)) == len(rows)
 
 
 def _conjugate(rows: linalg.TRows) -> linalg.TRows:

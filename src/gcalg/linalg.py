@@ -6,11 +6,14 @@ and gcd(a, b, d) = 1, stored as {col: triple} with no stored zeros, so zero
 is `not a and not b`.  A `Q` stores the same triple in its fields a, b, d:
 `to_sparse` reads them and `to_dense` builds each `Q` from its triple.
 The sparse products, sums, eliminations, kernels and solves (`sparse_mul`,
-`sparse_comb`, `echelon`, `null_space`, `in_echelon_span`, `solve`) run on
-triples, with int arithmetic only, so a chain of them converts nothing
+`sparse_comb`, `pivots`, `echelon`, `null_space`, `in_echelon_span`, `solve`)
+run on triples, with int arithmetic only, so a chain of them converts nothing
 between its steps; `rref`, `mat_mul` and `operator_matrix` are their dense
-views.  Every rank question reads its answer off one RREF, which is unique,
-so results are exact.
+views.  One forward elimination serves both kinds of question: a rank reads
+its answer off the pivot columns (`pivots`), which are already the RREF's,
+and `echelon` adds back substitution for the canonical RREF rows that
+kernels, solves and witnesses come from.  The RREF is unique, so results
+are exact.
 """
 
 from __future__ import annotations
@@ -135,9 +138,12 @@ def sum_q(items) -> Q:
 
 
 def _eliminate(sparse: TRows, ncols: int) -> Tuple[List[int], List[int]]:
-    """Gauss-Jordan in place on rows {col: Triple}, with a column -> rows index
-    so an update touches stored entries only; returns the pivot columns and
-    their rows.  The pivot is the candidate row with the fewest nonzeros (ties:
+    """Forward elimination in place on rows {col: Triple}, with a column -> rows
+    index so an update touches stored entries only: each pivot row is scaled
+    to 1 at its pivot and that column is cleared from the rows not yet pivots.
+    Returns the pivot columns, which are the RREF's (a column is a pivot
+    exactly when it is outside the span of the columns before it), and their
+    rows.  The pivot is the candidate row with the fewest nonzeros (ties:
     lowest index); the RREF is unique, so that rule moves only the fill-in.
     """
     holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
@@ -147,16 +153,17 @@ def _eliminate(sparse: TRows, ncols: int) -> Tuple[List[int], List[int]]:
     free = set(range(len(sparse)))  # rows not yet a pivot row
     pivots, order = [], []
     for c in range(ncols):
-        cands = [i for i in holders[c] if i in free]
+        cands = holders[c] & free
         if not cands:
             continue
         p = min(cands, key=lambda i: (len(sparse[i]), i))
         free.discard(p)
+        cands.discard(p)
         prow = sparse[p]
         inv = _inverse(prow[c])
         for col, y in prow.items():
             prow[col] = _add_mul(None, inv, y)
-        for i in holders[c] - {p}:
+        for i in cands:
             row = sparse[i]
             fa, fb, fd = row[c]
             f = (-fa, -fb, fd)
@@ -174,12 +181,25 @@ def _eliminate(sparse: TRows, ncols: int) -> Tuple[List[int], List[int]]:
     return pivots, order
 
 
+def pivots(rows: TRows, ncols: int) -> List[int]:
+    """The pivot columns of the RREF of rows of triples, from forward
+    elimination alone; the rows given are not changed."""
+    return _eliminate([dict(row) for row in rows], ncols)[0]
+
+
 def echelon(rows: TRows, ncols: int) -> Tuple[TRows, List[int]]:
     """The nonzero rows of the RREF of rows of triples, in pivot order, and
-    their pivot columns; the rows given are not changed."""
+    their pivot columns; the rows given are not changed.  Back substitution,
+    last pivot first, clears each pivot column from the rows above it."""
     sparse = [dict(row) for row in rows]
-    pivots, order = _eliminate(sparse, ncols)
-    return [sparse[p] for p in order], pivots
+    cols, order = _eliminate(sparse, ncols)
+    basis = [sparse[p] for p in order]
+    for k in range(len(basis) - 1, 0, -1):
+        for row in basis[:k]:
+            f = row.get(cols[k])
+            if f is not None:
+                _add_row(row, (-f[0], -f[1], f[2]), basis[k])
+    return basis, cols
 
 
 def null_space(rows: TRows, ncols: int) -> TRows:

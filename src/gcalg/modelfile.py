@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cartan import Connection, EqForm, TorusAction
 from .forms import Form, exp_two_form, wedge
@@ -52,44 +52,33 @@ class ModelFileError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM, NAME, OP
     text: str
     line: int
     col: int
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=]))")
+# one scan: NUM, NAME and OP tokens, and any other non-space character, which
+# is refused at the column just past the previous token
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=])|(\S))")
+_KINDS = (None, "NUM", "NAME", "OP")
 
 
 def tokenize(text: str, line: int) -> List[Token]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError("unexpected character %r" % rest[0], line, pos + 1)
-        num, name, op = m.groups()
-        col = m.start(1 if num else 2 if name else 3) + 1
-        if num:
-            out.append(Token("NUM", num, line, col))
-        elif name:
-            out.append(Token("NAME", name, line, col))
-        else:
-            out.append(Token("OP", op, line, col))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        g = m.lastindex
+        if g == 4:
+            raise ParseError("unexpected character %r" % m.group(4), line, m.start() + 1)
+        out.append(Token(_KINDS[g], m.group(g), line, m.start(g) + 1))
     return out
 
 
 # -- expression AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str  # num, name, call, unary, binary
     token: Token
     value: str = ""

@@ -219,7 +219,7 @@ def twisted_cohomology(m: Model) -> BettiPair:
     if m.n == 0:
         return BettiPair(1, 0)
     masks = sorted(basis_masks(m.n), key=lambda mk: mk.bit_count() % 2)
-    rank = len(linalg.echelon(_d_matrix(m, masks), len(masks))[1])
+    rank = len(linalg.pivots(_d_matrix(m, masks), len(masks)))
     free = (1 << (m.n - 1)) - rank
     return BettiPair(free, free)
 
@@ -232,7 +232,7 @@ def betti_numbers(m: Model) -> List[int]:
         raise ValueError("integer grading needs a zero twisting form")
     masks = basis_masks(m.n)
     ranks = [0] * (m.n + 1)  # ranks[q]: rank of d from degree q to degree q + 1
-    for c in linalg.echelon(_d_matrix(m, masks), len(masks))[1]:
+    for c in linalg.pivots(_d_matrix(m, masks), len(masks)):
         ranks[masks[c].bit_count()] += 1
     return [comb(m.n, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
 
@@ -451,7 +451,7 @@ def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
         if not linalg.in_echelon_span(img, span, pivots):
             raise AssertionError("twisted differential left the subcomplex")
         n_odd += _pure_parity(v, sp.masks)
-    rank = len(linalg.echelon(images, size)[1])
+    rank = len(linalg.pivots(images, size))
     return BettiPair(len(kernel) - n_odd - rank, n_odd - rank)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -11,10 +12,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gcalg import cartan, gcmaps, gcy, linalg
 from gcalg.forms import (
-    Form, _unit_clifford, basis_masks, clifford, form_to_vec, mask_key, wedge,
+    Form, _unit_clifford, basis_masks, clifford, contract_vector, form_to_vec, mask_key, wedge,
 )
 from gcalg.gcmaps import i_eigenspace, require_valid, uk_grading
-from gcalg.modelfile import parse_model
+from gcalg.modelfile import ParseError, parse_model
 from gcalg.models import (
     BettiPair, DdbarReport, Model, _stray_component, d, d_twisted, ddbar_lemma_check,
     del_delbar_split, lie_derivative, split_operators, twisted_cohomology,
@@ -832,3 +833,125 @@ def ref_lefschetz_check(model, omega):
             ok=False, witness=witness, detail="kernel witness %s" % witness.to_text(model.names),
         )
     return gcy.LefschetzReport(ok=True)
+
+
+# the tokenizer as first written: one anchored match per token from the end
+# of the last, and a stray character located just past the previous token;
+# the package scans the line once, with a catch-all group for the stray one
+_REF_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=]))")
+
+
+def ref_tokenize(text, line):
+    """(kind, text, line, col) per token, or the ParseError's message."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            return str(ParseError("unexpected character %r" % rest[0], line, pos + 1))
+        num, name, op = m.groups()
+        col = m.start(1 if num else 2 if name else 3) + 1
+        if num:
+            out.append(("NUM", num, line, col))
+        elif name:
+            out.append(("NAME", name, line, col))
+        else:
+            out.append(("OP", op, line, col))
+        pos = m.end()
+    return out
+
+
+# the action checks as first written: L_v of each d(e_i) and of H by Cartan's
+# formula, two d's and two contractions each, the frame after each d(e_i),
+# and the curvature's invariance after its horizontality; the package reads
+# L_v d(e_i) = d(i_v d(e_i)) off the frame residual, and L_v H = d(i_v H)
+class RefTorusAction(cartan.TorusAction):
+    __slots__ = ()
+
+    def __init__(self, model, xi, mu_diff=None, alpha=None):
+        vecs = [tuple(scalar(c) for c in v) for v in xi]
+        for v in vecs:
+            if len(v) != model.n:
+                raise ValueError("fundamental field needs %d coordinates" % model.n)
+        k = len(vecs)
+        mu = list(mu_diff) if mu_diff is not None else None
+        al = list(alpha) if alpha is not None else None
+        for name, forms, deg in (("mu_diff", mu, 1), ("alpha", al, 1)):
+            if forms is None:
+                continue
+            if len(forms) != k:
+                raise ValueError("%s needs one form per torus factor" % name)
+            for f in forms:
+                if f.n != model.n:
+                    raise ValueError("%s lives on the wrong frame" % name)
+                if not (f.is_zero() or f.is_homogeneous(deg)):
+                    raise ValueError("%s entries must be 1-forms" % name)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "xi", tuple(vecs))
+        object.__setattr__(self, "mu_diff", tuple(mu) if mu is not None else None)
+        object.__setattr__(self, "alpha", tuple(al) if al is not None else None)
+        for j, v in enumerate(self.xi, start=1):
+            for i, entry in enumerate(model.d_table, start=1):
+                res = lie_derivative(model, v, entry)
+                if not res.is_zero():
+                    raise ValueError(
+                        "field %d does not preserve d(%s): %s"
+                        % (j, model.names[i - 1], res.to_text(model.names))
+                    )
+                frame_res = contract_vector(v, entry)
+                if not frame_res.is_zero():
+                    raise ValueError(
+                        "field %d does not preserve the frame: L(%s) = %s"
+                        % (j, model.names[i - 1], frame_res.to_text(model.names))
+                    )
+            res = lie_derivative(model, v, model.H)
+            if not res.is_zero():
+                raise ValueError("field %d does not preserve the twisting form" % j)
+        if mu is not None:
+            for j, f in enumerate(mu, start=1):
+                df = d(model, f)
+                if not df.is_zero():
+                    raise ValueError("moment differential %d is not closed" % j)
+
+
+class RefConnection(cartan.Connection):
+    __slots__ = ()
+
+    def __init__(self, action, theta):
+        model = action.model
+        th = list(theta)
+        if len(th) != action.k:
+            raise ValueError("need one connection element per torus factor")
+        for f in th:
+            if f.n != model.n or not (f.is_zero() or f.is_homogeneous(1)):
+                raise ValueError("connection elements must be 1-forms on the model")
+        for i in range(action.k):
+            for j in range(action.k):
+                val = contract_vector(action.xi[i], th[j]).terms.get(0, Scalar())
+                want = ONE if i == j else Scalar()
+                if val != want:
+                    raise ValueError(
+                        "duality fails: i_%d theta^%d = %s" % (i + 1, j + 1, val)
+                    )
+        curv = [d(model, t) for t in th]
+        for j, c in enumerate(curv, start=1):
+            for i in range(action.k):
+                if not contract_vector(action.xi[i], c).is_zero():
+                    raise ValueError("curvature element %d is not horizontal" % j)
+                if not lie_derivative(model, action.xi[i], c).is_zero():
+                    raise ValueError("curvature element %d is not invariant" % j)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "theta", tuple(th))
+        object.__setattr__(self, "curvature", tuple(curv))
+
+
+def outcome(cls, *args):
+    """The built object's slots, or the exact ValueError text."""
+    try:
+        obj = cls(*args)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(getattr(obj, name) for name in cls.__slots__ or cls.__base__.__slots__)

@@ -1,8 +1,13 @@
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_form
+from conftest import (
+    RefConnection, RefTorusAction, outcome, random_form, random_nilpotent, random_q,
+)
 import gcalg.cartan
 from gcalg.cartan import (
     stable_equivariant_ranks,
@@ -28,14 +33,16 @@ from gcalg.cartan import (
     quotient_model,
     wedge_eq,
 )
-from gcalg.forms import Form, contract, wedge
+from gcalg.forms import Form, basis_masks, contract, wedge
 from gcalg.gcmaps import complex_structure, symplectic_map
+import gcalg.models
 from gcalg.models import (
     Model,
     d,
     d_twisted,
     heisenberg3,
     kodaira_thurston,
+    lie_derivative,
     torus,
     twisted_cohomology,
 )
@@ -550,3 +557,150 @@ def test_rank_two_torus_actions():
     assert generalized_d(act_mixed, ext).is_zero()
     for gamma in (Form.generator(2, 1), rho):
         assert moment_conjugation_residual(act_mixed, gamma, 2) == {}
+
+
+# -- the action checks against their first version ------------------------------
+# RefTorusAction and RefConnection (tests/conftest.py) take L_v d(e_i) and L_v H
+# by Cartan's formula and check the curvature's invariance; the package reads
+# L_v d(e_i) = d(i_v d(e_i)) and L_v H = d(i_v H) off the frame residual, as
+# Model has checked d(d(e_i)) = 0 and dH = 0, and drops the invariance check.
+
+
+def random_three_step(rng, n):
+    """A 3-step nilpotent model on n >= 4 generators, in layers: k closed
+    generators (k = 2 or 3), middle ones with d a sum of c1^c over closed c,
+    and the rest with d a sum of c1^b over middle b plus closed pairs, so that
+    d(c1^b) = -c1^d(b) = 0 and d^2 = 0.  The layers take the generator names
+    in a random order.  H, on about half the draws, is d of a 2-form plus,
+    when k = 3, the closed triple."""
+    k = rng.choice([2, 3]) if n > 4 else 2
+    mid = range(k, k + rng.randint(1, n - k - 1))
+    name = rng.sample(range(n), n)  # the layer position p is generator name[p]
+
+    def term(*ps):
+        return Form(n, {sum(1 << name[p] for p in ps): Scalar.from_q(random_q(rng))})
+
+    table = [Form.zero(n)] * n
+    for p in mid:
+        table[name[p]] = term(0, rng.randrange(1, k))
+    for p in range(mid.stop, n):
+        table[name[p]] = term(0, rng.choice(mid)) + (term(1, 2) if k == 3 else Form.zero(n))
+    model = Model(n, table)
+    if rng.random() < 0.5:
+        return model
+    pairs = [mk for mk in basis_masks(n) if mk.bit_count() == 2]
+    h = d(model, Form(n, {mk: Scalar.from_q(random_q(rng)) for mk in rng.sample(pairs, 2)}))
+    return model.with_twist(h + term(0, 1, 2) if k == 3 else h)
+
+
+def random_action_args(rng, model):
+    """Constant fields, half of them on generators that no d(e_i) holds (so
+    the frame is preserved), and optional moment differentials and one-forms,
+    closed or not."""
+    n = model.n
+    held = 0
+    for f in model.d_table:
+        for mk in f.terms:
+            held |= mk
+    central = [g for g in range(n) if not held >> g & 1] or [n - 1]
+    k = rng.choice([1, 1, 2])
+    xi = []
+    for _ in range(k):
+        pool = central if rng.random() < 0.5 else list(range(n))
+        support = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+        xi.append([Scalar.from_q(random_q(rng)) if g in support else Scalar() for g in range(n)])
+
+    def one_form():
+        g = rng.randrange(n)
+        return rng.choice([Form.zero(n), Form.generator(n, g + 1).scale(Scalar.from_q(random_q(rng)))])
+
+    mu = [one_form() for _ in range(k)] if rng.random() < 0.6 else None
+    alpha = [one_form() for _ in range(k)] if rng.random() < 0.4 else None
+    return xi, mu, alpha
+
+
+def _kind(result):
+    """A refusal's message up to its first colon, numbers as j, or "built"."""
+    return re.sub(r"\d+", "j", result.split(":")[0]) if isinstance(result, str) else "built"
+
+
+def test_action_checks_match_first_version():
+    rng = random.Random("action-checks")
+    kinds, connections = Counter(), Counter()
+    for trial in range(240):
+        n = rng.randint(2, 6) if trial % 2 else rng.randint(4, 6)
+        model = random_nilpotent(rng, n, "gauss") if trial % 2 else random_three_step(rng, n)
+        xi, mu, alpha = random_action_args(rng, model)
+        want = outcome(RefTorusAction, model, xi, mu, alpha)
+        assert outcome(TorusAction, model, xi, mu, alpha) == want
+        kinds[_kind(want)] += 1
+        if isinstance(want, str):
+            continue
+        act = TorusAction(model, xi, mu, alpha)
+        try:
+            thetas = list(Connection.solve(act).theta)
+        except ValueError:  # not free: any 1-forms, for the duality refusal
+            thetas = [Form.generator(n, 1)] * act.k
+        for j in range(act.k):
+            if rng.random() < 0.5:
+                g = rng.randrange(n)
+                thetas[j] = thetas[j] + Form.generator(n, g + 1).scale(Scalar.from_q(random_q(rng)))
+        want = outcome(RefConnection, act, thetas)
+        assert outcome(Connection, act, thetas) == want
+        connections[_kind(want)] += 1
+    assert kinds.keys() == {"built", "field j does not preserve d(ej)", "field j does not preserve the frame",
+                            "moment differential j is not closed"}, kinds
+    assert min(kinds.values()) >= 10, kinds
+    # a field that preserves the frame is central: i_v d(e_g) = 0 for every g,
+    # so i_v d(theta) = 0 and the curvature is always horizontal
+    assert connections.keys() == {"built", "duality fails"}, connections
+    assert min(connections.values()) >= 10, connections
+
+
+def _bare_model(n, table, h):
+    """A Model built past its own checks, for a refusal no checked model reaches."""
+    m = object.__new__(Model)
+    for slot, value in zip(Model.__slots__, (n, tuple(table), h, ONE, 1,
+                                             tuple("e%d" % i for i in range(1, n + 1)))):
+        object.__setattr__(m, slot, value)
+    return m
+
+
+def test_action_refusals():
+    e = lambda n, *gens: Form.monomial(n, gens)
+    model = Model(4, [e(4, 2, 3), e(4, 3, 4), Form.zero(4), Form.zero(4)])
+    cases = [
+        ((model, [[0, 0, 1, 0]]), "field 1 does not preserve d(e1): -e3^e4"),
+        ((heisenberg3(), [[1, 0, 0]]), "field 1 does not preserve the frame: L(e3) = e2"),
+        ((heisenberg3(), [[0, 0, 1]], [e(3, 3)]), "moment differential 1 is not closed"),
+    ]
+    for args, message in cases:
+        assert outcome(TorusAction, *args) == outcome(RefTorusAction, *args) == message
+    # a frame-preserving field is central, so L_v vanishes on every form and
+    # no checked model meets the twisting-form refusal; one whose dH = e1^e2^e4^e5
+    # is nonzero does, since d(i_v H) = L_v H - i_v dH, where Cartan's formula
+    # on both terms still reads zero
+    bare = _bare_model(5, [Form.zero(5), Form.zero(5), e(5, 1, 2), Form.zero(5), Form.zero(5)],
+                       e(5, 3, 4, 5))
+    args = (bare, [[0, 0, 0, 1, 0]])
+    assert outcome(TorusAction, *args) == "field 1 does not preserve the twisting form"
+    assert not isinstance(outcome(RefTorusAction, *args), str)
+
+
+def test_frame_preserving_action_takes_no_lie_derivative(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lie_derivative(*args)
+
+    monkeypatch.setattr(gcalg.models, "lie_derivative", counted)
+    monkeypatch.setattr(gcalg.cartan, "lie_derivative", counted)
+    kt = kodaira_thurston()
+    act = TorusAction(kt, [[0, 0, 1, 0]], mu_diff=[Form.generator(4, 1)], alpha=[Form.zero(4)])
+    Connection(act, [Form.generator(4, 3)])
+    t4t = torus(4, H=Form.monomial(4, (2, 3, 4)))
+    TorusAction(t4t, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert calls == []
+    counted(kt, act.xi[0], Form.generator(4, 4))  # the counter does count
+    assert len(calls) == 1

@@ -305,7 +305,7 @@ def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
 
 
 def test_one_rref_per_matrix(monkeypatch):
-    calls = {"rref": 0, "echelon": 0, "solve": 0}
+    calls = {"rref": 0, "echelon": 0, "pivots": 0, "solve": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -316,27 +316,28 @@ def test_one_rref_per_matrix(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def count(fn, *args, **kwargs):
-        calls.update(rref=0, echelon=0, solve=0)
+        calls.update(rref=0, echelon=0, pivots=0, solve=0)
         fn(*args, **kwargs)
         return dict(calls)
 
     act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
     for trunc in (2, 4, 6):
         # two per parity plus the x-degree-0 block of d_H, whatever trunc is,
-        # all read off pivots alone
+        # all read off pivots alone, so none runs back substitution
         got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
-        assert got == {"rref": 0, "echelon": 5, "solve": 0}
+        assert got == {"rref": 0, "echelon": 0, "pivots": 5, "solve": 0}
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     j = mf.structures["Jc"]
     sp = split_operators(mf.model, j)
     # the image and kernel of P = upper lower, and the canonical bases of
     # upper(ker P) and lower(ker P), all on sparse rows of triples
     got = count(ddbar_lemma_check, mf.model, j, ops=sp)
-    assert got == {"rref": 0, "echelon": 4, "solve": 0}
-    assert count(split_operators, mf.model, j) == {"rref": 0, "echelon": 0, "solve": 0}
-    # the kernel of the upper half, its canonical basis and the images' rank
+    assert got == {"rref": 0, "echelon": 4, "pivots": 0, "solve": 0}
+    assert count(split_operators, mf.model, j) == {"rref": 0, "echelon": 0, "pivots": 0, "solve": 0}
+    # the kernel of the upper half and its canonical basis, then the images'
+    # rank from pivots alone
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
-    assert got == {"rref": 0, "echelon": 3, "solve": 0}
+    assert got == {"rref": 0, "echelon": 2, "pivots": 1, "solve": 0}
 
 
 # -- the level split of d_H ---------------------------------------------------
@@ -711,6 +712,60 @@ def test_echelon_pivots_match_dense_rref(density):
     assert linalg.echelon([{}] * 3, 5) == ([], [])
 
 
+# `pivots` runs the forward pass alone and stops at row echelon form; a column
+# is a pivot exactly when it is outside the span of the columns before it, so
+# its pivots are the dense RREF's.
+
+
+def shaped_matrix(rng, shape):
+    """A random sparse Gaussian matrix of the given shape: zero rows, repeated
+    rows, rank-deficient, wide, tall, or rows that differ from a multiple of
+    another in one entry, so that elimination cancels all their other ones."""
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    if shape == "wide":
+        cols = rows + rng.randint(4, 12)
+    elif shape == "tall":
+        rows = cols + rng.randint(4, 12)
+    density = rng.choice([0.1, 0.3, 0.6, 1.0])
+    mat = sparse_matrix(rng, rows, cols, density)
+    if shape == "zero-rows":
+        for _ in range(rng.randint(1, 3)):
+            mat.insert(rng.randint(0, len(mat)), [QZERO] * cols)
+    elif shape == "repeated":
+        mat += [list(mat[rng.randrange(rows)]) for _ in range(rng.randint(1, 3))]
+    elif shape == "deficient":  # rows combined from fewer than min(rows, cols)
+        base = sparse_matrix(rng, rng.randint(0, min(rows, cols) - 1), cols, density)
+        mat = [[QZERO] * cols for _ in range(rows)]
+        for row in mat:
+            for b in base:
+                c = random_q(rng)
+                row[:] = [x + c * y for x, y in zip(row, b)]
+    elif shape == "cancel":
+        for _ in range(rng.randint(1, 4)):
+            c = wide_q(rng)  # never zero
+            near = [c * x for x in mat[rng.randrange(rows)]]
+            near[rng.randrange(cols)] = random_q(rng)
+            mat.append(near)
+    rng.shuffle(mat)
+    return mat
+
+
+@pytest.mark.parametrize("shape", ["zero-rows", "repeated", "deficient", "wide", "tall", "cancel"])
+def test_pivots_match_dense_rref(shape):
+    rng = random.Random("pivots-only-%s" % shape)
+    for _ in range(40):
+        mat = shaped_matrix(rng, shape)
+        ncols = len(mat[0])
+        rows = linalg.to_sparse(mat)
+        before = [dict(row) for row in rows]
+        got = linalg.pivots(rows, ncols)
+        assert got == ref_rref(mat)[1] == linalg.echelon(rows, ncols)[1]
+        assert rows == before  # the rows given are not changed
+        if shape == "deficient":
+            assert len(got) < min(len(mat), ncols)
+    assert linalg.pivots([], 4) == [] and linalg.pivots([{}, {}], 3) == []
+
+
 # Gaussian matrices with denominators up to 10^6: real, pure-imaginary or
 # mixed entries, and rows that are Gaussian combinations of two others, so
 # that elimination cancels stored entries to exact zeros.
@@ -815,23 +870,25 @@ def _captured_inputs(monkeypatch, name, fn, *args):
 
 
 def test_rref_matches_dense_on_captured_matrices(monkeypatch):
-    # the equivariant complex hands its sparse rows to echelon, and so does
-    # the grading its level spans
+    # the equivariant complex hands its sparse rows to pivots, and the grading
+    # its level spans to echelon
     captured = []
     for model_file, name in SHIPPED_ACTIONS:
         act = parse_model((MODELS_DIR / model_file).read_text()).actions[name]
         for trunc in range(1, 7):
-            captured += _captured_inputs(monkeypatch, "echelon", equivariant_cohomology,
+            captured += _captured_inputs(monkeypatch, "pivots", equivariant_cohomology,
                                          act, act.h_equivariant(trunc), trunc)
     rng = random.Random(7)  # the rank-two action of the test above
     c = _q(rng)
     a1 = Form(3, {0b100: _q(rng), 0b010: c})
     a2 = Form(3, {0b100: _q(rng), 0b001: -c})
     act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
-    captured += _captured_inputs(monkeypatch, "echelon", equivariant_cohomology, act,
+    captured += _captured_inputs(monkeypatch, "pivots", equivariant_cohomology, act,
                                  act.h_equivariant(3), 3)
     grading = _captured_inputs(monkeypatch, "echelon", uk_grading, complex_structure(3))
     assert len(captured) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
+    for rows, ncols in captured:
+        assert linalg.pivots(rows, ncols) == ref_rref(linalg.to_dense(rows, ncols))[1]
     for rows, ncols in captured + grading:
         basis, pivots = linalg.echelon(rows, ncols)
         mat, want = ref_rref(linalg.to_dense(rows, ncols))

@@ -1,8 +1,11 @@
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
+
+from conftest import MODELS_DIR, ref_tokenize
 
 from gcalg.cartan import EqForm
 from gcalg.cli import main
@@ -14,6 +17,7 @@ from gcalg.modelfile import (
     parse_form_text,
     parse_model,
     parse_scalar_text,
+    tokenize,
 )
 from gcalg.models import torus
 from gcalg.scalars import I, ONE, Scalar
@@ -526,3 +530,50 @@ def test_repeated_definitions_fail_at_the_second(body, error):
     with pytest.raises(ParseError) as err:
         parse_model("model demo\ngenerators e1 e2\n" + body)
     assert str(err.value) == error
+
+
+# -- the tokenizer against its first version (ref_tokenize, tests/conftest.py) --
+
+
+def _tokenize_outcome(text, line):
+    try:
+        return [tuple(tok) for tok in tokenize(text, line)]
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_tokenize_matches_reference_on_shipped_and_corpus_lines():
+    corpus = json.loads((MODELS_DIR.parent / "tests" / "data" / "modelfile_corpus.json").read_text())
+    texts = [p.read_text() for p in sorted(MODELS_DIR.glob("*.model"))]
+    texts += [entry["text"] for entry in corpus]
+    lines = [(line, no) for text in texts for no, line in enumerate(text.split("\n"), start=1)]
+    assert len(lines) > 5000
+    refused = 0
+    for line, no in lines:
+        want = ref_tokenize(line, no)
+        assert _tokenize_outcome(line, no) == want, line
+        refused += isinstance(want, str)
+    assert refused > 100  # comments, '.', '#' and friends
+
+
+def test_tokenize_locates_stray_characters_past_the_previous_token():
+    assert _tokenize_outcome("let bad = e1 ? e2", 7) == "line 7, col 13: unexpected character '?'"
+    rng = random.Random("stray-characters")
+    pieces = ["e1", "x2", "12", "007", "_a9", "+", "-", "*", "/", "^", "(", ")", ",", "=",
+              " ", "  ", "\t"]
+    strays = ["?", "#", ".", "!", "$", "@", "~", "[", "]", "{", ";", ":", "'", "\"", "\u00e9",
+              "\u00b2", "\u0663", "\u3000x"]
+    refused = 0
+    for _ in range(3000):
+        parts = [rng.choice(pieces) for _ in range(rng.randint(0, 8))]
+        stray = rng.choice(strays)
+        where = rng.choice(["start", "middle", "end"])
+        at = {"start": 0, "middle": len(parts) // 2, "end": len(parts)}[where]
+        parts.insert(at, rng.choice(["", " ", "\t "]) + stray)
+        line = "".join(parts)
+        want = ref_tokenize(line, 3)
+        assert _tokenize_outcome(line, 3) == want, line
+        refused += isinstance(want, str)
+    assert refused > 2500
+    for line in ["", "   ", "\t", "e1  ", "  1/0  ", "\u3000e1\u3000"]:
+        assert _tokenize_outcome(line, 1) == ref_tokenize(line, 1)
