@@ -6,14 +6,16 @@ and gcd(a, b, d) = 1, stored as {col: triple} with no stored zeros, so zero
 is `not a and not b`.  A `Q` stores the same triple in its fields a, b, d:
 `to_sparse` reads them and `to_dense` builds each `Q` from its triple.
 The sparse products, sums, eliminations, kernels and solves (`sparse_mul`,
-`sparse_comb`, `pivots`, `echelon`, `null_space`, `in_echelon_span`, `solve`)
-run on triples, with int arithmetic only, so a chain of them converts nothing
-between its steps; `rref`, `mat_mul` and `operator_matrix` are their dense
-views.  One forward elimination serves both kinds of question: a rank reads
-its answer off the pivot columns (`pivots`), which are already the RREF's,
-and `echelon` adds back substitution for the canonical RREF rows that
-kernels, solves and witnesses come from.  The RREF is unique, so results
-are exact.
+`sparse_comb`, `rank_profiles`, `pivots`, `echelon`, `null_space`,
+`in_echelon_span`, `solve`) run on triples, with int arithmetic only, so a
+chain of them converts nothing between its steps; `rref`, `mat_mul` and
+`operator_matrix` are their dense views.  One forward elimination serves
+every question, its pivot the candidate of the earliest row block, then with
+the fewest nonzeros, then of the lowest index: `rank_profiles` reads its
+pivot rows (ranks of leading blocks) and pivot columns (ranks of leading
+columns, and the RREF's pivots), `pivots` the columns of a single block, and
+`echelon` adds back substitution for the canonical RREF rows that kernels,
+solves and witnesses come from.  The RREF is unique, so results are exact.
 """
 
 from __future__ import annotations
@@ -137,26 +139,25 @@ def sum_q(items) -> Q:
     return out
 
 
-def _eliminate(sparse: TRows, ncols: int) -> Tuple[List[int], List[int]]:
+def _eliminate(sparse: TRows, ncols: int, blocks: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Forward elimination in place on rows {col: Triple}, with a column -> rows
     index so an update touches stored entries only: each pivot row is scaled
     to 1 at its pivot and that column is cleared from the rows not yet pivots.
-    Returns the pivot columns, which are the RREF's (a column is a pivot
-    exactly when it is outside the span of the columns before it), and their
-    rows.  The pivot is the candidate row with the fewest nonzeros (ties:
-    lowest index); the RREF is unique, so that rule moves only the fill-in.
-    """
+    Returns the pivot rows and the pivot columns, the RREF's (a column is a
+    pivot exactly when it is outside the span of the columns before it).  The
+    pivot is the candidate of the earliest block (row i's is blocks[i]), then
+    fewest nonzeros, then lowest index; that rule moves only the fill-in."""
     holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
     for i, row in enumerate(sparse):
         for c in row:
             holders[c].add(i)
     free = set(range(len(sparse)))  # rows not yet a pivot row
-    pivots, order = [], []
+    order, pivots = [], []
     for c in range(ncols):
         cands = holders[c] & free
         if not cands:
             continue
-        p = min(cands, key=lambda i: (len(sparse[i]), i))
+        p = min(cands, key=lambda i: (blocks[i], len(sparse[i]), i))
         free.discard(p)
         cands.discard(p)
         prow = sparse[p]
@@ -176,15 +177,23 @@ def _eliminate(sparse: TRows, ncols: int) -> Tuple[List[int], List[int]]:
                 elif x is not None:
                     del row[col]
                     holders[col].discard(i)
-        pivots.append(c)
         order.append(p)
-    return pivots, order
+        pivots.append(c)
+    return order, pivots
+
+
+def rank_profiles(rows: TRows, ncols: int, blocks: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Pivot rows and columns of one forward elimination of rows of triples,
+    row i in block blocks[i] (nondecreasing); the rows given are not changed.
+    As a row only gains multiples of rows of its block or earlier ones, the
+    pivot rows before a block boundary count the rank of the rows before it."""
+    return _eliminate([dict(row) for row in rows], ncols, blocks)
 
 
 def pivots(rows: TRows, ncols: int) -> List[int]:
     """The pivot columns of the RREF of rows of triples, from forward
-    elimination alone; the rows given are not changed."""
-    return _eliminate([dict(row) for row in rows], ncols)[0]
+    elimination alone in a single block; the rows given are not changed."""
+    return _eliminate([dict(row) for row in rows], ncols, [0] * len(rows))[1]
 
 
 def echelon(rows: TRows, ncols: int) -> Tuple[TRows, List[int]]:
@@ -192,7 +201,7 @@ def echelon(rows: TRows, ncols: int) -> Tuple[TRows, List[int]]:
     their pivot columns; the rows given are not changed.  Back substitution,
     last pivot first, clears each pivot column from the rows above it."""
     sparse = [dict(row) for row in rows]
-    cols, order = _eliminate(sparse, ncols)
+    order, cols = _eliminate(sparse, ncols, [0] * len(sparse))
     basis = [sparse[p] for p in order]
     for k in range(len(basis) - 1, 0, -1):
         for row in basis[:k]:

@@ -531,7 +531,8 @@ def ref_uk_grading(j):
 # and the in-map transposed for one dense RREF each, and the Betti ranks
 # from a model rebuilt with the x-degree-0 twist; the package takes sparse
 # unit images straight from d, the contractions and the wedge, and reads
-# every rank off the pivots of one elimination
+# every rank off the row and column rank profiles of one elimination per
+# parity map
 def ref_equivariant_cohomology(act, h_g, trunc):
     model = act.model
     columns = comb(trunc + act.k, act.k) << model.n
@@ -585,6 +586,56 @@ def ref_equivariant_cohomology(act, h_g, trunc):
             break
     return cartan.EquivariantRanks(trunc=trunc, k=act.k, by_degree=tuple(zip(even_ranks, odd_ranks)),
                                    betti=betti, free_pattern=free)
+
+
+# the equivariant ranks as read before the rank profiles, from five forward
+# eliminations on the same sparse columns: per parity, the out-map's rows
+# with their columns reversed (its rank on F_p) and the in-map's columns
+# (the image's rank off F_p), and the x-degree-0 block of both maps for the
+# Betti pair; the package eliminates each parity map once, its columns as
+# rows in blocks of x-degree, and reads all three off the two profiles
+def ref_five_eliminations(act, h_g, trunc):
+    model = act.model
+    columns = comb(trunc + act.k, act.k) << model.n
+    if columns > cartan.MAX_COLUMNS:
+        raise ValueError("truncated complex has %d (x-monomial, mask) columns, beyond %d"
+                         % (columns, cartan.MAX_COLUMNS))
+    res = cartan.d_equivariant(act, h_g)
+    if not res.is_zero():
+        raise ValueError("twisting form is not equivariantly closed: %s" % res)
+    cols_eo, cols_oe = cartan._cartan_columns(act, h_g, trunc)
+    mono_degs = [deg for deg in range(trunc + 1)
+                 for _ in cartan.monomials_of_degree(act.k, deg)]
+
+    def graded(cols_out, cols_in):
+        size = len(cols_out)
+        rows_out = {}  # the out-map's rows, columns reversed: F_p first
+        for j, col in enumerate(cols_out):
+            for i, x in col.items():
+                rows_out.setdefault(i, {})[size - 1 - j] = x
+        out_pivots = linalg.pivots(list(rows_out.values()), size)
+        im_pivots = linalg.pivots(cols_in, size)
+        per = size // len(mono_degs)
+        heads = [per * bisect_left(mono_degs, p) for p in range(trunc + 2)]
+        dims = [size - h - sum(c < size - h for c in out_pivots) + sum(c < h for c in im_pivots)
+                for h in heads]
+        return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
+
+    by_degree = tuple(zip(graded(cols_eo, cols_oe), graded(cols_oe, cols_eo)))
+    h0 = h_g.component(tuple([0] * act.k))
+    if not (h0.is_zero() or h0.is_homogeneous(3)):
+        raise ValueError("twisting form must be homogeneous of degree 3")
+    betti = BettiPair(1, 0)
+    if model.n:
+        half = 1 << (model.n - 1)
+        block = [{i: x for i, x in col.items() if i < half} for col in cols_eo[:half]]
+        block += [{half + i: x for i, x in col.items() if i < half} for col in cols_oe[:half]]
+        free = half - len(linalg.pivots(block, 2 * half))
+        betti = BettiPair(free, free)
+    counts = [len(cartan.monomials_of_degree(act.k, deg)) for deg in range(trunc)]
+    pattern = all(ranks == (c * betti.even, c * betti.odd) for ranks, c in zip(by_degree, counts))
+    return cartan.EquivariantRanks(trunc=trunc, k=act.k, by_degree=by_degree, betti=betti,
+                                   free_pattern=pattern)
 
 
 # the ddbar path as first run on dense rows: the lift summed in Q into a zero

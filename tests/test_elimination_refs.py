@@ -9,9 +9,11 @@ package reads the same answers off one RREF per matrix, with one matrix of
 d_H and the product of its halves; the two must agree exactly.  That
 RREF itself is checked against the dense elimination it replaced, also on
 Gaussian matrices with denominators up to 10^6, and its int-triple loop
-against any use of Q arithmetic; so are the pivots alone that the
-equivariant complex reads off its sparse rows, and the complex itself
-against its dense first version (ref_equivariant_cohomology).
+against any use of Q arithmetic; so are the row and column rank profiles
+that the equivariant complex reads off one elimination per parity map, and
+the complex itself against its dense first version
+(ref_equivariant_cohomology) and its five-elimination version
+(ref_five_eliminations).
 """
 
 import random
@@ -23,13 +25,14 @@ import pytest
 from conftest import (
     MODELS_DIR, RefSplit, gaussian_matrix, in_span, mat_add, mat_scale, mat_sub,
     random_nilpotent, random_q, ref_betti_numbers, ref_delbar_closed_subcomplex_betti,
-    ref_equivariant_cohomology, ref_intersect_spans, ref_kernel_basis, ref_solve,
-    ref_split_operators, ref_twisted_cohomology, row_space, shipped_structures, solve_column,
-    transpose, triple, vec_to_form, wide_q,
+    ref_equivariant_cohomology, ref_five_eliminations, ref_intersect_spans, ref_kernel_basis,
+    ref_solve, ref_split_operators, ref_twisted_cohomology, row_space, shipped_structures,
+    solve_column, transpose, triple, vec_to_form, wide_q,
 )
 from gcalg import linalg
 from gcalg.cartan import (
     EqForm,
+    EquivariantRanks,
     TorusAction,
     _d_eq_twisted_unchecked,
     canonical_extension,
@@ -305,7 +308,7 @@ def test_betti_ranks_match_parity_and_degree_blocks_on_random_models():
 
 
 def test_one_rref_per_matrix(monkeypatch):
-    calls = {"rref": 0, "echelon": 0, "pivots": 0, "solve": 0}
+    calls = {"rref": 0, "echelon": 0, "pivots": 0, "rank_profiles": 0, "solve": 0}
     for name in calls:
         original = getattr(linalg, name)
 
@@ -316,28 +319,29 @@ def test_one_rref_per_matrix(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def count(fn, *args, **kwargs):
-        calls.update(rref=0, echelon=0, pivots=0, solve=0)
+        calls.update(rref=0, echelon=0, pivots=0, rank_profiles=0, solve=0)
         fn(*args, **kwargs)
         return dict(calls)
 
     act = parse_model((MODELS_DIR / "t4_twisted_circle.model").read_text()).actions["rot"]
     for trunc in (2, 4, 6):
-        # two per parity plus the x-degree-0 block of d_H, whatever trunc is,
-        # all read off pivots alone, so none runs back substitution
+        # one per parity map, whatever trunc is, whose row and column rank
+        # profiles give every rank, so none runs back substitution
         got = count(equivariant_cohomology, act, act.h_equivariant(trunc), trunc)
-        assert got == {"rref": 0, "echelon": 0, "pivots": 5, "solve": 0}
+        assert got == {"rref": 0, "echelon": 0, "pivots": 0, "rank_profiles": 2, "solve": 0}
     mf = parse_model((MODELS_DIR / "kodaira_thurston.model").read_text())
     j = mf.structures["Jc"]
     sp = split_operators(mf.model, j)
     # the image and kernel of P = upper lower, and the canonical bases of
     # upper(ker P) and lower(ker P), all on sparse rows of triples
     got = count(ddbar_lemma_check, mf.model, j, ops=sp)
-    assert got == {"rref": 0, "echelon": 4, "pivots": 0, "solve": 0}
-    assert count(split_operators, mf.model, j) == {"rref": 0, "echelon": 0, "pivots": 0, "solve": 0}
+    assert got == {"rref": 0, "echelon": 4, "pivots": 0, "rank_profiles": 0, "solve": 0}
+    assert count(split_operators, mf.model, j) == {
+        "rref": 0, "echelon": 0, "pivots": 0, "rank_profiles": 0, "solve": 0}
     # the kernel of the upper half and its canonical basis, then the images'
     # rank from pivots alone
     got = count(delbar_closed_subcomplex_betti, mf.model, j)
-    assert got == {"rref": 0, "echelon": 2, "pivots": 1, "solve": 0}
+    assert got == {"rref": 0, "echelon": 2, "pivots": 1, "rank_profiles": 0, "solve": 0}
 
 
 # -- the level split of d_H ---------------------------------------------------
@@ -766,6 +770,55 @@ def test_pivots_match_dense_rref(shape):
     assert linalg.pivots([], 4) == [] and linalg.pivots([{}, {}], 3) == []
 
 
+# `rank_profiles` eliminates rows in blocks, the pivot from the earliest block
+# first: its pivot columns are still the dense RREF's, and the pivot rows
+# before each block boundary count the dense rank of the rows before it.
+
+
+def block_ends(blocks):
+    """The row indices at which a block ends: each boundary, and the row count."""
+    return [i for i in range(1, len(blocks)) if blocks[i] != blocks[i - 1]] + [len(blocks)]
+
+
+def assert_same_profiles(rows, ncols, blocks):
+    before = [dict(row) for row in rows]
+    pivot_rows, pivot_cols = linalg.rank_profiles(rows, ncols, blocks)
+    assert rows == before  # the rows given are not changed
+    mat = linalg.to_dense(rows, ncols)
+    assert pivot_cols == ref_rref(mat)[1]
+    assert sorted(set(pivot_rows)) == sorted(pivot_rows) and len(pivot_rows) == len(pivot_cols)
+    for end in block_ends(blocks):
+        assert sum(r < end for r in pivot_rows) == len(ref_rref(mat[:end])[1])
+    return pivot_rows, pivot_cols
+
+
+@pytest.mark.parametrize("shape", ["empty", "zero-rows", "repeated", "wide", "tall", "no-columns",
+                                   "row-per-block", "random-blocks"])
+def test_rank_profiles_match_dense_rref(shape):
+    rng = random.Random("rank-profiles-%s" % shape)
+    for _ in range(40):
+        if shape == "empty":
+            mat, ncols = [], rng.randint(0, 6)
+        elif shape == "no-columns":
+            mat, ncols = [[] for _ in range(rng.randint(1, 6))], 0
+        else:
+            kind = shape if shape in ("zero-rows", "repeated", "wide", "tall") else rng.choice(
+                ["zero-rows", "repeated", "deficient", "wide", "tall", "cancel"])
+            mat = shaped_matrix(rng, kind)
+            ncols = len(mat[0])
+        if shape == "row-per-block":
+            blocks = list(range(len(mat)))
+        else:  # a random partition into runs of consecutive rows
+            blocks = sorted(rng.randrange(rng.randint(1, 4)) for _ in mat)
+        rows = linalg.to_sparse(mat)
+        got = assert_same_profiles(rows, ncols, blocks)
+        # with one block, the rule and the result are those of pivots
+        single = linalg.rank_profiles(rows, ncols, [0] * len(rows))
+        assert single[1] == linalg.pivots(rows, ncols) == got[1]
+    assert linalg.rank_profiles([], 4, []) == ([], [])
+    assert linalg.rank_profiles([{}, {}], 0, [0, 1]) == ([], [])
+
+
 # Gaussian matrices with denominators up to 10^6: real, pure-imaginary or
 # mixed entries, and rows that are Gaussian combinations of two others, so
 # that elimination cancels stored entries to exact zeros.
@@ -870,26 +923,26 @@ def _captured_inputs(monkeypatch, name, fn, *args):
 
 
 def test_rref_matches_dense_on_captured_matrices(monkeypatch):
-    # the equivariant complex hands its sparse rows to pivots, and the grading
-    # its level spans to echelon
+    # the equivariant complex hands its sparse rows to rank_profiles, and the
+    # grading its level spans to echelon
     captured = []
     for model_file, name in SHIPPED_ACTIONS:
         act = parse_model((MODELS_DIR / model_file).read_text()).actions[name]
         for trunc in range(1, 7):
-            captured += _captured_inputs(monkeypatch, "pivots", equivariant_cohomology,
+            captured += _captured_inputs(monkeypatch, "rank_profiles", equivariant_cohomology,
                                          act, act.h_equivariant(trunc), trunc)
     rng = random.Random(7)  # the rank-two action of the test above
     c = _q(rng)
     a1 = Form(3, {0b100: _q(rng), 0b010: c})
     a2 = Form(3, {0b100: _q(rng), 0b001: -c})
     act = TorusAction(torus(3), [[1, 0, 0], [0, 1, 0]], alpha=[a1, a2])
-    captured += _captured_inputs(monkeypatch, "pivots", equivariant_cohomology, act,
+    captured += _captured_inputs(monkeypatch, "rank_profiles", equivariant_cohomology, act,
                                  act.h_equivariant(3), 3)
     grading = _captured_inputs(monkeypatch, "echelon", uk_grading, complex_structure(3))
-    assert len(captured) == 5 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
-    for rows, ncols in captured:
-        assert linalg.pivots(rows, ncols) == ref_rref(linalg.to_dense(rows, ncols))[1]
-    for rows, ncols in captured + grading:
+    assert len(captured) == 2 * (6 * len(SHIPPED_ACTIONS) + 1) and grading
+    for rows, ncols, blocks in captured:
+        assert_same_profiles(rows, ncols, blocks)
+    for rows, ncols in [c[:2] for c in captured] + grading:
         basis, pivots = linalg.echelon(rows, ncols)
         mat, want = ref_rref(linalg.to_dense(rows, ncols))
         assert pivots == want
@@ -1055,3 +1108,42 @@ def test_equivariant_ranks_match_dense_reference():
     assert any("not a plain Gaussian rational" in e for e in errors)
     assert "twisting form must be homogeneous of degree 3" in errors
     assert any(not isinstance(g, tuple) and not g.free_pattern for g in got)
+
+
+# -- one elimination per parity map against five --------------------------------
+# ref_five_eliminations (tests/conftest.py) reads the same ranks as the
+# package did before the rank profiles: each parity map eliminated on its
+# rows and on its columns, and the x-degree-0 block for the Betti pair.
+
+
+def _two_torus_cases():
+    """2-tori along e5 and e6 (or two mixes of them) on T^6 and on Iwasawa,
+    whose d(e5) and d(e6) leave both fields central, with and without
+    H = e1^e2^e3 and alpha = (e1, 0)."""
+    iwasawa = parse_model((MODELS_DIR / "iwasawa.model").read_text()).model
+    fields = ([[0] * 4 + [1, 0], [0] * 5 + [1]], [[0] * 4 + [1, 1], [0] * 4 + [1, -1]])
+    h = Form.monomial(6, (1, 2, 3))
+    for model in (torus(6), iwasawa):
+        for xi in fields:
+            for twist in (None, h):
+                act = TorusAction(model.with_twist(twist), xi,
+                                  alpha=[Form.generator(6, 1), Form.zero(6)])
+                yield from ((act, act.h_equivariant(trunc), trunc) for trunc in range(5))
+
+
+def test_one_elimination_per_map_matches_five():
+    shipped = [(act, act.h_equivariant(trunc), trunc) for act in (
+        parse_model((MODELS_DIR / model_file).read_text()).actions[name]
+        for model_file, name in SHIPPED_ACTIONS) for trunc in range(1, 7)]
+    tori = list(_two_torus_cases())
+    # n = 0: the odd parity is empty, so one map has no columns, the other no rows
+    empty = [(act, act.h_equivariant(trunc), trunc)
+             for act in (TorusAction(torus(0), [[]] * k) for k in (1, 2)) for trunc in range(4)]
+    cases = shipped + equivariant_cases() + tori + empty
+    got = [_ranks_or_error(equivariant_cohomology, *case) for case in cases]
+    assert got == [_ranks_or_error(ref_five_eliminations, *case) for case in cases]
+    # the 2-tori are all closed, and the twist and the model move their ranks
+    assert not any(isinstance(g, tuple) for g in got[-len(tori) - len(empty):])
+    assert len({g.by_degree for g in got[-len(tori) - len(empty):-len(empty)]}) > 5
+    assert got[-1] == EquivariantRanks(trunc=3, k=2, by_degree=((1, 0), (2, 0), (3, 0), (4, 0)),
+                                       betti=BettiPair(1, 0), free_pattern=True)

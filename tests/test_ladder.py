@@ -68,18 +68,22 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
         ("canonical_extension", "symplectic")]
     iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS] + [
         ("equivariant_cohomology", "iwasawa")]
+    two_torus = [("equivariant_cohomology", "2-torus")]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
-        [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa]
+        [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa + two_torus]
         + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)])
-    for call, _ in iwasawa:
-        got = ladder.run_child(ROOT, call, "iwasawa", 6)
+    for call, structure in iwasawa + two_torus:
+        got = ladder.run_child(ROOT, call, structure, 6)
         assert got["status"] == "ok" and got["wall_s"] >= 0, got
 
 
 def test_ladder_runs_the_equivariant_rung_while_it_fits():
     # trunc 3 for a circle spans 4 x 2^n columns: exactly MAX_COLUMNS at
-    # n = 10, and refused from n = 12 on, where the rung is left out
+    # n = 10, and refused from n = 12 on, where the rung is left out; for a
+    # 2-torus it spans 10 x 2^n, which fits up to n = 8
     assert ladder.MAX_COLUMNS == MAX_COLUMNS
+    assert ("equivariant_cohomology", "2-torus", 8) in ladder.ladder_cases([8])
+    assert ("equivariant_cohomology", "2-torus", 10) not in ladder.ladder_cases([10])
     calls = {n: [(c, s) for c, s, m in ladder.ladder_cases([10, 12]) if m == n] for n in (10, 12)}
     equivariant = [("equivariant_cohomology", s) for s in ("-", "iwasawa")]
     assert set(equivariant) <= set(calls[10])

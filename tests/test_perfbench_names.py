@@ -9,8 +9,8 @@ read-only, installs the tracer and the counter, runs a `gclinear`, a
 `grading`, two `extension` and an `equivariant` query under both (the
 second extension query fails its closedness check, so the level grading's
 `decompose` hands `mat_vec` its dense inverse; the equivariant query reads
-its ranks from the pivots of `echelon`), and checks that the output is
-unchanged.
+its ranks from the pivot rows and pivot columns of `rank_profiles`, one call
+per parity map), and checks that the output is unchanged.
 """
 
 import contextlib

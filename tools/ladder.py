@@ -11,9 +11,12 @@ structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
 while its 4 x 2^n columns fit in `cartan.MAX_COLUMNS` (mirrored here as
 MAX_COLUMNS; exactly at n = 10, and from n = 12 the call would refuse), and
-`canonical_extension` of rho = exp(i*omega) on the symplectic T^n for a
-circle along e1 with mu = e2 and alpha = 0, as `gcalg extension --form rho`
-runs it on models/t2_symplectic.model.  On the flat tori d_H = 0, so the
+from n = 6 for a 2-torus along e_(n-1) and e_n with alpha = (e1, 0) and
+H = e1^e2^e3 while its 10 x 2^n columns fit (up to n = 8; at n = 4 the
+field e3 meets H and h_G is not closed), and `canonical_extension` of
+rho = exp(i*omega) on the symplectic T^n for a circle along e1 with
+mu = e2 and alpha = 0, as `gcalg extension --form rho` runs it on
+models/t2_symplectic.model.  On the flat tori d_H = 0, so the
 split and the check time little beyond assembly; from n = 6 they and
 `twisted_cohomology` also run on Iwasawa x T^(n-6) (d e5 = e1^e3 - e2^e4,
 d e6 = e1^e4 + e2^e3, as in models/iwasawa.model) with the complex
@@ -52,7 +55,7 @@ IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check", "twisted_cohomology")  
 TIMEOUT_S = 300.0
 MEM_MB = 3072
 REPEATS = 3  # child runs per call and checkout; a row keeps their median
-MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rung's 4 x 2^n columns must fit
+MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rungs' 4 (or 10) x 2^n must fit
 POWERS = (8, 16)  # powers k of the scalars rung
 
 CHILD = r"""
@@ -81,7 +84,10 @@ elif structure == "symplectic":
 if call == "equivariant_cohomology":
     h = Form.monomial(n, (1, 2, 3)) if n >= 4 else None
     field = [0] * (n - 1) + [1] if structure == "-" else [0] * 5 + [1] + [0] * (n - 6)
-    act = TorusAction(model.with_twist(h), [field], alpha=[Form.generator(n, 1)])
+    fields, alpha = [field], [Form.generator(n, 1)]
+    if structure == "2-torus":
+        fields, alpha = [[0] * (n - 2) + [1, 0], [0] * (n - 1) + [1]], alpha + [Form.zero(n)]
+    act = TorusAction(model.with_twist(h), fields, alpha=alpha)
 if call == "canonical_extension":
     act = TorusAction(model, [[1] + [0] * (n - 1)], mu_diff=[Form.generator(n, 2)],
                       alpha=[Form.zero(n)])
@@ -142,6 +148,8 @@ def ladder_cases(sizes):
                 yield call, "iwasawa", n
             if 4 << n <= MAX_COLUMNS:
                 yield "equivariant_cohomology", "iwasawa", n
+            if 10 << n <= MAX_COLUMNS:
+                yield "equivariant_cohomology", "2-torus", n
     for k in POWERS:
         yield "parse_scalar_text", "-", k
 
