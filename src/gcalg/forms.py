@@ -4,6 +4,13 @@ A Form maps index subsets (stored as bitmasks, bit i-1 for generator e_i) to
 Scalar coefficients.  All operations are pure; values are immutable after
 construction and safe to share.
 
+The public `Form(...)` checks every mask against the generator count and
+drops zero coefficients.  Results that are clean by construction (sums,
+negations, scalings, wedges, generators and Clifford sums) skip those checks
+through `_form_of`, as `Scalar` arithmetic does through `scalars._scalar_of`:
+an operation drops a cancelled entry where it stands, so the masks keep the
+order the public constructor would keep.
+
 The Clifford action of V + V* has one generator, `_unit_clifford`, which
 `contract`, `contract_vector` and `clifford` sum over a form's terms; the
 pairing (eta(X) + xi(Y))/2 swaps the halves of V + V*.
@@ -14,7 +21,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, List, Sequence
 
-from .scalars import ONE, Q, Scalar, ZERO, scalar
+from .scalars import ONE, Q, Scalar, ZERO, _drop_zeros, _new, _set, scalar
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -48,6 +55,15 @@ def _indices_mask(indices: Iterable[int]) -> int:
             raise ValueError("repeated generator index %d" % i)
         mask |= bit
     return mask
+
+
+def _form_of(n: int, terms: dict) -> "Form":
+    """The Form on `terms` as given: the caller guarantees masks below 2^n and
+    no zero coefficient."""
+    f = _new(Form)
+    _set(f, "n", n)
+    _set(f, "terms", terms)
+    return f
 
 
 class Form:
@@ -84,7 +100,7 @@ class Form:
     def generator(n: int, i: int) -> "Form":
         if not 1 <= i <= n:
             raise ValueError("generator index %d out of range 1..%d" % (i, n))
-        return Form(n, {1 << (i - 1): ONE})
+        return _form_of(n, {1 << (i - 1): ONE})
 
     @staticmethod
     def monomial(n: int, indices: Sequence[int], coeff: Scalar = ONE) -> "Form":
@@ -143,18 +159,28 @@ class Form:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             x = terms.get(m)
-            terms[m] = c if x is None else x + c
-        return Form(self.n, terms)
+            if x is None:
+                terms[m] = c
+            else:
+                x = x + c
+                if x.terms:
+                    terms[m] = x
+                else:
+                    del terms[m]
+        return _form_of(self.n, terms)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form(self.n, {m: -c for m, c in self.terms.items()})
+        return _form_of(self.n, {m: -c for m, c in self.terms.items()})
 
     def scale(self, coeff) -> "Form":
+        """coeff times the form; a product of nonzero scalars is nonzero."""
         c = scalar(coeff)
-        return Form(self.n, {m: c * x for m, x in self.terms.items()})
+        if not c.terms:
+            return _form_of(self.n, {})
+        return _form_of(self.n, {m: c * x for m, x in self.terms.items()})
 
     def conjugate(self) -> "Form":
         return Form(self.n, {m: c.conjugate() for m, c in self.terms.items()})
@@ -255,7 +281,7 @@ def wedge(a: Form, b: Form) -> Form:
                 c = -c
             x = terms.get(m)
             terms[m] = c if x is None else x + c
-    return Form(a.n, terms)
+    return _form_of(a.n, _drop_zeros(terms))
 
 
 def _unit_clifford(a: int, n: int, mask: int):
@@ -280,7 +306,7 @@ def _clifford_sum(v: Sequence, a: Form, first: int = 0) -> Form:
                 y = x * c if hit[0] > 0 else -(x * c)
                 old = terms.get(hit[1])
                 terms[hit[1]] = y if old is None else old + y
-    return Form(a.n, terms)
+    return _form_of(a.n, _drop_zeros(terms))
 
 
 def contract(i: int, a: Form) -> Form:

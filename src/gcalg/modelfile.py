@@ -62,16 +62,18 @@ class Token(NamedTuple):
 # one scan: NUM, NAME and OP tokens, and any other non-space character, which
 # is refused at the column just past the previous token
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),=])|(\S))")
-_KINDS = (None, "NUM", "NAME", "OP")
+_KINDS = (None, "NUM", "NAME", "OP", None)
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^(),=]")  # a character the last group above takes
+_tuple_new = tuple.__new__  # a Token or Node from all its fields, past the NamedTuple's __new__
 
 
 def tokenize(text: str, line: int) -> List[Token]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        g = m.lastindex
-        if g == 4:
-            raise ParseError("unexpected character %r" % m.group(4), line, m.start() + 1)
-        out.append(Token(_KINDS[g], m.group(g), line, m.start(g) + 1))
+    out = [_tuple_new(Token, (_KINDS[g], m.group(g), line, m.start(g) + 1))
+           for m in _TOKEN_RE.finditer(text) for g in (m.lastindex,)]
+    if _STRAY_RE.search(text):
+        k = next(k for k, tok in enumerate(out) if tok.kind is None)
+        col = out[k - 1].col + len(out[k - 1].text) if k else 1
+        raise ParseError("unexpected character %r" % out[k].text, line, col)
     return out
 
 
@@ -87,18 +89,16 @@ class Node(NamedTuple):
 
 class ExprParser:
     def __init__(self, tokens: List[Token], line: int):
-        self.tokens = tokens
+        self.tokens = tokens + [None]  # so reading one past the last token needs no bounds check
         self.pos = 0
         self.line = line
         self.depth = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:  # located just past the last token
-            col = self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1
+            last = self.tokens[-2] if self.pos else None
+            col = last.col + len(last.text) if last else 1
             raise ParseError("unexpected end of expression", self.line, col)
         self.pos += 1
         return tok
@@ -120,86 +120,71 @@ class ExprParser:
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is not None:
             raise ParseError("trailing input %r" % tok.text, tok.line, tok.col)
         return node
 
+    def _op(self, ops: str) -> Optional[Token]:
+        """The next token, consumed, when it is one of the operator characters ops."""
+        tok = self.tokens[self.pos]
+        if tok is not None and tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
     def expr(self) -> Node:
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "OP" and tok.text in "+-":
-                self.next()
-                rhs = self.term()
-                node = Node("binary", tok, tok.text, (node, rhs))
-            else:
-                return node
+        while tok := self._op("+-"):
+            node = _tuple_new(Node, ("binary", tok, tok.text, (node, self.term())))
+        return node
 
     def term(self) -> Node:
         node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "OP" and tok.text in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Node("binary", tok, tok.text, (node, rhs))
-            else:
-                return node
+        while tok := self._op("*/"):
+            node = _tuple_new(Node, ("binary", tok, tok.text, (node, self.unary())))
+        return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok and tok.kind == "OP" and tok.text in "+-":
-            self.next()
-            return Node("unary", tok, tok.text, (self.nested(tok, self.unary),))
+        tok = self._op("+-")
+        if tok:
+            return _tuple_new(Node, ("unary", tok, tok.text, (self.nested(tok, self.unary),)))
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "OP" and tok.text == "^":
-                self.next()
-                neg = self.peek()
-                if neg and neg.kind == "OP" and neg.text == "-":
-                    self.next()
-                    base = self.atom()
-                    rhs = Node("unary", neg, "-", (base,))
-                else:
-                    rhs = self.atom()
-                literal = _int_literal(rhs)
-                if literal is not None and abs(literal) > MAX_EXPONENT:
-                    at = rhs.token
-                    raise ParseError("exponent beyond +-%d" % MAX_EXPONENT, at.line, at.col)
-                node = Node("binary", tok, "^", (node, rhs))
-            else:
-                return node
+        while tok := self._op("^"):
+            neg = self._op("-")
+            rhs = _tuple_new(Node, ("unary", neg, "-", (self.atom(),))) if neg else self.atom()
+            literal = _int_literal(rhs)
+            if literal is not None and abs(literal) > MAX_EXPONENT:
+                at = rhs.token
+                raise ParseError("exponent beyond +-%d" % MAX_EXPONENT, at.line, at.col)
+            node = _tuple_new(Node, ("binary", tok, "^", (node, rhs)))
+        return node
 
     def atom(self) -> Node:
         tok = self.next()
         if tok.kind == "NUM":
-            return Node("num", tok, tok.text)
+            return _tuple_new(Node, ("num", tok, tok.text, ()))
         if tok.kind == "NAME":
-            nxt = self.peek()
-            if nxt and nxt.kind == "OP" and nxt.text == "(":
-                self.next()
-                args = []
-                if not (self.peek() and self.peek().kind == "OP" and self.peek().text == ")"):
+            if not self._op("("):
+                return _tuple_new(Node, ("name", tok, tok.text, ()))
+            args = []
+            if not self._op(")"):
+                args.append(self.nested(tok, self.expr))
+                while self._op(","):
                     args.append(self.nested(tok, self.expr))
-                    while self.peek() and self.peek().kind == "OP" and self.peek().text == ",":
-                        self.next()
-                        args.append(self.nested(tok, self.expr))
                 self.expect_op(")")
-                return Node("call", tok, tok.text, tuple(args))
-            return Node("name", tok, tok.text)
+            return _tuple_new(Node, ("call", tok, tok.text, tuple(args)))
         if tok.kind == "OP" and tok.text == "(":
             node = self.nested(tok, self.expr)
             self.expect_op(")")
-            return Node("paren", tok, "", (node,))
+            return _tuple_new(Node, ("paren", tok, "", (node,)))
         raise ParseError("unexpected token %r" % tok.text, tok.line, tok.col)
 
 
-_XVAR_RE = re.compile(r"^x(\d+)$")
+_XVAR_RE = re.compile(r"x(0|[1-9][0-9]*)")  # x0 is refused by name; x01 is no variable
 
 
 def promote(value: Value, n: int, k: Optional[int] = None) -> Value:
@@ -232,8 +217,7 @@ class Evaluator:
         self.k_context = k_context
 
     def eval(self, node: Node) -> Value:
-        method = getattr(self, "_eval_" + node.kind)
-        return method(node)
+        return self._EVAL[node.kind](self, node)
 
     def _eval_num(self, node: Node) -> Value:
         return Scalar.rational(int(node.value))
@@ -253,10 +237,15 @@ class Evaluator:
             return Scalar.parameter(name)
         if name in self.values:
             return self.values[name]
-        m = _XVAR_RE.match(name)
+        m = _XVAR_RE.fullmatch(name)
         if m and self.k_context:
             j = int(m.group(1))
-            if not 1 <= j <= self.k_context:
+            if j == 0:
+                raise ParseError(
+                    "polynomial variable x0 is not one of x1..x%d" % self.k_context,
+                    node.token.line, node.token.col,
+                )
+            if j > self.k_context:
                 raise ParseError(
                     "polynomial variable %s exceeds the torus rank %d"
                     % (name, self.k_context),
@@ -382,19 +371,23 @@ class Evaluator:
             out = self._mul(out, base)
         return out
 
+    _EVAL = {"num": _eval_num, "paren": _eval_paren, "name": _eval_name, "unary": _eval_unary,
+             "call": _eval_call, "binary": _eval_binary}  # eval's dispatch on the node kind
 
-def _coefficients(v: Value) -> List[Scalar]:
+
+def _coefficients(v: Value):
     if isinstance(v, Scalar):
-        return [v]
+        return (v,)
     if isinstance(v, Form):
-        return list(v.terms.values())
+        return v.terms.values()
     return [c for f in v.terms.values() for c in f.terms.values()]
 
 
 def _pi_checked(v: Value) -> Value:
     """v, after each coefficient's `pi_power` has checked that it holds one pi power."""
     for c in _coefficients(v):
-        c.pi_power
+        if len(c.terms) > 1:  # one term has one pi power
+            c.pi_power
     return v
 
 
@@ -407,18 +400,30 @@ def _check_size(tok: Token, factors: Sequence[Value], spent: List[int], power: i
     monomials, T the total monomial count of a factor and p the number of
     parameters the factors use.  That bound times `power` estimates the term
     products it costs; they add to `spent`, the file's running total, which
-    may not pass MAX_FILE_PRODUCTS.
+    may not pass MAX_FILE_PRODUCTS.  One pass over each factor's monomials
+    reads its degree and its count.
     """
-    coeffs = [_coefficients(f) for f in factors]
-    degree = power * sum(max([0] + [c.degree() for c in cs]) for cs in coeffs)
+    degree, count = 0, 1
+    for f in factors:
+        top = size = 0
+        for c in _coefficients(f):
+            size += len(c.terms)
+            for _, m in c.terms:
+                if m:
+                    e = m[0][1] if len(m) == 1 else sum(e for _, e in m)
+                    if e > top:
+                        top = e
+        degree += top
+        count *= size ** power
+    degree *= power
     if degree > MAX_DEGREE:
         raise ParseError(
             "polynomial degree %d beyond %d" % (degree, MAX_DEGREE), tok.line, tok.col
         )
-    count = math.prod(sum(len(c.terms) for c in cs) ** power for cs in coeffs)
     if count > MAX_MONOMIALS:
-        params = len(set().union(*(c.parameters() for cs in coeffs for c in cs)))
-        count = min(count, math.comb(degree + params, params))
+        params = {name for f in factors for c in _coefficients(f) for _, m in c.terms
+                  for name, _ in m}
+        count = min(count, math.comb(degree + len(params), len(params)))
     if count > MAX_MONOMIALS:
         raise ParseError(
             "up to %d monomials in a coefficient, beyond %d" % (count, MAX_MONOMIALS),

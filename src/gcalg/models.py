@@ -15,16 +15,16 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .forms import (
     Form,
+    _form_of,
     _merge_sign,
     basis_masks,
     clifford,
-    contract,
     contract_vector,
     reversal,
     wedge,
 )
 from .gcmaps import GCMap, UGrading, lifted_action_matrix, require_valid, uk_grading
-from .scalars import ONE, Q, Scalar, _q
+from .scalars import ONE, Q, Scalar, _drop_zeros, _q
 
 
 class Model:
@@ -99,13 +99,34 @@ class Model:
 def d(m: Model, a: Form) -> Form:
     """Graded Leibniz extension of the generator differentials: the sum over
     generators g of d(e_g) ^ contract(g, a), since each d(e_g) is a 2-form
-    and moves past the generators before e_g with no sign."""
+    and moves past the generators before e_g with no sign.
+
+    Built by mask arithmetic, with no contraction or wedge Form: per generator
+    g, each term of d(e_g) lands on each term of a through e_g with the sign
+    of `_d_column`.  The sum runs generator-major, each generator's image
+    summed before it is added, so every Scalar keeps the term order of that
+    sum of wedges (the order that names the pi powers of a mix)."""
     if a.n != m.n:
         raise ValueError("form lives on %d generators, model has %d" % (a.n, m.n))
-    out = Form.zero(m.n)
-    for g, dg in enumerate(m.d_table, start=1):
-        if not dg.is_zero():
-            out = out + wedge(dg, contract(g, a))
+    out = _form_of(m.n, {})
+    for g, dg in enumerate(m.d_table):
+        if not dg.terms:
+            continue
+        bit = 1 << g
+        # the terms of contract(g, a): (mask without e_g, coefficient, odd sign)
+        part = [(mask ^ bit, c, (mask & (bit - 1)).bit_count() & 1)
+                for mask, c in a.terms.items() if mask & bit]
+        image: dict = {}
+        for mg, cg in dg.terms.items():
+            for rest, c, odd in part:
+                if not mg & rest:
+                    y = cg * c
+                    if odd != (_merge_sign(mg, rest) < 0):
+                        y = -y
+                    key = mg | rest
+                    x = image.get(key)
+                    image[key] = y if x is None else x + y
+        out = out + _form_of(m.n, _drop_zeros(image))
     return out
 
 

@@ -6,6 +6,13 @@ ever evaluated in floating point; ``pi`` is never given a numeric value.
 A Gaussian rational `Q` stores the reduced integer triple (a, b, d) of (a + b*i)/d,
 the entry format of `linalg`'s sparse rows, and computes, compares and prints on
 those ints without building a Fraction.
+
+The public `Scalar(...)` drops zero coefficients from whatever it is given.
+Results that are clean by construction (sums, differences, products,
+negations, quotients, conjugates and `from_q`) skip that pass through
+`_scalar_of`, as `Q`'s arithmetic skips `Q(...)` through `_q`: a sum drops a
+cancelled term where it stands, so the terms keep the order the public
+constructor would keep.
 """
 
 from __future__ import annotations
@@ -182,7 +189,7 @@ class Scalar:
 
     @staticmethod
     def from_q(q: Q, pi_power: int = 0) -> "Scalar":
-        return Scalar({(pi_power, ()): q})
+        return _scalar_of({(pi_power, ()): q} if q.a or q.b else {})
 
     @staticmethod
     def rational(num: RationalLike, den: RationalLike = 1) -> "Scalar":
@@ -194,7 +201,7 @@ class Scalar:
 
     @staticmethod
     def parameter(name: str) -> "Scalar":
-        return Scalar({(0, ((name, 1),)): QONE})
+        return _scalar_of({(0, ((name, 1),)): QONE})
 
     @staticmethod
     def pi(power: int = 1) -> "Scalar":
@@ -249,22 +256,31 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, QZERO) + c
-        return Scalar(terms)
+            x = terms.get(k)
+            if x is None:
+                terms[k] = c
+            else:
+                x = x + c
+                if x.a or x.b:
+                    terms[k] = x
+                else:
+                    del terms[k]
+        return _scalar_of(terms)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: -c for k, c in self.terms.items()})
+        return _scalar_of({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         terms: dict = {}
         for (p1, m1), c1 in self.terms.items():
             for (p2, m2), c2 in other.terms.items():
-                k = (p1 + p2, _mono_mul(m1, m2))
-                terms[k] = terms.get(k, QZERO) + c1 * c2
-        return Scalar(terms)
+                k = (p1 + p2, _mono_mul(m1, m2) if m1 and m2 else m1 or m2)
+                x = terms.get(k)
+                terms[k] = c1 * c2 if x is None else x + c1 * c2
+        return _scalar_of(_drop_zeros(terms))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         """Division by a parameter-free nonzero scalar (polynomial division is out of scope)."""
@@ -274,7 +290,7 @@ class Scalar:
             raise ValueError("division by non-constant scalar %s" % other)
         power = other.pi_power
         q = other.terms[(power, ())]
-        return Scalar({(p - power, m): c / q for (p, m), c in self.terms.items()})
+        return _scalar_of({(p - power, m): c / q for (p, m), c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -286,7 +302,7 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation; parameters and pi are real and stay fixed."""
-        return Scalar({k: c.conjugate() for k, c in self.terms.items()})
+        return _scalar_of({k: c.conjugate() for k, c in self.terms.items()})
 
     def substitute(self, values: Mapping[str, Union[RationalLike, Q]]) -> "Scalar":
         """Evaluate some parameters at exact rational values; pi stays formal."""
@@ -342,6 +358,21 @@ class Scalar:
         if out.startswith("-1*"):
             out = "-" + out[3:]
         return out
+
+
+def _scalar_of(terms: dict) -> Scalar:
+    """The Scalar on `terms` as given: the caller guarantees no zero coefficient."""
+    s = _new(Scalar)
+    _set(s, "terms", terms)
+    return s
+
+
+def _drop_zeros(terms: dict) -> dict:
+    """terms without its zero coefficients (Q or Scalar), in place; the others
+    keep their order."""
+    for k in [k for k, c in terms.items() if c.is_zero()]:
+        del terms[k]
+    return terms
 
 
 def _mono_key(m: Monomial) -> tuple:

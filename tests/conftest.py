@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -12,15 +13,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gcalg import cartan, gcmaps, gcy, linalg
 from gcalg.forms import (
-    Form, _unit_clifford, basis_masks, clifford, contract_vector, form_to_vec, mask_key, wedge,
+    Form, _merge_sign, _unit_clifford, basis_masks, clifford, contract_vector, form_to_vec,
+    mask_key, wedge,
 )
 from gcalg.gcmaps import i_eigenspace, require_valid, uk_grading
+from gcalg import modelfile
 from gcalg.modelfile import ParseError, parse_model
 from gcalg.models import (
     BettiPair, DdbarReport, Model, _stray_component, d, d_twisted, ddbar_lemma_check,
     del_delbar_split, lie_derivative, split_operators, twisted_cohomology,
 )
-from gcalg.scalars import ONE, Q, Scalar, _mono_key, _mono_str, scalar
+from gcalg.scalars import ONE, Q, QZERO, Scalar, _mono_key, _mono_mul, _mono_str, scalar
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -1006,3 +1009,125 @@ def outcome(cls, *args):
     except ValueError as exc:
         return str(exc)
     return tuple(getattr(obj, name) for name in cls.__slots__ or cls.__base__.__slots__)
+
+
+# Scalar and Form arithmetic, the size guard and d as first written: every
+# result goes back through the public constructor, which drops zero
+# coefficients (and checks masks); sums fold Q(0) in; d sums wedges of
+# contractions.  The package builds clean results through `_scalar_of` and
+# `_form_of`, guards sizes in one pass and builds d by mask arithmetic.
+def ref_scalar_add(x, y):
+    terms = dict(x.terms)
+    for k, c in y.terms.items():
+        terms[k] = terms.get(k, QZERO) + c
+    return Scalar(terms)
+
+
+def ref_scalar_neg(x):
+    return Scalar({k: -c for k, c in x.terms.items()})
+
+
+def ref_scalar_sub(x, y):
+    return ref_scalar_add(x, ref_scalar_neg(y))
+
+
+def ref_scalar_mul(x, y):
+    terms = {}
+    for (p1, m1), c1 in x.terms.items():
+        for (p2, m2), c2 in y.terms.items():
+            k = (p1 + p2, _mono_mul(m1, m2))
+            terms[k] = terms.get(k, QZERO) + c1 * c2
+    return Scalar(terms)
+
+
+def ref_form_add(a, b):
+    terms = dict(a.terms)
+    for m, c in b.terms.items():
+        x = terms.get(m)
+        terms[m] = c if x is None else ref_scalar_add(x, c)
+    return Form(a.n, terms)
+
+
+def ref_form_neg(a):
+    return Form(a.n, {m: ref_scalar_neg(c) for m, c in a.terms.items()})
+
+
+def ref_form_sub(a, b):
+    return ref_form_add(a, ref_form_neg(b))
+
+
+def ref_scale(a, coeff):
+    c = scalar(coeff)
+    return Form(a.n, {m: ref_scalar_mul(c, x) for m, x in a.terms.items()})
+
+
+def ref_wedge(a, b):
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            c = ref_scalar_mul(ca, cb)
+            if _merge_sign(ma, mb) < 0:
+                c = ref_scalar_neg(c)
+            x = terms.get(m)
+            terms[m] = c if x is None else ref_scalar_add(x, c)
+    return Form(a.n, terms)
+
+
+def ref_clifford_sum(v, a, first=0):
+    terms = {}
+    for k, x in enumerate(map(scalar, v), start=first):
+        if x.is_zero():
+            continue
+        for m, c in a.terms.items():
+            hit = _unit_clifford(k, a.n, m)
+            if hit:
+                y = ref_scalar_mul(x, c)
+                if hit[0] < 0:
+                    y = ref_scalar_neg(y)
+                old = terms.get(hit[1])
+                terms[hit[1]] = y if old is None else ref_scalar_add(old, y)
+    return Form(a.n, terms)
+
+
+def ref_d(m, a):
+    """Sum over generators g of wedge(d(e_g), contract(g, a)), one Form per step."""
+    if a.n != m.n:
+        raise ValueError("form lives on %d generators, model has %d" % (a.n, m.n))
+    out = Form.zero(m.n)
+    for g, dg in enumerate(m.d_table, start=1):
+        if not dg.is_zero():
+            out = ref_form_add(out, ref_wedge(dg, ref_clifford_sum([ONE], a, g - 1)))
+    return out
+
+
+def _ref_coefficients(v):
+    if isinstance(v, Scalar):
+        return [v]
+    if isinstance(v, Form):
+        return list(v.terms.values())
+    return [c for f in v.terms.values() for c in f.terms.values()]
+
+
+def ref_check_size(tok, factors, spent, power=1):
+    coeffs = [_ref_coefficients(f) for f in factors]
+    degree = power * sum(max([0] + [c.degree() for c in cs]) for cs in coeffs)
+    if degree > modelfile.MAX_DEGREE:
+        raise ParseError(
+            "polynomial degree %d beyond %d" % (degree, modelfile.MAX_DEGREE), tok.line, tok.col
+        )
+    count = math.prod(sum(len(c.terms) for c in cs) ** power for cs in coeffs)
+    if count > modelfile.MAX_MONOMIALS:
+        params = len(set().union(*(c.parameters() for cs in coeffs for c in cs)))
+        count = min(count, math.comb(degree + params, params))
+    if count > modelfile.MAX_MONOMIALS:
+        raise ParseError(
+            "up to %d monomials in a coefficient, beyond %d" % (count, modelfile.MAX_MONOMIALS),
+            tok.line, tok.col,
+        )
+    spent[0] += count * power
+    if spent[0] > modelfile.MAX_FILE_PRODUCTS:
+        raise ParseError("term products in this file add up to %d, beyond %d"
+                         % (spent[0], modelfile.MAX_FILE_PRODUCTS), tok.line, tok.col)

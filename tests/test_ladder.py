@@ -8,6 +8,7 @@ import pytest
 
 from gcalg.cartan import MAX_COLUMNS, TorusAction, equivariant_cohomology
 from gcalg.forms import Form
+from gcalg.modelfile import parse_model
 from gcalg.models import torus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,7 +18,9 @@ _spec.loader.exec_module(ladder)
 
 
 def test_ladder_records_each_call_of_a_small_rung(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(ladder, "POWERS", ())  # the scalars rung has its own test
+    monkeypatch.setattr(ladder, "POWERS", ())  # the scalars and front-end rungs have their own tests
+    monkeypatch.setattr(ladder, "PARSE_SIZES", ())
+    monkeypatch.setattr(ladder, "MODELS_DIR", tmp_path)
     out = tmp_path / "ladder.json"
     assert ladder.main(["here=%s" % ROOT, "--n", "2", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
@@ -71,7 +74,7 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
     two_torus = [("equivariant_cohomology", "2-torus")]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
         [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa + two_torus]
-        + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)])
+        + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END)
     for call, structure in iwasawa + two_torus:
         got = ladder.run_child(ROOT, call, structure, 6)
         assert got["status"] == "ok" and got["wall_s"] >= 0, got
@@ -98,3 +101,26 @@ def test_ladder_times_the_scalars_rung():
     assert ladder.POWERS == (8, 16)
     got = ladder.run_child(ROOT, "parse_scalar_text", "-", 8)
     assert got["status"] == "ok" and got["wall_s"] >= 0, got
+
+
+# the front-end rung after the scalars rung: every shipped model file with
+# its generator count, then the validate-style file at n = 3, 5 and 7
+FRONT_END = [("parse_model", name, n) for name, n in (
+    ("iwasawa", 6), ("kodaira_thurston", 4), ("t2_symplectic", 2), ("t3_gamma", 3),
+    ("t3_plain", 3), ("t3_twisted", 3), ("t4_h124", 4), ("t4_rho1", 4), ("t4_rho2", 4),
+    ("t4_twisted_circle", 4), ("validate", 3), ("validate", 5), ("validate", 7))]
+
+
+def test_ladder_times_the_front_end_rung(monkeypatch):
+    assert list(ladder.ladder_cases([])) == [
+        ("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END
+    assert sorted(p.stem for p in (ROOT / "models").glob("*.model")) == [
+        s for _, s, _ in FRONT_END[:-3]]
+    for n in ladder.PARSE_SIZES:  # perfbench's validate queries declare the same
+        mf = parse_model(ladder.validate_text(n))
+        assert mf.model.n == n and mf.params == ("t", "s") and list(mf.dh_specs) == ["f1"]
+        assert sorted(mf.values) == ["c", "f", "g", "p", "w"] and list(mf.connections) == ["th"]
+    monkeypatch.setattr(ladder, "PARSE_LOOPS", 3)
+    for name in ("t3_twisted", "validate"):
+        got = ladder.run_child(ROOT, "parse_model", name, 3)
+        assert got["status"] == "ok" and 0 < got["wall_s"] < 1, got

@@ -78,6 +78,8 @@ HAND_CASES = [
     H + "params t\nlet t = 1\n",
     H + "eqform g for r = 1\n",
     H + ROT + "eqform g for r = x2\n",
+    H + ROT + "eqform g for r = x0*e1\n",
+    H + ROT + "eqform g for r = x01\n",
     H + ROT + "eqform g for r = x1 + e1\neqform h for r = 1\n",
     H + G + "let h = g + e1\n",
     H + G + "let h = e1 - g\n",

@@ -26,9 +26,15 @@ H = e1^e2^e3 and alpha = e1, while it fits, so that d's table, the
 contraction and the twist all enter its columns.  The scalars rung times
 `parse_scalar_text("(t+s+u+1)^k", ["t", "s", "u"])` for k = 8 and 16
 (POWERS) after every size, which spends its time in Gaussian-rational and
-polynomial arithmetic; its rows carry k as n.  The child imports gcalg
-from DIR/src, builds the inputs untimed, times the call and prints its wall
-time and `ru_maxrss`.  A child gets TIMEOUT_S seconds of wall time and an
+polynomial arithmetic; its rows carry k as n.  The front-end rung follows:
+`parse_model` of each shipped models/*.model file (its rows carry the file's
+name and generator count) and of a validate-style file at n = 3, 5 and 7
+(PARSE_SIZES; structure "validate"), which declares parameters, builds an
+`exp`, an eqform, a connection and a dh block, as perfbench's `validate`
+queries do.  The child imports gcalg from DIR/src, builds the inputs
+untimed, times the call and prints its wall time and `ru_maxrss`; a
+`parse_model` child calls once untimed, then times PARSE_LOOPS calls and
+reports the time per call, since one parse takes about a millisecond.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
 that exceeds one is recorded as "timeout" or "memory", and that side's
 row stops there.  Each row runs every call REPEATS times per checkout,
@@ -57,17 +63,20 @@ MEM_MB = 3072
 REPEATS = 3  # child runs per call and checkout; a row keeps their median
 MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rungs' 4 (or 10) x 2^n must fit
 POWERS = (8, 16)  # powers k of the scalars rung
+PARSE_SIZES = (3, 5, 7)  # generator counts of the validate-style file of the front-end rung
+PARSE_LOOPS = 200  # timed parse_model calls per child
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"  # the shipped files it parses
 
 CHILD = r"""
 import json, resource, sys, time
 from gcalg.cartan import TorusAction, canonical_extension, equivariant_cohomology
 from gcalg.forms import Form, exp_two_form
 from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
-from gcalg.modelfile import parse_scalar_text
+from gcalg.modelfile import parse_model, parse_scalar_text
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
 from gcalg.scalars import I
 
-call, structure, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+call, structure, n, loops = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 model = torus(n)
 if structure == "complex":
     j = complex_structure(n // 2)
@@ -92,6 +101,8 @@ if call == "canonical_extension":
     act = TorusAction(model, [[1] + [0] * (n - 1)], mu_diff=[Form.generator(n, 2)],
                       alpha=[Form.zero(n)])
     rho = exp_two_form(omega.scale(I))
+if call == "parse_model":
+    text = sys.argv[5] if structure == "validate" else open("models/%s.model" % structure).read()
 run = {
     "uk_grading": lambda: uk_grading(j),
     "pure_spinor": lambda: pure_spinor(i_eigenspace(j)),
@@ -101,17 +112,41 @@ run = {
     "equivariant_cohomology": lambda: equivariant_cohomology(act, act.h_equivariant(3), 3),
     "canonical_extension": lambda: canonical_extension(act, j, rho),
     "parse_scalar_text": lambda: parse_scalar_text("(t+s+u+1)^%d" % n, ["t", "s", "u"]),
+    "parse_model": lambda: parse_model(text),
 }[call]
 try:
+    if loops > 1:
+        run()
     start = time.perf_counter()
-    run()
-    wall = time.perf_counter() - start
+    for _ in range(loops):
+        run()
+    wall = (time.perf_counter() - start) / loops
 except MemoryError:
     print(json.dumps({"status": "memory"}))
     sys.exit(0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"status": "ok", "wall_s": round(wall, 4), "maxrss_kb": rss}))
+print(json.dumps({"status": "ok", "wall_s": round(wall, 7), "maxrss_kb": rss}))
 """
+
+
+def validate_text(n: int) -> str:
+    """A validate-style model file on n = 3, 5 or 7 generators: d(e_n) = e1^e2,
+    a closed H, parameters t and s, an exp, a circle along e3 with moment
+    data, a connection, an eqform, samples and a dh block."""
+    gens = " ".join("e%d" % i for i in range(1, n + 1))
+    h = "(22/5)*e1^e2^e3" if n == 3 else "(22/5)*e1^e3^e4 + (-7/6)*e2^e3^e4"
+    xi = " ".join("1" if i == 3 else "0" for i in range(1, n + 1))
+    return (
+        "model v%d\ngenerators %s\nparams t s\nd e%d = e1^e2\nH = %s\n" % (n, gens, n, h)
+        + "volume = 9\norientation = +1\n"
+        + "let c = (-18)*e1^e2\nlet w = t*e3 + (-27/2)*s*e1\n"
+        + "let f = exp(-i*(t+27/2)*c) ^ (e2 + i*e3)\nlet p = (t^2 - s)*w ^ c\n"
+        + "action rot\n  xi 1 = %s\n  mu 1 = e1\nend\n" % xi
+        + "connection th for rot\n  theta 1 = e3\nend\n"
+        + "eqform g for rot = x1*c + x1^2*w\nsamples t = 0, 1, -1/2\n"
+        + "dh f1\n  base = f\n  twist = c\n  param = t\n  n = %d\n  k = 1\n" % ((n + 1) // 2)
+        + "  orientation = +1\nend\n"
+    )
 
 
 def run_child(checkout: Path, call: str, structure: str, n: int,
@@ -122,7 +157,10 @@ def run_child(checkout: Path, call: str, structure: str, n: int,
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, "-c", CHILD, call, structure, str(n)]
+    loops = PARSE_LOOPS if call == "parse_model" else 1
+    cmd = [sys.executable, "-c", CHILD, call, structure, str(n), str(loops)]
+    if call == "parse_model" and structure == "validate":
+        cmd.append(validate_text(n))
     try:
         proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                               timeout=timeout, preexec_fn=cap)
@@ -152,6 +190,12 @@ def ladder_cases(sizes):
                 yield "equivariant_cohomology", "2-torus", n
     for k in POWERS:
         yield "parse_scalar_text", "-", k
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        names = next(line.split("#")[0].split()[1:] for line in path.read_text().splitlines()
+                     if line.startswith("generators"))
+        yield "parse_model", path.stem, len(names)
+    for n in PARSE_SIZES:
+        yield "parse_model", "validate", n
 
 
 def median_run(runs) -> dict:
