@@ -22,8 +22,6 @@ from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
     Model,
-    _add_scalar,
-    _add_triple,
     _d_column,
     _row_form,
     _triples,
@@ -219,9 +217,9 @@ class TorusAction:
         object.__setattr__(self, "xi", tuple(vecs))
         object.__setattr__(self, "mu_diff", tuple(mu) if mu is not None else None)
         object.__setattr__(self, "alpha", tuple(al) if al is not None else None)
-        # Model has checked d(d(e_i)) = 0 and dH = 0, so L_v d(e_i) = d(i_v d(e_i))
-        # and L_v H = d(i_v H); a nonzero frame residual i_v d(e_i) also breaks
-        # d_G^2 = 0 on the full complex, and a zero one leaves nothing to check
+        # Model has checked d(d(e_i)) = 0, so L_v d(e_i) = d(i_v d(e_i)); a nonzero
+        # frame residual i_v d(e_i) also breaks d_G^2 = 0 on the full complex, and
+        # with every one zero v is central, so L_v H = d(i_v H) = 0 as dH = 0
         for j, v in enumerate(self.xi, start=1):
             for i, entry in enumerate(model.d_table, start=1):
                 frame_res = contract_vector(v, entry)
@@ -237,8 +235,6 @@ class TorusAction:
                     "field %d does not preserve the frame: L(%s) = %s"
                     % (j, model.names[i - 1], frame_res.to_text(model.names))
                 )
-            if not d(model, contract_vector(v, model.H)).is_zero():
-                raise ValueError("field %d does not preserve the twisting form" % j)
         if mu is not None:
             for j, f in enumerate(mu, start=1):
                 df = d(model, f)
@@ -467,9 +463,10 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
     Column (e, mask) is mask's unit image shifted by e, cut at min(trunc,
     h_g.trunc): a `_d_column` per x-exponent, of d's table at x^0 and of the
     0-form table -xi_j (a contraction) at x^j, each with h_g's terms there.
-    A coefficient the cut keeps that is not Gaussian makes the blocks Scalar
-    sums, converted in the first build's order (masks even then odd, then
-    blocks), so the ValueError names the same first entry."""
+    The blocks the cut keeps become triples first, in the order d(e_1)..d(e_n),
+    h_g at x^0, then per torus factor j its field xi_j (negated after the
+    conversion) and h_g at x^j, then h_g's other terms, so a coefficient that
+    is not Gaussian leaves no matrix and the ValueError names it as stated."""
     n, k = act.model.n, act.k
     bound = min(trunc, h_g.trunc)
     twists = {ee: list(f.terms.items()) for ee, f in h_g.terms.items() if sum(ee) <= bound}
@@ -478,25 +475,22 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
             raise ValueError("twisting form has a term of even form degree: %s"
                              % EqForm(k, n, trunc, {ee: h_g.terms[ee]}))
     zero = tuple([0] * k)
-    tables = {zero: [list(dg.terms.items()) for dg in act.model.d_table]}
-    tables.update((_expo_add(zero, j), [[] if c.is_zero() else [(0, -c)] for c in v])
-                  for j, v in enumerate(act.xi) if bound)
-    expos = list(tables) + [ee for ee in twists if ee not in tables]
-    blocks = [(tables.get(ee, [[]] * n), twists.get(ee, [])) for ee in expos]
-
-    try:
-        blocks = [([_triples(t) for t in table], _triples(h)) for table, h in blocks]
-        add = _add_triple
-    except ValueError:
-        add = _add_scalar
+    fields = {_expo_add(zero, j): v for j, v in enumerate(act.xi)} if bound else {}
+    expos = [zero] + list(fields) + [ee for ee in twists if ee != zero and ee not in fields]
+    blocks = []
+    for ee in expos:  # each block's table, then its twist
+        if ee == zero:
+            table = [_triples(dg.terms.items()) for dg in act.model.d_table]
+        elif ee in fields:
+            table = [[(0, (-a, -b, d))] if a or b else []
+                     for _, (a, b, d) in _triples(enumerate(fields[ee]))]
+        else:
+            table = [[]] * n
+        blocks.append((table, _triples(twists.get(ee, []))))
     parts = [[mk for mk in basis_masks(n) if mk.bit_count() % 2 == p] for p in (0, 1)]
     pos = {mk: p for part in parts for p, mk in enumerate(part)}
-    walk = {0: [expos.index(ee) for ee in twists]}  # mask 0 meets h_g's terms alone, in its order
-    units = {mask: [[] for _ in expos] for mask in parts[0] + parts[1]}
-    for mask, unit in units.items():
-        for b in walk.get(mask, range(len(expos))):
-            col = list(_d_column(mask, *blocks[b], add).items())
-            unit[b] = [(pos[mk], t) for mk, t in (col if add is _add_triple else _triples(col))]
+    units = {mask: [[(pos[mk], t) for mk, t in _d_column(mask, *block).items()] for block in blocks]
+             for mask in parts[0] + parts[1]}
     monos = [e for deg in range(trunc + 1) for e in monomials_of_degree(k, deg)]
     index = {e: i for i, e in enumerate(monos)}
     # per source monomial e, (block, row offset of e + ee) for the blocks the cut keeps
@@ -831,27 +825,30 @@ def canonical_extension(
     for jj in range(act.k):
         if not lie_derivative(model, act.xi[jj], phi).is_zero():
             raise ValueError("form is not invariant under the action")
-    if phi.parameters():
-        raise ValueError("decomposition needs parameter-free coefficients")
-    lo, up, size = ops.lower, ops.upper, len(ops.masks)
-    prod = linalg.sparse_mul(up, lo)  # P = -lower upper, so lower(upper x) = -r iff P x = r
-    _moment_sections(act)  # missing moment data wins over a closedness error
 
     def column(f: Form) -> linalg.TRows:
         """f's coordinates as a one-column matrix; `as_q` runs in mask order,
         so an error names the first coefficient that is not Gaussian."""
         return linalg.to_sparse([[f.terms.get(m, ZERO).as_q()] for m in ops.masks])
 
-    def kills(half, f: Form) -> bool:
-        return not any(linalg.sparse_mul(half, column(f)))
+    phi_col = column(phi)
+    lo, up, size = ops.lower, ops.upper, len(ops.masks)
+    prod = linalg.sparse_mul(up, lo)  # P = -lower upper, so lower(upper x) = -r iff P x = r
+    _moment_sections(act)  # missing moment data wins over a closedness error
+    for v, a, mu in zip(act.xi, act.alpha, act.mu_diff):  # refused as stated, not in a residual
+        for stated in (enumerate(v), a.terms.items(), mu.terms.items()):
+            _triples(stated)
+
+    def kills(half, col: linalg.TRows) -> bool:
+        return not any(linalg.sparse_mul(half, col))
 
     # a half moves every level by one step, so it kills phi iff it kills each
     # level component; the components, top level first, name the failing half
-    if not (kills(lo, phi) and kills(up, phi)):
+    if not (kills(lo, phi_col) and kills(up, phi_col)):
         for comp in uk_grading(j).decompose(phi).values():
-            if not kills(lo, comp):
+            if not kills(lo, column(comp)):
                 raise ValueError("component is not closed for the lower half")
-            if not kills(up, comp):
+            if not kills(up, column(comp)):
                 raise ValueError("component is not closed for the upper half")
 
     terms: Dict[Expo, Form] = {tuple([0] * act.k): phi}

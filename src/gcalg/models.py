@@ -155,63 +155,42 @@ class BettiPair:
         return iter((self.even, self.odd))
 
 
-def _d_matrix(m: Model, masks: Sequence[int]) -> linalg.TRows:
-    """Sparse rows of triples of d_H's matrix, rows and columns in the given
-    mask order, built by mask arithmetic (`_d_column`) with no Form.
-
-    Column e_g holds d(e_g) and column 1 holds -H, so a coefficient of d or H
-    that is not a Gaussian rational leaves no matrix: the ValueError names the
-    first such entry in column and key order, summed as Scalars the way
-    `d_twisted` sums it.
-    """
-    table, h = [list(dg.terms.items()) for dg in m.d_table], list(m.H.terms.items())
-    try:
-        gauss = [_triples(terms) for terms in table + [h]]
-    except ValueError:
-        for mask in masks:
-            for c in _d_column(mask, table, h, _add_scalar).values():
-                c.as_q()
-        raise
+def _d_matrix(m: Model) -> linalg.TRows:
+    """Sparse rows of triples of d_H's matrix, rows and columns in
+    `basis_masks` order, built by mask arithmetic (`_d_column`) with no Form.
+    d's table and H become triples first, d(e_1)..d(e_n) then H, in term
+    order, so a coefficient that is not a Gaussian rational leaves no matrix:
+    the ValueError names the first one as the model states it."""
+    table, h = [_triples(dg.terms.items()) for dg in m.d_table], _triples(m.H.terms.items())
+    masks = basis_masks(m.n)
     row_of = {mk: i for i, mk in enumerate(masks)}
     rows = [{} for _ in masks]
     for col, mask in enumerate(masks):
-        for key, t in _d_column(mask, gauss[:-1], gauss[-1], _add_triple).items():
+        for key, t in _d_column(mask, table, h).items():
             rows[row_of[key]][col] = t
     return rows
 
 
-def _d_column(mask: int, table: list, h: list, add) -> dict:
-    """Column e_mask of d_H as {mask: coefficient}, from the (mask,
-    coefficient) terms of each d(e_g) and of H: for each set bit g of mask the
-    terms of d(e_g) wedged onto mask ^ g, with the sign of contracting e_g and
-    `_merge_sign`, then minus the terms of H ^ e_mask.  A table of 0-forms
-    (mask 0) makes the first pass a contraction.  add(x, c, sign) is x +
-    sign * c, with x None for a new entry and None back for a zero sum; both
-    passes add into the column and remove a cancelled entry, so the keys keep
-    `d_twisted`'s order."""
+def _d_column(mask: int, table: list, h: list) -> dict:
+    """Column e_mask of d_H as {mask: triple}, from the (mask, triple) terms
+    of each d(e_g) and of H: for each set bit g of mask the terms of d(e_g)
+    wedged onto mask ^ g, with the sign of contracting e_g and `_merge_sign`,
+    then minus the terms of H ^ e_mask.  A table of 0-forms (mask 0) makes the
+    first passes a contraction.  Every pass adds into the column and removes a
+    cancelled entry, so the keys keep `d_twisted`'s order."""
+    passes = [(terms, mask ^ (1 << g), -1 if (mask & ((1 << g) - 1)).bit_count() & 1 else 1)
+              for g, terms in enumerate(table) if terms and mask >> g & 1]  # (terms, onto, sign)
+    passes.append((h, mask, -1))
     col = {}
-    bits = mask
-    while bits:
-        bit = bits & -bits
-        bits ^= bit
-        rest = mask ^ bit
-        sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-        for mg, c in table[bit.bit_length() - 1]:
+    for terms, rest, sign in passes:
+        for mg, c in terms:
             if not mg & rest:
                 key = mg | rest
-                v = add(col.get(key), c, sign * _merge_sign(mg, rest))
-                if v is None:
-                    del col[key]
-                else:
+                v = linalg._add_mul(col.get(key), (sign * _merge_sign(mg, rest), 0, 1), c)
+                if v[0] or v[1]:
                     col[key] = v
-    for mh, c in h:
-        if not mh & mask:
-            key = mh | mask
-            v = add(col.get(key), c, -_merge_sign(mh, mask))
-            if v is None:
-                del col[key]
-            else:
-                col[key] = v
+                else:
+                    del col[key]
     return col
 
 
@@ -220,27 +199,13 @@ def _triples(terms):
     return [(key, (q.a, q.b, q.d)) for key, q in ((key, c.as_q()) for key, c in terms)]
 
 
-def _add_triple(x, c, sign):
-    v = linalg._add_mul(x, (sign, 0, 1), c)
-    return v if v[0] or v[1] else None
-
-
-def _add_scalar(x, c, sign):
-    y = c if sign > 0 else -c
-    if x is None:
-        return y
-    v = x + y
-    return None if v.is_zero() else v
-
-
 def twisted_cohomology(m: Model) -> BettiPair:
     """Exact Z2-graded Betti ranks of the twisted complex: d_H swaps parity,
     so its rank is the sum of its two parity blocks' ranks and each Betti
-    rank is 2^(n-1) minus it.  Columns are built even masks first."""
+    rank is 2^(n-1) minus it."""
     if m.n == 0:
         return BettiPair(1, 0)
-    masks = sorted(basis_masks(m.n), key=lambda mk: mk.bit_count() % 2)
-    rank = len(linalg.pivots(_d_matrix(m, masks), len(masks)))
+    rank = len(linalg.pivots(_d_matrix(m), 1 << m.n))
     free = (1 << (m.n - 1)) - rank
     return BettiPair(free, free)
 
@@ -253,7 +218,7 @@ def betti_numbers(m: Model) -> List[int]:
         raise ValueError("integer grading needs a zero twisting form")
     masks = basis_masks(m.n)
     ranks = [0] * (m.n + 1)  # ranks[q]: rank of d from degree q to degree q + 1
-    for c in linalg.pivots(_d_matrix(m, masks), len(masks)):
+    for c in linalg.pivots(_d_matrix(m), len(masks)):
         ranks[masks[c].bit_count()] += 1
     return [comb(m.n, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(m.n + 1)]
 
@@ -376,14 +341,8 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     require_valid(j)
     if j.dim != m.n:
         raise ValueError("structure frame does not match the model")
+    dmat = _d_matrix(m)
     masks = tuple(basis_masks(m.n))
-    try:
-        dmat = _d_matrix(m, masks)
-    except ValueError:  # parameter or pi coefficients: the per-form split names them
-        g = uk_grading(j)
-        for mask in masks:
-            del_delbar_split(m, j, Form(m.n, {mask: ONE}), grading=g)
-        raise AssertionError("d_H has level steps other than -1, +1 but splits form by form")
     lift = lifted_action_matrix(j)
     one = (1, 0, 1)  # triples (a, b, d) = (a + b*i)/d
 
@@ -466,7 +425,7 @@ def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     if not kernel:
         return BettiPair(0, 0)
     span, pivots = linalg.echelon(kernel, size)
-    images = linalg.sparse_mul(kernel, linalg.sparse_transpose(_d_matrix(m, sp.masks), size))
+    images = linalg.sparse_mul(kernel, linalg.sparse_transpose(_d_matrix(m), size))
     n_odd = 0  # ranks in mask coordinates equal ranks in the kernel
     for v, img in zip(kernel, images):
         if not linalg.in_echelon_span(img, span, pivots):

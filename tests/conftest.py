@@ -743,6 +743,44 @@ def ref_d_matrix(m, masks):
     return linalg.sparse_transpose(cols, len(masks))
 
 
+# the one refusal for coefficients that are not Gaussian rationals: the first
+# one as the model states it, in the order d(e_1)..d(e_n), H, then per torus
+# factor its field xi_j and h_G at x^j (alpha_j), then h_G's other terms, each
+# in term order; the references above meet such a coefficient in a summed
+# matrix entry or in the per-form split, and word the refusal their own way
+def is_coefficient_refusal(message):
+    return message.endswith(" is not a plain Gaussian rational") or (
+        message == "decomposition needs parameter-free coefficients")
+
+
+def stated_refusal(coefficients):
+    """The refusal of the first coefficient that is not Gaussian, or None."""
+    for c in coefficients:
+        try:
+            c.as_q()
+        except ValueError as err:
+            return str(err)
+    return None
+
+
+def model_coefficients(m):
+    return [c for f in m.d_table + (m.H,) for c in f.terms.values()]
+
+
+def cartan_coefficients(act, h_g, trunc):
+    """The coefficients `equivariant_cohomology` converts, in their order: h_G
+    stands in for H, and the cut at min(trunc, h_g.trunc) drops the rest."""
+    bound = min(trunc, h_g.trunc)
+    zero = tuple([0] * act.k)
+    units = [tuple(int(i == j) for i in range(act.k)) for j in range(act.k)] if bound else []
+    out = [c for f in act.model.d_table for c in f.terms.values()]
+    out += h_g.component(zero).terms.values()
+    for v, e in zip(act.xi, units):
+        out += list(v) + list(h_g.component(e).terms.values())
+    return out + [c for e, f in h_g.terms.items()
+                  if e != zero and e not in units and sum(e) <= bound for c in f.terms.values()]
+
+
 def ref_isotropy_check(dim_v, basis):
     rows = [list(v) for v in basis]
     if rows and linalg.rank(rows) != len(rows):

@@ -58,6 +58,10 @@ def test_ladder_rows_are_medians_of_alternating_runs(tmp_path, monkeypatch, caps
     assert row["a"] == {"status": "ok", "wall_s": 0.3, "maxrss_kb": 15, "runs_s": [0.5, 0.1, 0.3]}
     assert row["b"] == {"status": "ok", "wall_s": 0.4, "maxrss_kb": 14, "runs_s": [0.2, 0.9, 0.4]}
     assert row["c"] == {"status": "timeout"}
+    # a refused call is timed like an ok one, and keeps its status
+    refused = [{"status": "refused", "wall_s": w, "maxrss_kb": 9} for w in (0.3, 0.1, 0.2)]
+    assert ladder.median_run(refused) == {"status": "refused", "wall_s": 0.2, "maxrss_kb": 9,
+                                          "runs_s": [0.3, 0.1, 0.2]}
 
 
 def test_ladder_reports_a_call_past_its_timeout(tmp_path):
@@ -70,6 +74,7 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
         ("twisted_cohomology", "-"), ("equivariant_cohomology", "-"),
         ("canonical_extension", "symplectic")]
     iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS] + [
+        (call, "iwasawa-t") for call in ladder.REFUSAL_CALLS] + [
         ("equivariant_cohomology", "iwasawa")]
     two_torus = [("equivariant_cohomology", "2-torus")]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
@@ -77,7 +82,9 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
         + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END)
     for call, structure in iwasawa + two_torus:
         got = ladder.run_child(ROOT, call, structure, 6)
-        assert got["status"] == "ok" and got["wall_s"] >= 0, got
+        # the refusal rung's t in d(e5) is refused, and timed up to the ValueError
+        want = "refused" if structure == "iwasawa-t" else "ok"
+        assert got["status"] == want and got["wall_s"] >= 0 and got["maxrss_kb"] > 0, got
 
 
 def test_ladder_runs_the_equivariant_rung_while_it_fits():

@@ -7,8 +7,9 @@ reference (tests/conftest.py) applies `d_twisted` to each unit form and reads
 the coefficients as Q.  The i-eigenspace, the independence, isotropy and
 transversality checks and the level grading run on triples; their references
 take dense kernels and ranks and Q sums of the pairing.  Values and error
-messages must agree exactly: a matrix with a parameter or pi entry names the
-same first scalar, in every column order the package uses.
+messages must agree exactly, except that a model with a parameter or pi
+coefficient is refused before any matrix is built, naming the first such
+coefficient as the model states it, where the reference names a matrix entry.
 """
 
 import random
@@ -16,8 +17,9 @@ import random
 import pytest
 
 from conftest import (
-    random_form, random_nilpotent, random_q, ref_betti_numbers, ref_d_matrix, ref_i_eigenspace,
-    ref_isotropy_check, ref_transverse, ref_twisted_cohomology, shipped_structures, wide_q,
+    is_coefficient_refusal, model_coefficients, random_form, random_nilpotent, random_q,
+    ref_betti_numbers, ref_d_matrix, ref_i_eigenspace, ref_isotropy_check, ref_transverse,
+    ref_twisted_cohomology, shipped_structures, stated_refusal, wide_q,
 )
 from gcalg import gcmaps, linalg
 from gcalg.forms import Form, basis_masks, contract_vector, wedge
@@ -26,8 +28,7 @@ from gcalg.gcmaps import (
     symplectic_map, uk_grading,
 )
 from gcalg.models import (
-    Model, _add_scalar, _add_triple, _d_column, _d_matrix, _triples, betti_numbers, d,
-    twisted_cohomology,
+    Model, _d_column, _d_matrix, _triples, betti_numbers, d, twisted_cohomology,
 )
 from gcalg.scalars import ONE, Q, QZERO, Scalar, _q
 
@@ -79,25 +80,32 @@ def models():
     return out
 
 
+def _refused_as_stated(model, got, want):
+    """got is want, or, where the reference refuses a coefficient that is not
+    Gaussian, the refusal of the first one the model states."""
+    if isinstance(want, tuple) and is_coefficient_refusal(want[1]):
+        want = "ValueError", stated_refusal(model_coefficients(model))
+    return got == want
+
+
 def test_d_matrix_matches_unit_forms_through_d_twisted():
     seen = {"values": 0, "errors": set()}
     for model in models():
-        plain = basis_masks(model.n)
-        for masks in (plain, sorted(plain, key=lambda mk: mk.bit_count() % 2), plain[::-1]):
-            want = _outcome(ref_d_matrix, model, masks)
-            got = _outcome(_d_matrix, model, masks)
-            assert got == want, (model, masks)
-            if isinstance(got, tuple):
-                seen["errors"].add(got[1])
-            else:
-                seen["values"] += 1
+        got = _outcome(_d_matrix, model)
+        assert _refused_as_stated(model, got, _outcome(ref_d_matrix, model, basis_masks(model.n)))
+        if isinstance(got, tuple):
+            seen["errors"].add(got[1])
+        else:
+            seen["values"] += 1
         for fn, ref in ((twisted_cohomology, ref_twisted_cohomology),
                         (betti_numbers, ref_betti_numbers)):
-            assert _outcome(fn, model) == _outcome(ref, model), (fn.__name__, model)
-    assert seen["values"] > 60
+            assert _refused_as_stated(model, _outcome(fn, model), _outcome(ref, model)), (
+                fn.__name__, model)
+    assert seen["values"] > 30
     assert {"scalar s is not a plain Gaussian rational",
             "scalar -s is not a plain Gaussian rational",
-            "scalar -pi is not a plain Gaussian rational"} <= seen["errors"]
+            "scalar s+1 is not a plain Gaussian rational"} <= seen["errors"]
+    assert any(e.endswith("*pi is not a plain Gaussian rational") for e in seen["errors"])
 
 
 def test_d_matrix_sums_moves_onto_one_key():
@@ -107,15 +115,16 @@ def test_d_matrix_sums_moves_onto_one_key():
         model = Model(3, [Form.zero(3), Form(3, {0b011: ONE}), Form(3, {0b101: Scalar.rational(c3)})])
         masks = basis_masks(3)
         col = masks.index(0b110)
-        got = {masks[r]: _q(*row[col]) for r, row in enumerate(_d_matrix(model, masks))
+        got = {masks[r]: _q(*row[col]) for r, row in enumerate(_d_matrix(model))
                if col in row}
         assert got == want
-    # with s and -s on the diagonal the parametric terms cancel in that
-    # column, so the first scalar named is one of a single move
+    # with -s and s on the diagonal the parametric terms cancel in column
+    # e2^e3, and no matrix is built: the refusal names d(e2)'s -s, which the
+    # reference meets first in column e2 and d(e3)'s s would not have named
     s = Scalar.parameter("s")
-    model = Model(3, [Form.zero(3), Form(3, {0b011: s}), Form(3, {0b101: -s})])
-    for masks in (basis_masks(3), basis_masks(3)[::-1]):
-        assert _outcome(lambda: _d_matrix(model, masks)) == _outcome(ref_d_matrix, model, masks)
+    model = Model(3, [Form.zero(3), Form(3, {0b011: -s}), Form(3, {0b101: s})])
+    assert _outcome(_d_matrix, model) == ("ValueError", "scalar -s is not a plain Gaussian rational")
+    assert _outcome(ref_d_matrix, model, basis_masks(3))[0] == "ValueError"
 
 
 def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
@@ -126,10 +135,10 @@ def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
     rng = random.Random("d-column-twist")
     cases = []
     for n in range(1, 6):
-        for kind in ("gauss", "param", "pi"):
-            for model in (random_nilpotent(rng, n, kind), random_almost_abelian(rng, n, kind)):
-                h = Form(n, {1 << g: coefficient(rng, kind) for g in range(n) if rng.random() < 0.6})
-                xi = [coefficient(rng, kind) if rng.random() < 0.6 else Scalar() for _ in range(n)]
+        for _ in range(3):
+            for model in (random_nilpotent(rng, n, "gauss"), random_almost_abelian(rng, n, "gauss")):
+                h = Form(n, {1 << g: coefficient(rng, "gauss") for g in range(n) if rng.random() < 0.6})
+                xi = [coefficient(rng, "gauss") if rng.random() < 0.6 else Scalar() for _ in range(n)]
                 cases.append((model, h, xi))
     # d(e2) = e1^e2 and h = e1: in column e2 the move and the twist cancel
     model = Model(2, [Form.zero(2), Form(2, {0b11: ONE})])
@@ -137,9 +146,9 @@ def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
     sums = {"collisions": 0, "cancelled": 0}
     for model, h, xi in cases:
         n = model.n
-        tables = {"d": [list(dg.terms.items()) for dg in model.d_table],
-                  "contraction": [[] if c.is_zero() else [(0, -c)] for c in xi]}
-        twist = list(h.terms.items())
+        tables = {"d": [_triples(dg.terms.items()) for dg in model.d_table],
+                  "contraction": [[] if c.is_zero() else _triples([(0, -c)]) for c in xi]}
+        twist = _triples(h.terms.items())
         for mask in range(1 << n):
             unit = Form(n, {mask: ONE})
             wedged = wedge(h, unit)
@@ -148,14 +157,7 @@ def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
                 want = moved - wedged
                 sums["collisions"] += bool(moved.terms.keys() & wedged.terms.keys())
                 sums["cancelled"] += len(want.terms) < len(moved.terms.keys() | wedged.terms.keys())
-                got = _d_column(mask, table, twist, _add_scalar)
-                assert list(got.items()) == list(want.terms.items())
-                try:
-                    gauss_table = [_triples(t) for t in table]
-                    gauss_twist = _triples(twist)
-                except ValueError:  # pi or a parameter: no triples to compare
-                    continue
-                got = _d_column(mask, gauss_table, gauss_twist, _add_triple)
+                got = _d_column(mask, table, twist)
                 assert list(got) == list(want.terms)
                 assert [_q(*t) for t in got.values()] == [
                     c.as_q() for c in want.terms.values()]

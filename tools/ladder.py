@@ -23,7 +23,10 @@ d e6 = e1^e4 + e2^e3, as in models/iwasawa.model) with the complex
 structure, whose halves are nonzero and whose check fails with a witness,
 and so does `equivariant_cohomology` for a circle along e6 with
 H = e1^e2^e3 and alpha = e1, while it fits, so that d's table, the
-contraction and the twist all enter its columns.  The scalars rung times
+contraction and the twist all enter its columns.  The refusal rung follows
+from n = 6: `ddbar_lemma_check` and `twisted_cohomology` on Iwasawa x T^(n-6)
+with d(e5) scaled by a parameter t (structure "iwasawa-t"), timed until they
+raise ValueError, which the child records as "refused" with its wall time.  The scalars rung times
 `parse_scalar_text("(t+s+u+1)^k", ["t", "s", "u"])` for k = 8 and 16
 (POWERS) after every size, which spends its time in Gaussian-rational and
 polynomial arithmetic; its rows carry k as n.  The front-end rung follows:
@@ -58,6 +61,8 @@ from pathlib import Path
 CALLS = ("uk_grading", "pure_spinor", "split_operators", "ddbar_lemma_check")
 STRUCTURES = ("complex", "symplectic")
 IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check", "twisted_cohomology")  # Iwasawa x T^(n-6)
+REFUSAL_CALLS = ("ddbar_lemma_check", "twisted_cohomology")  # the same with t in d(e5)
+TIMED = ("ok", "refused")  # statuses that carry a wall time
 TIMEOUT_S = 300.0
 MEM_MB = 3072
 REPEATS = 3  # child runs per call and checkout; a row keeps their median
@@ -74,14 +79,16 @@ from gcalg.forms import Form, exp_two_form
 from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
 from gcalg.modelfile import parse_model, parse_scalar_text
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
-from gcalg.scalars import I
+from gcalg.scalars import I, Scalar
 
 call, structure, n, loops = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 model = torus(n)
 if structure == "complex":
     j = complex_structure(n // 2)
-elif structure == "iwasawa":
+elif structure in ("iwasawa", "iwasawa-t"):
     d5 = Form.monomial(n, (1, 3)) - Form.monomial(n, (2, 4))
+    if structure == "iwasawa-t":
+        d5 = d5.scale(Scalar.parameter("t"))
     d6 = Form.monomial(n, (1, 4)) + Form.monomial(n, (2, 3))
     model = Model(n, [Form.zero(n)] * 4 + [d5, d6] + [Form.zero(n)] * (n - 6))
     j = complex_structure(n // 2)
@@ -114,18 +121,22 @@ run = {
     "parse_scalar_text": lambda: parse_scalar_text("(t+s+u+1)^%d" % n, ["t", "s", "u"]),
     "parse_model": lambda: parse_model(text),
 }[call]
+status = "ok"
 try:
     if loops > 1:
         run()
     start = time.perf_counter()
-    for _ in range(loops):
-        run()
+    try:
+        for _ in range(loops):
+            run()
+    except ValueError:
+        status = "refused"
     wall = (time.perf_counter() - start) / loops
 except MemoryError:
     print(json.dumps({"status": "memory"}))
     sys.exit(0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"status": "ok", "wall_s": round(wall, 7), "maxrss_kb": rss}))
+print(json.dumps({"status": status, "wall_s": round(wall, 7), "maxrss_kb": rss}))
 """
 
 
@@ -184,6 +195,8 @@ def ladder_cases(sizes):
         if n >= 6:
             for call in IWASAWA_CALLS:
                 yield call, "iwasawa", n
+            for call in REFUSAL_CALLS:
+                yield call, "iwasawa-t", n
             if 4 << n <= MAX_COLUMNS:
                 yield "equivariant_cohomology", "iwasawa", n
             if 10 << n <= MAX_COLUMNS:
@@ -199,11 +212,11 @@ def ladder_cases(sizes):
 
 
 def median_run(runs) -> dict:
-    """The median wall time and ru_maxrss of ok runs, or the first run that is not ok."""
+    """The median wall time and ru_maxrss of timed runs, or the first run that is not timed."""
     for run in runs:
-        if run["status"] != "ok":
+        if run["status"] not in TIMED:
             return run
-    return {"status": "ok", "wall_s": statistics.median(r["wall_s"] for r in runs),
+    return {"status": runs[0]["status"], "wall_s": statistics.median(r["wall_s"] for r in runs),
             "maxrss_kb": statistics.median(r["maxrss_kb"] for r in runs),
             "runs_s": [r["wall_s"] for r in runs]}
 
@@ -227,7 +240,7 @@ def main(argv=None) -> int:
         runs = {name: [] for name in sides}
         for r in range(REPEATS):
             for name in list(sides)[::-1 if r % 2 else 1]:
-                if all(run["status"] == "ok" for run in runs[name]):
+                if all(run["status"] in TIMED for run in runs[name]):
                     runs[name].append(run_child(sides[name], call, structure, n))
         row = {"call": call, "structure": structure, "n": n}
         row.update((name, median_run(runs[name])) for name in sides)
