@@ -17,14 +17,12 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import Form, basis_masks, clifford, contract_vector, wedge
+from .forms import Form, _triple_form, _triples, basis_masks, clifford, contract_vector, wedge
 from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
     Model,
     _d_column,
-    _row_form,
-    _triples,
     d,
     d_twisted,
     ddbar_lemma_check,
@@ -381,10 +379,13 @@ class EquivariantRanks:
     """Per-(parity, polynomial degree) ranks of the truncated complex.
 
     by_degree[d] = (even, odd) graded ranks of the cohomology filtration at
-    polynomial degree d.  The top degree is truncation-sensitive: compare
-    two consecutive truncations and trust the agreeing prefix.  The
-    freeness verdict checks degrees below the truncation against
-    (number of degree-d monomials) x (twisted Betti ranks).
+    polynomial degree d.  Degrees near the truncation are sensitive to it:
+    compare two consecutive truncations and trust the agreeing prefix.
+    `totals_stable` drops only the top degree, too few once the curvature
+    class is not zero: for the Kodaira-Thurston circle along e3 it reads
+    (5, 5), where Cartan's theorem gives H(T^3) = (4, 4).  The freeness
+    verdict checks degrees below the truncation against (number of
+    degree-d monomials) x (twisted Betti ranks).
     """
 
     trunc: int
@@ -581,8 +582,7 @@ class Connection:
         sol = linalg.solve(rows, [{j: (1, 0, 1)} for j in range(k)], n, k)
         if sol is None:
             raise ValueError("action is not free on the model frame")
-        units = [1 << i for i in range(n)]
-        return Connection(action, [_row_form(col, units, n)
+        return Connection(action, [_triple_form(n, {1 << i: t for i, t in col.items()})
                                    for col in linalg.sparse_transpose(sol, k)])
 
 
@@ -865,8 +865,8 @@ def canonical_extension(
                     "law violation witness %s" % r.to_text(model.names),
                     r,
                 )
-            corr = _row_form(linalg.sparse_transpose(linalg.sparse_mul(up, sol), 1)[0],
-                             ops.masks, model.n)
+            corr = _triple_form(model.n, {ops.masks[r]: row[0] for r, row
+                                          in enumerate(linalg.sparse_mul(up, sol)) if row})
             if not corr.is_zero():
                 terms[e] = terms.get(e, Form.zero(model.n)) + corr
     out = EqForm(act.k, model.n, trunc, terms)

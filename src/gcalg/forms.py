@@ -9,7 +9,8 @@ drops zero coefficients.  Results that are clean by construction (sums,
 negations, scalings, wedges, generators and Clifford sums) skip those checks
 through `_form_of`, as `Scalar` arithmetic does through `scalars._scalar_of`:
 an operation drops a cancelled entry where it stands, so the masks keep the
-order the public constructor would keep.
+order the public constructor would keep.  `_triples` and `_triple_form` are
+the one pair that carries coefficients to and from `linalg`'s triples.
 
 The Clifford action of V + V* has one generator, `_unit_clifford`, which
 `contract`, `contract_vector` and `clifford` sum over a form's terms; the
@@ -18,10 +19,11 @@ pairing (eta(X) + xi(Y))/2 swaps the halves of V + V*.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
-from .scalars import ONE, Q, Scalar, ZERO, _drop_zeros, _new, _set, scalar
+from .scalars import ONE, Q, Scalar, ZERO, _drop_zeros, _new, _q, _set, scalar
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -64,6 +66,17 @@ def _form_of(n: int, terms: dict) -> "Form":
     _set(f, "n", n)
     _set(f, "terms", terms)
     return f
+
+
+def _triples(terms) -> list:
+    """[(key, triple)] of [(key, Scalar)], in order, triples as in `linalg`'s
+    rows; ValueError for the first coefficient that is not a Q."""
+    return [(key, (q.a, q.b, q.d)) for key, q in ((key, c.as_q()) for key, c in terms)]
+
+
+def _triple_form(n: int, terms: dict) -> "Form":
+    """The Form of {mask: triple} in its key order; the triples are nonzero."""
+    return _form_of(n, {m: Scalar.from_q(_q(*t)) for m, t in terms.items()})
 
 
 class Form:
@@ -254,9 +267,10 @@ def mask_key(mask: int) -> tuple:
     return (mask.bit_count(), mask)
 
 
-def basis_masks(n: int) -> List[int]:
-    """All 2^n basis masks in the basis ordering."""
-    return sorted(range(1 << n), key=mask_key)
+@cache
+def basis_masks(n: int) -> Tuple[int, ...]:
+    """All 2^n basis masks in the basis ordering, sorted once per n."""
+    return tuple(sorted(range(1 << n), key=mask_key))
 
 
 def form_to_vec(f: Form, masks: Sequence[int]) -> List[Q]:

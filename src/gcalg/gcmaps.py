@@ -7,10 +7,10 @@ decomposition of the induced action on forms -- is exact linear algebra over
 Gaussian rationals.
 
 The pairing P is the half swap (2P swaps the halves of V + V*), so a product
-with P is a row swap.  The Clifford action is the one generator
-`forms._unit_clifford`, summed by `clifford` on Scalars, by `_clifford` on
-forms held as {mask: triple} (the spinor and the levels), or applied by the
-lift directly.
+with P is a row swap.  Every Clifford product is the generator
+`forms._unit_clifford` on forms held as {mask: triple} (`forms._triples`):
+summed by `_clifford` for the spinor and the levels, one move per entry of
+the annihilator's system, two per term of the lift.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ from typing import Dict, List, Sequence, Tuple
 from . import linalg
 from .forms import (
     Form,
+    _merge_sign,
+    _triple_form,
+    _triples,
     _unit_clifford,
     basis_masks,
-    clifford,
     contract,
     form_to_vec,
     mask_key,
-    mukai,
 )
-from .scalars import ONE, Q, QONE, Scalar, ZERO, _q
+from .scalars import Q, QONE, Scalar
 
 
 class GCMap:
@@ -191,10 +192,6 @@ def _normalized(f: Dict[int, linalg.Triple]) -> Dict[int, linalg.Triple]:
     return {m: linalg._add_mul(None, inv, t) for m, t in f.items()}
 
 
-def _form(f: Dict[int, linalg.Triple], n: int) -> Form:
-    return Form(n, {m: Scalar.from_q(_q(*t)) for m, t in f.items()})
-
-
 def _spinor(space: IsotropicSubspace) -> Dict[int, linalg.Triple]:
     n = space.dim_v
     if space.dimension != n:
@@ -219,7 +216,7 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
     `basis_masks` order) it does not kill gives the generator, normalized so
     the first coefficient in `mask_key` order is 1.
     """
-    return _form(_spinor(space), space.dim_v)
+    return _triple_form(space.dim_v, _spinor(space))
 
 
 @dataclass(frozen=True)
@@ -231,30 +228,34 @@ class AnnihilatorReport:
 
 
 def annihilator(phi: Form) -> AnnihilatorReport:
-    """Clifford annihilator of a nonzero form, with the purity flags."""
+    """Clifford annihilator of a nonzero form, with the purity flags; phi's first
+    coefficient that is not a Gaussian rational is refused before any matrix."""
     if phi.is_zero():
         raise ValueError("annihilator of the zero form")
-    n = phi.n
-    basis = linalg.to_dense(linalg.null_space(_annihilator_system(phi), 2 * n), 2 * n)
+    n, terms = phi.n, dict(_triples(phi.terms.items()))
+    basis = linalg.to_dense(linalg.null_space(_annihilator_system(terms, n), 2 * n), 2 * n)
     space = IsotropicSubspace(n, tuple(tuple(v) for v in basis))
-    pairing = mukai(phi, phi.conjugate())
-    return AnnihilatorReport(
-        space=space,
-        maximal_isotropic=space.dimension == n,
-        nondegenerate=not pairing.is_zero(),
-        transverse=_transverse(space),
-    )
+    full, pairing = (1 << n) - 1, (0, 0, 1)  # mukai(phi, conj(phi)), term by term
+    for m, (a, b, d) in terms.items():
+        x, y, e = terms.get(full ^ m, (0, 0, 1))
+        s = (-1) ** (m.bit_count() * (m.bit_count() - 1) // 2) * _merge_sign(m, full ^ m)
+        pairing = linalg._add_mul(pairing, (s * a, s * b, d), (x, -y, e))
+    return AnnihilatorReport(space=space, maximal_isotropic=space.dimension == n,
+                             nondegenerate=bool(pairing[0] or pairing[1]),
+                             transverse=_transverse(space))
 
 
-def _annihilator_system(phi: Form) -> linalg.TRows:
-    """Rows of triples whose column k is the Clifford action of the k-th unit
-    vector of V + V* on phi."""
-    size, masks = 2 * phi.n, basis_masks(phi.n)
-    cols = linalg.operator_columns(
-        lambda k: clifford([ONE if i == k else ZERO for i in range(size)], phi).terms,
-        range(size), masks,
-    )
-    return linalg.sparse_transpose(cols, len(masks))
+def _annihilator_system(phi: Dict[int, linalg.Triple], n: int) -> linalg.TRows:
+    """Rows of triples whose column k is c_k phi, for phi as {mask: triple}: c_k
+    maps unit forms one to one to signed unit forms or 0, so an entry is one move."""
+    row_of = {m: i for i, m in enumerate(basis_masks(n))}
+    rows = [{} for _ in row_of]
+    for k in range(2 * n):
+        for m, (a, b, d) in phi.items():
+            hit = _unit_clifford(k, n, m)
+            if hit:
+                rows[row_of[hit[1]]][k] = (a, b, d) if hit[0] > 0 else (-a, -b, d)
+    return rows
 
 
 def b_transform(j: GCMap, b: Form) -> GCMap:
@@ -424,7 +425,7 @@ def uk_grading(j: GCMap) -> UGrading:
     for k in levels:
         rows = linalg.echelon([{col_of[m]: t for m, t in f.items()} for _, f in span], len(masks))[0]
         bases[k] = tuple(
-            _form(_normalized({masks[top - c]: row[c] for c in sorted(row, reverse=True)}), n)
+            _triple_form(n, _normalized({masks[top - c]: row[c] for c in sorted(row, reverse=True)}))
             for row in reversed(rows)
         )
         span = [(b, _clifford(conj[b], f, n)) for a, f in span for b in range(a + 1, n)]

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .forms import Form, integrate, mukai, reversal, wedge
+from .forms import Form, exp_two_form, integrate, mukai, reversal, wedge
 from .gcmaps import AnnihilatorReport, annihilator
-from .models import Model, d_twisted
+from .models import Model, d, d_twisted
 from .scalars import ONE, Scalar
 
 Sample = Dict[str, Fraction]
@@ -123,12 +123,9 @@ def quotient_family(
     samples: Sequence[Sample] = (),
 ) -> GCYFamily:
     """Family exp(-i t c) ^ rho over a closed 2-form, verified memberwise tests."""
-    from .forms import exp_two_form
-    from .models import d as d_plain
-
     if not (c.is_zero() or c.is_homogeneous(2)):
         raise GCYError("family twist must be a 2-form")
-    dc = d_plain(model, c)
+    dc = d(model, c)
     if not dc.is_zero():
         raise GCYError("family twist is not closed: %s" % dc.to_text(model.names))
     t = Scalar.parameter(param)

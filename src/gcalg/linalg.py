@@ -8,14 +8,15 @@ is `not a and not b`.  A `Q` stores the same triple in its fields a, b, d:
 The sparse products, sums, eliminations, kernels and solves (`sparse_mul`,
 `sparse_comb`, `rank_profiles`, `pivots`, `echelon`, `null_space`,
 `in_echelon_span`, `solve`) run on triples, with int arithmetic only, so a
-chain of them converts nothing between its steps; `rref`, `mat_mul` and
-`operator_matrix` are their dense views.  One forward elimination serves
-every question, its pivot the candidate of the earliest row block, then with
-the fewest nonzeros, then of the lowest index: `rank_profiles` reads its
-pivot rows (ranks of leading blocks) and pivot columns (ranks of leading
-columns, and the RREF's pivots), `pivots` the columns of a single block, and
-`echelon` adds back substitution for the canonical RREF rows that kernels,
-solves and witnesses come from.  The RREF is unique, so results are exact.
+chain of them converts nothing between its steps; `rref` and `mat_mul` are
+their dense views, and `operator_matrix` is a dense matrix of Scalar images.
+One forward elimination serves every question, its pivot the candidate of
+the earliest row block, then with the fewest nonzeros, then of the lowest
+index: `rank_profiles` reads its pivot rows (ranks of leading blocks) and
+pivot columns (ranks of leading columns, and the RREF's pivots), `pivots`
+the columns of a single block, and `echelon` adds back substitution for the
+canonical RREF rows that kernels, solves and witnesses come from.  The RREF
+is unique, so results are exact.
 """
 
 from __future__ import annotations
@@ -291,23 +292,12 @@ def leading_minors(mat: Mat) -> Iterator[Q]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
 
 
-def operator_columns(op: Callable, src: Sequence, dst: Sequence) -> TRows:
-    """Entry j is op(src[j]) as {dst index: Triple}; op(key) returns the sparse
-    image {dst key: Scalar}.  Each image key is looked up, raising KeyError
-    outside dst, before its coefficient is converted."""
-    row_of = {key: i for i, key in enumerate(dst)}
-    out = []
-    for key in src:
-        col = {}
-        for k, c in op(key).items():
-            i = row_of[k]
-            if not c.is_zero():
-                q = c.as_q()
-                col[i] = q.a, q.b, q.d
-        out.append(col)
-    return out
-
-
 def operator_matrix(op: Callable, src: Sequence, dst: Sequence) -> Mat:
-    """Dense view of `operator_columns`: column j holds op(src[j]) in dst order."""
-    return to_dense(sparse_transpose(operator_columns(op, src, dst), len(dst)), len(src))
+    """Column j is op(src[j]), a sparse image {dst key: Scalar}, in dst order;
+    each key is looked up, KeyError outside dst, before its value is converted."""
+    row_of = {key: i for i, key in enumerate(dst)}
+    out = zeros(len(dst), len(src))
+    for j, key in enumerate(src):
+        for k, c in op(key).items():
+            out[row_of[k]][j] = c.as_q()
+    return out

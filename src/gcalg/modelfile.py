@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cartan import Connection, EqForm, TorusAction
+from .cartan import Connection, EqForm, TorusAction, wedge_eq
 from .forms import Form, exp_two_form, wedge
 from .gcmaps import GCMap, complex_structure, symplectic_map
 from .models import Model
@@ -345,8 +345,6 @@ class Evaluator:
         a, b = self._promote_pair(a, b)
         if isinstance(a, Form):
             return wedge(a, b)
-        from .cartan import wedge_eq
-
         return wedge_eq(a, b)
 
     def _div(self, a: Value, b: Value) -> Value:

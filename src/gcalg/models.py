@@ -17,14 +17,17 @@ from .forms import (
     Form,
     _form_of,
     _merge_sign,
+    _triple_form,
+    _triples,
     basis_masks,
     clifford,
     contract_vector,
+    exp_two_form,
     reversal,
     wedge,
 )
 from .gcmaps import GCMap, UGrading, lifted_action_matrix, require_valid, uk_grading
-from .scalars import ONE, Q, Scalar, _drop_zeros, _q
+from .scalars import ONE, Q, Scalar, _drop_zeros
 
 
 class Model:
@@ -194,11 +197,6 @@ def _d_column(mask: int, table: list, h: list) -> dict:
     return col
 
 
-def _triples(terms):
-    """[(key, triple)] of [(key, Scalar)]; ValueError for a coefficient that is not a Q."""
-    return [(key, (q.a, q.b, q.d)) for key, q in ((key, c.as_q()) for key, c in terms)]
-
-
 def twisted_cohomology(m: Model) -> BettiPair:
     """Exact Z2-graded Betti ranks of the twisted complex: d_H swaps parity,
     so its rank is the sum of its two parity blocks' ranks and each Betti
@@ -227,8 +225,6 @@ def exp_lambda_transport(m: Model, lam: Form, a: Form) -> Form:
     """Wedge with exp(lambda); carries the twist H to H + d(lambda)."""
     if not (lam.is_zero() or lam.is_homogeneous(2)):
         raise ValueError("transport form must be homogeneous of degree 2")
-    from .forms import exp_two_form
-
     return wedge(exp_two_form(lam), a)
 
 
@@ -342,7 +338,7 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     if j.dim != m.n:
         raise ValueError("structure frame does not match the model")
     dmat = _d_matrix(m)
-    masks = tuple(basis_masks(m.n))
+    masks = basis_masks(m.n)
     lift = lifted_action_matrix(j)
     one = (1, 0, 1)  # triples (a, b, d) = (a + b*i)/d
 
@@ -360,14 +356,9 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     if comm(comm(stray8)) != linalg.sparse_comb(((-9, 0, 1), stray8)):
         raise AssertionError("d_H moves levels by steps other than 1 and 3")
     col = min(c for row in stray8 for c in row)
-    column = {r: row[col] for r, row in enumerate(stray8) if col in row}
+    column = {masks[r]: row[col] for r, row in enumerate(stray8) if col in row}
     residual = linalg.sparse_comb(((-1, 0, 8), [column]))[0]  # S's column: -1/8 of -8 S
-    raise _stray_component(m, _row_form(residual, masks, m.n))
-
-
-def _row_form(row: dict, masks: Sequence[int], n: int) -> Form:
-    """The form with coordinates row, a sparse row of triples, on the given masks."""
-    return Form(n, {masks[c]: Scalar.from_q(_q(*row[c])) for c in sorted(row)})
+    raise _stray_component(m, _triple_form(m.n, residual))
 
 
 @dataclass(frozen=True)
@@ -401,7 +392,7 @@ def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) 
     for name, space in (("ker(del) & im(delbar)", a), ("im(del) & ker(delbar)", b)):
         for row in space:
             if not linalg.in_echelon_span(row, im_prod, im_pivots):
-                witness = _row_form(row, sp.masks, m.n)
+                witness = _triple_form(m.n, {sp.masks[c]: row[c] for c in sorted(row)})
                 return DdbarReport(
                     ok=False,
                     witness=witness,
@@ -418,14 +409,15 @@ def delbar_closed_subcomplex_betti(m: Model, j: GCMap) -> BettiPair:
     """Twisted Betti ranks of the subcomplex of upper-half-closed forms.  Each
     kernel vector has one parity and d_H swaps it, so the even and odd images
     share no coordinates and one rank of all of them is their ranks' sum.
-    Row x of the kernel times d_H's transpose is d_H(x) as a row."""
+    Row x of the kernel times the transpose of d_H = lower + upper is d_H(x)."""
     sp = split_operators(m, j)
-    size = len(sp.masks)
+    size, one = len(sp.masks), (1, 0, 1)
     kernel = linalg.null_space(sp.upper, size)
     if not kernel:
         return BettiPair(0, 0)
     span, pivots = linalg.echelon(kernel, size)
-    images = linalg.sparse_mul(kernel, linalg.sparse_transpose(_d_matrix(m), size))
+    d_h = linalg.sparse_comb((one, sp.lower), (one, sp.upper))
+    images = linalg.sparse_mul(kernel, linalg.sparse_transpose(d_h, size))
     n_odd = 0  # ranks in mask coordinates equal ranks in the kernel
     for v, img in zip(kernel, images):
         if not linalg.in_echelon_span(img, span, pivots):

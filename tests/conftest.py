@@ -290,14 +290,30 @@ def solve_column(mat, rhs):
     return None if x is None else [row[0] for row in linalg.to_dense(x, 1)]
 
 
-# the operator matrix as first assembled: one dense write per image entry;
-# the package fills sparse columns and takes the dense matrix as their view
+# the operator matrix as first assembled: one dense write per image entry,
+# as the package writes it again; the sparse columns of triples the package
+# once filled and took the dense matrix as the view of, with each image key
+# looked up before its coefficient is converted and zeros not stored
 def ref_operator_matrix(op, src, dst):
     row_of = {key: i for i, key in enumerate(dst)}
     out = [[Q(0)] * len(src) for _ in dst]
     for j, key in enumerate(src):
         for k, c in op(key).items():
             out[row_of[k]][j] = c.as_q()
+    return out
+
+
+def ref_operator_columns(op, src, dst):
+    row_of = {key: i for i, key in enumerate(dst)}
+    out = []
+    for key in src:
+        col = {}
+        for k, c in op(key).items():
+            i = row_of[k]
+            if not c.is_zero():
+                q = c.as_q()
+                col[i] = q.a, q.b, q.d
+        out.append(col)
     return out
 
 
@@ -737,7 +753,7 @@ def ref_ddbar_lemma_check(m, j, ops=None):
 # ranks and Q sums of the pairing; the package runs all of them on triples
 # and builds d_H's columns by mask arithmetic
 def ref_d_matrix(m, masks):
-    cols = linalg.operator_columns(
+    cols = ref_operator_columns(
         lambda k: d_twisted(m, Form(m.n, {k: ONE})).terms, masks, masks
     )
     return linalg.sparse_transpose(cols, len(masks))

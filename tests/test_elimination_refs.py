@@ -259,6 +259,30 @@ def test_delbar_closed_betti_matches_solved_coordinates():
         assert delbar_closed_subcomplex_betti(model, j) == ref_delbar_closed_betti(model, j)
 
 
+def test_delbar_closed_betti_builds_d_h_once(monkeypatch):
+    # d_H is lower + upper, the sum of the halves split_operators holds, so
+    # d_H's matrix is built once per call, inside split_operators
+    import gcalg.models
+
+    calls = [0]
+    original = gcalg.models._d_matrix
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    monkeypatch.setattr(gcalg.models, "_d_matrix", counted)
+    for model, j in shipped_structures():
+        calls[0] = 0
+        got = delbar_closed_subcomplex_betti(model, j)
+        assert calls[0] == 1
+        assert got == ref_delbar_closed_subcomplex_betti(model, j)
+        sp = split_operators(model, j)
+        size = len(sp.masks)
+        halves = linalg.sparse_comb(((1, 0, 1), sp.lower), ((1, 0, 1), sp.upper))
+        assert linalg.to_dense(halves, size) == linalg.to_dense(original(model), size)
+
+
 def test_pure_parity_reads_the_masks_of_a_row():
     # the parity of a kernel vector is that of the masks of its columns
     t = (1, 0, 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_form, random_vector
 from gcalg.forms import (
     Form,
+    basis_masks,
     canonical_pairing,
     clifford,
     contract,
@@ -253,3 +254,11 @@ def test_sums_store_a_term_without_partner_as_is(monkeypatch):
         4, (1, 2, 3))
     assert calls[0] == 0
     assert e13 + e13 == e13.scale(Scalar.rational(2)) and calls[0] == 1  # the counter counts
+
+
+def test_basis_masks_sorts_once_per_n():
+    # degree first, then mask; one tuple per n, shared by every caller
+    for n in range(9):
+        masks = basis_masks(n)
+        assert isinstance(masks, tuple) and masks is basis_masks(n)
+        assert list(masks) == sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))

@@ -103,6 +103,19 @@ def test_ladder_runs_the_equivariant_rung_while_it_fits():
         equivariant_cohomology(act, act.h_equivariant(3), 3)
 
 
+def test_ladder_times_the_annihilator_rung():
+    # annihilator(pure_spinor(i_eigenspace(j))) on the complex and the
+    # symplectic T^n at every size, after the spinor rung; the child builds
+    # the spinor untimed and times the annihilator alone
+    cases = [(c, s, n) for c, s, n in ladder.ladder_cases([6, 8, 10, 12]) if c == "annihilator"]
+    assert cases == [("annihilator", s, n) for n in (6, 8, 10, 12)
+                     for s in ("complex", "symplectic")]
+    assert ladder.CALLS[ladder.CALLS.index("pure_spinor") + 1] == "annihilator"
+    for structure in ladder.STRUCTURES:
+        got = ladder.run_child(ROOT, "annihilator", structure, 6)
+        assert got["status"] == "ok" and got["wall_s"] >= 0 and got["maxrss_kb"] > 0, got
+
+
 def test_ladder_times_the_scalars_rung():
     # (t+s+u+1)^k for k = 8 and 16 after every size (the case lists above)
     assert ladder.POWERS == (8, 16)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    in_span, random_q, ref_intersect_spans, ref_kernel_basis, ref_operator_matrix, ref_solve,
-    row_space, solve_column,
+    in_span, random_q, ref_intersect_spans, ref_kernel_basis, ref_operator_columns,
+    ref_operator_matrix, ref_solve, row_space, solve_column,
 )
 from gcalg import linalg
 from gcalg.scalars import Q, QONE, QZERO, Scalar, _q
@@ -226,8 +226,10 @@ def test_operator_matrix_rejects_key_outside_dst():
 
 
 def test_operator_matrix_matches_the_first_loop(rng):
-    # the dense view of operator_columns against one write per image entry,
-    # zero coefficients and empty images included
+    # operator_matrix, which folds in the sparse columns it was once the dense
+    # view of, against one write per image entry and against those columns
+    # (kept as the reference of d_H's matrix), zero coefficients and empty
+    # images included
     for _ in range(30):
         src = list(range(rng.randint(0, 6)))
         dst = rng.sample(range(20), rng.randint(0, 6))
@@ -235,21 +237,23 @@ def test_operator_matrix_matches_the_first_loop(rng):
                   for key in src}
         mat = linalg.operator_matrix(lambda key: images[key], src, dst)
         assert mat == ref_operator_matrix(lambda key: images[key], src, dst)
-        cols = linalg.operator_columns(lambda key: images[key], src, dst)
+        cols = ref_operator_columns(lambda key: images[key], src, dst)
         assert all(a or b for col in cols for a, b, _ in col.values())
         assert [[_q(*col[i]) if i in col else QZERO for col in cols]
                 for i in range(len(dst))] == mat
-    for fn in (linalg.operator_matrix, ref_operator_matrix):
+    assert not hasattr(linalg, "operator_columns")
+    for fn in (linalg.operator_matrix, ref_operator_columns, ref_operator_matrix):
         with pytest.raises(KeyError):
             fn(lambda key: {7: Scalar.rational(1)}, [0], [0, 1])
 
 
 def test_operator_columns_look_up_each_key_before_converting_it():
     # a parameter before an outside key names the parameter, and after it
-    # raises KeyError, as the first loop did
+    # raises KeyError, as the first loop did; operator_matrix keeps the rule
+    # of the sparse columns it folds in
     s = Scalar.parameter("s")
     for image, error in [({0: s, 7: Scalar.rational(1)}, ValueError),
                          ({7: Scalar.rational(1), 0: s}, KeyError)]:
-        for fn in (linalg.operator_columns, ref_operator_matrix):
+        for fn in (linalg.operator_matrix, ref_operator_columns, ref_operator_matrix):
             with pytest.raises(error):
                 fn(lambda key: image, [0], [0, 1])

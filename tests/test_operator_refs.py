@@ -54,7 +54,7 @@ from gcalg.cartan import (
     moment_operator,
     monomials_of_degree,
 )
-from gcalg.forms import Form, basis_masks, clifford, form_to_vec, wedge
+from gcalg.forms import Form, _triples, basis_masks, clifford, form_to_vec, mukai, wedge
 from gcalg.gcmaps import (
     GCMap,
     _annihilator_system,
@@ -166,12 +166,13 @@ def test_lifted_action_calls_no_clifford(monkeypatch):
         calls[0] += 1
         return clifford(*args)
 
+    assert not hasattr(gcalg.gcmaps, "clifford")  # gcmaps applies only the unit moves
     monkeypatch.setattr(gcalg.forms, "clifford", counted)
-    monkeypatch.setattr(gcalg.gcmaps, "clifford", counted)
+    monkeypatch.setattr(gcalg.models, "clifford", counted)
     for j in structures(random.Random(3), 4):
         lifted_action_matrix(j)
     assert calls[0] == 0
-    gcalg.gcmaps.annihilator(Form.unit(2))  # the counter does count
+    gcalg.models.reversal_clifford_pair([QZERO] * 4, Form.unit(2))  # the counter does count
     assert calls[0] > 0
 
 
@@ -275,7 +276,7 @@ def test_validate_matches_dense_products():
     }
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 4, 6])
 def test_annihilator_system_matches_dense_products(rng, n):
     forms = [pure_spinor(i_eigenspace(j)) for j in structures(rng, n)]
     forms += [random_form(rng, n, max_terms=5) for _ in range(6)]
@@ -283,9 +284,72 @@ def test_annihilator_system_matches_dense_products(rng, n):
         if phi.is_zero():
             continue
         ref = ref_annihilator_system(phi)
-        assert linalg.to_dense(_annihilator_system(phi), 2 * n) == ref
+        system = _annihilator_system(dict(_triples(phi.terms.items())), n)
+        assert linalg.to_dense(system, 2 * n) == ref
         want = ref_kernel_basis(ref, ncols=2 * n)
-        assert annihilator(phi).space.basis == tuple(tuple(v) for v in want)
+        report = annihilator(phi)
+        assert report.space.basis == tuple(tuple(v) for v in want)
+        # the Mukai pairing on triples against the Scalar one
+        assert report.nondegenerate == (not mukai(phi, phi.conjugate()).is_zero())
+
+
+def test_annihilator_refuses_the_first_coefficient_as_stated():
+    # phi's coefficients become triples in term order before any matrix is
+    # built, so the refusal names the first one phi states, where the system
+    # built from Clifford products met a later one first (t in the first
+    # example: column 0, the contraction by e1, meets t*e1^e2 before any
+    # column reaches -pi*e2)
+    t, pi = Scalar.parameter("t"), Scalar.pi()
+    e1, e2, e12 = (Form(2, {m: ONE}) for m in (0b01, 0b10, 0b11))
+    cases = [(e2.scale(-pi) + e12.scale(t), "scalar -pi is not a plain Gaussian rational"),
+             (e1 + e2.scale(t + ONE), "scalar t+1 is not a plain Gaussian rational"),
+             (e12.scale(t) + e1.scale(pi), "scalar t is not a plain Gaussian rational")]
+    rng = random.Random("annihilator-refusals")
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        phi = random_form(rng, n, max_terms=5)
+        bad = [pi * Scalar.rational(rng.randint(1, 5)) if rng.random() < 0.5 else
+               t * Scalar.rational(rng.randint(1, 5)) + Scalar.from_q(random_q(rng))
+               for _ in range(2)]
+        for c in bad:
+            phi = phi + Form(n, {rng.randrange(1 << n): c})
+        cases.append((phi, stated_refusal(phi.terms.values())))
+    for phi, message in cases:
+        assert message is not None
+        with pytest.raises(ValueError) as err:
+            annihilator(phi)
+        assert str(err.value) == message == stated_refusal(phi.terms.values())
+
+
+def test_annihilator_builds_no_scalar_product(monkeypatch):
+    # no forms.clifford, no Clifford sum and no Scalar product: phi's terms
+    # become triples once (one as_q per term) and the system, the kernel and
+    # the Mukai pairing run on them
+    import gcalg.forms
+
+    rng = random.Random("annihilator-count")
+    phis = [pure_spinor(i_eigenspace(j)) for n in (2, 4, 6) for j in structures(rng, n)]
+    phis += [random_form(rng, n, max_terms=6) for n in (1, 2, 3, 4) for _ in range(5)]
+    phis = [phi for phi in phis if not phi.is_zero()]
+    calls = {}
+    for owner, name in [(gcalg.forms, "clifford"), (gcalg.forms, "_clifford_sum"),
+                        (Scalar, "__mul__"), (Scalar, "as_q")]:
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for phi in phis:
+        for name in calls:
+            calls[name] = 0
+        annihilator(phi)
+        assert calls["clifford"] == calls["_clifford_sum"] == calls["__mul__"] == 0
+        assert calls["as_q"] <= len(phi.terms)
+    gcalg.forms.contract(1, Form.generator(2, 1))  # the counters do count
+    gcalg.forms.clifford([ONE] * 4, Form.generator(2, 1))
+    assert calls["clifford"] == 1 and calls["_clifford_sum"] == 2 and calls["__mul__"] > 0
 
 
 # -- the torus layer: moment sections and x-weighted sums ----------------------
@@ -637,7 +701,6 @@ def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
     for name, original in [("d", gcalg.models.d), ("wedge", gcalg.forms.wedge),
                            ("contract_vector", gcalg.forms.contract_vector),
                            ("_d_eq_twisted_unchecked", gcalg.cartan._d_eq_twisted_unchecked),
-                           ("operator_columns", linalg.operator_columns),
                            ("operator_matrix", linalg.operator_matrix), ("rref", linalg.rref),
                            ("twisted_cohomology", gcalg.models.twisted_cohomology),
                            ("__mul__", Scalar.__mul__)]:
@@ -652,6 +715,7 @@ def test_cartan_complex_takes_one_image_per_mask(monkeypatch):
                 monkeypatch.setattr(owner, name, counted)
     assert "twisted_cohomology" not in vars(gcalg.cartan)
     assert "transpose" not in vars(linalg)  # no dense transpose to make
+    assert "operator_columns" not in vars(linalg)  # folded into operator_matrix
 
     def count(act, trunc):
         h_g = act.h_equivariant(trunc)

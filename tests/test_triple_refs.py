@@ -22,13 +22,13 @@ from conftest import (
     ref_twisted_cohomology, shipped_structures, stated_refusal, wide_q,
 )
 from gcalg import gcmaps, linalg
-from gcalg.forms import Form, basis_masks, contract_vector, wedge
+from gcalg.forms import Form, _triples, basis_masks, contract_vector, wedge
 from gcalg.gcmaps import (
     GCMap, IsotropicSubspace, _transverse, b_transform, complex_structure, i_eigenspace,
     symplectic_map, uk_grading,
 )
 from gcalg.models import (
-    Model, _d_column, _d_matrix, _triples, betti_numbers, d, twisted_cohomology,
+    Model, _d_column, _d_matrix, betti_numbers, d, twisted_cohomology,
 )
 from gcalg.scalars import ONE, Q, QZERO, Scalar, _q
 
@@ -268,6 +268,7 @@ def test_grading_keeps_the_spectrum_check(monkeypatch):
 
 def test_grading_runs_no_rref_no_dense_vectors_and_no_form_clifford(monkeypatch):
     import gcalg.forms
+    import gcalg.models
 
     calls = {}
 
@@ -283,8 +284,9 @@ def test_grading_runs_no_rref_no_dense_vectors_and_no_form_clifford(monkeypatch)
     counting(linalg, "rref")
     for name in ("form_to_vec", "clifford"):
         counting(gcalg.forms, name)
-        if hasattr(gcmaps, name):
-            counting(gcmaps, name)
+        for owner in (gcmaps, gcalg.models):
+            if hasattr(owner, name):
+                counting(owner, name)
     js = structures()
     calls.clear()
     for j in js:
@@ -292,6 +294,6 @@ def test_grading_runs_no_rref_no_dense_vectors_and_no_form_clifford(monkeypatch)
     assert calls == {}
     # the counters do count
     linalg.rank([[Q(1)]])
-    gcmaps.annihilator(Form.unit(2))
+    gcalg.models.reversal_clifford_pair([QZERO] * 4, Form.unit(2))
     gcmaps.UGrading.decompose(uk_grading(complex_structure(1)), Form.unit(2))
     assert set(calls) == {"rref", "clifford", "form_to_vec"}

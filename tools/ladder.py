@@ -5,8 +5,9 @@
 Each NAME=DIR is a checkout.  For n = 6, 8, 10, 12 (`--n`) the flat torus T^n is
 taken with `complex_structure(n/2)` and with the standard symplectic
 structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
-`pure_spinor(i_eigenspace(j))`, `split_operators(T^n, j)` and
-`ddbar_lemma_check(T^n, j)` runs in a fresh child process; so do
+`pure_spinor(i_eigenspace(j))`, `annihilator` of that spinor (built
+untimed), `split_operators(T^n, j)` and `ddbar_lemma_check(T^n, j)` runs
+in a fresh child process; so do
 `twisted_cohomology(T^n)` and `equivariant_cohomology` at trunc 3 for a
 circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
 while its 4 x 2^n columns fit in `cartan.MAX_COLUMNS` (mirrored here as
@@ -58,7 +59,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-CALLS = ("uk_grading", "pure_spinor", "split_operators", "ddbar_lemma_check")
+CALLS = ("uk_grading", "pure_spinor", "annihilator", "split_operators", "ddbar_lemma_check")
 STRUCTURES = ("complex", "symplectic")
 IWASAWA_CALLS = ("split_operators", "ddbar_lemma_check", "twisted_cohomology")  # Iwasawa x T^(n-6)
 REFUSAL_CALLS = ("ddbar_lemma_check", "twisted_cohomology")  # the same with t in d(e5)
@@ -76,7 +77,8 @@ CHILD = r"""
 import json, resource, sys, time
 from gcalg.cartan import TorusAction, canonical_extension, equivariant_cohomology
 from gcalg.forms import Form, exp_two_form
-from gcalg.gcmaps import complex_structure, i_eigenspace, pure_spinor, symplectic_map, uk_grading
+from gcalg.gcmaps import (annihilator, complex_structure, i_eigenspace, pure_spinor,
+                          symplectic_map, uk_grading)
 from gcalg.modelfile import parse_model, parse_scalar_text
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
 from gcalg.scalars import I, Scalar
@@ -104,6 +106,8 @@ if call == "equivariant_cohomology":
     if structure == "2-torus":
         fields, alpha = [[0] * (n - 2) + [1, 0], [0] * (n - 1) + [1]], alpha + [Form.zero(n)]
     act = TorusAction(model.with_twist(h), fields, alpha=alpha)
+if call == "annihilator":
+    phi = pure_spinor(i_eigenspace(j))
 if call == "canonical_extension":
     act = TorusAction(model, [[1] + [0] * (n - 1)], mu_diff=[Form.generator(n, 2)],
                       alpha=[Form.zero(n)])
@@ -113,6 +117,7 @@ if call == "parse_model":
 run = {
     "uk_grading": lambda: uk_grading(j),
     "pure_spinor": lambda: pure_spinor(i_eigenspace(j)),
+    "annihilator": lambda: annihilator(phi),
     "split_operators": lambda: split_operators(model, j),
     "ddbar_lemma_check": lambda: ddbar_lemma_check(model, j),
     "twisted_cohomology": lambda: twisted_cohomology(model),
