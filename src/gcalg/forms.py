@@ -144,9 +144,6 @@ class Form:
             return len(degs) <= 1
         return degs <= {degree}
 
-    def degree_part(self, degree: int) -> "Form":
-        return Form(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == degree})
-
     def coefficient(self, indices: Sequence[int]) -> Scalar:
         return self.terms.get(_indices_mask(indices), ZERO)
 

@@ -139,7 +139,10 @@ def require_valid(j: GCMap) -> None:
 
 
 def i_eigenspace(j: GCMap) -> IsotropicSubspace:
-    """Kernel of J - i over the Gaussian rationals; must have dimension dim V."""
+    """Kernel of J - i over the Gaussian rationals.  Past `require_valid` it
+    has dimension dim V and meets its conjugate only in 0: J is real with
+    J^2 = -1, so V + V* splits into the i- and (-i)-eigenspaces, each the
+    conjugate of the other."""
     require_valid(j)
     n2 = 2 * j.dim
     rows = linalg.to_sparse(j.matrix)
@@ -147,14 +150,7 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
         a, _, d = row.get(r, (0, 0, 1))
         row[r] = (a, -d, d)
     basis = linalg.to_dense(linalg.null_space(rows, n2), n2)
-    if len(basis) != j.dim:
-        raise ValueError(
-            "i-eigenspace has dimension %d, expected %d" % (len(basis), j.dim)
-        )
-    space = IsotropicSubspace(j.dim, tuple(tuple(v) for v in basis))
-    if not _transverse(space):
-        raise ValueError("eigenspace meets its conjugate; structure is not valid")
-    return space
+    return IsotropicSubspace(j.dim, tuple(tuple(v) for v in basis))
 
 
 def _transverse(space: IsotropicSubspace) -> bool:

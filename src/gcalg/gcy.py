@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .forms import Form, exp_two_form, integrate, mukai, reversal, wedge
+from .forms import Form, exp_two_form, integrate, mukai, wedge
 from .gcmaps import AnnihilatorReport, annihilator
 from .models import Model, d, d_twisted
 from .scalars import ONE, Scalar
@@ -88,10 +88,8 @@ def _sample_text(p: Sample) -> str:
 
 def volume_form(g: GCYStructure) -> Form:
     """Top form (-1)^n / (2i)^n times the self-pairing, n the half-dimension."""
-    n = g.half_dim
-    top = wedge(reversal(g.rho), g.rho.conjugate()).degree_part(g.model.n)
-    factor = (Scalar.rational(-1) / Scalar.imaginary(2)) ** n
-    return top.scale(factor)
+    factor = (Scalar.rational(-1) / Scalar.imaginary(2)) ** g.half_dim
+    return Form(g.model.n, {(1 << g.model.n) - 1: g.pairing}).scale(factor)
 
 
 @dataclass(frozen=True)
@@ -180,10 +178,9 @@ def dh_density(
             "quotient model has %d generators, expected 2(n-k) = %d"
             % (model.n, 2 * (n - k))
         )
-    rho_t = fam.rho
-    pairing = wedge(reversal(rho_t), rho_t.conjugate())
     norm = dh_normalization(n, k)
-    density = norm * integrate(pairing, model.volume, orientation)
+    top = Form(model.n, {(1 << model.n) - 1: fam.structure.pairing})  # gcy_check's pairing
+    density = norm * integrate(top, model.volume, orientation)
     bound = n - k
     if constant_type is not None:
         if constant_type < 0:

@@ -306,8 +306,6 @@ class Evaluator:
                 except (ValueError, ZeroDivisionError) as e:
                     raise ParseError(str(e), tok.line, tok.col)
         right = self.eval(node.children[1])
-        if op not in ("+", "-", "*", "^", "/"):
-            raise ParseError("unknown operator %r" % op, tok.line, tok.col)
         try:
             if op in ("*", "^"):
                 _check_size(tok, [left, right], self.spent)
@@ -809,6 +807,10 @@ def parse_model(text: str) -> ModelFile:
         kval = _int_literal(fields["k"])
         if nval is None or kval is None:
             raise ModelFileError("dh n and k must be integer literals", line)
+        for key, value in (("n", nval), ("k", kval)):  # both enter the density as powers
+            if abs(value) > MAX_EXPONENT:
+                at = fields[key].token
+                raise ParseError("dh %s beyond +-%d" % (key, MAX_EXPONENT), at.line, at.col)
         orient = 1
         o_ast = fields.get("orientation")
         if o_ast is not None:

@@ -814,9 +814,9 @@ def ref_transverse(basis):
 
 
 def ref_i_eigenspace(j):
-    """The basis of the i-eigenspace, after the checks of `i_eigenspace`;
-    the structure check is read through the module, so a test can skip it
-    for both sides at once."""
+    """The basis of the i-eigenspace, after the checks `i_eigenspace` first
+    ran; past `require_valid` the dimension and transversality checks never
+    fire."""
     gcmaps.require_valid(j)
     n2 = 2 * j.dim
     m = [[Q(j.matrix[r][c].re) - (Q(0, 1) if r == c else Q(0)) for c in range(n2)]

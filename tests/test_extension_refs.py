@@ -40,7 +40,7 @@ def outcome(fn, *args):
     except (ValueError, AssertionError) as err:
         return type(err).__name__, str(err)
     if isinstance(out, EqForm):
-        return out.k, out.trunc, out.dropped, out.to_text(), out
+        return out.k, out.trunc, out.to_text(), out
     if isinstance(out, Connection):
         return out.theta, out.curvature
     return out

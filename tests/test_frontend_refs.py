@@ -34,7 +34,7 @@ def layout(v):
         return list(v.terms.items())
     if isinstance(v, Form):
         return v.n, [(m, list(c.terms.items())) for m, c in v.terms.items()]
-    return v.k, v.trunc, v.dropped, [(e, layout(f)) for e, f in v.terms.items()]
+    return v.k, v.trunc, [(e, layout(f)) for e, f in v.terms.items()]
 
 
 def outcome(fn, *args):

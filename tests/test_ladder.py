@@ -123,6 +123,21 @@ def test_ladder_times_the_scalars_rung():
     assert got["status"] == "ok" and got["wall_s"] >= 0, got
 
 
+def test_ladder_repeats_a_fast_call_to_fill_its_time(monkeypatch):
+    # the untimed first call sets the count: a millisecond call is timed as
+    # the mean of about FILL_S / its time repeats, a slower one at least once
+    assert ladder.FILL_S == 0.1
+    got = ladder.run_child(ROOT, "parse_scalar_text", "-", 8)
+    assert got["loops"] >= 5 and 0.03 < got["wall_s"] * got["loops"] < 1, got
+    monkeypatch.setattr(ladder, "FILL_S", 1e-9)
+    got = ladder.run_child(ROOT, "parse_scalar_text", "-", 8)
+    assert got["status"] == "ok" and got["loops"] == 1, got
+    # a refusal is timed up to the ValueError, each repeat alike
+    monkeypatch.setattr(ladder, "FILL_S", 0.05)
+    got = ladder.run_child(ROOT, "twisted_cohomology", "iwasawa-t", 6)
+    assert got["status"] == "refused" and got["loops"] >= 2, got
+
+
 # the front-end rung after the scalars rung: every shipped model file with
 # its generator count, then the validate-style file at n = 3, 5 and 7
 FRONT_END = [("parse_model", name, n) for name, n in (
@@ -140,7 +155,7 @@ def test_ladder_times_the_front_end_rung(monkeypatch):
         mf = parse_model(ladder.validate_text(n))
         assert mf.model.n == n and mf.params == ("t", "s") and list(mf.dh_specs) == ["f1"]
         assert sorted(mf.values) == ["c", "f", "g", "p", "w"] and list(mf.connections) == ["th"]
-    monkeypatch.setattr(ladder, "PARSE_LOOPS", 3)
+    monkeypatch.setattr(ladder, "FILL_S", 0.01)
     for name in ("t3_twisted", "validate"):
         got = ladder.run_child(ROOT, "parse_model", name, 3)
         assert got["status"] == "ok" and 0 < got["wall_s"] < 1, got

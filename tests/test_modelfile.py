@@ -281,6 +281,32 @@ def test_hostile_input_is_a_quick_located_parse_error(tmp_path, capsys, body, co
     assert seconds < 1.0
 
 
+DH_CIRCLE = ("model circle\ngenerators e1 e2\nparams t\nlet c = e1^e2\nlet rho = exp(-i*c)\n"
+             "dh f\n  base = rho\n  twist = c\n  param = t\n  n = %s\n  k = %s\nend\n")
+
+
+def _dh(tmp_path, capsys, n, k):
+    path = tmp_path / "dh.model"
+    path.write_text(DH_CIRCLE % (n, k))
+    start = time.perf_counter()
+    code = main(["dh", str(path)])
+    return code, json.loads(capsys.readouterr().out), time.perf_counter() - start
+
+
+def test_dh_n_and_k_are_capped_as_exponents(tmp_path, capsys):
+    # both enter the normalization (2 pi)^k / (2i)^(n-k) as powers; uncapped,
+    # n = 200001, k = 200000 ran for seconds and failed on an int conversion
+    code, payload, seconds = _dh(tmp_path, capsys, 200001, 200000)
+    assert code == 2 and seconds < 1.0
+    assert payload == {"error": "line 10, col 7: dh n beyond +-32", "kind": "parse"}
+    assert _dh(tmp_path, capsys, 32, -33)[1]["error"] == "line 11, col 7: dh k beyond +-32"
+    assert _dh(tmp_path, capsys, "(-33)", 1)[1]["error"] == "line 10, col 7: dh n beyond +-32"
+    code, payload, _ = _dh(tmp_path, capsys, 32, 31)  # at the cap: 2(n - k) = 2 generators
+    assert code == 0 and payload["normalization"] == "-1073741824*pi^31*i"  # -i 2^30 pi^31
+    spec = parse_model((MODELS_DIR / "t4_rho1.model").read_text()).dh_specs["f1"]
+    assert (spec.n, spec.k) == (3, 1)
+
+
 def _names(first, last):
     return " ".join("e%d" % i for i in range(first, last + 1))
 

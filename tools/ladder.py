@@ -36,9 +36,11 @@ name and generator count) and of a validate-style file at n = 3, 5 and 7
 (PARSE_SIZES; structure "validate"), which declares parameters, builds an
 `exp`, an eqform, a connection and a dh block, as perfbench's `validate`
 queries do.  The child imports gcalg from DIR/src, builds the inputs
-untimed, times the call and prints its wall time and `ru_maxrss`; a
-`parse_model` child calls once untimed, then times PARSE_LOOPS calls and
-reports the time per call, since one parse takes about a millisecond.  A child gets TIMEOUT_S seconds of wall time and an
+untimed, makes one untimed call, then times as many calls as that one's
+wall time fits into FILL_S seconds (at least one) and prints the wall time
+per call, the number of timed calls and `ru_maxrss`; a call that raises
+ValueError is timed up to the error.  So a row of a millisecond call is a
+mean of about a hundred.  A child gets TIMEOUT_S seconds of wall time and an
 address-space limit of MEM_MB (RLIMIT_AS, set in the child only); a call
 that exceeds one is recorded as "timeout" or "memory", and that side's
 row stops there.  Each row runs every call REPEATS times per checkout,
@@ -70,7 +72,7 @@ REPEATS = 3  # child runs per call and checkout; a row keeps their median
 MAX_COLUMNS = 4096  # cartan.MAX_COLUMNS, which the equivariant rungs' 4 (or 10) x 2^n must fit
 POWERS = (8, 16)  # powers k of the scalars rung
 PARSE_SIZES = (3, 5, 7)  # generator counts of the validate-style file of the front-end rung
-PARSE_LOOPS = 200  # timed parse_model calls per child
+FILL_S = 0.1  # wall time a child's timed repeats of a call fill, about
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"  # the shipped files it parses
 
 CHILD = r"""
@@ -83,7 +85,7 @@ from gcalg.modelfile import parse_model, parse_scalar_text
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
 from gcalg.scalars import I, Scalar
 
-call, structure, n, loops = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+call, structure, n, fill = sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
 model = torus(n)
 if structure == "complex":
     j = complex_structure(n // 2)
@@ -127,21 +129,27 @@ run = {
     "parse_model": lambda: parse_model(text),
 }[call]
 status = "ok"
-try:
-    if loops > 1:
-        run()
+
+
+def per_call(loops):
+    global status
     start = time.perf_counter()
-    try:
-        for _ in range(loops):
+    for _ in range(loops):
+        try:
             run()
-    except ValueError:
-        status = "refused"
-    wall = (time.perf_counter() - start) / loops
+        except ValueError:
+            status = "refused"
+    return (time.perf_counter() - start) / loops
+
+
+try:
+    loops = max(1, round(fill / max(per_call(1), 1e-6)))  # the untimed first call
+    wall = per_call(loops)
 except MemoryError:
     print(json.dumps({"status": "memory"}))
     sys.exit(0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"status": status, "wall_s": round(wall, 7), "maxrss_kb": rss}))
+print(json.dumps({"status": status, "wall_s": round(wall, 7), "loops": loops, "maxrss_kb": rss}))
 """
 
 
@@ -173,8 +181,7 @@ def run_child(checkout: Path, call: str, structure: str, n: int,
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    loops = PARSE_LOOPS if call == "parse_model" else 1
-    cmd = [sys.executable, "-c", CHILD, call, structure, str(n), str(loops)]
+    cmd = [sys.executable, "-c", CHILD, call, structure, str(n), str(FILL_S)]
     if call == "parse_model" and structure == "validate":
         cmd.append(validate_text(n))
     try:
