@@ -111,7 +111,7 @@ def cmd_gclinear(args) -> dict:
     out = {"valid": report.ok, "failures": list(report.failures)}
     if not report.ok:
         return out
-    space = gcmaps.i_eigenspace(j)
+    space = gcmaps._eigenspace(j)  # the report above has validated j
     spinor = gcmaps.pure_spinor(space)
     ann = gcmaps.annihilator(spinor)
     out.update(

@@ -10,7 +10,8 @@ The pairing P is the half swap (2P swaps the halves of V + V*), so a product
 with P is a row swap.  Every Clifford product is the generator
 `forms._unit_clifford` on forms held as {mask: triple} (`forms._triples`):
 summed by `_clifford` for the spinor and the levels, one move per entry of
-the annihilator's system, two per term of the lift.
+the annihilator's system.  The lift writes its entries from the pairs of
+generators directly: a pair moves a quarter of the masks, each by one sign.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def i_eigenspace(j: GCMap) -> IsotropicSubspace:
     J^2 = -1, so V + V* splits into the i- and (-i)-eigenspaces, each the
     conjugate of the other."""
     require_valid(j)
+    return _eigenspace(j)
+
+
+def _eigenspace(j: GCMap) -> IsotropicSubspace:
+    """`i_eigenspace` of a structure that has passed `validate`."""
     n2 = 2 * j.dim
     rows = linalg.to_sparse(j.matrix)
     for r, row in enumerate(rows):  # J is real, so its diagonal entry a/d becomes (a - d*i)/d
@@ -360,12 +366,25 @@ def lifted_action_matrix(j: GCMap) -> linalg.TRows:
     [L, v.] = -(Jv). for every v, including structures that do not commute
     with P (for example B-field shears).  No scalar is added: L has
     eigenvalue -k*i on level k of `uk_grading`, which the tests check on
-    every level basis form.
+    every level basis form.  This is the spin representation of so(V + V*)
+    on forms (Gualtieri, Generalized complex geometry, 2004).
 
-    Each unit vector c_a of V + V* maps a unit form e_mask to a signed unit
-    form (`_unit_clifford`), so a term w (c_a c_b - c_b c_a) adds +-w to at
-    most two entries of a column.  The weights are real, so every entry is
-    an integer sum over their common denominator, reduced once at the end.
+    L is the sum of w (c_a c_b - c_b c_a) over the pairs a < b of V + V*
+    with w = -(JP)[a][b] nonzero, c_a the contraction by e_(a+1) for a < n
+    and the wedge with e^(a-n+1) for a >= n (`forms._unit_clifford`).
+    - On two different generators (a % n != b % n) c_a and c_b anticommute,
+      so the term is 2w c_a c_b.  It moves e_mask only when c_b and then c_a
+      apply: bit a % n of mask set for a contraction and clear for a wedge,
+      and the same for b, which is a quarter of the masks.  Each such mask
+      goes to mask with both bits flipped, with the sign of the two moves:
+      -1 to the number of set bits strictly between the two generators,
+      times a sign fixed by the pair.
+    - On the same generator (b = a + n) the term is w (iota e - e iota),
+      which is diagonal: +w on the masks without that generator, -w on
+      those with it; the diagonal sums these over the generators.
+    The weights are real, so every entry is an integer sum over their common
+    denominator, reduced once at the end; each row keeps its columns in
+    increasing order.
     """
     n = j.dim
     pairs = []
@@ -375,23 +394,50 @@ def lifted_action_matrix(j: GCMap) -> linalg.TRows:
             if jp.a:
                 pairs.append((a, b, jp.a, jp.d))
     den = lcm(*(jd for _, _, _, jd in pairs))
-    weights = [(a, b, -ja * (den // jd)) for a, b, ja, jd in pairs]
-    den *= 2  # the entry w = -(JP)[a][b] is -jp / 2
     masks = basis_masks(n)
-    row_of = {m: i for i, m in enumerate(masks)}
-    sums = [{} for _ in masks]
+    size = len(masks)
+    col_of = [0] * size  # a mask's position in `basis_masks` order
     for col, mask in enumerate(masks):
-        for a, b, w in weights:
-            for first, second, sign in ((b, a, 1), (a, b, -1)):
-                one = _unit_clifford(first, n, mask)
-                two = one and _unit_clifford(second, n, one[1])
-                if two:
-                    row = sums[row_of[two[1]]]
-                    row[col] = row.get(col, 0) + (w if one[0] * two[0] == sign else -w)
+        col_of[mask] = col
+    sums = [{} for _ in masks]  # {column: integer sum} per row mask
+    diagonal = [0] * n  # the weight of iota_i e^i - e^i iota_i
+    for a, b, ja, jd in pairs:
+        w = -ja * (den // jd)  # the entry w = -(JP)[a][b] is w / (2 den)
+        i, k = a % n, b % n
+        if i == k:
+            diagonal[i] += w
+            continue
+        both = (1 << i) | (1 << k)
+        need = (1 << i if a < n else 0) | (1 << k if b < n else 0)
+        span = ((1 << i) - 1) ^ ((1 << k) - 1)  # generators from the lower of i, k up to the other
+        flip = ((need & span).bit_count() + (k < i)) & 1
+        span &= ~both
+        free, target = (size - 1) ^ both, need ^ both
+        plus, minus = 2 * w, -2 * w
+        s = 0
+        while True:  # every s within free, in increasing order
+            row = sums[s | target]
+            col = col_of[s | need]
+            row[col] = row.get(col, 0) + (minus if ((s & span).bit_count() ^ flip) & 1 else plus)
+            s = (s - free) & free
+            if not s:
+                break
+    if any(diagonal):
+        entry = [sum(diagonal)] * size
+        for mask in range(1, size):  # the lowest generator of mask turns its +w into -w
+            low = mask & -mask
+            entry[mask] = entry[mask ^ low] - 2 * diagonal[low.bit_length() - 1]
+        for mask, x in enumerate(entry):
+            if x:
+                row, col = sums[mask], col_of[mask]
+                row[col] = row.get(col, 0) + x
+    den *= 2
     out = []
-    for row in sums:
+    for mask in masks:
+        row = sums[mask]
         out.append({})
-        for col, x in row.items():
+        for col in sorted(row):
+            x = row[col]
             if x:
                 g = gcd(x, den)
                 out[-1][col] = (x // g, 0, den // g)

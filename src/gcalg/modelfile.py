@@ -18,7 +18,7 @@ from .cartan import Connection, EqForm, TorusAction, wedge_eq
 from .forms import Form, exp_two_form, wedge
 from .gcmaps import GCMap, complex_structure, symplectic_map
 from .models import Model
-from .scalars import ONE, Q, Scalar, _q
+from .scalars import ONE, Q, QZERO, Scalar, _q
 
 Value = Union[Scalar, Form, EqForm]
 
@@ -29,6 +29,7 @@ MAX_DEGREE = 32  # largest parameter degree a product, power or exp may build
 MAX_MONOMIALS = 1000  # most monomials one coefficient of a product, power or exp may hold
 MAX_FILE_PRODUCTS = 20000  # most term products (that bound x the power) one file may spend
 MAX_GENERATORS = 8  # most generators a model may declare: every space has dimension 2^n
+MAX_DIGITS = 1000  # most digits of a number literal
 _DH_FIELDS = ("base", "twist", "param", "n", "k", "orientation", "type")  # the first five required
 
 
@@ -70,10 +71,13 @@ _tuple_new = tuple.__new__  # a Token or Node from all its fields, past the Name
 def tokenize(text: str, line: int) -> List[Token]:
     out = [_tuple_new(Token, (_KINDS[g], m.group(g), line, m.start(g) + 1))
            for m in _TOKEN_RE.finditer(text) for g in (m.lastindex,)]
-    if _STRAY_RE.search(text):
-        k = next(k for k, tok in enumerate(out) if tok.kind is None)
-        col = out[k - 1].col + len(out[k - 1].text) if k else 1
-        raise ParseError("unexpected character %r" % out[k].text, line, col)
+    if _STRAY_RE.search(text) or len(text) > MAX_DIGITS:  # refuse the first bad token
+        for k, tok in enumerate(out):
+            if tok.kind is None:
+                col = out[k - 1].col + len(out[k - 1].text) if k else 1
+                raise ParseError("unexpected character %r" % tok.text, line, col)
+            if tok.kind == "NUM" and len(tok.text) > MAX_DIGITS:
+                raise ParseError("number literal beyond %d digits" % MAX_DIGITS, line, tok.col)
     return out
 
 
@@ -516,13 +520,13 @@ def parse_model(text: str) -> ModelFile:
                  line, col)
         defined.add((block, what, name))
 
-    def block(what: str, lineno: int, handle) -> None:
-        """Pass the tokens of each line up to 'end' to handle(); a block that
-        reaches the end of the file fails after its body lines."""
+    def block(what: str, lineno: int, handle, read=tokenize) -> None:
+        """Pass read(text, line) of each line up to 'end' to handle(); a block
+        that reaches the end of the file fails after its body lines."""
         for l2, body in lines:
             if body.strip() == "end":
                 return
-            handle(tokenize(body, l2))
+            handle(read(body, l2))
         fail("%s block missing 'end'" % what, lineno)
 
     for lineno, line in lines:
@@ -596,7 +600,7 @@ def parse_model(text: str) -> ModelFile:
         elif key == "structure":
             if len(toks) >= 3 and toks[2].kind == "NAME" and toks[2].text == "matrix":
                 payload = []
-                block("matrix", lineno, lambda btoks: payload.append(_rational_list(btoks)))
+                block("matrix", lineno, payload.append, _rational_row)
             elif len(toks) >= 4 and toks[2].text == "symplectic":
                 payload = ExprParser(toks[3:], lineno).parse()
             elif len(toks) == 3 and toks[2].text == "complex":
@@ -845,6 +849,27 @@ def parse_model(text: str) -> ModelFile:
         dh_specs=dh_specs,
         samples=samples,
     )
+
+
+# a row of rationals that `_rational_list` reads without error: entries of an
+# optional sign, digits and an optional nonzero denominator, with spaces and
+# commas around them; possessive, so a row that fails fails in linear time
+_ENTRY_RE = re.compile(r"(?:([+-])\s*+)?(\d++)(?:\s*+/\s*+(0*+[1-9]\d*+))?+")
+_ROW_RE = re.compile(r"(?:[\s,]*+%s)*+[\s,]*+" % _ENTRY_RE.pattern)
+
+
+def _rational_row(text: str, line: int) -> List[Q]:
+    """The rationals of a matrix row, as `_rational_list(tokenize(text, line))`
+    reads them.  A row that `_ROW_RE` matches, too short to hold a literal
+    beyond MAX_DIGITS, is read in one pass; every other row takes the token
+    path, which alone locates an error."""
+    if len(text) > MAX_DIGITS or not _ROW_RE.fullmatch(text):
+        return _rational_list(tokenize(text, line))
+    out = []
+    for sign, num, den in _ENTRY_RE.findall(text):
+        a = int(num)
+        out.append(_q(-a if sign == "-" else a, 0, int(den) if den else 1) if a else QZERO)
+    return out
 
 
 def _rational_list(toks: List[Token]) -> List[Q]:

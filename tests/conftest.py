@@ -686,6 +686,59 @@ def ref_lifted_action_matrix(j):
     return out
 
 
+# the lift on sparse rows of triples as first written: every pair applies
+# c_b then c_a, and c_a then c_b, to every basis mask through _unit_clifford
+# and sums integer weights into per-row dicts in column order; the package
+# visits only the masks a pair moves, a quarter of them, by one sign each
+def ref_sparse_lifted_action_matrix(j):
+    n = j.dim
+    pairs = []
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            jp = j.matrix[a][(b + n) % (2 * n)]
+            if jp.a:
+                pairs.append((a, b, jp.a, jp.d))
+    den = lcm(*(jd for _, _, _, jd in pairs))
+    weights = [(a, b, -ja * (den // jd)) for a, b, ja, jd in pairs]
+    den *= 2
+    masks = basis_masks(n)
+    row_of = {m: i for i, m in enumerate(masks)}
+    sums = [{} for _ in masks]
+    for col, mask in enumerate(masks):
+        for a, b, w in weights:
+            for first, second, sign in ((b, a, 1), (a, b, -1)):
+                one = _unit_clifford(first, n, mask)
+                two = one and _unit_clifford(second, n, one[1])
+                if two:
+                    row = sums[row_of[two[1]]]
+                    row[col] = row.get(col, 0) + (w if one[0] * two[0] == sign else -w)
+    out = []
+    for row in sums:
+        out.append({})
+        for col, x in row.items():
+            if x:
+                g = gcd(x, den)
+                out[-1][col] = (x // g, 0, den // g)
+    return out
+
+
+def random_complex(rng, n, sign=1):
+    """complex_structure(n/2, sign) moved by diag(A, A^-T) for a random
+    invertible integer A, which keeps the pairing."""
+    while True:
+        a = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(a) == n:
+            break
+    inv = linalg.invert(a)
+    g, g_inv = linalg.zeros(2 * n, 2 * n), linalg.zeros(2 * n, 2 * n)
+    for r in range(n):
+        for c in range(n):
+            g[r][c], g[n + r][n + c] = a[r][c], inv[c][r]
+            g_inv[r][c], g_inv[n + r][n + c] = inv[r][c], a[c][r]
+    j = gcmaps.complex_structure(n // 2, sign).matrix
+    return gcmaps.GCMap(n, linalg.mat_mul(g, linalg.mat_mul(j, g_inv)))
+
+
 class RefSplit:
     """The halves as the split first returned them: dense tuples of Q rows."""
 

@@ -3,13 +3,15 @@
 `TorusAction` admits central fields only, so no Cartan map, Kirwan map or
 extension takes a Lie derivative; `gcy_check` stores the Mukai pairing of rho
 with its conjugate, which `dh` reads; `canonical_extension` refuses a result
-that `generalized_d` does not kill, so `extension` does not apply it again.
+that `generalized_d` does not kill, so `extension` does not apply it again;
+`gclinear` solves the eigenspace of the structure its report has validated.
 """
 
 import sys
 from collections import Counter
 
 import gcalg.cartan
+import gcalg.gcmaps
 import gcalg.gcy
 from gcalg.forms import reversal
 from test_cli_sweep import invocations, run
@@ -64,3 +66,15 @@ def test_extension_applies_generalized_d_once(monkeypatch):
         assert len(calls) == (code == 0), (argv, stdout)
         assert code or '"residual_zero":true' in stdout
     assert 0 in codes
+
+
+def test_each_structure_is_validated_once_per_run(monkeypatch):
+    calls = _counted(monkeypatch, "validate", [gcalg.gcmaps])
+    commands = {"gclinear", "ddbar", "grading", "extension"}
+    counts = Counter()
+    for argv in _sweep(commands):
+        calls.clear()
+        code, stdout = run(argv)
+        assert len(calls) == 1, (argv, code, stdout)
+        counts[argv[0]] += 1
+    assert set(counts) == commands, counts

@@ -4,9 +4,13 @@
 `_form_of`, `modelfile._check_size` reads each factor in one pass, and
 `models.d` is built by mask arithmetic.  Each must give the same values in
 the same key and term order (the term order names the pi powers of a mix),
-the same messages and the same `spent` totals as its first version.
+the same messages and the same `spent` totals as its first version.  A
+`matrix` row is read by one pattern when it can be, and must give the same
+values, or the same located error, as the token path it skips.
 """
 
+import random
+import time
 from types import SimpleNamespace
 
 from conftest import (
@@ -19,10 +23,11 @@ from gcalg import modelfile
 from gcalg.cartan import EqForm
 from gcalg.forms import Form, _clifford_sum, contract_vector, wedge
 from gcalg.modelfile import (
-    MAX_DEGREE, MAX_FILE_PRODUCTS, MAX_MONOMIALS, ModelFileError, ParseError, Token, parse_model,
+    MAX_DEGREE, MAX_DIGITS, MAX_FILE_PRODUCTS, MAX_MONOMIALS, ModelFileError, ParseError, Token,
+    _ROW_RE, _rational_list, _rational_row, parse_model, tokenize,
 )
 from gcalg.models import d
-from gcalg.scalars import ONE, Q, Scalar
+from gcalg.scalars import ONE, Q, QZERO, Scalar
 
 PARAMS = ("t", "s", "u")
 TOK = Token("OP", "*", 3, 7)
@@ -354,3 +359,94 @@ def test_operations_skip_the_public_constructors(rng, monkeypatch):
     assert any(not r.is_zero() for r in results)
     Form(n, a.terms)
     assert calls == ["Form"]  # the counter sees a public construction
+
+
+# -- matrix rows ---------------------------------------------------------------
+
+SEPARATORS = ("", " ", "  ", ",", ", ", " ,", ",,", "\t", " , ")
+BAD_PIECES = ("0/0", "1/-2", "+-3", "--1", "- ,3", "1/", "/2", "/", "x", "e1", "i", "pi", "*",
+              "(", ")", "=", "^", "$", "#", "1.5", "2e3", "1_0", "\u00e9", "\u0663", "1/\u0663",
+              "3/00", "- ", "+")
+
+
+def random_entry(rng):
+    """A signed rational literal, with spaces around the sign and the slash."""
+    sign = rng.choice(("", "", "-", "+", "- ", "+  "))
+    num = rng.choice(("0", "00", "1", "7", "12", "0420", str(rng.randint(0, 10 ** 12))))
+    if rng.random() < 0.4:
+        num += rng.choice(("/", " / ", "/ ", " /")) + rng.choice(("1", "2", "05", "0010", "97"))
+    return sign + num
+
+
+def random_row(rng):
+    """Well formed rows, rows with one bad piece, and rows past MAX_DIGITS."""
+    pieces = [random_entry(rng) for _ in range(rng.randint(0, 10))]
+    kind = rng.random()
+    if kind < 0.45:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(BAD_PIECES))
+    elif kind < 0.5:
+        digits = rng.choice((MAX_DIGITS, MAX_DIGITS + 1, 5000))
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(("", "-", "1/")) + "9" * digits)
+    out = rng.choice(("", " ", "  "))
+    for piece in pieces:
+        # a separator between two digits would join two literals into one
+        sep = rng.choice(SEPARATORS)
+        out += (sep or " ") + piece if out[-1:].isdigit() and piece[:1].isdigit() else sep + piece
+    return out + rng.choice(("", " ", ","))
+
+
+def read(fn, *args):
+    try:
+        return fn(*args)
+    except ParseError as e:
+        return str(e), e.line, e.col, e.reason
+
+
+def test_matrix_rows_read_like_their_tokens():
+    rng = random.Random("matrix-rows")
+    direct = refused = long_rows = 0
+    for count in range(3000):
+        text, line = random_row(rng), rng.randint(1, 99)
+        got = read(_rational_row, text, line)
+        assert got == read(lambda: _rational_list(tokenize(text, line))), text
+        if len(text) > MAX_DIGITS:
+            long_rows += 1
+        elif _ROW_RE.fullmatch(text):  # read without tokens: zeros share one Q
+            direct += 1
+            assert all(q is QZERO for q in got if q == QZERO), text
+        if isinstance(got, tuple):
+            refused += 1
+    assert direct >= 1000 and refused >= 1000 and long_rows >= 50, (direct, refused, long_rows)
+
+
+def test_matrix_row_errors_keep_their_locations():
+    assert read(_rational_row, " 1 0/0", 4) == ("line 4, col 6: zero denominator", 4, 6,
+                                                "zero denominator")
+    assert read(_rational_row, "1/-2", 4)[0] == "line 4, col 2: expected a denominator"
+    assert read(_rational_row, "+-3", 4)[0] == "line 4, col 2: expected a rational number"
+    assert read(_rational_row, "1 x", 4)[0] == "line 4, col 3: expected a rational number"
+    assert read(_rational_row, "1 $", 4)[0] == "line 4, col 2: unexpected character '$'"
+    assert read(_rational_row, "0 -" + "9" * 1001, 4)[0] == (
+        "line 4, col 4: number literal beyond 1000 digits")
+    assert read(_rational_row, "- 1/ 2, 0,,3", 4) == [Q(-1) / Q(2), QZERO, Q(3)]
+
+
+def test_a_failing_row_fails_in_linear_time():
+    # nested repeats over a digit run would backtrack through every split of it
+    for text in ("1" * 999 + "x", "1 " * 499 + "x", "- " * 499 + "1/", "1/" * 499 + "x"):
+        start = time.perf_counter()
+        assert _ROW_RE.fullmatch(text) is None
+        assert time.perf_counter() - start < 0.05, text
+
+
+def test_matrix_blocks_skip_the_tokens(monkeypatch):
+    text = (MODELS_DIR / "t4_h124.model").read_text()
+    header = "structure Jm matrix\n" + "".join(
+        " ".join("1" if c == (r + 4) % 8 else "0" for c in range(8)) + "\n" for r in range(8))
+    text += header.replace("1", "-1", 4) + "end\n"
+    lines = []
+    monkeypatch.setattr(modelfile, "tokenize", lambda t, line: lines.append(line) or tokenize(t, line))
+    mf = parse_model(text)
+    assert mf.structures["Jm"].matrix[0][4] == Q(-1) and mf.structures["Jm"].matrix[7][3] == Q(1)
+    matrix_lines = range(text.count("\n") - 8, text.count("\n"))
+    assert lines and not set(lines) & set(matrix_lines), lines

@@ -26,8 +26,8 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, monkeypatch, capsys)
     rows = json.loads(out.read_text())["rows"]
     assert [(r["call"], r["structure"]) for r in rows] == [
         (call, s) for s in ladder.STRUCTURES for call in ladder.CALLS
-    ] + [("twisted_cohomology", "-"), ("equivariant_cohomology", "-"),
-         ("canonical_extension", "symplectic")]
+    ] + [("lifted_action_matrix", "sheared"), ("twisted_cohomology", "-"),
+         ("equivariant_cohomology", "-"), ("canonical_extension", "symplectic")]
     for r in rows:
         assert r["n"] == 2 and r["here"]["status"] == "ok", r
         assert r["here"]["wall_s"] >= 0 and r["here"]["maxrss_kb"] > 0
@@ -71,8 +71,8 @@ def test_ladder_reports_a_call_past_its_timeout(tmp_path):
 
 def test_ladder_adds_the_iwasawa_rung_from_n_6():
     flat = [(call, s) for s in ladder.STRUCTURES for call in ladder.CALLS] + [
-        ("twisted_cohomology", "-"), ("equivariant_cohomology", "-"),
-        ("canonical_extension", "symplectic")]
+        ("lifted_action_matrix", "sheared"), ("twisted_cohomology", "-"),
+        ("equivariant_cohomology", "-"), ("canonical_extension", "symplectic")]
     iwasawa = [(call, "iwasawa") for call in ladder.IWASAWA_CALLS] + [
         (call, "iwasawa-t") for call in ladder.REFUSAL_CALLS] + [
         ("equivariant_cohomology", "iwasawa")]
@@ -114,6 +114,16 @@ def test_ladder_times_the_annihilator_rung():
     for structure in ladder.STRUCTURES:
         got = ladder.run_child(ROOT, "annihilator", structure, 6)
         assert got["status"] == "ok" and got["wall_s"] >= 0 and got["maxrss_kb"] > 0, got
+
+
+def test_ladder_times_the_lift_rung_on_a_sheared_structure():
+    # the shear fills the JP block but for its V x V part, so the lift has
+    # more than the n weights of the standard structures to visit
+    cases = [(c, s, n) for c, s, n in ladder.ladder_cases([6, 8, 10, 12])
+             if c == "lifted_action_matrix"]
+    assert cases == [("lifted_action_matrix", "sheared", n) for n in (6, 8, 10, 12)]
+    got = ladder.run_child(ROOT, "lifted_action_matrix", "sheared", 6)
+    assert got["status"] == "ok" and got["wall_s"] >= 0 and got["maxrss_kb"] > 0, got
 
 
 def test_ladder_times_the_scalars_rung():

@@ -11,6 +11,7 @@ from gcalg.cartan import EqForm
 from gcalg.cli import main
 from gcalg.forms import Form, exp_two_form, wedge
 from gcalg.modelfile import (
+    MAX_DIGITS,
     MAX_GENERATORS,
     ModelFileError,
     ParseError,
@@ -20,7 +21,7 @@ from gcalg.modelfile import (
     tokenize,
 )
 from gcalg.models import torus
-from gcalg.scalars import I, ONE, Scalar
+from gcalg.scalars import I, ONE, Q, Scalar
 
 T3 = """
 model demo
@@ -305,6 +306,37 @@ def test_dh_n_and_k_are_capped_as_exponents(tmp_path, capsys):
     assert code == 0 and payload["normalization"] == "-1073741824*pi^31*i"  # -i 2^30 pi^31
     spec = parse_model((MODELS_DIR / "t4_rho1.model").read_text()).dh_specs["f1"]
     assert (spec.n, spec.k) == (3, 1)
+
+
+def test_number_literals_are_capped_at_max_digits(tmp_path, capsys):
+    # past Python's int-string limit (4300 digits) the conversion failed with
+    # no line or column
+    assert MAX_DIGITS == 1000
+    big, cap = "9" * 5000, "9" * MAX_DIGITS
+    path = tmp_path / "big.model"
+    head = "model big\ngenerators e1 e2 e3\n"
+    matrix = "model big\ngenerators e1 e2\nstructure J matrix\n  0 0 %s 0\n" + (
+        "  0 0 0 1\n" * 3 + "end\n")
+    for text, where in [(head + "H = %s*e1^e2^e3\n" % big, "line 3, col 5"),
+                        (matrix % ("-" + big), "line 4, col 8"),
+                        (head + "let c = 1/%s*e1 + $\n" % big, "line 3, col 11"),
+                        (head + "let c = $ + %s\n" % big,
+                         "line 3, col 8: unexpected character '$'")]:
+        path.write_text(text)
+        start = time.perf_counter()
+        code = main(["cohomology", str(path)])
+        seconds = time.perf_counter() - start
+        assert code == 2 and seconds < 1.0
+        error = where if "unexpected" in where else where + ": number literal beyond 1000 digits"
+        assert json.loads(capsys.readouterr().out) == {"error": error, "kind": "parse"}
+    with pytest.raises(ParseError, match="line 1, col 3: number literal beyond 1000 digits"):
+        parse_scalar_text("2*" + "1" * (MAX_DIGITS + 1))
+    # at the cap
+    path.write_text(head + "H = %s*e1^e2^e3\n" % cap)
+    assert main(["cohomology", str(path)]) == 0
+    capsys.readouterr()
+    mf = parse_model(matrix % ("-" + cap))
+    assert mf.structures["J"].matrix[0][2] == Q(-(10 ** MAX_DIGITS - 1))
 
 
 def _names(first, last):

@@ -8,7 +8,9 @@ the package sums.
 The package builds the same matrices column by column from sparse images
 (the lift of J by mask arithmetic on integer sums, with no Clifford call);
 the two must agree entry for entry, and the lift also with its first
-mask-arithmetic version, which summed Q values into a zero matrix.  The
+mask-arithmetic version, which summed Q values into a zero matrix, and with
+its first sparse version, which made two Clifford moves per pair and mask,
+in each row's column order too.  The
 structure check is compared the same way: the dense products J J and
 J^T P J against the package's sparse ones, on valid structures, perturbed
 ones and random sparse integer matrices.  The sparse
@@ -30,16 +32,19 @@ naming the first one the action states.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import (
     MODELS_DIR, cartan_coefficients, dense_mul, gaussian_matrix, is_coefficient_refusal, mat_add,
-    mat_scale, mat_sub, random_form, random_q, ref_clifford, ref_contract_vector, ref_kernel_basis, ref_lifted_action_matrix,
-    ref_operator_matrix, ref_pairing_matrix, stated_refusal, transpose, triple, vec_to_form, wide_q,
+    mat_scale, mat_sub, random_complex, random_form, random_q, ref_clifford, ref_contract_vector,
+    ref_kernel_basis, ref_lifted_action_matrix, ref_operator_matrix, ref_pairing_matrix,
+    ref_sparse_lifted_action_matrix, stated_refusal, transpose, triple, vec_to_form, wide_q,
 )
 from gcalg import linalg
 import gcalg.cartan
+import gcalg.gcmaps
 import gcalg.models
 from gcalg.cartan import (
     EqForm,
@@ -154,6 +159,31 @@ def test_lifted_action_matches_dense_commutators(rng, n):
     for j in js:
         dense = linalg.to_dense(lifted_action_matrix(j), 1 << n)
         assert dense == ref_lift_from_commutators(j) == ref_lifted_action_matrix(j)
+
+
+def random_real(rng, n, density):
+    """A random real 2n x 2n matrix: the lift reads any, valid or not."""
+    return GCMap(n, [[Q(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))))
+                      if rng.random() < density else QZERO for _ in range(2 * n)]
+                     for _ in range(2 * n)])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_lift_by_pairs_matches_the_first_sparse_lift(n, monkeypatch):
+    # entries and each row's column order; the shears fill the JP block
+    moves = []
+    monkeypatch.setattr(gcalg.gcmaps, "_unit_clifford", lambda *args: moves.append(args))
+    rng = random.Random("lift-by-pairs-%d" % n)
+    js = [GCMap(n, linalg.zeros(2 * n, 2 * n))]
+    js += [random_real(rng, n, density) for density in (0.1, 0.5, 1.0)]
+    for base in (random_complex(rng, n), random_complex(rng, n, -1), random_symplectic(rng, n)):
+        b = random_form(rng, n, degrees=[2], max_terms=n * (n - 1) // 2, complex_ok=False)
+        js += [base, b_transform(base, b)]
+    for j in js:
+        got, want = lifted_action_matrix(j), ref_sparse_lifted_action_matrix(j)
+        assert got == want
+        assert [list(row) for row in got] == [list(row) for row in want]
+    assert moves == []  # the lift applies no Clifford move
 
 
 def test_lifted_action_calls_no_clifford(monkeypatch):

@@ -7,7 +7,10 @@ taken with `complex_structure(n/2)` and with the standard symplectic
 structure of sum e_(2a-1)^e_(2a), and each of `uk_grading(j)`,
 `pure_spinor(i_eigenspace(j))`, `annihilator` of that spinor (built
 untimed), `split_operators(T^n, j)` and `ddbar_lemma_check(T^n, j)` runs
-in a fresh child process; so do
+in a fresh child process; so do `lifted_action_matrix` of the symplectic
+structure sheared by B = sum over a < b of (a*b mod 5 + 1) e_a^e_b
+(structure "sheared"; the standard structures have n nonzero weights, the
+shear fills the JP block but for its V x V part), and
 `twisted_cohomology(T^n)` and `equivariant_cohomology` at trunc 3 for a
 circle along e_n with alpha = e1 and, from n = 4, H = e1^e2^e3, once per n
 while its 4 x 2^n columns fit in `cartan.MAX_COLUMNS` (mirrored here as
@@ -79,8 +82,8 @@ CHILD = r"""
 import json, resource, sys, time
 from gcalg.cartan import TorusAction, canonical_extension, equivariant_cohomology
 from gcalg.forms import Form, exp_two_form
-from gcalg.gcmaps import (annihilator, complex_structure, i_eigenspace, pure_spinor,
-                          symplectic_map, uk_grading)
+from gcalg.gcmaps import (annihilator, b_transform, complex_structure, i_eigenspace,
+                          lifted_action_matrix, pure_spinor, symplectic_map, uk_grading)
 from gcalg.modelfile import parse_model, parse_scalar_text
 from gcalg.models import Model, ddbar_lemma_check, split_operators, torus, twisted_cohomology
 from gcalg.scalars import I, Scalar
@@ -96,11 +99,17 @@ elif structure in ("iwasawa", "iwasawa-t"):
     d6 = Form.monomial(n, (1, 4)) + Form.monomial(n, (2, 3))
     model = Model(n, [Form.zero(n)] * 4 + [d5, d6] + [Form.zero(n)] * (n - 6))
     j = complex_structure(n // 2)
-elif structure == "symplectic":
+elif structure in ("symplectic", "sheared"):
     omega = Form.zero(n)
     for a in range(1, n, 2):
         omega = omega + Form.monomial(n, (a, a + 1))
     j = symplectic_map(omega)
+    if structure == "sheared":
+        b = Form.zero(n)
+        for a in range(1, n + 1):
+            for c in range(a + 1, n + 1):
+                b = b + Form.monomial(n, (a, c), Scalar.rational(a * c % 5 + 1))
+        j = b_transform(j, b)
 if call == "equivariant_cohomology":
     h = Form.monomial(n, (1, 2, 3)) if n >= 4 else None
     field = [0] * (n - 1) + [1] if structure == "-" else [0] * 5 + [1] + [0] * (n - 6)
@@ -118,6 +127,7 @@ if call == "parse_model":
     text = sys.argv[5] if structure == "validate" else open("models/%s.model" % structure).read()
 run = {
     "uk_grading": lambda: uk_grading(j),
+    "lifted_action_matrix": lambda: lifted_action_matrix(j),
     "pure_spinor": lambda: pure_spinor(i_eigenspace(j)),
     "annihilator": lambda: annihilator(phi),
     "split_operators": lambda: split_operators(model, j),
@@ -200,6 +210,7 @@ def ladder_cases(sizes):
         for structure in STRUCTURES:
             for call in CALLS:
                 yield call, structure, n
+        yield "lifted_action_matrix", "sheared", n
         yield "twisted_cohomology", "-", n
         if 4 << n <= MAX_COLUMNS:
             yield "equivariant_cohomology", "-", n
