@@ -243,18 +243,20 @@ class Evaluator:
             return self.values[name]
         m = _XVAR_RE.fullmatch(name)
         if m and self.k_context:
-            j = int(m.group(1))
-            if j == 0:
+            digits = m.group(1)
+            if digits == "0":
                 raise ParseError(
                     "polynomial variable x0 is not one of x1..x%d" % self.k_context,
                     node.token.line, node.token.col,
                 )
-            if j > self.k_context:
+            # a run past MAX_DIGITS exceeds every rank, and int() would refuse it
+            if len(digits) > MAX_DIGITS or int(digits) > self.k_context:
                 raise ParseError(
                     "polynomial variable %s exceeds the torus rank %d"
                     % (name, self.k_context),
                     node.token.line, node.token.col,
                 )
+            j = int(digits)
             expo = tuple(1 if idx == j - 1 else 0 for idx in range(self.k_context))
             return EqForm(
                 self.k_context, self.n, EQFORM_TRUNC, {expo: Form.unit(self.n)}
@@ -853,9 +855,11 @@ def parse_model(text: str) -> ModelFile:
 
 # a row of rationals that `_rational_list` reads without error: entries of an
 # optional sign, digits and an optional nonzero denominator, with spaces and
-# commas around them; possessive, so a row that fails fails in linear time
-_ENTRY_RE = re.compile(r"(?:([+-])\s*+)?(\d++)(?:\s*+/\s*+(0*+[1-9]\d*+))?+")
-_ROW_RE = re.compile(r"(?:[\s,]*+%s)*+[\s,]*+" % _ENTRY_RE.pattern)
+# commas around them.  Each digit run ends at a non-digit and no separator
+# can start an entry, so every row has one parse and a row that fails fails
+# in linear time.
+_ENTRY_RE = re.compile(r"(?:([+-])\s*)?(\d+(?!\d))(?:\s*/\s*(0*[1-9]\d*(?!\d)))?")
+_ROW_RE = re.compile(r"(?:[\s,]*%s)*[\s,]*" % _ENTRY_RE.pattern)
 
 
 def _rational_row(text: str, line: int) -> List[Q]:

@@ -10,6 +10,7 @@ values, or the same located error, as the token path it skips.
 """
 
 import random
+import re
 import time
 from types import SimpleNamespace
 
@@ -437,6 +438,14 @@ def test_a_failing_row_fails_in_linear_time():
         start = time.perf_counter()
         assert _ROW_RE.fullmatch(text) is None
         assert time.perf_counter() - start < 0.05, text
+
+
+def test_the_front_end_patterns_compile_on_python_3_10():
+    # possessive quantifiers and atomic groups compile only from Python 3.11 on
+    patterns = [v for v in vars(modelfile).values() if isinstance(v, re.Pattern)]
+    assert _ROW_RE in patterns
+    for pattern in patterns:
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
 
 
 def test_matrix_blocks_skip_the_tokens(monkeypatch):

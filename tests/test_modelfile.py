@@ -339,6 +339,17 @@ def test_number_literals_are_capped_at_max_digits(tmp_path, capsys):
     assert mf.structures["J"].matrix[0][2] == Q(-(10 ** MAX_DIGITS - 1))
 
 
+def test_a_long_polynomial_variable_exceeds_the_rank_with_a_location():
+    # a NAME, not a NUM: its digit run is read only when it is short enough
+    head = "model hand\ngenerators e1 e2\naction r\n  xi 1 = 1 0\nend\neqform g for r = "
+    for digits in ("2", "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), "9" * 5000):
+        name = "x" + digits
+        with pytest.raises(ParseError) as err:
+            parse_model(head + name + "\n")
+        assert str(err.value) == (
+            "line 6, col 18: polynomial variable %s exceeds the torus rank 1" % name)
+
+
 def _names(first, last):
     return " ".join("e%d" % i for i in range(first, last + 1))
 
