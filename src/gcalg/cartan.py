@@ -11,12 +11,12 @@ reported ranks across consecutive truncations is the completion criterion.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
+from ._record import Record, _set
 from .forms import Form, _triple_form, _triples, basis_masks, clifford, contract_vector, wedge
 from .gcmaps import GCMap, uk_grading
 from .models import (
@@ -325,11 +325,11 @@ def _check_action_form(act: TorusAction, eta: EqForm):
         raise ValueError("equivariant form does not match the action")
 
 
-@dataclass(frozen=True)
-class HamiltonianReport:
-    ok: bool
-    spinor_residuals: Tuple[Form, ...]
-    closure_residual: Optional[EqForm]
+class HamiltonianReport(Record):
+    def __init__(self, ok: bool, spinor_residuals: Tuple[Form, ...],
+                 closure_residual: Optional[EqForm]):
+        _set(self, "__dict__", {"ok": ok, "spinor_residuals": spinor_residuals,
+                                "closure_residual": closure_residual})
 
     @property
     def closure_ok(self) -> bool:
@@ -359,8 +359,7 @@ def hamiltonian_check(act: TorusAction, rho: Form) -> HamiltonianReport:
 # -- ranks of the truncated complex ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivariantRanks:
+class EquivariantRanks(Record):
     """Per-(parity, polynomial degree) ranks of the truncated complex.
 
     by_degree[d] = (even, odd) graded ranks of the cohomology filtration at
@@ -373,11 +372,10 @@ class EquivariantRanks:
     degree-d monomials) x (twisted Betti ranks).
     """
 
-    trunc: int
-    k: int
-    by_degree: Tuple[Tuple[int, int], ...]
-    betti: BettiPair
-    free_pattern: bool
+    def __init__(self, trunc: int, k: int, by_degree: Tuple[Tuple[int, int], ...],
+                 betti: BettiPair, free_pattern: bool):
+        _set(self, "__dict__", {"trunc": trunc, "k": k, "by_degree": by_degree,
+                                "betti": betti, "free_pattern": free_pattern})
 
     def totals_stable(self) -> Tuple[int, int]:
         even = sum(e for e, _ in self.by_degree[: self.trunc])
@@ -486,18 +484,17 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
                   for live in shifts for mask in part] for part in parts)
 
 
-@dataclass(frozen=True)
-class StableRanks:
+class StableRanks(Record):
     """Per-degree ranks agreeing between two consecutive truncations.
 
     The top degrees of a single truncated run carry completion artifacts;
     the degrees on which runs at trunc and trunc+1 agree are authoritative.
     """
 
-    trunc: int
-    by_degree: Tuple[Tuple[int, int], ...]
-    low: EquivariantRanks
-    high: EquivariantRanks
+    def __init__(self, trunc: int, by_degree: Tuple[Tuple[int, int], ...],
+                 low: EquivariantRanks, high: EquivariantRanks):
+        _set(self, "__dict__", {"trunc": trunc, "by_degree": by_degree, "low": low,
+                                "high": high})
 
     def totals(self) -> Tuple[int, int]:
         even = sum(e for e, _ in self.by_degree)

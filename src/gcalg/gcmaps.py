@@ -16,12 +16,12 @@ generators directly: a pair moves a quarter of the masks, each by one sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
+from ._record import Record, _set
 from .forms import (
     Form,
     _merge_sign,
@@ -69,20 +69,16 @@ class GCMap:
         return self.dim == other.dim and self.matrix == other.matrix
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: Tuple[str, ...] = ()
+class ValidationReport(Record):
+    def __init__(self, ok: bool, failures: Tuple[str, ...] = ()):
+        _set(self, "__dict__", {"ok": ok, "failures": failures})
 
 
-@dataclass(frozen=True)
-class IsotropicSubspace:
+class IsotropicSubspace(Record):
     """Basis of an isotropic subspace of complexified V + V*."""
 
-    dim_v: int
-    basis: Tuple[Tuple[Q, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, dim_v: int, basis: Tuple[Tuple[Q, ...], ...]):
+        _set(self, "__dict__", {"dim_v": dim_v, "basis": basis})
         rows = self._rows
         n = self.dim_v
         if rows and len(linalg.pivots(rows, 2 * n)) != len(rows):
@@ -221,12 +217,11 @@ def pure_spinor(space: IsotropicSubspace) -> Form:
     return _triple_form(space.dim_v, _spinor(space))
 
 
-@dataclass(frozen=True)
-class AnnihilatorReport:
-    space: IsotropicSubspace
-    maximal_isotropic: bool
-    nondegenerate: bool
-    transverse: bool
+class AnnihilatorReport(Record):
+    def __init__(self, space: IsotropicSubspace, maximal_isotropic: bool, nondegenerate: bool,
+                 transverse: bool):
+        _set(self, "__dict__", {"space": space, "maximal_isotropic": maximal_isotropic,
+                                "nondegenerate": nondegenerate, "transverse": transverse})
 
 
 def annihilator(phi: Form) -> AnnihilatorReport:
@@ -314,18 +309,18 @@ def transform_vector(b: Form, v: Sequence[Q]) -> List[Q]:
 # -- the induced grading on forms -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UGrading:
+class UGrading(Record):
     """Eigenspace decomposition of forms under the lifted structure action.
 
     Level k runs over -n..n (n the half-dimension); level k is the
     eigenspace with eigenvalue -k*i, and level n is the canonical
-    (pure-spinor) line.
+    (pure-spinor) line.  Its hash leaves the dict `bases` out.
     """
 
-    dim_v: int
-    levels: Tuple[int, ...]
-    bases: dict = field(hash=False)
+    _hashed = ("dim_v", "levels")
+
+    def __init__(self, dim_v: int, levels: Tuple[int, ...], bases: dict):
+        _set(self, "__dict__", {"dim_v": dim_v, "levels": levels, "bases": bases})
 
     @property
     def half_dim(self) -> int:
@@ -480,12 +475,10 @@ def uk_grading(j: GCMap) -> UGrading:
     return UGrading(dim_v=n, levels=levels, bases=bases)
 
 
-@dataclass(frozen=True)
-class KahlerReport:
-    ok: bool
-    commute: bool
-    positive: bool
-    detail: str = ""
+class KahlerReport(Record):
+    def __init__(self, ok: bool, commute: bool, positive: bool, detail: str = ""):
+        _set(self, "__dict__", {"ok": ok, "commute": commute, "positive": positive,
+                                "detail": detail})
 
 
 def kahler_check(j1: GCMap, j2: GCMap) -> KahlerReport:

@@ -9,10 +9,10 @@ a power of the formal unit pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
+from ._record import Record, _set
 from .forms import Form, exp_two_form, integrate, mukai, wedge
 from .gcmaps import AnnihilatorReport, annihilator
 from .models import Model, d, d_twisted
@@ -25,16 +25,14 @@ class GCYError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GCYStructure:
-    """Verified twisted-closed form with nonvanishing self-pairing."""
+class GCYStructure(Record):
+    """Verified twisted-closed form with nonvanishing self-pairing; `pairing` is
+    mukai(rho, conj rho), symbolic in the parameters."""
 
-    model: Model
-    rho: Form
-    half_dim: int
-    pairing: Scalar  # mukai(rho, conj rho), symbolic in the parameters
-    samples: Tuple[Sample, ...] = ()
-    flags: Optional[AnnihilatorReport] = None
+    def __init__(self, model: Model, rho: Form, half_dim: int, pairing: Scalar,
+                 samples: Tuple[Sample, ...] = (), flags: Optional[AnnihilatorReport] = None):
+        _set(self, "__dict__", {"model": model, "rho": rho, "half_dim": half_dim,
+                                "pairing": pairing, "samples": samples, "flags": flags})
 
 
 def gcy_check(
@@ -92,14 +90,12 @@ def volume_form(g: GCYStructure) -> Form:
     return Form(g.model.n, {(1 << g.model.n) - 1: g.pairing}).scale(factor)
 
 
-@dataclass(frozen=True)
-class GCYFamily:
+class GCYFamily(Record):
     """One-parameter family of structures sharing a closed 2-form twist."""
 
-    structure: GCYStructure
-    param: str
-    base: Form
-    twist: Form
+    def __init__(self, structure: GCYStructure, param: str, base: Form, twist: Form):
+        _set(self, "__dict__", {"structure": structure, "param": param, "base": base,
+                                "twist": twist})
 
     @property
     def model(self) -> Model:
@@ -134,16 +130,13 @@ def quotient_family(
     return GCYFamily(structure=structure, param=param, base=rho, twist=c)
 
 
-@dataclass(frozen=True)
-class DHResult:
+class DHResult(Record):
     """Exact density of the push-forward measure on regular values."""
 
-    density: Scalar
-    n: int
-    k: int
-    degree_bound: int
-    normalization: Scalar
-    real: bool
+    def __init__(self, density: Scalar, n: int, k: int, degree_bound: int,
+                 normalization: Scalar, real: bool):
+        _set(self, "__dict__", {"density": density, "n": n, "k": k, "degree_bound": degree_bound,
+                                "normalization": normalization, "real": real})
 
     def degree(self) -> int:
         return max(self.density.degree(), 0)
@@ -201,11 +194,9 @@ def dh_density(
     )
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
-    ok: bool
-    witness: Optional[Form] = None
-    detail: str = ""
+class LefschetzReport(Record):
+    def __init__(self, ok: bool, witness: Optional[Form] = None, detail: str = ""):
+        _set(self, "__dict__", {"ok": ok, "witness": witness, "detail": detail})
 
 
 def lefschetz_check(model: Model, omega: Form) -> LefschetzReport:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ._record import Record, _set
 from .cartan import Connection, EqForm, TorusAction, wedge_eq
 from .forms import Form, exp_two_form, wedge
 from .gcmaps import GCMap, complex_structure, symplectic_map
@@ -30,6 +30,10 @@ MAX_MONOMIALS = 1000  # most monomials one coefficient of a product, power or ex
 MAX_FILE_PRODUCTS = 20000  # most term products (that bound x the power) one file may spend
 MAX_GENERATORS = 8  # most generators a model may declare: every space has dimension 2^n
 MAX_DIGITS = 1000  # most digits of a number literal
+MAX_VALUE_DIGITS = 4000  # most digits of a numerator part or denominator a computed value holds
+_VALUE_LIMIT = 10 ** MAX_VALUE_DIGITS  # each |a|, |b| and d of a coefficient's Q stays below it
+_VALUE_FLOOR = -_VALUE_LIMIT
+_VALUE_BITS = _VALUE_LIMIT.bit_length()  # the bits of a number of MAX_VALUE_DIGITS digits
 _DH_FIELDS = ("base", "twist", "param", "n", "k", "orientation", "type")  # the first five required
 
 
@@ -280,7 +284,7 @@ class Evaluator:
                 )
             _check_size(tok, [args[0]], self.spent, self.n // 2)  # top power w^(n/2)
             try:
-                return _pi_checked(exp_two_form(args[0]))
+                return _checked(exp_two_form(args[0]))
             except ValueError as e:
                 raise ParseError(str(e), tok.line, tok.col)
         if name == "conj":
@@ -308,7 +312,7 @@ class Evaluator:
             if literal is not None:
                 _check_size(tok, [left], self.spent, abs(literal))
                 try:
-                    return _pi_checked(self._power(left, literal))
+                    return _checked(self._power(left, literal))
                 except (ValueError, ZeroDivisionError) as e:
                     raise ParseError(str(e), tok.line, tok.col)
         right = self.eval(node.children[1])
@@ -320,7 +324,7 @@ class Evaluator:
                 value = self._div(left, right)
             else:
                 value = self._add(left, right if op == "+" else -right)
-            return _pi_checked(value)
+            return _checked(value)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(str(e), tok.line, tok.col)
 
@@ -385,11 +389,20 @@ def _coefficients(v: Value):
     return [c for f in v.terms.values() for c in f.terms.values()]
 
 
-def _pi_checked(v: Value) -> Value:
-    """v, after each coefficient's `pi_power` has checked that it holds one pi power."""
+def _checked(v: Value) -> Value:
+    """v, after one pass over its coefficients: each one's `pi_power` has checked
+    that it holds one pi power, and no numerator part or denominator has more
+    than MAX_VALUE_DIGITS digits, so that every value prints within Python's
+    limit on int-to-str conversion (4300 digits).  A ValueError names the first
+    failure; the evaluator locates it at the operator or call that built v."""
     for c in _coefficients(v):
-        if len(c.terms) > 1:  # one term has one pi power
+        terms = c.terms
+        if len(terms) > 1:  # one term has one pi power
             c.pi_power
+        for q in terms.values():
+            if not (_VALUE_FLOOR < q.a < _VALUE_LIMIT and _VALUE_FLOOR < q.b < _VALUE_LIMIT
+                    and q.d < _VALUE_LIMIT):
+                raise ValueError("a number of more than %d digits" % MAX_VALUE_DIGITS)
     return v
 
 
@@ -403,7 +416,11 @@ def _check_size(tok: Token, factors: Sequence[Value], spent: List[int], power: i
     parameters the factors use.  That bound times `power` estimates the term
     products it costs; they add to `spent`, the file's running total, which
     may not pass MAX_FILE_PRODUCTS.  One pass over each factor's monomials
-    reads its degree and its count.
+    reads its degree and its count.  A power (power > 1: `^` with a literal
+    exponent, or `exp`) multiplies the bits of its numbers: power times the
+    sum of the factors' largest bit lengths (of a numerator part or a
+    denominator) estimates the bits of the result's, which may not pass those
+    of a MAX_VALUE_DIGITS-digit number; `_checked` bounds every result exactly.
     """
     degree, count = 0, 1
     for f in factors:
@@ -435,6 +452,19 @@ def _check_size(tok: Token, factors: Sequence[Value], spent: List[int], power: i
     if spent[0] > MAX_FILE_PRODUCTS:
         raise ParseError("term products in this file add up to %d, beyond %d"
                          % (spent[0], MAX_FILE_PRODUCTS), tok.line, tok.col)
+    if power > 1:
+        bits = 0
+        for f in factors:
+            top = 0  # the OR of the factor's numbers has the bit length of the largest
+            for c in _coefficients(f):
+                for q in c.terms.values():
+                    top |= q.d | abs(q.a) | abs(q.b)
+            bits += top.bit_length()
+        bits *= power
+        if bits > _VALUE_BITS:
+            raise ParseError("up to %d digits in a number, beyond %d"
+                             % (int(bits * math.log10(2)) + 1, MAX_VALUE_DIGITS),
+                             tok.line, tok.col)
 
 
 def _int_literal(node: Node) -> Optional[int]:
@@ -453,38 +483,34 @@ def _int_literal(node: Node) -> Optional[int]:
 # -- file structure -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DHSpec:
-    name: str
-    base: Form
-    twist: Form
-    param: str
-    n: int
-    k: int
-    orientation: int = 1
-    constant_type: Optional[int] = None
+class DHSpec(Record):
+    def __init__(self, name: str, base: Form, twist: Form, param: str, n: int, k: int,
+                 orientation: int = 1, constant_type: Optional[int] = None):
+        _set(self, "__dict__", {"name": name, "base": base, "twist": twist, "param": param,
+                                "n": n, "k": k, "orientation": orientation,
+                                "constant_type": constant_type})
 
 
-@dataclass
-class ModelFile:
-    name: str
-    model: Model
-    params: Tuple[str, ...]
-    values: Dict[str, Value]
-    structures: Dict[str, GCMap]
-    actions: Dict[str, TorusAction]
-    connections: Dict[str, Connection]
-    dh_specs: Dict[str, DHSpec]
-    samples: Dict[str, List[Fraction]]
+class ModelFile(Record):
+    def __init__(self, name: str, model: Model, params: Tuple[str, ...],
+                 values: Dict[str, Value], structures: Dict[str, GCMap],
+                 actions: Dict[str, TorusAction], connections: Dict[str, Connection],
+                 dh_specs: Dict[str, DHSpec], samples: Dict[str, List[Fraction]]):
+        _set(self, "__dict__", {"name": name, "model": model, "params": params,
+                                "values": values, "structures": structures, "actions": actions,
+                                "connections": connections, "dh_specs": dh_specs,
+                                "samples": samples})
 
 
-@dataclass
-class _RawAction:
-    name: str
-    line: int
-    xi: Dict[int, List[Q]] = field(default_factory=dict)
-    mu: Dict[int, Node] = field(default_factory=dict)
-    alpha: Dict[int, Node] = field(default_factory=dict)
+class _RawAction(Record):
+    """An action block as read: its xi rows and mu and alpha ASTs by index,
+    in dicts of its own that the block reader fills."""
+
+    def __init__(self, name: str, line: int, xi: Optional[Dict[int, List[Q]]] = None,
+                 mu: Optional[Dict[int, Node]] = None, alpha: Optional[Dict[int, Node]] = None):
+        _set(self, "__dict__", {"name": name, "line": line, "xi": {} if xi is None else xi,
+                                "mu": {} if mu is None else mu,
+                                "alpha": {} if alpha is None else alpha})
 
 
 def _logical_lines(text: str):

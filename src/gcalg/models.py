@@ -8,11 +8,11 @@ complexes are Z2-graded because the twisted differential mixes form degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
+from ._record import Record, _set
 from .forms import (
     Form,
     _form_of,
@@ -148,11 +148,9 @@ def lie_derivative(m: Model, xi: Sequence, a: Form) -> Form:
     return d(m, contract_vector(list(xi), a)) + contract_vector(list(xi), d(m, a))
 
 
-@dataclass(frozen=True)
-class BettiPair:
-    even: int
-    odd: int
-    over: str = "Q(i)"
+class BettiPair(Record):
+    def __init__(self, even: int, odd: int, over: str = "Q(i)"):
+        _set(self, "__dict__", {"even": even, "odd": odd, "over": over})
 
     def __iter__(self):
         return iter((self.even, self.odd))
@@ -313,15 +311,13 @@ def del_delbar_split(
     return lower, upper
 
 
-@dataclass(frozen=True)
-class SplitOperators:
+class SplitOperators(Record):
     """The two halves of the twisted differential, level-split, as sparse rows
     of triples: `lower` moves the level by -1, `upper` by +1."""
 
-    model: Model
-    masks: Tuple[int, ...]
-    lower: linalg.TRows
-    upper: linalg.TRows
+    def __init__(self, model: Model, masks: Tuple[int, ...], lower: linalg.TRows,
+                 upper: linalg.TRows):
+        _set(self, "__dict__", {"model": model, "masks": masks, "lower": lower, "upper": upper})
 
 
 def split_operators(m: Model, j: GCMap) -> SplitOperators:
@@ -361,11 +357,9 @@ def split_operators(m: Model, j: GCMap) -> SplitOperators:
     raise _stray_component(m, _triple_form(m.n, residual))
 
 
-@dataclass(frozen=True)
-class DdbarReport:
-    ok: bool
-    witness: Optional[Form] = None
-    detail: str = ""
+class DdbarReport(Record):
+    def __init__(self, ok: bool, witness: Optional[Form] = None, detail: str = ""):
+        _set(self, "__dict__", {"ok": ok, "witness": witness, "detail": detail})
 
 
 def ddbar_lemma_check(m: Model, j: GCMap, ops: Optional[SplitOperators] = None) -> DdbarReport:

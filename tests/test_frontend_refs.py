@@ -197,12 +197,12 @@ def guard(check, factors, spent, power):
 
 def powers_of(name, top):
     """The scalar 1 + name + ... + name^top."""
-    return Scalar({(0, ((name, e),) if e else ()): ONE for e in range(top + 1)})
+    return Scalar({(0, ((name, e),) if e else ()): Q(1) for e in range(top + 1)})
 
 
 def linear(count):
     """The sum of count distinct parameters, a degree-1 scalar of count monomials."""
-    return Scalar({(0, (("p%d" % k, 1),)): ONE for k in range(count)})
+    return Scalar({(0, (("p%d" % k, 1),)): Q(1) for k in range(count)})
 
 
 def test_size_guard_matches_first_version_on_generated_factors(rng):

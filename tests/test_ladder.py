@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ def test_ladder_records_each_call_of_a_small_rung(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(ladder, "POWERS", ())  # the scalars and front-end rungs have their own tests
     monkeypatch.setattr(ladder, "PARSE_SIZES", ())
     monkeypatch.setattr(ladder, "MODELS_DIR", tmp_path)
+    monkeypatch.setattr(ladder, "STARTUP_MODES", ())
     out = tmp_path / "ladder.json"
     assert ladder.main(["here=%s" % ROOT, "--n", "2", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
@@ -79,7 +81,7 @@ def test_ladder_adds_the_iwasawa_rung_from_n_6():
     two_torus = [("equivariant_cohomology", "2-torus")]
     assert [(c, s, n) for c, s, n in ladder.ladder_cases([4, 8])] == (
         [(c, s, 4) for c, s in flat] + [(c, s, 8) for c, s in flat + iwasawa + two_torus]
-        + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END)
+        + [("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END + STARTUP)
     for call, structure in iwasawa + two_torus:
         got = ladder.run_child(ROOT, call, structure, 6)
         # the refusal rung's t in d(e5) is refused, and timed up to the ValueError
@@ -154,11 +156,13 @@ FRONT_END = [("parse_model", name, n) for name, n in (
     ("iwasawa", 6), ("kodaira_thurston", 4), ("t2_symplectic", 2), ("t3_gamma", 3),
     ("t3_plain", 3), ("t3_twisted", 3), ("t4_h124", 4), ("t4_rho1", 4), ("t4_rho2", 4),
     ("t4_twisted_circle", 4), ("validate", 3), ("validate", 5), ("validate", 7))]
+# the startup rung last: the import with bytecode, then from source
+STARTUP = [("startup", "bytecode", None), ("startup", "source", None)]
 
 
 def test_ladder_times_the_front_end_rung(monkeypatch):
     assert list(ladder.ladder_cases([])) == [
-        ("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END
+        ("parse_scalar_text", "-", 8), ("parse_scalar_text", "-", 16)] + FRONT_END + STARTUP
     assert sorted(p.stem for p in (ROOT / "models").glob("*.model")) == [
         s for _, s, _ in FRONT_END[:-3]]
     for n in ladder.PARSE_SIZES:  # perfbench's validate queries declare the same
@@ -169,3 +173,21 @@ def test_ladder_times_the_front_end_rung(monkeypatch):
     for name in ("t3_twisted", "validate"):
         got = ladder.run_child(ROOT, "parse_model", name, 3)
         assert got["status"] == "ok" and 0 < got["wall_s"] < 1, got
+
+
+def test_ladder_times_the_startup_rung_without_writing_the_checkout(tmp_path, monkeypatch):
+    # a copy of src/, so that no earlier run left bytecode in the checkout
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    assert ladder.STARTUP_IMPORTS == 10
+    monkeypatch.setattr(ladder, "STARTUP_IMPORTS", 3)
+    got = {mode: ladder.run_child(checkout, "startup", mode, None)
+           for mode in ladder.STARTUP_MODES}
+    for run in got.values():
+        assert run["status"] == "ok" and run["loops"] == 3 and run["maxrss_kb"] > 0, run
+    # compiling the package from source costs several times reading its bytecode
+    assert 0 < 2 * got["bytecode"]["wall_s"] < got["source"]["wall_s"] < 5, got
+    assert not list(checkout.rglob("__pycache__")) and not list(checkout.rglob("*.pyc"))
+    assert ladder.run_child(checkout, "startup", "bytecode", None, timeout=0.001) == {
+        "status": "timeout"}

@@ -13,6 +13,7 @@ from gcalg.forms import Form, exp_two_form, wedge
 from gcalg.modelfile import (
     MAX_DIGITS,
     MAX_GENERATORS,
+    MAX_VALUE_DIGITS,
     ModelFileError,
     ParseError,
     parse_form_text,
@@ -337,6 +338,50 @@ def test_number_literals_are_capped_at_max_digits(tmp_path, capsys):
     capsys.readouterr()
     mf = parse_model(matrix % ("-" + cap))
     assert mf.structures["J"].matrix[0][2] == Q(-(10 ** MAX_DIGITS - 1))
+
+
+def test_computed_numbers_are_capped_at_max_value_digits(tmp_path, capsys):
+    # a value built past Python's int-string limit (4300 digits) failed with
+    # no line or column when it was printed; now the operator or call that
+    # builds a number of more than MAX_VALUE_DIGITS digits is the location
+    assert MAX_VALUE_DIGITS == 4000
+    nines = "9" * MAX_DIGITS
+    path = tmp_path / "big.model"
+    head = "model big\ngenerators e1 e2 e3\nH = "
+
+    def validate(h):
+        path.write_text(head + h + "*e1^e2^e3\n")
+        code = main(["validate", str(path)])
+        return code, json.loads(capsys.readouterr().out)
+
+    # a power is refused at its "^" from the estimate, before it is computed
+    start = time.perf_counter()
+    assert validate("(%s)^5" % nines) == (
+        2, {"error": "line 3, col 1007: up to 5001 digits in a number, beyond 4000",
+            "kind": "parse"})
+    assert validate("1/(%s)^-5" % nines)[1]["error"].startswith("line 3, col 1009: up to")
+    assert time.perf_counter() - start < 1.0
+    # a sum of fractions grows its denominator: the "+" that passes the cap
+    dens = [10 ** (MAX_DIGITS - 1) + k for k in (1, 2, 3, 5, 7, 11)]
+    h = "(%s)" % " + ".join("1/%d" % d for d in dens)
+    partial = [sum(Fraction(1, d) for d in dens[:k + 1]) for k in range(len(dens))]
+    first = next(k for k, s in enumerate(partial) if s.denominator >= 10 ** MAX_VALUE_DIGITS)
+    plus = [k for k, ch in enumerate(head.splitlines()[-1] + h, start=1) if ch == "+"]
+    assert first == 4 and validate(h) == (
+        2, {"error": "line 3, col %d: a number of more than 4000 digits" % plus[first - 1],
+            "kind": "parse"})
+    # just under the cap: 4000 digits still validate and print
+    for under, value in [("(%s)^4" % nines, (10 ** MAX_DIGITS - 1) ** 4),
+                         ("(%s)" % " + ".join("1/%d" % d for d in dens[:4]), partial[3])]:
+        code, out = validate(under)
+        assert code == 0 and out["twist"] == "%s*e1^e2^e3" % value
+    # one digit more, by a product or a quotient; an exp at its call
+    for h in ("(%s)^4 * 10" % nines, "(%s)^4 / (1/10)" % nines):
+        assert validate(h) == (
+            2, {"error": "line 3, col 1010: a number of more than 4000 digits", "kind": "parse"})
+    with pytest.raises(ParseError, match="line 1, col 1: up to 6001 digits in a number"):
+        parse_form_text("exp(X^3*e1^e2 + X^2*e3^e4)".replace("X", "(%s)" % nines), torus(4))
+    assert parse_scalar_text("(%s)^4" % nines) == Scalar.rational((10 ** MAX_DIGITS - 1) ** 4)
 
 
 def test_a_long_polynomial_variable_exceeds_the_rank_with_a_location():

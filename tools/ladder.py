@@ -38,7 +38,15 @@ polynomial arithmetic; its rows carry k as n.  The front-end rung follows:
 name and generator count) and of a validate-style file at n = 3, 5 and 7
 (PARSE_SIZES; structure "validate"), which declares parameters, builds an
 `exp`, an eqform, a connection and a dh block, as perfbench's `validate`
-queries do.  The child imports gcalg from DIR/src, builds the inputs
+queries do.  The startup rung comes last: `import gcalg, gcalg.cli`, as
+every CLI call pays it, timed in STARTUP_IMPORTS fresh interpreters per
+child run, whose median the run reports (its rows carry no n).
+It runs twice.  With "bytecode", an untimed first import writes the
+bytecode of every module it loads to a private `-X pycache_prefix` temp
+dir, which the timed imports read, so the checkout is never written.  With
+"source", the package's part of that dir is deleted after the first import
+and the timed ones run with -B, so gcalg compiles from source each time
+while the standard library still reads its bytecode.  The child imports gcalg from DIR/src, builds the inputs
 untimed, makes one untimed call, then times as many calls as that one's
 wall time fits into FILL_S seconds (at least one) and prints the wall time
 per call, the number of timed calls and `ru_maxrss`; a call that raises
@@ -60,8 +68,10 @@ import os
 import platform
 import resource
 import statistics
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CALLS = ("uk_grading", "pure_spinor", "annihilator", "split_operators", "ddbar_lemma_check")
@@ -77,6 +87,11 @@ POWERS = (8, 16)  # powers k of the scalars rung
 PARSE_SIZES = (3, 5, 7)  # generator counts of the validate-style file of the front-end rung
 FILL_S = 0.1  # wall time a child's timed repeats of a call fill, about
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"  # the shipped files it parses
+STARTUP_MODES = ("bytecode", "source")  # the startup rung's two runs
+STARTUP_IMPORTS = 10  # fresh interpreters a child run of the startup rung times
+STARTUP_CODE = ("import time; t = time.perf_counter(); import gcalg, gcalg.cli; "
+                "t = time.perf_counter() - t; import resource; "
+                "print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
 CHILD = r"""
 import json, resource, sys, time
@@ -190,6 +205,8 @@ def run_child(checkout: Path, call: str, structure: str, n: int,
     def cap():  # runs in the child between fork and exec
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    if call == "startup":
+        return run_startup(checkout, structure, STARTUP_IMPORTS, timeout, cap)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     cmd = [sys.executable, "-c", CHILD, call, structure, str(n), str(FILL_S)]
     if call == "parse_model" and structure == "validate":
@@ -203,6 +220,35 @@ def run_child(checkout: Path, call: str, structure: str, n: int,
     if proc.returncode != 0 or not lines:
         return {"status": "error", "exit": proc.returncode, "stderr": proc.stderr[-500:]}
     return json.loads(lines[-1])
+
+
+def run_startup(checkout: Path, mode: str, imports: int, timeout: float = TIMEOUT_S,
+                cap=None) -> dict:
+    """The median wall time and ru_maxrss of `import gcalg, gcalg.cli` over
+    `imports` fresh interpreters, after an untimed one that writes the
+    bytecode to a private prefix; in mode "source" the package's bytecode is
+    deleted from it and the timed imports write none (-B)."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # the untimed import writes to the prefix
+    runs = []
+    with tempfile.TemporaryDirectory() as prefix:
+        cmd = [sys.executable, "-X", "pycache_prefix=" + prefix, "-c", STARTUP_CODE]
+        for k in range(imports + 1):
+            try:
+                proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                                      text=True, timeout=timeout, preexec_fn=cap)
+            except subprocess.TimeoutExpired:
+                return {"status": "timeout"}
+            if proc.returncode != 0:
+                return {"status": "error", "exit": proc.returncode, "stderr": proc.stderr[-500:]}
+            if k:
+                wall, rss = proc.stdout.split()
+                runs.append((float(wall), int(rss)))
+            elif mode == "source":
+                shutil.rmtree(Path(prefix, *(checkout / "src").parts[1:]))
+                cmd.insert(1, "-B")
+    return {"status": "ok", "wall_s": round(statistics.median(w for w, _ in runs), 7),
+            "loops": imports, "maxrss_kb": statistics.median(r for _, r in runs)}
 
 
 def ladder_cases(sizes):
@@ -232,6 +278,8 @@ def ladder_cases(sizes):
         yield "parse_model", path.stem, len(names)
     for n in PARSE_SIZES:
         yield "parse_model", "validate", n
+    for mode in STARTUP_MODES:
+        yield "startup", mode, None
 
 
 def median_run(runs) -> dict:
