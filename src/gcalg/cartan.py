@@ -22,7 +22,7 @@ from .gcmaps import GCMap, uk_grading
 from .models import (
     BettiPair,
     Model,
-    _d_column,
+    _unit_images,
     d,
     d_twisted,
     ddbar_lemma_check,
@@ -418,7 +418,8 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     def graded(out_rows, im_pivots, size):
         per = size // len(mono_degs)  # masks of one parity per x-monomial
         heads = [per * bisect_left(mono_degs, p) for p in range(trunc + 2)]  # coordinates off F_p
-        dims = [size - h - sum(r < size - h for r in out_rows) + sum(c < h for c in im_pivots)
+        out_rows = sorted(out_rows)  # the pivot columns come increasing already
+        dims = [size - h - bisect_left(out_rows, size - h) + bisect_left(im_pivots, h)
                 for h in heads]
         return [dims[p] - dims[p + 1] for p in range(trunc + 1)]
 
@@ -433,7 +434,7 @@ def equivariant_cohomology(act: TorusAction, h_g: EqForm, trunc: int) -> Equivar
     betti = BettiPair(1, 0)
     if model.n:
         half = 1 << (model.n - 1)
-        free = half - sum(c < half for c in im_e + im_o)
+        free = half - bisect_left(im_e, half) - bisect_left(im_o, half)
         betti = BettiPair(free, free)
     counts = [len(monomials_of_degree(act.k, deg)) for deg in range(trunc)]
     pattern = all(ranks == (c * betti.even, c * betti.odd) for ranks, c in zip(by_degree, counts))
@@ -445,12 +446,13 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
     """Sparse columns of d_G - h_g^ on the even, then the odd (x-monomial,
     mask) pairs; (i-th monomial, p-th mask of a parity) is row i 2^(n-1) + p.
     Column (e, mask) is mask's unit image shifted by e, cut at min(trunc,
-    h_g.trunc): a `_d_column` per x-exponent, of d's table at x^0 and of the
-    0-form table -xi_j (a contraction) at x^j, each with h_g's terms there.
-    The blocks the cut keeps become triples first, in the order d(e_1)..d(e_n),
-    h_g at x^0, then per torus factor j its field xi_j (negated after the
-    conversion) and h_g at x^j, then h_g's other terms, so a coefficient that
-    is not Gaussian leaves no matrix and the ValueError names it as stated."""
+    h_g.trunc): the `_unit_images` of each x-exponent, of d's table at x^0
+    and of the 0-form table -xi_j (a contraction) at x^j, each with h_g's
+    terms there.  The blocks the cut keeps become triples in the order
+    d(e_1)..d(e_n), h_g at x^0, then per torus factor j its field xi_j
+    (negated after the conversion) and h_g at x^j, then h_g's other terms, so
+    a coefficient that is not Gaussian leaves no matrix and the ValueError
+    names it as stated."""
     n, k = act.model.n, act.k
     bound = min(trunc, h_g.trunc)
     twists = {ee: list(f.terms.items()) for ee, f in h_g.terms.items() if sum(ee) <= bound}
@@ -461,7 +463,7 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
     zero = tuple([0] * k)
     fields = {_expo_add(zero, j): v for j, v in enumerate(act.xi)} if bound else {}
     expos = [zero] + list(fields) + [ee for ee in twists if ee != zero and ee not in fields]
-    blocks = []
+    images = []
     for ee in expos:  # each block's table, then its twist
         if ee == zero:
             table = [_triples(dg.terms.items()) for dg in act.model.d_table]
@@ -470,10 +472,10 @@ def _cartan_columns(act: TorusAction, h_g: EqForm, trunc: int) -> Tuple[linalg.T
                      for _, (a, b, d) in _triples(enumerate(fields[ee]))]
         else:
             table = [[]] * n
-        blocks.append((table, _triples(twists.get(ee, []))))
+        images.append(_unit_images(n, table, _triples(twists.get(ee, []))))
     parts = [[mk for mk in basis_masks(n) if mk.bit_count() % 2 == p] for p in (0, 1)]
     pos = {mk: p for part in parts for p, mk in enumerate(part)}
-    units = {mask: [[(pos[mk], t) for mk, t in _d_column(mask, *block).items()] for block in blocks]
+    units = {mask: [[(pos[mk], t) for mk, t in image[mask].items()] for image in images]
              for mask in parts[0] + parts[1]}
     monos = [e for deg in range(trunc + 1) for e in monomials_of_degree(k, deg)]
     index = {e: i for i, e in enumerate(monos)}
@@ -511,11 +513,7 @@ def stable_equivariant_ranks(act: TorusAction, trunc: int) -> StableRanks:
         if low.by_degree[deg] != high.by_degree[deg]:
             break
         agreed.append(low.by_degree[deg])
-    return StableRanks(
-        trunc=trunc, by_degree=tuple(agreed), low=low, high=high
-    )
-
-
+    return StableRanks(trunc=trunc, by_degree=tuple(agreed), low=low, high=high)
 
 
 # -- connections, the Cartan map, and descent --------------------------------------

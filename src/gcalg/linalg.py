@@ -148,28 +148,31 @@ def _eliminate(sparse: TRows, ncols: int, blocks: Sequence[int]) -> Tuple[List[i
     pivot exactly when it is outside the span of the columns before it).  The
     pivot is the candidate of the earliest block (row i's is blocks[i]), then
     fewest nonzeros, then lowest index; that rule moves only the fill-in."""
-    holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
+    holders = [set() for _ in range(ncols)]  # column -> non-pivot rows with an entry there
     for i, row in enumerate(sparse):
         for c in row:
             holders[c].add(i)
-    free = set(range(len(sparse)))  # rows not yet a pivot row
     order, pivots = [], []
     for c in range(ncols):
-        cands = holders[c] & free
+        cands = holders[c]
         if not cands:
             continue
-        p = min(cands, key=lambda i: (blocks[i], len(sparse[i]), i))
-        free.discard(p)
+        p = cands.pop() if len(cands) == 1 else min(
+            cands, key=lambda i: (blocks[i], len(sparse[i]), i))
         cands.discard(p)
         prow = sparse[p]
-        inv = _inverse(prow[c])
-        for col, y in prow.items():
-            prow[col] = _add_mul(None, inv, y)
+        if prow[c] != (1, 0, 1):
+            inv = _inverse(prow[c])
+            for col, y in prow.items():
+                prow[col] = _add_mul(None, inv, y)
+        rest = [(col, y) for col, y in prow.items() if col != c]
+        for col, _ in rest:
+            holders[col].discard(p)
         for i in cands:
             row = sparse[i]
-            fa, fb, fd = row[c]
+            fa, fb, fd = row.pop(c)  # column c is never read again
             f = (-fa, -fb, fd)
-            for col, y in prow.items():
+            for col, y in rest:
                 x = row.get(col)
                 v = _add_mul(x, f, y)
                 if v[0] or v[1]:

@@ -106,7 +106,7 @@ def d(m: Model, a: Form) -> Form:
 
     Built by mask arithmetic, with no contraction or wedge Form: per generator
     g, each term of d(e_g) lands on each term of a through e_g with the sign
-    of `_d_column`.  The sum runs generator-major, each generator's image
+    of `_unit_images`.  The sum runs generator-major, each generator's image
     summed before it is added, so every Scalar keeps the term order of that
     sum of wedges (the order that names the pi powers of a mix)."""
     if a.n != m.n:
@@ -158,41 +158,55 @@ class BettiPair(Record):
 
 def _d_matrix(m: Model) -> linalg.TRows:
     """Sparse rows of triples of d_H's matrix, rows and columns in
-    `basis_masks` order, built by mask arithmetic (`_d_column`) with no Form.
-    d's table and H become triples first, d(e_1)..d(e_n) then H, in term
-    order, so a coefficient that is not a Gaussian rational leaves no matrix:
-    the ValueError names the first one as the model states it."""
+    `basis_masks` order, built by `_unit_images` with no Form.  d's table
+    and H become triples first, d(e_1)..d(e_n) then H, in term order, so a
+    coefficient that is not a Gaussian rational leaves no matrix: the
+    ValueError names the first one as the model states it."""
     table, h = [_triples(dg.terms.items()) for dg in m.d_table], _triples(m.H.terms.items())
     masks = basis_masks(m.n)
     row_of = {mk: i for i, mk in enumerate(masks)}
     rows = [{} for _ in masks]
+    images = _unit_images(m.n, table, h)
     for col, mask in enumerate(masks):
-        for key, t in _d_column(mask, table, h).items():
+        for key, t in images[mask].items():
             rows[row_of[key]][col] = t
     return rows
 
 
-def _d_column(mask: int, table: list, h: list) -> dict:
-    """Column e_mask of d_H as {mask: triple}, from the (mask, triple) terms
-    of each d(e_g) and of H: for each set bit g of mask the terms of d(e_g)
-    wedged onto mask ^ g, with the sign of contracting e_g and `_merge_sign`,
-    then minus the terms of H ^ e_mask.  A table of 0-forms (mask 0) makes the
-    first passes a contraction.  Every pass adds into the column and removes a
-    cancelled entry, so the keys keep `d_twisted`'s order."""
-    passes = [(terms, mask ^ (1 << g), -1 if (mask & ((1 << g) - 1)).bit_count() & 1 else 1)
-              for g, terms in enumerate(table) if terms and mask >> g & 1]  # (terms, onto, sign)
-    passes.append((h, mask, -1))
-    col = {}
-    for terms, rest, sign in passes:
-        for mg, c in terms:
-            if not mg & rest:
-                key = mg | rest
-                v = linalg._add_mul(col.get(key), (sign * _merge_sign(mg, rest), 0, 1), c)
+def _unit_images(n: int, table: list, h: list) -> List[dict]:
+    """The images of all unit forms e_mask under d_H, a {mask: triple} per
+    mask, term by term over the (mask, triple) terms of each d(e_g) and of H.
+    A term (mg, c) of d(e_g) moves bit g plus each submask rest of the bits
+    outside g and mg (mg may hold g) onto mg | rest, signed by contracting e_g
+    and by `_merge_sign(mg, rest)`; a term mh of H moves each mask outside it
+    onto mh | mask, signed -`_merge_sign(mh, mask)`; a 0-form table contracts.
+    Each mask meets its terms in the order d(e_1)..d(e_n), H and drops a
+    cancelled entry, so its image keeps `d_twisted`'s key order."""
+    full = (1 << n) - 1
+    images = [{} for _ in range(full + 1)]
+    passes = [(terms, 1 << g, (1 << g) - 1) for g, terms in enumerate(table) if terms]
+    passes.append(([(mh, (-a, -b, d)) for mh, (a, b, d) in h], 0, 0))
+    for terms, bit, below in passes:
+        for mt, c in terms:
+            free = full & ~(bit | mt)
+            # the bits of rest that flip the sign: below g, or below an odd number of mt's
+            flip = below ^ sum(1 << j for j in range(n) if (mt >> (j + 1)).bit_count() & 1)
+            neg = (-c[0], -c[1], c[2])
+            s = 0
+            while True:  # every submask s of free, in increasing order
+                image = images[s | bit]
+                key = mt | s
+                y = neg if (s & flip).bit_count() & 1 else c
+                x = image.get(key)
+                v = y if x is None else linalg._add_mul(x, (1, 0, 1), y)
                 if v[0] or v[1]:
-                    col[key] = v
+                    image[key] = v
                 else:
-                    del col[key]
-    return col
+                    del image[key]
+                s = (s - free) & free
+                if not s:
+                    break
+    return images
 
 
 def twisted_cohomology(m: Model) -> BettiPair:

@@ -812,6 +812,69 @@ def ref_d_matrix(m, masks):
     return linalg.sparse_transpose(cols, len(masks))
 
 
+# d_H's image of one unit form at a time, and forward elimination with a
+# fresh candidate set per column, as the package first ran them: it now
+# builds all 2^n images term by term, each term visiting only the masks it
+# moves, and keeps only the rows not yet pivots in its column index.  `seen`,
+# when given, counts the columns with a lone candidate, the pivots already
+# 1 and the entries that cancel, so a test can show it met each case.
+def ref_d_column(mask, table, h):
+    passes = [(terms, mask ^ (1 << g), -1 if (mask & ((1 << g) - 1)).bit_count() & 1 else 1)
+              for g, terms in enumerate(table) if terms and mask >> g & 1]  # (terms, onto, sign)
+    passes.append((h, mask, -1))
+    col = {}
+    for terms, rest, sign in passes:
+        for mg, c in terms:
+            if not mg & rest:
+                key = mg | rest
+                v = linalg._add_mul(col.get(key), (sign * _merge_sign(mg, rest), 0, 1), c)
+                if v[0] or v[1]:
+                    col[key] = v
+                else:
+                    del col[key]
+    return col
+
+
+def ref_eliminate(sparse, ncols, blocks, seen=None):
+    seen = seen if seen is not None else {}
+    holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
+    for i, row in enumerate(sparse):
+        for c in row:
+            holders[c].add(i)
+    free = set(range(len(sparse)))  # rows not yet a pivot row
+    order, pivots = [], []
+    for c in range(ncols):
+        cands = holders[c] & free
+        if not cands:
+            continue
+        seen["lone"] = seen.get("lone", 0) + (len(cands) == 1)
+        p = min(cands, key=lambda i: (blocks[i], len(sparse[i]), i))
+        free.discard(p)
+        cands.discard(p)
+        prow = sparse[p]
+        seen["one"] = seen.get("one", 0) + (prow[c] == (1, 0, 1))
+        inv = linalg._inverse(prow[c])
+        for col, y in prow.items():
+            prow[col] = linalg._add_mul(None, inv, y)
+        for i in cands:
+            row = sparse[i]
+            fa, fb, fd = row[c]
+            f = (-fa, -fb, fd)
+            for col, y in prow.items():
+                x = row.get(col)
+                v = linalg._add_mul(x, f, y)
+                if v[0] or v[1]:
+                    row[col] = v
+                    holders[col].add(i)
+                elif x is not None:
+                    del row[col]
+                    holders[col].discard(i)
+                    seen["cancelled"] = seen.get("cancelled", 0) + (col != c)
+        order.append(p)
+        pivots.append(c)
+    return order, pivots
+
+
 # the one refusal for coefficients that are not Gaussian rationals: the first
 # one as the model states it, in the order d(e_1)..d(e_n), H, then per torus
 # factor its field xi_j and h_G at x^j (alpha_j), then h_G's other terms, each

@@ -220,7 +220,7 @@ def test_equivariant_cohomology_refuses_an_even_degree_twist(monkeypatch):
     # the even and odd parts: refused before any column is built
     act = TorusAction(torus(3), [[1, 0, 0]])
     built = []
-    monkeypatch.setattr(gcalg.cartan, "_d_column", lambda *args: built.append(args))
+    monkeypatch.setattr(gcalg.cartan, "_unit_images", lambda *args: built.append(args))
     for trunc in (1, 2):
         h_g = EqForm(1, 3, trunc, {(1,): Form.monomial(3, (2, 3))})
         assert d_equivariant(act, h_g).is_zero()

@@ -133,6 +133,39 @@ def test_equivariant_refuses_a_complex_past_the_column_budget(capsys, monkeypatc
     assert (code, payload["by_degree"]) == (0, [[3, 3], [0, 0], [3, 3]]) and built[0] > 0
 
 
+EDGE_ACTIONS = {
+    # no xi line: a rank-0 torus, so x-degree 1 has no monomial
+    "no_xi": ("generators e1 e2\n\naction rot\nend\n", "1",
+              [[2, 2], [0, 0]], [2, 2], (2, 2)),
+    # a zero field: d_G = d on T^2 at every x-monomial
+    "zero_field": ("generators e1 e2\n\naction rot\n  xi 1 = 0 0\nend\n", "3",
+                   [[2, 2], [2, 2], [2, 2], [2, 2]], [6, 6], (2, 2)),
+    # no generators: the complex is the constants
+    "no_generators": ("generators\n\naction rot\nend\n", "1",
+                      [[1, 0], [0, 0]], [1, 0], (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_ACTIONS))
+def test_equivariant_edge_shapes(tmp_path, capsys, name):
+    text, trunc, by_degree, totals, betti = EDGE_ACTIONS[name]
+    path = tmp_path / ("%s.model" % name)
+    path.write_text("model %s\n%s" % (name, text))
+    code, payload = run_cli(capsys, "equivariant", str(path), "--trunc", trunc)
+    assert code == 0
+    assert payload == {"trunc": int(trunc), "by_degree": by_degree,
+                       "betti": {"even": betti[0], "odd": betti[1]},
+                       "free_pattern": True, "totals_stable": totals}
+
+
+def test_equivariant_at_trunc_0(capsys):
+    code, payload = run_cli(
+        capsys, "equivariant", str(MODELS_DIR / "t4_twisted_circle.model"), "--trunc", "0")
+    assert code == 0
+    assert payload == {"trunc": 0, "by_degree": [[6, 6]], "betti": {"even": 6, "odd": 6},
+                       "free_pattern": True, "totals_stable": [0, 0]}
+
+
 def test_ddbar_golden(capsys):
     code, payload = run_cli(capsys, "ddbar", str(MODELS_DIR / "kodaira_thurston.model"))
     assert code == 0

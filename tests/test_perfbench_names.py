@@ -86,7 +86,8 @@ def test_traced_and_counted_queries_match_untraced(tmp_path):
         tracer.disable()
     assert traced == plain
     assert tracer.calls["forms.clifford"] > 0 and tracer.calls["linalg.mat_vec"] > 0
-    assert tracer.calls["linalg.echelon"] > 0  # the equivariant ranks
+    assert tracer.calls["linalg.echelon"] > 0  # the gclinear, grading and extension bases
+    assert tracer.calls["linalg.rank_profiles"] == 2  # the equivariant ranks, one per parity map
     assert counter.facts["linalg.mat_vec.entries"] > 0
     assert outputs(queries) == plain  # every wrapper is undone
     assert gcalg.cli.main is main

@@ -28,7 +28,7 @@ from gcalg.gcmaps import (
     symplectic_map, uk_grading,
 )
 from gcalg.models import (
-    Model, _d_column, _d_matrix, betti_numbers, d, twisted_cohomology,
+    Model, _d_matrix, _unit_images, betti_numbers, d, twisted_cohomology,
 )
 from gcalg.scalars import ONE, Q, QZERO, Scalar, _q
 
@@ -127,11 +127,11 @@ def test_d_matrix_sums_moves_onto_one_key():
     assert _outcome(ref_d_matrix, model, basis_masks(3))[0] == "ValueError"
 
 
-def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
+def test_unit_images_add_a_twist_onto_the_moves_of_its_table():
     # a twist of 1-forms lands where the 2-form moves of d do, and a 0-form
-    # table -xi contracts: both passes add into one column, as the Form sums
-    # d(e_mask) - h ^ e_mask and -i_xi(e_mask) - h ^ e_mask do, term order
-    # included, and a sum that cancels leaves no entry
+    # table -xi contracts: both passes add into one image per mask, as the
+    # Form sums d(e_mask) - h ^ e_mask and -i_xi(e_mask) - h ^ e_mask do,
+    # term order included, and a sum that cancels leaves no entry
     rng = random.Random("d-column-twist")
     cases = []
     for n in range(1, 6):
@@ -149,15 +149,17 @@ def test_d_column_adds_a_twist_onto_the_moves_of_its_table():
         tables = {"d": [_triples(dg.terms.items()) for dg in model.d_table],
                   "contraction": [[] if c.is_zero() else _triples([(0, -c)]) for c in xi]}
         twist = _triples(h.terms.items())
+        images = {name: _unit_images(n, table, twist) for name, table in tables.items()}
+        assert all(len(per_mask) == 1 << n for per_mask in images.values())
         for mask in range(1 << n):
             unit = Form(n, {mask: ONE})
             wedged = wedge(h, unit)
-            for name, table in tables.items():
+            for name in tables:
                 moved = d(model, unit) if name == "d" else -contract_vector(xi, unit)
                 want = moved - wedged
                 sums["collisions"] += bool(moved.terms.keys() & wedged.terms.keys())
                 sums["cancelled"] += len(want.terms) < len(moved.terms.keys() | wedged.terms.keys())
-                got = _d_column(mask, table, twist)
+                got = images[name][mask]
                 assert list(got) == list(want.terms)
                 assert [_q(*t) for t in got.values()] == [
                     c.as_q() for c in want.terms.values()]
